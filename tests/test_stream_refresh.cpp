@@ -5,9 +5,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
+#include <string>
 #include <unistd.h>
 
+#include "golden_digest.hpp"
 #include "kge/model_factory.hpp"
 #include "stream/delta.hpp"
 #include "stream/delta_ingestor.hpp"
@@ -141,6 +144,177 @@ TEST(IncrementalRefresh, EmptyBatchIsANoop) {
     ASSERT_EQ(before[i], after[i]);
   }
 }
+
+// ---- golden bytes ------------------------------------------------------
+//
+// Every other refresh test compares a run with itself, so a change that
+// moves refresh bytes passes them all. These cases pin the bytes instead:
+// 4 models x {no dataset, dataset with weight decay, hard mining 6->2} x
+// {1, 2, 3} steps, each refreshing three chained versions with one
+// 64-delta batch. The batch names only entities below kGoldenTouched, so
+// corruptions also land on untouched rows (whose gradients the refresh
+// must drop), and every eighth delta is a self-loop (h == t).
+
+constexpr std::int32_t kGoldenEntities = 120;
+constexpr std::int32_t kGoldenRelations = 6;
+constexpr std::int32_t kGoldenTouched = 48;
+
+const char* const kGoldenModels[] = {"complex", "distmult", "transe",
+                                     "rotate"};
+const char* const kGoldenModes[] = {"plain", "decay", "hard"};
+
+TripleList golden_deltas() {
+  util::Rng rng(64);
+  TripleList deltas;
+  for (int i = 0; i < 64; ++i) {
+    Triple t;
+    t.head = static_cast<EntityId>(rng.next_below(kGoldenTouched));
+    t.relation = static_cast<kge::RelationId>(rng.next_below(kGoldenRelations));
+    t.tail = i % 8 == 0 ? t.head
+                        : static_cast<EntityId>(rng.next_below(kGoldenTouched));
+    deltas.push_back(t);
+  }
+  return deltas;
+}
+
+const kge::Dataset& golden_dataset() {
+  static const kge::Dataset dataset = [] {
+    util::Rng rng(808);
+    const auto triple = [&] {
+      return Triple{
+          static_cast<EntityId>(rng.next_below(kGoldenEntities)),
+          static_cast<kge::RelationId>(rng.next_below(kGoldenRelations)),
+          static_cast<EntityId>(rng.next_below(kGoldenEntities))};
+    };
+    TripleList train, valid, test;
+    for (int i = 0; i < 400; ++i) train.push_back(triple());
+    for (int i = 0; i < 16; ++i) valid.push_back(triple());
+    for (int i = 0; i < 16; ++i) test.push_back(triple());
+    return kge::Dataset(kGoldenEntities, kGoldenRelations, train, valid,
+                        test);
+  }();
+  return dataset;
+}
+
+/// Refresh three chained versions and digest the final entity and
+/// relation bytes plus every version's mean_loss, drift and row_updates.
+std::uint64_t refresh_digest(const std::string& model_name,
+                             const std::string& mode, int steps) {
+  auto model =
+      kge::make_model(model_name, kGoldenEntities, kGoldenRelations, 4);
+  util::Rng init(17);
+  model->init(init);
+
+  RefreshParams params;
+  params.steps = steps;
+  params.seed = 2024;
+  const kge::Dataset* dataset = nullptr;
+  if (mode == "decay") {
+    dataset = &golden_dataset();
+    params.weight_decay = 0.01;
+  } else if (mode == "hard") {
+    dataset = &golden_dataset();
+    params.negatives_sampled = 6;
+    params.negatives_used = 2;
+  }
+
+  const TripleList deltas = golden_deltas();
+  std::uint64_t hash = testing_util::kFnvOffset;
+  for (std::uint64_t version = 2; version <= 4; ++version) {
+    const RefreshResult result =
+        incremental_refresh(*model, deltas, version, params, dataset);
+    hash = testing_util::fnv1a_value(result.mean_loss, hash);
+    hash = testing_util::fnv1a_value(result.drift, hash);
+    hash = testing_util::fnv1a_value(
+        static_cast<std::uint64_t>(result.row_updates), hash);
+  }
+  return testing_util::model_digest(*model, hash);
+}
+
+// Captured on x86-64, GCC 12, glibc 2.36 libm. Another libm or ISA may
+// move them; a change on this platform is a real numerical change.
+const std::map<std::string, std::uint64_t>& refresh_goldens() {
+  static const std::map<std::string, std::uint64_t> goldens = {
+      {"complex_plain_1", 0x46c1f7e2148669b8ULL},
+      {"complex_plain_2", 0xc5533793249bdea0ULL},
+      {"complex_plain_3", 0x4c412d52364200f5ULL},
+      {"complex_decay_1", 0xebe5a809c8ff6b01ULL},
+      {"complex_decay_2", 0x7d65ff5e85a0f3a5ULL},
+      {"complex_decay_3", 0x1ac361e47eab7ba4ULL},
+      {"complex_hard_1", 0x607589bacad763e0ULL},
+      {"complex_hard_2", 0x0104dc3a56a57f51ULL},
+      {"complex_hard_3", 0x8e8d97887b687e58ULL},
+      {"distmult_plain_1", 0xa450eace12c33a7eULL},
+      {"distmult_plain_2", 0xde6fbeb36882a1e0ULL},
+      {"distmult_plain_3", 0xd9854c7364a47cc7ULL},
+      {"distmult_decay_1", 0xf2d6c8466df2e93cULL},
+      {"distmult_decay_2", 0x00c52ace6e275cbeULL},
+      {"distmult_decay_3", 0x04adf0677cb8a061ULL},
+      {"distmult_hard_1", 0x30bcd9cb4b1141d0ULL},
+      {"distmult_hard_2", 0x35bb5c003577ffbbULL},
+      {"distmult_hard_3", 0x7c9a2b038c75754fULL},
+      {"transe_plain_1", 0x177396081912040eULL},
+      {"transe_plain_2", 0x108f851454a4e314ULL},
+      {"transe_plain_3", 0xdaef946883445690ULL},
+      {"transe_decay_1", 0x61811f7f651d45a7ULL},
+      {"transe_decay_2", 0x02c85bc7f69855f0ULL},
+      {"transe_decay_3", 0x0368cd1ba22092e7ULL},
+      {"transe_hard_1", 0xacd7acd9cc1b11b0ULL},
+      {"transe_hard_2", 0x23e803907a22ee6eULL},
+      {"transe_hard_3", 0x2b7e2fcd84a183b2ULL},
+      {"rotate_plain_1", 0x9b386529b0935b74ULL},
+      {"rotate_plain_2", 0xbd4732fa780f1809ULL},
+      {"rotate_plain_3", 0x05a94582aa81a6b3ULL},
+      {"rotate_decay_1", 0x3bcb6b192c913e92ULL},
+      {"rotate_decay_2", 0xcd3bf0620f89a7f9ULL},
+      {"rotate_decay_3", 0x59e06d90d2be635eULL},
+      {"rotate_hard_1", 0x0a5339529a181c3dULL},
+      {"rotate_hard_2", 0x2b397cf42b6b3bb8ULL},
+      {"rotate_hard_3", 0x800bbe97c9ac99ffULL},
+  };
+  return goldens;
+}
+
+struct RefreshCase {
+  const char* model;
+  const char* mode;
+  int steps;
+};
+
+std::string refresh_case_name(const RefreshCase& c) {
+  return std::string(c.model) + "_" + c.mode + "_" + std::to_string(c.steps);
+}
+
+class RefreshGolden : public ::testing::TestWithParam<RefreshCase> {};
+
+TEST_P(RefreshGolden, MatchesCommittedDigest) {
+  const RefreshCase& param = GetParam();
+  const std::string name = refresh_case_name(param);
+  const std::uint64_t digest =
+      refresh_digest(param.model, param.mode, param.steps);
+  const auto golden = refresh_goldens().find(name);
+  ASSERT_NE(golden, refresh_goldens().end()) << name << ": no golden";
+  EXPECT_EQ(digest, golden->second)
+      << name << ": golden " << testing_util::hex64(golden->second)
+      << ", got " << testing_util::hex64(digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelsModesSteps, RefreshGolden,
+    ::testing::ValuesIn([] {
+      std::vector<RefreshCase> cases;
+      for (const char* model : kGoldenModels) {
+        for (const char* mode : kGoldenModes) {
+          for (int steps = 1; steps <= 3; ++steps) {
+            cases.push_back({model, mode, steps});
+          }
+        }
+      }
+      return cases;
+    }()),
+    [](const ::testing::TestParamInfo<RefreshCase>& info) {
+      return refresh_case_name(info.param);
+    });
 
 class DeltaFileTest : public ::testing::Test {
  protected:
