@@ -18,7 +18,7 @@ namespace {
 /// arithmetic, so the emitted metrics are exactly reproducible.
 void crossover_table(const comm::CostModel& model, std::size_t dense_bytes,
                      std::size_t row_bytes, std::size_t rows_per_rank,
-                     bench::BenchReporter& reporter, const std::string& prefix,
+                     obs::BenchReporter& reporter, const std::string& prefix,
                      util::Table& table) {
   for (const int ranks : {2, 4, 8, 16, 32}) {
     const std::size_t per_rank = rows_per_rank * row_bytes;
@@ -42,7 +42,8 @@ void crossover_table(const comm::CostModel& model, std::size_t dense_bytes,
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const bool csv = args.has_flag("csv");
-  bench::BenchReporter reporter("ablation_cost_model", argc, argv);
+  obs::BenchReporter reporter("ablation_cost_model",
+                              args.get_string("bench-json", ""));
 
   // FB250K-like dense entity gradient matrix: 240K rows x 200 floats.
   const std::size_t dense = 240000ull * 200ull * 4ull;

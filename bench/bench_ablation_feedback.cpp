@@ -17,8 +17,8 @@ using namespace dynkge;
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv, "fb15k", {2});
-  bench::BenchReporter reporter("ablation_feedback", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("ablation_feedback", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Ablation: gradient feedback mechanisms",

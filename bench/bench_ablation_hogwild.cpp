@@ -15,8 +15,8 @@ using namespace dynkge;
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv, "fb15k", {1, 2, 4});
-  bench::BenchReporter reporter("ablation_hogwild", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("ablation_hogwild", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Ablation: Hogwild shared-memory baseline vs synchronous distributed",

@@ -13,8 +13,8 @@ using namespace dynkge;
 int main(int argc, char** argv) {
   const auto options =
       bench::parse_options(argc, argv, "fb250k", {2, 4, 8, 16});
-  bench::BenchReporter reporter("ablation_parameter_server", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("ablation_parameter_server", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Ablation: parameter server vs synchronous collectives",

@@ -16,7 +16,7 @@ using namespace dynkge;
 namespace {
 
 void sweep(const bench::HarnessOptions& options, const kge::Dataset& dataset,
-           bench::BenchReporter& reporter, const std::string& prefix,
+           obs::BenchReporter& reporter, const std::string& prefix,
            util::Table& tt, util::Table& epochs, util::Table& epoch_time) {
   for (const std::int64_t nodes : options.nodes) {
     double tt_row[2], n_row[2], et_row[2];
@@ -52,7 +52,9 @@ void sweep(const bench::HarnessOptions& options, const kge::Dataset& dataset,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchReporter reporter("fig1_baseline_curves", argc, argv);
+  const util::ArgParser args(argc, argv);
+  obs::BenchReporter reporter("fig1_baseline_curves",
+                              args.get_string("bench-json", ""));
   // FB15K sweep (figure 1a).
   {
     const auto options =
@@ -65,7 +67,7 @@ int main(int argc, char** argv) {
     util::Table tt({"nodes", "allreduce TT(s)", "allgather TT(s)"});
     util::Table epochs({"nodes", "allreduce N", "allgather N"});
     util::Table epoch_time({"nodes", "allreduce s/epoch", "allgather s/epoch"});
-    reporter.context_from(options);
+    bench::context_from(reporter, options);
     sweep(options, dataset, reporter, "fb15k", tt, epochs, epoch_time);
     bench::emit(tt, "Figure 1a (reproduced): TT on FB15K-like", options.csv);
   }

@@ -12,8 +12,8 @@ using namespace dynkge;
 
 int main(int argc, char** argv) {
   auto options = bench::parse_options(argc, argv, "fb15k", {2});
-  bench::BenchReporter reporter("fig2_nonzero_rows", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("fig2_nonzero_rows", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Figure 2: non-zero gradient rows vs epoch",

@@ -14,8 +14,8 @@ using namespace dynkge;
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv, "fb15k", {2});
-  bench::BenchReporter reporter("fig3_selection_thresholds", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("fig3_selection_thresholds", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Figure 3: gradient-vector selection thresholds",

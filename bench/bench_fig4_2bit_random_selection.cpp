@@ -11,8 +11,8 @@ using namespace dynkge;
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv, "fb15k", {2});
-  bench::BenchReporter reporter("fig4_2bit_random_selection", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("fig4_2bit_random_selection", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Figure 4: 2-bit quantization with random selection",

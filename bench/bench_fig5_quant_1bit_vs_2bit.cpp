@@ -14,8 +14,8 @@ using namespace dynkge;
 int main(int argc, char** argv) {
   const auto options =
       bench::parse_options(argc, argv, "fb15k", {1, 2, 4, 8});
-  bench::BenchReporter reporter("fig5_quant_1bit_vs_2bit", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("fig5_quant_1bit_vs_2bit", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Figure 5: 1-bit vs 2-bit quantization (with random selection)",

@@ -12,7 +12,9 @@
 using namespace dynkge;
 
 int main(int argc, char** argv) {
-  bench::BenchReporter reporter("fig6_relation_partition", argc, argv);
+  const util::ArgParser args(argc, argv);
+  obs::BenchReporter reporter("fig6_relation_partition",
+                              args.get_string("bench-json", ""));
   // (a) convergence on FB15K-like, 2 nodes.
   {
     const auto options = bench::parse_options(argc, argv, "fb15k", {2});
@@ -51,7 +53,7 @@ int main(int argc, char** argv) {
               << " MRR=" << reports[0].ranking.mrr
               << " | with RP TCA=" << reports[1].tca
               << " MRR=" << reports[1].ranking.mrr << "\n\n";
-    reporter.context_from(options);
+    bench::context_from(reporter, options);
     const char* keys[] = {"fb15k.without_rp", "fb15k.with_rp"};
     for (int v = 0; v < 2; ++v) {
       const std::string key = keys[v];

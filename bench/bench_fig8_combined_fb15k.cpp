@@ -17,8 +17,8 @@ namespace paper = dynkge::bench::paper;
 int main(int argc, char** argv) {
   const auto options =
       bench::parse_options(argc, argv, "fb15k", {1, 2, 4, 8});
-  bench::BenchReporter reporter("fig8_combined_fb15k", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("fig8_combined_fb15k", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Figure 8: combined methods on FB15K-like",

@@ -18,8 +18,8 @@ namespace paper = dynkge::bench::paper;
 int main(int argc, char** argv) {
   const auto options =
       bench::parse_options(argc, argv, "fb250k", {1, 2, 4, 8, 16});
-  bench::BenchReporter reporter("fig9_combined_fb250k", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("fig9_combined_fb250k", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Figure 9: combined methods on FB250K-like",

@@ -19,8 +19,8 @@ using namespace dynkge;
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv, "fb15k", {8});
-  bench::BenchReporter reporter("host_parallelism", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("host_parallelism", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Ablation: host thread pool size for a fixed simulated cluster",

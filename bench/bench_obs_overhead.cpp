@@ -23,8 +23,8 @@ using namespace dynkge;
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv, "fb15k", {4});
-  bench::BenchReporter reporter("obs_overhead", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("obs_overhead", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Ablation: telemetry overhead (metrics + trace spans + event stream)",

@@ -21,10 +21,10 @@ using dynkge::kge::RelationId;
 using dynkge::serve::Direction;
 using dynkge::serve::InferenceService;
 using dynkge::serve::ServiceConfig;
-using dynkge::serve::ThreadPool;
 using dynkge::serve::TopKQuery;
 using dynkge::serve::TopKScorer;
 using dynkge::util::Rng;
+using dynkge::util::ThreadPool;
 using dynkge::util::ZipfSampler;
 
 constexpr std::int32_t kEntities = 20000;

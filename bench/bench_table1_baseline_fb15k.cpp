@@ -15,8 +15,8 @@ namespace paper = dynkge::bench::paper;
 int main(int argc, char** argv) {
   const auto options =
       bench::parse_options(argc, argv, "fb15k", {1, 2, 4, 8});
-  bench::BenchReporter reporter("table1_baseline_fb15k", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("table1_baseline_fb15k", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Table 1: baseline results on the FB15K-like dataset",

@@ -15,8 +15,8 @@ namespace paper = dynkge::bench::paper;
 int main(int argc, char** argv) {
   const auto options =
       bench::parse_options(argc, argv, "fb250k", {1, 2, 4, 8, 16});
-  bench::BenchReporter reporter("table2_baseline_fb250k", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("table2_baseline_fb250k", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Table 2: baseline results on the FB250K-like dataset",

@@ -15,8 +15,9 @@ namespace paper = dynkge::bench::paper;
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv, "fb15k", {2});
-  bench::BenchReporter reporter("table4_fig7_sample_selection", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("table4_fig7_sample_selection",
+                              options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Table 4 / Figure 7: negative sample selection (with 1-bit quant)",

@@ -34,8 +34,8 @@ double mean_rows_sent(const core::TrainReport& report) {
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv, "fb15k", {2});
-  bench::BenchReporter reporter("topk_vs_rs", argc, argv);
-  reporter.context_from(options);
+  obs::BenchReporter reporter("topk_vs_rs", options.bench_json);
+  bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Top-K vs random selection at equal kept-bytes",

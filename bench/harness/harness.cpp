@@ -1,98 +1,25 @@
 #include "harness/harness.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <stdexcept>
 
 #include "kge/synthetic.hpp"
 #include "kge/tsv_loader.hpp"
-#include "util/json_writer.hpp"
 #include "util/stopwatch.hpp"
 
 namespace dynkge::bench {
 
-/// Bump when the BENCH_*.json layout changes incompatibly; check_bench.py
-/// rejects versions it does not know.
-constexpr std::int64_t kBenchSchemaVersion = 1;
-
-BenchReporter::BenchReporter(std::string bench, int argc,
-                             const char* const* argv)
-    : bench_(std::move(bench)) {
-  const util::ArgParser args(argc, argv);
-  path_ = args.get_string("bench-json", "");
+void context_from(obs::BenchReporter& reporter, const HarnessOptions& options) {
+  reporter.context("dataset", options.data_dir.empty()
+                                  ? options.dataset + "/" + options.scale
+                                  : options.data_dir);
+  reporter.context("model", options.model);
+  reporter.context("rank", static_cast<std::int64_t>(options.rank));
+  reporter.context("batch", static_cast<std::int64_t>(options.batch));
+  reporter.context("seed", static_cast<std::int64_t>(options.seed));
 }
 
-void BenchReporter::context(const std::string& key, const std::string& value) {
-  ContextValue v;
-  v.text = value;
-  context_.emplace_back(key, std::move(v));
-}
-
-void BenchReporter::context(const std::string& key, std::int64_t value) {
-  ContextValue v;
-  v.is_int = true;
-  v.number = value;
-  context_.emplace_back(key, std::move(v));
-}
-
-void BenchReporter::context_from(const HarnessOptions& options) {
-  context("dataset", options.data_dir.empty()
-                         ? options.dataset + "/" + options.scale
-                         : options.data_dir);
-  context("model", options.model);
-  context("rank", static_cast<std::int64_t>(options.rank));
-  context("batch", static_cast<std::int64_t>(options.batch));
-  context("seed", static_cast<std::int64_t>(options.seed));
-}
-
-void BenchReporter::set(const std::string& name, double value) {
-  registry_.gauge(name).set(value);
-}
-
-void BenchReporter::count(const std::string& name, std::uint64_t value) {
-  registry_.counter(name).add(value);
-}
-
-void BenchReporter::flag(const std::string& name, bool value) {
-  flags_[name] = value;
-}
-
-std::string BenchReporter::to_json() const {
-  util::JsonWriter json;
-  json.begin_object();
-  json.kv("bench", bench_);
-  json.kv("schema_version", kBenchSchemaVersion);
-  json.key("context").begin_object();
-  for (const auto& [key, value] : context_) {
-    if (value.is_int) {
-      json.kv(key, value.number);
-    } else {
-      json.kv(key, value.text);
-    }
-  }
-  json.end_object();
-  json.key("flags").begin_object();
-  for (const auto& [name, value] : flags_) {
-    json.kv(name, value);
-  }
-  json.end_object();
-  json.key("metrics").raw(registry_.to_json());
-  json.end_object();
-  return json.str();
-}
-
-bool BenchReporter::write() const {
-  if (path_.empty()) return true;
-  std::ofstream out(path_);
-  out << to_json() << "\n";
-  if (!out) {
-    std::fprintf(stderr, "[bench] failed to write %s\n", path_.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "[bench] wrote %s\n", path_.c_str());
-  return true;
-}
 namespace {
 
 kge::SyntheticSpec spec_for(const std::string& dataset,
@@ -145,6 +72,7 @@ HarnessOptions parse_options(int argc, const char* const* argv,
   options.model = args.get_string("model", "complex");
   options.nodes = args.get_int_list("nodes", default_nodes);
   options.csv = args.has_flag("csv");
+  options.bench_json = args.get_string("bench-json", "");
   options.seed =
       static_cast<std::uint64_t>(args.get_int("seed", 20220829));
 

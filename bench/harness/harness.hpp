@@ -18,18 +18,17 @@
 //   --model complex|distmult|transe
 //   --csv                     also emit CSV rows for plotting
 //   --bench-json <file>       write the machine-checkable result block
-//                             (gated in CI by tools/check_bench.py)
+//                             (obs::BenchReporter; gated in CI by
+//                             tools/check_bench.py)
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/trainer.hpp"
 #include "kge/dataset.hpp"
-#include "obs/metrics.hpp"
+#include "obs/bench_reporter.hpp"
 #include "util/argparse.hpp"
 #include "util/table.hpp"
 
@@ -50,6 +49,7 @@ struct HarnessOptions {
   int max_epochs = 150;
   std::uint64_t seed = 20220829;  // the conference start date
   bool csv = false;
+  std::string bench_json;  ///< --bench-json path ("" = write no block)
 
   /// Baseline negatives per positive (paper: 10 for FB15K, 1 for FB250K;
   /// scaled down at bench scale).
@@ -59,67 +59,9 @@ struct HarnessOptions {
   int ss_used = 1;
 };
 
-/// Uniform machine-checkable result block for bench binaries.
-///
-/// Every bench registers its named scalar results here (backed by an
-/// obs::MetricsRegistry) and calls write() at the end; with `--bench-json
-/// <file>` on the command line that emits one JSON object keyed on a
-/// "bench" field, which tools/check_bench.py gates against the committed
-/// baseline in bench/baselines/. Layout (DESIGN.md section 11):
-///
-///   {"bench":"<name>","schema_version":1,
-///    "context":{...workload identity, strings/ints...},
-///    "flags":{...booleans, gate direction "exact"...},
-///    "metrics":{"counters":{...},"gauges":{...},"histograms":{...}}}
-///
-/// Metric names may contain dots ("n2.allreduce.tt_sim_seconds");
-/// check_bench resolves gate paths longest-key-first so that is safe.
-class BenchReporter {
- public:
-  /// `bench` keys the gate set; argv is scanned for --bench-json.
-  BenchReporter(std::string bench, int argc, const char* const* argv);
-
-  /// True when --bench-json was given (write() will produce a file).
-  bool enabled() const { return !path_.empty(); }
-  const std::string& path() const { return path_; }
-
-  /// Workload-identity fields, emitted under "context" in insertion
-  /// order. Not gated — they make a failing BENCH_*.json self-describing.
-  void context(const std::string& key, const std::string& value);
-  void context(const std::string& key, std::int64_t value);
-  /// dataset/scale/model/rank/batch/seed from the parsed harness options.
-  void context_from(const HarnessOptions& options);
-
-  /// Scalar result -> gauge. Use for measured or derived doubles.
-  void set(const std::string& name, double value);
-  /// Integer result -> counter (set-once semantics, not accumulation).
-  void count(const std::string& name, std::uint64_t value);
-  /// Boolean result -> "flags" (always gated exact when listed).
-  void flag(const std::string& name, bool value);
-
-  /// Direct registry access for code that already records into one.
-  obs::MetricsRegistry& registry() { return registry_; }
-
-  std::string to_json() const;
-
-  /// Write the block to the --bench-json path; no-op (true) when the
-  /// flag is absent. Logs and returns false on I/O failure so mains can
-  /// fold it into their exit status.
-  bool write() const;
-
- private:
-  struct ContextValue {
-    bool is_int = false;
-    std::string text;
-    std::int64_t number = 0;
-  };
-
-  std::string bench_;
-  std::string path_;
-  std::vector<std::pair<std::string, ContextValue>> context_;
-  std::map<std::string, bool> flags_;
-  obs::MetricsRegistry registry_;
-};
+/// dataset/scale/model/rank/batch/seed from the parsed harness options, as
+/// the reporter's workload-identity context.
+void context_from(obs::BenchReporter& reporter, const HarnessOptions& options);
 
 /// Parse shared flags. `dataset` fixes which stand-in the binary targets.
 HarnessOptions parse_options(int argc, const char* const* argv,

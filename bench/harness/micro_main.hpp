@@ -22,7 +22,7 @@ namespace dynkge::bench {
 
 class MicroJsonReporter : public benchmark::ConsoleReporter {
  public:
-  explicit MicroJsonReporter(BenchReporter& sink) : sink_(sink) {}
+  explicit MicroJsonReporter(obs::BenchReporter& sink) : sink_(sink) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
@@ -42,12 +42,13 @@ class MicroJsonReporter : public benchmark::ConsoleReporter {
   }
 
  private:
-  BenchReporter& sink_;
+  obs::BenchReporter& sink_;
 };
 
 inline int run_micro_bench(const std::string& bench_name, int argc,
                            char** argv) {
-  BenchReporter sink(bench_name, argc, argv);
+  obs::BenchReporter sink(
+      bench_name, util::ArgParser(argc, argv).get_string("bench-json", ""));
   // google-benchmark aborts on flags it does not know; hide ours.
   std::vector<char*> filtered;
   for (int i = 0; i < argc; ++i) {

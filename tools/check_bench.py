@@ -6,11 +6,11 @@ Usage:
     tools/check_bench.py BENCH_<name>.json --update-baseline
 
 Reads the uniform JSON block written by any bench binary's --bench-json
-flag (bench/harness BenchReporter, plus the legacy serve/train layouts)
-and compares the gated metrics against the committed baseline. The gate
-set is selected by the result's "bench" field ("serve" when absent, for
-older baselines). When the baseline path is omitted it defaults to
-bench/baselines/BENCH_<bench>.baseline.json next to this script's repo.
+flag and by `dynkge serve-bench --bench-json` (obs::BenchReporter) and
+compares the gated metrics against the committed baseline. The gate set is
+selected by the result's "bench" field. When the baseline path is omitted
+it defaults to bench/baselines/BENCH_<bench>.baseline.json next to this
+script's repo.
 
 --update-baseline rewrites that baseline from the current results (pretty-
 printed, sorted keys) instead of checking, so refreshing a gate after an
@@ -55,7 +55,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_DIR = REPO_ROOT / "bench" / "baselines"
 
-# BENCH_*.json layouts this checker understands (absent -> legacy v0).
+# BENCH_*.json layouts this checker understands.
 KNOWN_SCHEMA_VERSIONS = (1,)
 
 NEAR_DEFAULT = 0.05  # relative band for "near" gates
@@ -91,31 +91,25 @@ def training_run_gates(key, with_tca=True, with_mrr=True, with_tt=True):
 
 
 # ---------------------------------------------------------------------------
-# Legacy layouts (pre-BenchReporter): dynkge serve-bench and bench_kernels.
+# Gate sets, one per bench binary.
 
+# dynkge serve-bench with --mixed-updates: steady-state and churn serving.
 SERVE_GATES = [
-    ("steady.cache_hit_rate", "higher", None),
-    ("steady.qps", "higher", 0.90),
-    ("steady.p99_seconds", "lower", TIMING_TOL),
-    ("churn.qps", "higher", 0.90),
-    ("churn.p99_seconds", "lower", TIMING_TOL),
-    ("churn.versions_published", "higher", None),
-    ("churn.failed_requests", "exact", None),
-    ("baseline_scan_qps", "higher", 0.90),
+    g("steady.cache_hit_rate", "higher"),
+    g("steady.qps", "higher", 0.90),
+    g("steady.p99_seconds", "lower", TIMING_TOL),
+    g("churn.qps", "higher", 0.90),
+    g("churn.p99_seconds", "lower", TIMING_TOL),
+    c("churn.versions_published", "higher"),
+    c("churn.failed_requests"),
+    g("baseline_scan_qps", "higher", 0.90),
 ]
 
-TRAIN_GATES = [
-    ("byte_identical", "exact", None),
-    ("baseline.byte_identical", "exact", None),
-    ("combined.byte_identical", "exact", None),
-    ("baseline.speedup", "higher", 0.30),
-    ("combined.speedup", "higher", 0.30),
-    ("baseline.blocked_throughput", "higher", 0.90),
-    ("combined.blocked_throughput", "higher", 0.90),
-]
-
-# ---------------------------------------------------------------------------
-# BenchReporter-layout gate sets, one per bench binary.
+# bench_kernels: blocked training step throughput over fixed epochs.
+TRAIN_GATES = [gate
+               for key in ("baseline", "combined")
+               for gate in (c(f"{key}.epochs"),
+                            g(f"{key}.positives_per_cpu_s", "higher", 0.90))]
 
 TABLE1_GATES = [f"n{n}.{m}"
                 for n in (1, 2, 4, 8) for m in ("allreduce", "allgather")]
@@ -299,8 +293,8 @@ def lookup(node, path):
     """Resolve a dotted gate path, longest-literal-key-first.
 
     Metric names themselves contain dots, so "metrics.gauges.n2.ag.tca"
-    must match node["metrics"]["gauges"]["n2.ag.tca"]; legacy nested paths
-    like "steady.qps" keep working. Backtracks on ambiguity.
+    must match node["metrics"]["gauges"]["n2.ag.tca"]. Backtracks on
+    ambiguity.
     """
     if path == "":
         return node
@@ -326,8 +320,8 @@ def check_schema_version(doc, label):
 
 def check(current, baseline, default_tolerance):
     """Returns (malformed, missing, failed) failure-message lists."""
-    kind = current.get("bench", "serve")
-    base_kind = baseline.get("bench", "serve")
+    kind = current.get("bench")
+    base_kind = baseline.get("bench")
     if kind != base_kind:
         return ([f"bench kind mismatch: current is '{kind}', "
                  f"baseline is '{base_kind}'"], [], [])
@@ -381,7 +375,7 @@ def check(current, baseline, default_tolerance):
 
 
 def default_baseline_path(current):
-    kind = current.get("bench", "serve")
+    kind = current.get("bench")
     return BASELINE_DIR / f"BENCH_{kind}.baseline.json"
 
 
@@ -409,9 +403,9 @@ def main():
     if error:
         print(f"check_bench: {error}", file=sys.stderr)
         return 1
-    if current.get("bench", "serve") not in GATE_SETS:
+    if current.get("bench") not in GATE_SETS:
         print(f"check_bench: unknown bench kind "
-              f"'{current.get('bench', 'serve')}'", file=sys.stderr)
+              f"'{current.get('bench')}'", file=sys.stderr)
         return 1
 
     baseline_path = (Path(args.baseline) if args.baseline

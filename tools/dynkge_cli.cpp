@@ -162,6 +162,7 @@
 #include "comm/fault.hpp"
 #include "core/distributed_eval.hpp"
 #include "obs/analysis.hpp"
+#include "obs/bench_reporter.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -176,7 +177,6 @@
 #include "kge/synthetic.hpp"
 #include "kge/tsv_loader.hpp"
 #include "util/argparse.hpp"
-#include "util/json_writer.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -785,7 +785,7 @@ int cmd_predict(const util::ArgParser& args) {
               << (known ? "  [known fact]" : "") << "\n";
   }
   const auto snapshot = live.snapshot();
-  std::cout << "served in " << serve::LatencyHistogram::format_seconds(
+  std::cout << "served in " << obs::LatencyHistogram::format_seconds(
                                    snapshot.mean_latency_seconds)
             << " on " << live.num_threads() << " threads\n";
   return 0;
@@ -977,7 +977,7 @@ int cmd_serve(const util::ArgParser& args) {
   const auto ingest_stats = ingestor.stats();
   std::cout << "served " << answered.load() << "/" << stream.size()
             << " queries on " << clients << " clients in "
-            << serve::LatencyHistogram::format_seconds(wall) << " ("
+            << obs::LatencyHistogram::format_seconds(wall) << " ("
             << static_cast<std::uint64_t>(
                    static_cast<double>(answered.load()) / wall)
             << " qps), " << shed.load() << " shed, " << failed.load()
@@ -1072,7 +1072,7 @@ int cmd_serve_bench(const util::ArgParser& args) {
       static_cast<double>(baseline_n) / baseline_seconds;
   std::cout << "baseline (single-thread full scan, no cache): "
             << baseline_n << " queries in "
-            << serve::LatencyHistogram::format_seconds(baseline_seconds)
+            << obs::LatencyHistogram::format_seconds(baseline_seconds)
             << "  ->  " << static_cast<std::uint64_t>(baseline_qps)
             << " qps\n";
 
@@ -1098,7 +1098,7 @@ int cmd_serve_bench(const util::ArgParser& args) {
   std::cout << "service (" << service.num_threads() << " threads, cache "
             << config.cache_capacity << ", batch " << batch << "): "
             << stream.size() << " queries in "
-            << serve::LatencyHistogram::format_seconds(serve_seconds)
+            << obs::LatencyHistogram::format_seconds(serve_seconds)
             << "  ->  " << static_cast<std::uint64_t>(serve_qps) << " qps\n"
             << "latency: " << steady.summary() << "\n"
             << "speedup over single-query scan: "
@@ -1143,52 +1143,40 @@ int cmd_serve_bench(const util::ArgParser& args) {
     std::cout << "churn (" << mixed_updates << " deltas, batch "
               << ingest.batch_size << "): " << stream.size()
               << " queries in "
-              << serve::LatencyHistogram::format_seconds(churn_seconds)
+              << obs::LatencyHistogram::format_seconds(churn_seconds)
               << "  ->  " << static_cast<std::uint64_t>(churn_qps)
               << " qps, " << churn_versions << " versions published, "
               << churn_failed << " failed requests\n"
               << "latency under churn: " << churn.summary() << "\n";
   }
 
-  const std::string bench_json = args.get_string("bench-json", "");
-  if (!bench_json.empty()) {
-    util::JsonWriter json;
-    json.begin_object();
-    json.kv("bench", "serve");
-    json.kv("queries", stream.size());
-    json.kv("distinct", num_distinct);
-    json.kv("batch", batch);
-    json.kv("threads", service.num_threads());
-    json.kv("cache_capacity", config.cache_capacity);
-    json.kv("baseline_scan_qps", baseline_qps);
-    json.key("steady").begin_object();
-    json.kv("qps", serve_qps);
-    json.kv("p50_seconds", steady.p50_seconds);
-    json.kv("p95_seconds", steady.p95_seconds);
-    json.kv("p99_seconds", steady.p99_seconds);
-    json.kv("cache_hit_rate", steady.cache.hit_rate());
-    json.end_object();
-    if (mixed_updates > 0) {
-      json.key("churn").begin_object();
-      json.kv("deltas", mixed_updates);
-      json.kv("qps", churn_qps);
-      json.kv("p99_seconds", churn.p99_seconds);
-      json.kv("versions_published", churn_versions);
-      json.kv("failed_requests", churn_failed);
-      json.kv("shed", churn.shed);
-      json.kv("cache_invalidations", churn.cache.invalidations);
-      json.kv("cache_invalidated_entries", churn.cache.invalidated_entries);
-      json.end_object();
-    }
-    json.end_object();
-    std::ofstream out(bench_json);
-    if (!out) {
-      std::cerr << "serve-bench: cannot write " << bench_json << "\n";
-      return 1;
-    }
-    out << json.str() << "\n";
-    std::cout << "bench results written to " << bench_json << "\n";
+  // --bench-json: the block tools/check_bench.py gates (no file without
+  // the flag).
+  obs::BenchReporter reporter("serve", args.get_string("bench-json", ""));
+  reporter.context("queries", static_cast<std::int64_t>(stream.size()));
+  reporter.context("distinct", static_cast<std::int64_t>(num_distinct));
+  reporter.context("batch", static_cast<std::int64_t>(batch));
+  reporter.context("threads", service.num_threads());
+  reporter.context("cache_capacity",
+                   static_cast<std::int64_t>(config.cache_capacity));
+  reporter.context("mixed_updates", static_cast<std::int64_t>(mixed_updates));
+  reporter.set("baseline_scan_qps", baseline_qps);
+  reporter.set("steady.qps", serve_qps);
+  reporter.set("steady.p50_seconds", steady.p50_seconds);
+  reporter.set("steady.p95_seconds", steady.p95_seconds);
+  reporter.set("steady.p99_seconds", steady.p99_seconds);
+  reporter.set("steady.cache_hit_rate", steady.cache.hit_rate());
+  if (mixed_updates > 0) {
+    reporter.set("churn.qps", churn_qps);
+    reporter.set("churn.p99_seconds", churn.p99_seconds);
+    reporter.count("churn.versions_published", churn_versions);
+    reporter.count("churn.failed_requests", churn_failed);
+    reporter.count("churn.shed", churn.shed);
+    reporter.count("churn.cache_invalidations", churn.cache.invalidations);
+    reporter.count("churn.cache_invalidated_entries",
+                   churn.cache.invalidated_entries);
   }
+  if (!reporter.write()) return 1;
 
   if (metrics != nullptr) {
     obs::write_metrics(*metrics, metrics_path);
