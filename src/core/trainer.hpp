@@ -12,6 +12,12 @@
 //         -> (4) relation rows skipped under relation partition
 //         -> sparse Adam on every replica
 //
+// Hard negatives, gradients and Adam run on the blocked kernels: the
+// gradients come from core::forward_backward (core/train_step.hpp), the
+// same step the stream refresh takes. Each rank's program is a sequence
+// of named stages in trainer.cpp (restore, step, close epoch, checkpoint,
+// finish) around one per-rank state.
+//
 // Convergence is decided by the paper's plateau LR schedule on validation
 // accuracy, which yields the per-method epoch counts N; epoch durations
 // come from the simulated clock (measured per-thread compute + modeled
@@ -74,15 +80,6 @@ struct TrainConfig {
   int max_epochs = 200;        ///< hard cap on top of the plateau stop
 
   StrategyConfig strategy;
-
-  /// Run the training hot path on the blocked kernels (batched scoring,
-  /// GradWork gradient blocks, blocked Adam, block quantize). The scalar
-  /// per-triple path is kept as the reference implementation; both produce
-  /// byte-identical embeddings under every strategy (the block-kernel
-  /// equivalence tests assert this), so this is purely a throughput knob —
-  /// false exists for the equivalence tests and the bench_kernels
-  /// baseline.
-  bool block_kernels = true;
 
   std::uint64_t seed = 1234;
 

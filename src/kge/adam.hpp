@@ -46,8 +46,8 @@ class RowAdam {
 
   /// update_rows after scaling every gradient row by `scale` in place
   /// (the relation-partition path divides the local gradient by the node
-  /// count before the update; scaling mutates `grads` exactly like the
-  /// scalar path does).
+  /// count before the update). Byte-identical to scaling each row, then
+  /// calling update_row on it.
   void update_rows_scaled(SparseGrad& grads, float scale,
                           EmbeddingMatrix& params);
 

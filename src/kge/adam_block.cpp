@@ -2,15 +2,15 @@
 //
 // This translation unit is compiled with -fno-math-errno (value-safe: only
 // libm's errno side effect is dropped) so the per-element loop — which
-// carries a double sqrt — vectorizes. The scalar reference path
-// (RowAdam::update_row in adam.cpp) keeps the default flags; the kernel
-// benchmark compares against its pre-overhaul codegen.
+// carries a double sqrt — vectorizes. The per-row form
+// (RowAdam::update_row in adam.cpp) keeps the default flags; it is the
+// oracle test_block_kernels compares this one against.
 //
 // Determinism contract (DESIGN.md "Blocked training kernels"): rows are
-// visited in ascending id order — exactly the order the scalar trainer
-// loop visits sorted_ids() — and the per-element arithmetic is copied
+// visited in ascending id order — exactly the order of calling update_row
+// for each of sorted_ids() — and the per-element arithmetic is copied
 // verbatim from update_row, so parameters, moments, and their bytes are
-// identical between the two paths. The only differences are mechanical:
+// identical between the two forms. The only differences are mechanical:
 // sorted_slots() replaces one hash lookup per row with a direct arena
 // access, and the step-state checks and config loads are hoisted out of
 // the row loop.

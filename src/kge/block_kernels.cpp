@@ -3,8 +3,8 @@
 // This translation unit is compiled with -fno-math-errno (value-safe: IEEE
 // results are unchanged, only the errno side effect of libm calls is
 // dropped), which is what lets GCC vectorize loops containing std::sqrt.
-// The scalar reference path in *_model.cpp keeps the default flags so the
-// kernel benchmark compares against genuinely pre-overhaul codegen.
+// The per-triple kernels in *_model.cpp keep the default flags; they are
+// the oracles test_block_kernels compares these kernels against.
 //
 // Determinism contract (DESIGN.md "Blocked training kernels"):
 //

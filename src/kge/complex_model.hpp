@@ -34,12 +34,11 @@ class ComplExModel final : public KgeModel {
                             ModelGrads& grads) const override;
 
   // Blocked training kernels (src/kge/block_kernels.cpp): bit-identical
-  // to the scalar path, vectorizable loop shapes.
+  // to the per-triple kernels above, vectorizable loop shapes.
   void score_triples_block(std::span<const Triple> triples,
                            std::span<double> out) const override;
   void accumulate_gradients_block(std::span<const GradWork> work,
                                   ModelGrads& grads) const override;
-  bool has_block_kernels() const override { return true; }
 
   void score_tails_block(EntityId h, RelationId r, EntityId begin,
                          std::span<double> out) const override;

@@ -90,10 +90,6 @@ class KgeModel {
   virtual void accumulate_gradients_block(std::span<const GradWork> work,
                                           ModelGrads& grads) const;
 
-  /// True when score_triples_block / accumulate_gradients_block are real
-  /// blocked kernels rather than the scalar-loop defaults.
-  virtual bool has_block_kernels() const { return false; }
-
   /// out[i] = phi(h, r, begin + i) for i in [0, out.size()); requires
   /// begin + out.size() <= num_entities(). The blocked form is the virtual
   /// hook so implementations can precompose h*r once per call (making the

@@ -45,7 +45,6 @@ class RotatEModel final : public KgeModel {
                            std::span<double> out) const override;
   void accumulate_gradients_block(std::span<const GradWork> work,
                                   ModelGrads& grads) const override;
-  bool has_block_kernels() const override { return true; }
 
   void score_tails_block(EntityId h, RelationId r, EntityId begin,
                          std::span<double> out) const override;

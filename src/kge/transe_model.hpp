@@ -37,7 +37,6 @@ class TransEModel final : public KgeModel {
                            std::span<double> out) const override;
   void accumulate_gradients_block(std::span<const GradWork> work,
                                   ModelGrads& grads) const override;
-  bool has_block_kernels() const override { return true; }
 
  private:
   std::int32_t rank_;

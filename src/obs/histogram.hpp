@@ -6,9 +6,8 @@
 // fetch_add; percentiles are computed on read by walking the cumulative
 // counts and interpolating inside the winning bucket.
 //
-// Promoted out of serve/ so the MetricsRegistry can own named histograms
-// shared by training and serving; serve::LatencyHistogram remains as an
-// alias (serve/metrics.hpp).
+// Lives in obs/ so the MetricsRegistry can own named histograms shared by
+// training and serving.
 #pragma once
 
 #include <array>

@@ -106,7 +106,7 @@ TopKResult TopKScorer::topk(const TopKQuery& query,
 }
 
 TopKResult TopKScorer::topk(const TopKQuery& query, const kge::KgeModel& model,
-                            ThreadPool& pool) const {
+                            util::ThreadPool& pool) const {
   validate(query, model);
   TopKResult merged;
   std::mutex merge_mutex;

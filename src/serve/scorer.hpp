@@ -28,7 +28,7 @@
 
 #include "kge/dataset.hpp"
 #include "kge/model.hpp"
-#include "serve/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dynkge::serve {
 
@@ -73,7 +73,7 @@ class TopKScorer {
   /// Parallel scan: entity blocks fan out across `pool`, partial top-k
   /// heaps merge at the end. Identical results to the serial overload.
   TopKResult topk(const TopKQuery& query, const kge::KgeModel& model,
-                  ThreadPool& pool) const;
+                  util::ThreadPool& pool) const;
 
  private:
   /// Top-k over entities [begin, end), appended to `out` (unsorted).

@@ -47,12 +47,11 @@
 
 #include "kge/dataset.hpp"
 #include "kge/model.hpp"
+#include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/metrics.hpp"
 #include "serve/query_cache.hpp"
 #include "serve/scorer.hpp"
-#include "serve/thread_pool.hpp"
 #include "stream/admission.hpp"
 #include "stream/snapshot_store.hpp"
 
@@ -174,13 +173,13 @@ class InferenceService {
 
   stream::SnapshotStore store_;
   stream::AdmissionController admission_;
-  ThreadPool pool_;
+  util::ThreadPool pool_;
   TopKScorer scorer_;
   QueryCache cache_;
-  LatencyHistogram own_latency_;
+  obs::LatencyHistogram own_latency_;
   /// Points at own_latency_, or at the registry-owned histogram when
   /// ServiceConfig::metrics was given (the migrated serve histogram).
-  LatencyHistogram* latency_;
+  obs::LatencyHistogram* latency_;
   obs::Counter* query_counter_ = nullptr;
   obs::Counter* batch_counter_ = nullptr;
   obs::Counter* shed_counter_ = nullptr;

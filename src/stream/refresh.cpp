@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "core/hard_negatives.hpp"
+#include "core/train_step.hpp"
 #include "kge/adam.hpp"
-#include "kge/loss.hpp"
 #include "kge/negative_sampler.hpp"
 #include "util/rng.hpp"
 
@@ -28,17 +28,6 @@ kge::Triple corrupt_uniform(const kge::Triple& positive,
     negative.tail = replacement;
   }
   return negative;
-}
-
-void accumulate_triple(const kge::KgeModel& model, const kge::Triple& triple,
-                       int label, kge::ModelGrads& grads, double& loss_sum,
-                       std::size_t& loss_count) {
-  const double score = model.score(triple.head, triple.relation, triple.tail);
-  const auto lg = kge::logistic_loss(score, label);
-  loss_sum += lg.loss;
-  ++loss_count;
-  model.accumulate_gradients(triple.head, triple.relation, triple.tail,
-                             static_cast<float>(lg.dscore), grads);
 }
 
 }  // namespace
@@ -88,46 +77,52 @@ RefreshResult incremental_refresh(kge::KgeModel& model,
   if (dataset != nullptr) sampler.emplace(*dataset, true);
   kge::ModelGrads grads = model.make_grads();
   kge::TripleList negatives;
+  std::vector<std::size_t> negative_offsets;
+  core::HardNegativeScratch hn_scratch;
+  core::StepScratch step_scratch;
 
   for (int step = 0; step < params.steps; ++step) {
     grads.clear();
-    double loss_sum = 0.0;
-    std::size_t loss_count = 0;
-    for (const kge::Triple& positive : deltas) {
-      accumulate_triple(model, positive, +1, grads, loss_sum, loss_count);
-      negatives.clear();
-      if (hard_mining) {
-        // Strategy-5 reuse: score `sampled` corruptions, train on the
-        // hardest `used` (core/hard_negatives.hpp).
-        core::select_hard_negatives(model, *sampler, positive,
-                                    params.negatives_sampled,
-                                    params.negatives_used, rng, negatives);
-      } else {
+    negatives.clear();
+    negative_offsets.assign(1, 0);
+    if (hard_mining) {
+      // Strategy-5 reuse: score `sampled` corruptions, train on the
+      // hardest `used` (core/hard_negatives.hpp).
+      core::select_hard_negatives_block(
+          model, *sampler, deltas, params.negatives_sampled,
+          params.negatives_used, rng, negatives, negative_offsets,
+          hn_scratch);
+    } else {
+      for (const kge::Triple& positive : deltas) {
         for (int i = 0; i < params.negatives_sampled; ++i) {
-          negatives.push_back(sampler.has_value()
-                                  ? sampler->corrupt(positive, rng)
-                                  : corrupt_uniform(positive,
-                                                    model.num_entities(), rng));
+          negatives.push_back(
+              sampler.has_value()
+                  ? sampler->corrupt(positive, rng)
+                  : corrupt_uniform(positive, model.num_entities(), rng));
         }
-      }
-      for (const kge::Triple& negative : negatives) {
-        accumulate_triple(model, negative, -1, grads, loss_sum, loss_count);
+        negative_offsets.push_back(negatives.size());
       }
     }
+    // The step's forward/backward, unscaled and with no underflow cut:
+    // every example contributes its full loss gradient.
+    double loss_sum = 0.0;
+    core::forward_backward(model, deltas, negatives, negative_offsets, 1.0f,
+                           0.0, grads, loss_sum, step_scratch);
 
     // Apply Adam only to rows inside the frozen-base contract, in sorted
     // id order (the determinism contract shared with the trainer).
     // Gradient rows for corruption entities outside the batch are
     // dropped; relation gradients are dropped entirely.
+    std::vector<kge::EntityId> outside;
+    for (const kge::EntityId id : grads.entity.sorted_ids()) {
+      if (touched.count(id) == 0) outside.push_back(id);
+    }
+    for (const kge::EntityId id : outside) grads.entity.erase(id);
     entity_opt.begin_step();
-    for (const std::int32_t id : grads.entity.sorted_ids()) {
-      if (touched.count(id) == 0) continue;
-      entity_opt.update_row(id, grads.entity.row(id), model.entities());
-      ++result.row_updates;
-    }
-    if (loss_count > 0) {
-      result.mean_loss = loss_sum / static_cast<double>(loss_count);
-    }
+    entity_opt.update_rows(grads.entity, model.entities());
+    result.row_updates += grads.entity.num_rows();
+    result.mean_loss =
+        loss_sum / static_cast<double>(deltas.size() + negatives.size());
   }
 
   double drift_sq = 0.0;

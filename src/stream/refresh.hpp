@@ -12,12 +12,17 @@
 // reports the row drift it introduced so callers can alarm on frame-
 // breaking updates instead of silently publishing them.
 //
+// Each optimization pass is the distributed trainer's step: negatives for
+// the whole batch (core::select_hard_negatives_block, or uniform
+// corruptions), one core::forward_backward with unit coefficient scale and
+// no underflow cut, then RowAdam::update_rows over the touched rows.
+//
 // Determinism: given the same base model bytes, the same delta batch in
 // the same order, the same params and the same (seed, version) pair, the
 // refreshed model is byte-identical — the RNG stream is derived from
 // (seed, version), triples are visited in batch order, and touched rows
 // are updated in sorted-id order (the same contract the distributed
-// trainer keeps). Tests assert this.
+// trainer keeps). Golden digests in test_stream_refresh pin the bytes.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +56,8 @@ struct RefreshResult {
 /// byte-identical). `version` is the snapshot version being produced —
 /// it salts the RNG stream so every publish is independent yet
 /// reproducible. `dataset` (optional) enables hard-negative mining
-/// (core::select_hard_negatives) when negatives_used < negatives_sampled;
-/// without it, all sampled corruptions are used.
+/// (core::select_hard_negatives_block) when negatives_used <
+/// negatives_sampled; without it, all sampled corruptions are used.
 RefreshResult incremental_refresh(kge::KgeModel& model,
                                   std::span<const kge::Triple> deltas,
                                   std::uint64_t version,

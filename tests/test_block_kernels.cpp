@@ -1,23 +1,27 @@
-// Blocked-kernel equivalence: the batched score/gradient/Adam kernels
-// must be byte-identical to the scalar reference path — per kernel on
-// adversarial inputs (h == t aliasing, non-multiple-of-4 block sizes) and
-// end to end through the trainer across models, quantization modes, and
+// Blocked-kernel equivalence: the batched score/gradient/Adam kernels and
+// the training step built on them must be byte-identical to the per-triple
+// kernels — per kernel and per step on adversarial inputs (h == t
+// aliasing, non-multiple-of-4 block sizes), and end to end through the
+// trainer against golden digests across models, quantization modes, and
 // selection strategies. "Byte-identical" is meant literally: every
-// comparison below is memcmp over the raw float/double storage, not an
-// epsilon check.
+// comparison below is memcmp over the raw float/double storage (or a
+// digest of it), not an epsilon check.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/train_step.hpp"
 #include "core/trainer.hpp"
 #include "golden_digest.hpp"
 #include "kge/model.hpp"
 #include "kge/model_factory.hpp"
 #include "kge/adam.hpp"
+#include "kge/loss.hpp"
 #include "kge/synthetic.hpp"
 #include "util/rng.hpp"
 
@@ -63,12 +67,6 @@ bool same_bytes(std::span<const float> a, std::span<const float> b) {
 }
 
 // ---- direct kernel equivalence ---------------------------------------
-
-TEST(BlockKernels, AllModelsAdvertiseBlockKernels) {
-  for (const char* name : kModels) {
-    EXPECT_TRUE(seeded_model(name)->has_block_kernels()) << name;
-  }
-}
 
 TEST(BlockKernels, ScoreBlockBitIdenticalToScalar) {
   const auto triples = adversarial_triples();
@@ -210,6 +208,125 @@ TEST(BlockKernels, AdamUpdateRowsScaledMatchesScaleThenUpdate) {
   EXPECT_TRUE(same_bytes(params_scalar.flat(), params_blocked.flat()));
 }
 
+// ---- the training step ------------------------------------------------
+
+/// Negatives for adversarial_triples(): positive i gets i % 4 of them
+/// (so groups are uneven and some empty), every third one a self-loop.
+struct StepBatch {
+  std::vector<Triple> positives = adversarial_triples();
+  std::vector<Triple> negatives;
+  std::vector<std::size_t> offsets{0};
+
+  StepBatch() {
+    util::Rng rng(41);
+    for (std::size_t i = 0; i < positives.size(); ++i) {
+      for (std::size_t n = 0; n < i % 4; ++n) {
+        Triple negative = positives[i];
+        negative.tail = static_cast<kge::EntityId>(rng.next_below(60));
+        if (negatives.size() % 3 == 0) negative.head = negative.tail;
+        negatives.push_back(negative);
+      }
+      offsets.push_back(negatives.size());
+    }
+  }
+};
+
+/// The per-triple oracle: score -> logistic_loss -> accumulate_gradients
+/// for each positive and then each of its negatives, in order. Returns how
+/// many examples passed the cut.
+std::size_t per_triple_step(const KgeModel& model, const StepBatch& batch,
+                            float scale, double cut, ModelGrads& grads,
+                            double& loss_sum) {
+  std::size_t kept = 0;
+  const auto example = [&](const Triple& t, int label) {
+    const auto lg =
+        kge::logistic_loss(model.score(t.head, t.relation, t.tail), label);
+    loss_sum += lg.loss;
+    if (std::fabs(lg.dscore) < cut) return;
+    model.accumulate_gradients(t.head, t.relation, t.tail,
+                               static_cast<float>(lg.dscore) * scale, grads);
+    ++kept;
+  };
+  for (std::size_t i = 0; i < batch.positives.size(); ++i) {
+    example(batch.positives[i], +1);
+    for (std::size_t n = batch.offsets[i]; n < batch.offsets[i + 1]; ++n) {
+      example(batch.negatives[n], -1);
+    }
+  }
+  return kept;
+}
+
+void expect_same_grads(const kge::SparseGrad& expected,
+                       const kge::SparseGrad& got, const std::string& what) {
+  ASSERT_EQ(got.num_rows(), expected.num_rows()) << what;
+  for (const auto& slot : expected.sorted_slots()) {
+    ASSERT_TRUE(got.has(slot.id)) << what << " row " << slot.id;
+    EXPECT_TRUE(same_bytes(expected.row(slot.id), got.row(slot.id)))
+        << what << " row " << slot.id;
+  }
+}
+
+TEST(TrainStep, ForwardBackwardMatchesPerTripleComposition) {
+  const StepBatch batch;
+  const std::size_t examples = batch.positives.size() + batch.negatives.size();
+  ASSERT_NE(examples % 4, 0u);
+  const float scale = 1.0f / static_cast<float>(examples);
+  // 0 keeps every example; 0.5 drops roughly the half of the examples the
+  // model already classifies correctly, so the cut path runs for real.
+  for (const double cut : {0.0, 0.5}) {
+    for (const char* name : kModels) {
+      const std::string what =
+          std::string(name) + " cut " + std::to_string(cut);
+      const auto model = seeded_model(name);
+      ModelGrads expected = model->make_grads();
+      double expected_loss = 0.25;  // accumulates onto an existing sum
+      const std::size_t kept = per_triple_step(*model, batch, scale, cut,
+                                               expected, expected_loss);
+      if (cut > 0.0) {
+        ASSERT_GT(kept, 0u) << what;
+        ASSERT_LT(kept, examples) << what;
+      }
+
+      ModelGrads got = model->make_grads();
+      double got_loss = 0.25;
+      StepScratch scratch;
+      forward_backward(*model, batch.positives, batch.negatives,
+                       batch.offsets, scale, cut, got, got_loss, scratch);
+
+      EXPECT_EQ(std::memcmp(&expected_loss, &got_loss, sizeof(double)), 0)
+          << what << ": loss " << expected_loss << " vs " << got_loss;
+      expect_same_grads(expected.entity, got.entity, what + " entity");
+      expect_same_grads(expected.relation, got.relation, what + " relation");
+    }
+  }
+}
+
+TEST(TrainStep, EmptyBatchIsANoop) {
+  const auto model = seeded_model("complex");
+  ModelGrads grads = model->make_grads();
+  double loss = 0.0;
+  StepScratch scratch;
+  const std::vector<std::size_t> offsets{0};
+  forward_backward(*model, {}, {}, offsets, 1.0f, 0.0, grads, loss, scratch);
+  EXPECT_TRUE(grads.entity.empty());
+  EXPECT_TRUE(grads.relation.empty());
+  EXPECT_EQ(loss, 0.0);
+}
+
+TEST(TrainStep, RejectsMismatchedOffsets) {
+  const StepBatch batch;
+  const auto model = seeded_model("complex");
+  ModelGrads grads = model->make_grads();
+  double loss = 0.0;
+  StepScratch scratch;
+  const std::vector<std::size_t> short_offsets(batch.offsets.begin(),
+                                               batch.offsets.end() - 1);
+  EXPECT_THROW(forward_backward(*model, batch.positives, batch.negatives,
+                                short_offsets, 1.0f, 0.0, grads, loss,
+                                scratch),
+               std::invalid_argument);
+}
+
 // ---- end-to-end trainer equivalence ----------------------------------
 
 const kge::Dataset& tiny_dataset() {
@@ -319,19 +436,10 @@ TEST_P(TrainerBlockEquivalence, BlockedPathIsByteIdentical) {
   config.strategy.negatives_sampled = 4;
   config.strategy.negatives_used = 1;
 
-  config.block_kernels = false;
-  const auto scalar = DistributedTrainer(tiny_dataset(), config).train();
-  config.block_kernels = true;
-  const auto blocked = DistributedTrainer(tiny_dataset(), config).train();
-
-  ASSERT_EQ(scalar.epochs, blocked.epochs);
-  EXPECT_TRUE(same_bytes(scalar.model->entities().flat(),
-                         blocked.model->entities().flat()));
-  EXPECT_TRUE(same_bytes(scalar.model->relations().flat(),
-                         blocked.model->relations().flat()));
+  const auto report = DistributedTrainer(tiny_dataset(), config).train();
 
   const std::string name = case_name({param, 0});
-  const std::uint64_t digest = testing_util::model_digest(*blocked.model);
+  const std::uint64_t digest = testing_util::model_digest(*report.model);
   const auto golden = trainer_goldens().find(name);
   ASSERT_NE(golden, trainer_goldens().end()) << name << ": no golden";
   EXPECT_EQ(digest, golden->second)

@@ -13,12 +13,6 @@
 #include <thread>
 #include <vector>
 
-// The serving layer keeps its historical spelling of the shared pool type.
-#include "serve/thread_pool.hpp"
-static_assert(std::is_same_v<dynkge::serve::ThreadPool,
-                             dynkge::util::ThreadPool>,
-              "serve::ThreadPool must alias the shared util::ThreadPool");
-
 namespace dynkge::util {
 namespace {
 

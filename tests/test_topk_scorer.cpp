@@ -107,7 +107,7 @@ TEST(TopKScorer, ParallelMatchesSerial) {
   // Tiny blocks force many chunks; results must not depend on the split.
   const TopKScorer scorer(nullptr, /*block_size=*/7);
   for (const std::size_t threads : {1u, 2u, 5u}) {
-    ThreadPool pool(threads);
+    util::ThreadPool pool(threads);
     for (EntityId e = 0; e < 8; ++e) {
       const TopKQuery q{Direction::kTail, e, e % kRelations, 12, false};
       EXPECT_EQ(scorer.topk(q, *model, pool), scorer.topk(q, *model))
@@ -213,7 +213,7 @@ TEST(TopKScorer, RejectsBadQueries) {
                std::out_of_range);
   EXPECT_THROW(scorer.topk({Direction::kTail, 0, kRelations, 5, false}, *model),
                std::out_of_range);
-  ThreadPool pool(2);
+  util::ThreadPool pool(2);
   EXPECT_THROW(scorer.topk({Direction::kTail, -1, 0, 5, false}, *model, pool),
                std::out_of_range);
 }
