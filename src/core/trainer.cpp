@@ -534,12 +534,6 @@ std::unique_ptr<kge::KgeModel> make_replica(const TrainConfig& config,
   return model;
 }
 
-kge::AdamConfig adam_config(const TrainConfig& config) {
-  kge::AdamConfig adam;
-  adam.weight_decay = config.weight_decay;
-  return adam;
-}
-
 RankProgram::RankProgram(const Attempt& attempt, Communicator& comm)
     : attempt_(attempt),
       config_(attempt.config),
@@ -549,9 +543,10 @@ RankProgram::RankProgram(const Attempt& attempt, Communicator& comm)
       rank_(comm.rank()),
       model_(make_replica(attempt.config, attempt.dataset)),
       entity_opt_(attempt.dataset.num_entities(), model_->entities().width(),
-                  adam_config(attempt.config)),
+                  {.weight_decay = config_.weight_decay}),
       relation_opt_(attempt.dataset.num_relations(),
-                    model_->relations().width(), adam_config(attempt.config)),
+                    model_->relations().width(),
+                    {.weight_decay = config_.weight_decay}),
       exchange_(comm, strategy_, attempt.dataset.num_entities(),
                 model_->entities().width(), attempt.dataset.num_relations(),
                 model_->relations().width(), tel_.trace, rank_),

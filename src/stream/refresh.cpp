@@ -113,11 +113,9 @@ RefreshResult incremental_refresh(kge::KgeModel& model,
     // id order (the determinism contract shared with the trainer).
     // Gradient rows for corruption entities outside the batch are
     // dropped; relation gradients are dropped entirely.
-    std::vector<kge::EntityId> outside;
-    for (const kge::EntityId id : grads.entity.sorted_ids()) {
-      if (touched.count(id) == 0) outside.push_back(id);
+    for (const kge::EntityId id : std::vector(grads.entity.sorted_ids())) {
+      if (touched.count(id) == 0) grads.entity.erase(id);
     }
-    for (const kge::EntityId id : outside) grads.entity.erase(id);
     entity_opt.begin_step();
     entity_opt.update_rows(grads.entity, model.entities());
     result.row_updates += grads.entity.num_rows();

@@ -327,7 +327,7 @@ TEST(TrainStep, RejectsMismatchedOffsets) {
                std::invalid_argument);
 }
 
-// ---- end-to-end trainer equivalence ----------------------------------
+// ---- end-to-end trainer goldens --------------------------------------
 
 const kge::Dataset& tiny_dataset() {
   static const kge::Dataset dataset = kge::generate_synthetic([] {
