@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "golden_digest.hpp"
 #include "kge/synthetic.hpp"
 
 namespace dynkge::core {
@@ -105,6 +109,43 @@ TEST(Hogwild, OtherModelsRun) {
               report.epoch_log.front().mean_loss)
         << model;
   }
+}
+
+// Golden FNV-1a digests of the final entity then relation bytes, then every
+// epoch's mean_loss, for single-threaded runs (one thread has no races, so
+// the bytes are deterministic). Captured on x86-64, GCC 12, glibc 2.36
+// libm; a change on this platform is a real numerical change and must not
+// be re-captured to make the test pass.
+const std::map<std::string, std::uint64_t>& hogwild_goldens() {
+  static const std::map<std::string, std::uint64_t> goldens = {
+      {"complex", 0x961f0888f96e75d8ULL},
+      {"distmult", 0x12671cee79902da9ULL},
+      {"transe", 0xa9d0d83c1f33588eULL},
+      {"rotate", 0xca61d453f01a9072ULL},
+  };
+  return goldens;
+}
+
+class HogwildGolden : public ::testing::TestWithParam<const char*> {};
+INSTANTIATE_TEST_SUITE_P(Models, HogwildGolden,
+                         ::testing::Values("complex", "distmult", "transe",
+                                           "rotate"));
+
+TEST_P(HogwildGolden, SingleThreadBytesMatchGolden) {
+  HogwildConfig config = fast_config(1);
+  config.model_name = GetParam();
+  config.max_epochs = 6;
+  const auto report = HogwildTrainer(tiny_dataset(), config).train();
+  std::uint64_t digest = testing_util::model_digest(*report.model);
+  for (const HogwildEpochRecord& record : report.epoch_log) {
+    digest = testing_util::fnv1a_value(record.mean_loss, digest);
+  }
+  const auto golden = hogwild_goldens().find(GetParam());
+  ASSERT_NE(golden, hogwild_goldens().end())
+      << GetParam() << ": no golden, got " << testing_util::hex64(digest);
+  EXPECT_EQ(digest, golden->second)
+      << GetParam() << ": golden " << testing_util::hex64(golden->second)
+      << ", got " << testing_util::hex64(digest);
 }
 
 }  // namespace
