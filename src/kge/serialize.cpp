@@ -16,6 +16,7 @@
 #include "kge/distmult_model.hpp"
 #include "kge/rotate_model.hpp"
 #include "kge/transe_model.hpp"
+#include "util/fnv1a.hpp"
 
 namespace dynkge::kge {
 namespace {
@@ -29,17 +30,6 @@ constexpr std::uint32_t kSnapshotVersion = 3;
 /// name the section a reader was in.
 constexpr const char* kSectionTags[] = {"MODL", "OPTE", "OPTR", "TRNR",
                                         "SCHD", "SELC", "RNGS", "RESD"};
-
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t seed = 0xcbf29ce484222325ULL) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 /// Canonical lowercase name understood by the loader.
 std::string factory_name(const KgeModel& model) {
@@ -343,7 +333,7 @@ std::string verify_payload(std::string_view data, const std::string& what,
   std::memcpy(&stored_hash, data.data() + data.size() - sizeof(stored_hash),
               sizeof(stored_hash));
   const std::uint64_t hash =
-      fnv1a(data.data(), data.size() - sizeof(stored_hash));
+      util::fnv1a(data.data(), data.size() - sizeof(stored_hash));
   if (hash != stored_hash) {
     throw std::runtime_error(
         what + ": " + path +
@@ -383,7 +373,7 @@ std::string seal(const char magic[4], std::uint32_t version,
   file.append(magic, 4);
   file.append(reinterpret_cast<const char*>(&version), sizeof(version));
   file.append(payload);
-  const std::uint64_t hash = fnv1a(file.data(), file.size());
+  const std::uint64_t hash = util::fnv1a(file.data(), file.size());
   file.append(reinterpret_cast<const char*>(&hash), sizeof(hash));
   return file;
 }

@@ -14,35 +14,23 @@
 #include <string>
 
 #include "kge/model.hpp"
+#include "util/fnv1a.hpp"
 
 namespace dynkge::testing_util {
-
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-/// FNV-1a over `size` raw bytes, continuing from `hash`.
-inline std::uint64_t fnv1a(const void* data, std::size_t size,
-                           std::uint64_t hash = kFnvOffset) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 /// FNV-1a over the object representation of a scalar.
 template <typename T>
 std::uint64_t fnv1a_value(const T& value, std::uint64_t hash) {
-  return fnv1a(&value, sizeof(value), hash);
+  return util::fnv1a(&value, sizeof(value), hash);
 }
 
 /// Entity bytes, then relation bytes.
 inline std::uint64_t model_digest(const kge::KgeModel& model,
-                                  std::uint64_t hash = kFnvOffset) {
+                                  std::uint64_t hash = util::kFnv1aOffset) {
   for (const kge::EmbeddingMatrix* matrix :
        {&model.entities(), &model.relations()}) {
     const std::span<const float> flat = matrix->flat();
-    hash = fnv1a(flat.data(), flat.size_bytes(), hash);
+    hash = util::fnv1a(flat.data(), flat.size_bytes(), hash);
   }
   return hash;
 }

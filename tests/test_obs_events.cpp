@@ -15,16 +15,16 @@
 #include <vector>
 
 #include "core/trainer.hpp"
-#include "json_lint.hpp"
 #include "kge/synthetic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 
 namespace dynkge::obs {
 namespace {
 
-using dynkge::testing::JsonValue;
-using dynkge::testing::parse_json;
+using dynkge::util::JsonValue;
+using dynkge::util::parse_json;
 
 const kge::Dataset& tiny_dataset() {
   static const kge::Dataset dataset = kge::generate_synthetic([] {

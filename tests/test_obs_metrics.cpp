@@ -11,12 +11,12 @@
 #include <thread>
 #include <vector>
 
-#include "json_lint.hpp"
+#include "util/json.hpp"
 
 namespace dynkge::obs {
 namespace {
 
-using dynkge::testing::parse_json;
+using dynkge::util::parse_json;
 
 TEST(MetricsRegistry, FindOrCreateReturnsStableInstances) {
   MetricsRegistry registry;

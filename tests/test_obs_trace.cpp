@@ -12,14 +12,14 @@
 #include <vector>
 
 #include "core/trainer.hpp"
-#include "json_lint.hpp"
 #include "kge/synthetic.hpp"
+#include "util/json.hpp"
 
 namespace dynkge::obs {
 namespace {
 
-using dynkge::testing::JsonValue;
-using dynkge::testing::parse_json;
+using dynkge::util::JsonValue;
+using dynkge::util::parse_json;
 
 TEST(TraceSpan, NullWriterIsANoOp) {
   // The disabled path must be safe to leave on every hot path.

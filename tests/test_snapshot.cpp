@@ -14,6 +14,7 @@
 
 #include "kge/model_factory.hpp"
 #include "kge/serialize.hpp"
+#include "util/fnv1a.hpp"
 #include "util/rng.hpp"
 
 namespace dynkge::kge {
@@ -50,11 +51,7 @@ void write_file(const std::string& path, const std::string& data) {
 /// Recompute the trailing FNV-1a so tampered payload bytes survive the
 /// checksum gate and exercise the section-level parse errors.
 void reseal(std::string& file) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i + 8 < file.size(); ++i) {
-    hash ^= static_cast<unsigned char>(file[i]);
-    hash *= 0x100000001b3ULL;
-  }
+  const std::uint64_t hash = util::fnv1a(file.data(), file.size() - 8);
   std::memcpy(file.data() + file.size() - 8, &hash, 8);
 }
 

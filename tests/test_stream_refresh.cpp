@@ -219,7 +219,7 @@ std::uint64_t refresh_digest(const std::string& model_name,
   }
 
   const TripleList deltas = golden_deltas();
-  std::uint64_t hash = testing_util::kFnvOffset;
+  std::uint64_t hash = util::kFnv1aOffset;
   for (std::uint64_t version = 2; version <= 4; ++version) {
     const RefreshResult result =
         incremental_refresh(*model, deltas, version, params, dataset);
