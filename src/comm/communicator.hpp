@@ -121,10 +121,6 @@ class Communicator {
   /// Synchronize all ranks (and charge the modeled barrier latency).
   void barrier();
 
-  /// Root's `data` is copied into every other rank's `data`.
-  template <typename T>
-  void broadcast(std::span<T> data, int root);
-
   /// Element-wise sum across ranks; every rank receives the full result.
   /// `in` and `out` must have equal size and may alias.
   void allreduce_sum(std::span<const float> in, std::span<float> out);
@@ -148,18 +144,6 @@ class Communicator {
   void allgatherv(std::span<const T> local, std::vector<T>& out,
                   std::vector<std::size_t>& counts);
 
-  /// Root holds `all` partitioned by `counts` (elements per rank, summing
-  /// to all.size()); each rank receives its slice in `out`.
-  template <typename T>
-  void scatterv(std::span<const T> all, std::span<const std::size_t> counts,
-                int root, std::vector<T>& out);
-
-  /// Gather every rank's payload at root (rank order). Non-root ranks get
-  /// empty `out`.
-  template <typename T>
-  void gatherv(std::span<const T> local, int root, std::vector<T>& out,
-               std::vector<std::size_t>& counts);
-
   /// Record the modeled cost of a collective that was *logically* performed
   /// even though the in-process transport did something cheaper (e.g. a
   /// dense allreduce realized as a sparse in-memory merge). Advances the
@@ -170,11 +154,9 @@ class Communicator {
   // --- simulated clock -----------------------------------------------
   void sim_add_compute(double seconds) { sim_now_ += seconds; }
   double sim_now() const { return sim_now_; }
-  void sim_reset() { sim_now_ = 0.0; }
 
   CommStats& stats() { return stats_; }
   const CommStats& stats() const { return stats_; }
-  const CostModel& cost_model() const { return model_; }
 
   /// Start recording every collective as a CommEvent on this rank's
   /// simulated timeline (profiling aid; adds one vector push per op).
@@ -185,10 +167,6 @@ class Communicator {
   /// set through Cluster::set_fault_injector). Every collective then
   /// consults it before publishing — see comm/fault.hpp for semantics.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-
-  /// Rank-local count of collectives entered so far (the index the fault
-  /// schedule keys on).
-  std::uint64_t collectives_entered() const { return collective_index_; }
 
   /// Tell the injector which training epoch this rank is in, so
   /// epoch-scoped fault events ("crash@1@e2") can fire. -1 (the default)
@@ -292,7 +270,6 @@ class Cluster {
                    CostModelParams params = CostModelParams::aries());
 
   int num_ranks() const { return num_ranks_; }
-  const CostModel& cost_model() const { return model_; }
 
   /// Run fn on every rank of `pool`; blocks until all ranks finish. If
   /// ranks throw, the others are aborted; when every recorded failure is a
@@ -325,21 +302,6 @@ class Cluster {
 // Template implementations.
 
 template <typename T>
-void Communicator::broadcast(std::span<T> data, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  check_faults();
-  const std::size_t bytes = data.size_bytes();
-  publish_and_sync(reinterpret_cast<const std::byte*>(data.data()), bytes);
-  align_clock();
-  if (rank_ != root) {
-    std::memcpy(data.data(), state_.ptr[root], state_.size[root]);
-  }
-  const double t = model_.broadcast_time(num_ranks_, bytes);
-  apply_cost(CollectiveKind::kBroadcast, rank_ == root ? bytes : 0, t);
-  release();
-}
-
-template <typename T>
 void Communicator::allgatherv(std::span<const T> local, std::vector<T>& out,
                               std::vector<std::size_t>& counts) {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -352,65 +314,6 @@ void Communicator::allgatherv(std::span<const T> local, std::vector<T>& out,
   for (std::size_t r = 0; r < byte_counts.size(); ++r) {
     counts[r] = byte_counts[r] / sizeof(T);
   }
-}
-
-template <typename T>
-void Communicator::scatterv(std::span<const T> all,
-                            std::span<const std::size_t> counts, int root,
-                            std::vector<T>& out) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  check_faults();
-  // Root publishes the full buffer; every rank copies its own slice.
-  publish_and_sync(reinterpret_cast<const std::byte*>(all.data()),
-                   all.size_bytes());
-  align_clock();
-  const auto* root_data = reinterpret_cast<const T*>(state_.ptr[root]);
-  const std::size_t total_elems = state_.size[root] / sizeof(T);
-
-  std::size_t offset = 0;
-  for (int r = 0; r < rank_; ++r) offset += counts[r];
-  const std::size_t mine = counts[rank_];
-  if (offset + mine > total_elems) {
-    throw std::invalid_argument("scatterv: counts exceed payload");
-  }
-  out.assign(root_data + offset, root_data + offset + mine);
-
-  const std::size_t total_bytes = total_elems * sizeof(T);
-  const std::size_t root_bytes = counts[root] * sizeof(T);
-  const double t = model_.scatterv_time(num_ranks_, total_bytes, root_bytes);
-  apply_cost(CollectiveKind::kScatterV,
-             rank_ == root ? total_bytes - root_bytes : 0, t);
-  release();
-}
-
-template <typename T>
-void Communicator::gatherv(std::span<const T> local, int root,
-                           std::vector<T>& out,
-                           std::vector<std::size_t>& counts) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  check_faults();
-  publish_and_sync(reinterpret_cast<const std::byte*>(local.data()),
-                   local.size_bytes());
-  align_clock();
-  counts.assign(num_ranks_, 0);
-  std::size_t total_bytes = 0;
-  for (int r = 0; r < num_ranks_; ++r) {
-    counts[r] = state_.size[r] / sizeof(T);
-    total_bytes += state_.size[r];
-  }
-  out.clear();
-  if (rank_ == root) {
-    out.reserve(total_bytes / sizeof(T));
-    for (int r = 0; r < num_ranks_; ++r) {
-      const auto* p = reinterpret_cast<const T*>(state_.ptr[r]);
-      out.insert(out.end(), p, p + counts[r]);
-    }
-  }
-  const double t = model_.gatherv_time(num_ranks_, total_bytes,
-                                       local.size_bytes());
-  apply_cost(CollectiveKind::kGatherV,
-             rank_ == root ? 0 : local.size_bytes(), t);
-  release();
 }
 
 }  // namespace dynkge::comm
