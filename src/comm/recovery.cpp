@@ -1,6 +1,8 @@
 #include "comm/recovery.hpp"
 
 #include "util/json_writer.hpp"
+#include "util/logging.hpp"
+#include "util/stopwatch.hpp"
 
 namespace dynkge::comm {
 namespace {
@@ -12,6 +14,41 @@ std::string join_ranks(const std::vector<int>& ranks) {
     out += std::to_string(rank);
   }
   return out;
+}
+
+void record_failure(const obs::TelemetrySinks& sinks,
+                    const RecoveryPlan& plan) {
+  if (sinks.metrics == nullptr) return;
+  sinks.metrics->counter("comm.recovery.rank_failures")
+      .add(plan.failed_ranks.size());
+  if (plan.action == RecoveryAction::kFailFast) {
+    sinks.metrics->counter("comm.recovery.failfast").add(1);
+  }
+}
+
+void record_recovery(const obs::TelemetrySinks& sinks,
+                     const RecoveryPlan& plan, double rebuild_seconds,
+                     int resume_epoch) {
+  if (sinks.metrics != nullptr) {
+    sinks.metrics->counter("comm.recovery.recoveries").add(1);
+    sinks.metrics->gauge("comm.recovery.world_size")
+        .set(static_cast<double>(plan.new_world));
+    sinks.metrics->histogram("comm.recovery.rebuild_seconds")
+        .record(rebuild_seconds);
+  }
+  if (sinks.events != nullptr) {
+    util::JsonWriter json;
+    json.begin_object().kv("event", "recovery").key("failed_ranks");
+    json.begin_array();
+    for (int rank : plan.failed_ranks) json.value(rank);
+    json.end_array();
+    json.kv("old_world", plan.old_world)
+        .kv("new_world", plan.new_world)
+        .kv("resume_epoch", resume_epoch)
+        .kv("rebuild_seconds", rebuild_seconds)
+        .end_object();
+    sinks.events->write_line(json.str());
+  }
 }
 
 }  // namespace
@@ -52,38 +89,41 @@ RecoveryPlan plan_recovery(const RankFailedError& error, int world_size,
   return plan;
 }
 
-void RecoveryObserver::on_failure(const RecoveryPlan& plan) {
-  if (sinks_.metrics != nullptr) {
-    sinks_.metrics->counter("comm.recovery.rank_failures")
-        .add(plan.failed_ranks.size());
-    if (plan.action == RecoveryAction::kFailFast) {
-      sinks_.metrics->counter("comm.recovery.failfast").add(1);
+SupervisionTally supervise(
+    int world, const ElasticPolicy& policy, const obs::TelemetrySinks& sinks,
+    const std::function<void(int world)>& attempt,
+    const std::function<int(const RecoveryPlan& plan)>& rebuild) {
+  const int host_track = world;
+  SupervisionTally tally;
+  for (;;) {
+    try {
+      attempt(world);
+      return tally;
+    } catch (const RankFailedError& error) {
+      const RecoveryPlan plan =
+          plan_recovery(error, world, policy, tally.failures);
+      record_failure(sinks, plan);
+      if (plan.action == RecoveryAction::kFailFast) {
+        DYNKGE_LOG_ERROR("unrecoverable rank failure: " << plan.describe());
+        throw;
+      }
+      DYNKGE_LOG_WARN("recovering from rank failure: " << plan.describe());
+      const util::Stopwatch clock;
+      int resume_epoch = 0;
+      {
+        const obs::TraceSpan span(sinks.trace, "recovery.rebuild",
+                                  host_track);
+        resume_epoch = rebuild(plan);
+      }
+      const double seconds = clock.seconds();
+      tally.failures += static_cast<int>(plan.failed_ranks.size());
+      tally.recoveries += 1;
+      tally.recovery_seconds += seconds;
+      world = plan.new_world;
+      record_recovery(sinks, plan, seconds, resume_epoch);
+      DYNKGE_LOG_INFO("recovered: replaying epoch "
+                      << resume_epoch << " at world size " << world);
     }
-  }
-}
-
-void RecoveryObserver::on_recovered(const RecoveryPlan& plan,
-                                    double rebuild_seconds,
-                                    int resume_epoch) {
-  if (sinks_.metrics != nullptr) {
-    sinks_.metrics->counter("comm.recovery.recoveries").add(1);
-    sinks_.metrics->gauge("comm.recovery.world_size")
-        .set(static_cast<double>(plan.new_world));
-    sinks_.metrics->histogram("comm.recovery.rebuild_seconds")
-        .record(rebuild_seconds);
-  }
-  if (sinks_.events != nullptr) {
-    util::JsonWriter json;
-    json.begin_object().kv("event", "recovery").key("failed_ranks");
-    json.begin_array();
-    for (int rank : plan.failed_ranks) json.value(rank);
-    json.end_array();
-    json.kv("old_world", plan.old_world)
-        .kv("new_world", plan.new_world)
-        .kv("resume_epoch", resume_epoch)
-        .kv("rebuild_seconds", rebuild_seconds)
-        .end_object();
-    sinks_.events->write_line(json.str());
   }
 }
 

@@ -1,19 +1,21 @@
-// Elastic recovery protocol: turn a rank death into a shrink-world plan.
+// Elastic recovery protocol: turn a rank death into a shrink-world plan,
+// and the one supervision loop that acts on it.
 //
 // A permanent rank failure surfaces from Cluster::run as RankFailedError
-// (possibly carrying several simultaneous deaths — see fault.hpp). The
-// supervision loop in DistributedTrainer::train asks plan_recovery()
-// what to do with it: fail fast (rethrow, CLI exits 3) or shrink the
-// world to the survivors and replay the poisoned epoch from the last
-// in-run snapshot. The plan is pure bookkeeping — the actual rebuild
-// (new cluster at p-k ranks, shard/relation re-partition, state restore)
-// lives in the trainer, which owns the training state.
+// (possibly carrying several simultaneous deaths — see fault.hpp).
+// supervise() — the loop both the distributed and the federated trainer
+// run — asks plan_recovery() what to do with it: fail fast (rethrow, CLI
+// exits 3) or shrink the world to the survivors and replay the poisoned
+// epoch from the last in-run snapshot. The plan is pure bookkeeping — the
+// actual rebuild (state rollback, roster shrink) is the trainer's callback,
+// since the trainer owns the training state.
 //
-// RecoveryObserver funnels every recovery decision into the optional
-// telemetry sinks: comm.recovery.* metrics, a "recovery" JSONL event
-// record, and (from the trainer) a recovery.rebuild trace span.
+// Every recovery decision reaches the optional telemetry sinks:
+// comm.recovery.* metrics, a "recovery" JSONL event record, and a
+// recovery.rebuild trace span.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -55,22 +57,24 @@ struct RecoveryPlan {
 RecoveryPlan plan_recovery(const RankFailedError& error, int world_size,
                            const ElasticPolicy& policy, int failures_so_far);
 
-/// Emits recovery observability into the (all-optional) telemetry sinks.
-class RecoveryObserver {
- public:
-  explicit RecoveryObserver(const obs::TelemetrySinks& sinks)
-      : sinks_(sinks) {}
-
-  /// Called for every failure event, recoverable or not.
-  void on_failure(const RecoveryPlan& plan);
-
-  /// Called after a successful rebuild; `resume_epoch` is the epoch the
-  /// shrunk world replays from.
-  void on_recovered(const RecoveryPlan& plan, double rebuild_seconds,
-                    int resume_epoch);
-
- private:
-  obs::TelemetrySinks sinks_;
+/// What a supervised run absorbed: ranks lost, shrink-world recoveries,
+/// and host wall seconds spent in rebuilds. All zero for a clean run.
+struct SupervisionTally {
+  int failures = 0;
+  int recoveries = 0;
+  double recovery_seconds = 0.0;
 };
+
+/// The elastic supervision loop. Calls attempt(world), starting at
+/// `world`, until one attempt returns. A RankFailedError out of an attempt
+/// is planned against `policy` and the failures so far: fail fast
+/// rethrows it; a shrink runs rebuild(plan) inside a recovery.rebuild
+/// trace span (on the host track, tid = the starting world) — the callback
+/// rolls the trainer's state back and returns the epoch the shrunk world
+/// replays from — then retries at plan.new_world.
+SupervisionTally supervise(
+    int world, const ElasticPolicy& policy, const obs::TelemetrySinks& sinks,
+    const std::function<void(int world)>& attempt,
+    const std::function<int(const RecoveryPlan& plan)>& rebuild);
 
 }  // namespace dynkge::comm

@@ -1,5 +1,7 @@
 #include "core/strategy_config.hpp"
 
+#include <stdexcept>
+
 namespace dynkge::core {
 
 const char* to_string(CommMode mode) {
@@ -72,6 +74,22 @@ const char* to_string(OneBitScale scale) {
       return "posavg";
   }
   return "?";
+}
+
+void StrategyConfig::validate_topk(std::int32_t num_entities,
+                                   const char* owner) const {
+  if (selection != SelectionMode::kTopK && !dynamic_topk_arm) return;
+  if (topk_k < 1) {
+    throw std::invalid_argument(
+        std::string(owner) +
+        ": Top-K selection requires topk_k >= 1 (--topk-k)");
+  }
+  if (topk_k > num_entities) {
+    throw std::invalid_argument(
+        std::string(owner) + ": topk_k " + std::to_string(topk_k) +
+        " exceeds the entity count " + std::to_string(num_entities) +
+        " (--topk-k)");
+  }
 }
 
 std::string StrategyConfig::label() const {

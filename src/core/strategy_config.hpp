@@ -5,6 +5,7 @@
 // in the paper's tables and figure legends (Table 5 nomenclature).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 namespace dynkge::core {
@@ -103,6 +104,11 @@ struct StrategyConfig {
 
   /// Short label matching the paper's legends ("DRS+1-bit+RP+SS" etc).
   std::string label() const;
+
+  /// When Top-K selection or the DRS Top-K arm is on, require 1 <= topk_k
+  /// <= num_entities. The message starts with `owner` (the config being
+  /// validated) and names --topk-k. Throws std::invalid_argument.
+  void validate_topk(std::int32_t num_entities, const char* owner) const;
 
   // --- Named presets (paper Table 5) -----------------------------------
 

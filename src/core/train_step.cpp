@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "kge/loss.hpp"
 
@@ -74,6 +75,27 @@ void forward_backward(const kge::KgeModel& model,
     item.gr = grads.relation.row_at(scratch.offsets[w][2]).data();
   }
   model.accumulate_gradients_block(scratch.work, grads);
+}
+
+double sgd_step(kge::KgeModel& model, const kge::Triple& triple, int label,
+                float learning_rate, float decay, kge::ModelGrads& grads) {
+  const auto lg = kge::logistic_loss(
+      model.score(triple.head, triple.relation, triple.tail), label);
+  grads.clear();
+  model.accumulate_gradients(triple.head, triple.relation, triple.tail,
+                             static_cast<float>(lg.dscore), grads);
+  for (const auto& [grad, matrix] :
+       {std::pair{&grads.entity, &model.entities()},
+        std::pair{&grads.relation, &model.relations()}}) {
+    for (const std::int32_t id : grad->sorted_ids()) {
+      auto row = matrix->row(id);
+      const auto g = grad->row(id);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        row[i] -= learning_rate * (g[i] + decay * row[i]);
+      }
+    }
+  }
+  return lg.loss;
 }
 
 }  // namespace dynkge::core

@@ -1,5 +1,6 @@
-// The forward/backward half of one synchronous SGD step, on the blocked
-// kernels.
+// The two training steps every trainer takes: forward_backward, the
+// forward/backward half of one synchronous step over a batch on the
+// blocked kernels, and sgd_step, one plain-SGD update per example.
 //
 // Every training path that takes a step over a batch — the distributed
 // trainer's ranks and the streaming refresh — composes it the same way:
@@ -60,5 +61,14 @@ void forward_backward(const kge::KgeModel& model,
                       float coeff_scale, double underflow_cut,
                       kge::ModelGrads& grads, double& loss_sum,
                       StepScratch& scratch);
+
+/// One plain-SGD update on a single example — the step of federated local
+/// epochs and Hogwild: score -> logistic loss -> the score gradient into
+/// `grads` (cleared first; afterwards it holds exactly the rows this
+/// example touched) -> row -= learning_rate * (g + decay * row) for every
+/// touched entity row, then every touched relation row. Returns the
+/// example's loss.
+double sgd_step(kge::KgeModel& model, const kge::Triple& triple, int label,
+                float learning_rate, float decay, kge::ModelGrads& grads);
 
 }  // namespace dynkge::core

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "core/scaffold.hpp"
 #include "kge/synthetic.hpp"
 #include "util/thread_pool.hpp"
 
@@ -425,6 +426,38 @@ TEST(Trainer, SelectionIntroducesSparsity) {
   const auto report = DistributedTrainer(tiny_dataset(), config).train();
   const auto& last = report.epoch_log.back();
   EXPECT_LT(last.rows_sent, last.rows_before_selection);
+}
+
+// ---- the shared replica check -----------------------------------------
+
+/// Each rank's verdict when both ranks start from the same model and rank
+/// 1 then nudges entity row `entity` and/or relation row `relation` (-1:
+/// untouched).
+std::vector<char> replica_verdicts(bool with_relations, int entity,
+                                   int relation) {
+  std::vector<char> verdicts(2, 0);
+  comm::Cluster(2).run([&](comm::Communicator& comm) {
+    auto model = init_model("complex", tiny_dataset(), 8, 0.1f, 4242);
+    if (comm.rank() == 1) {
+      if (entity >= 0) model->entities().row(entity)[0] += 1.0f;
+      if (relation >= 0) model->relations().row(relation)[0] += 1.0f;
+    }
+    verdicts[static_cast<std::size_t>(comm.rank())] =
+        replicas_consistent(comm, *model, with_relations);
+  });
+  return verdicts;
+}
+
+TEST(ReplicaCheck, RelationRowsCountWithoutRelationPartition) {
+  const std::vector<char> consistent{1, 1};
+  const std::vector<char> diverged{0, 0};
+  EXPECT_EQ(replica_verdicts(true, -1, -1), consistent);
+  EXPECT_EQ(replica_verdicts(true, -1, 3), diverged);
+  EXPECT_EQ(replica_verdicts(true, 5, -1), diverged);
+  // Under relation partition only the owner's relation rows are fresh, so
+  // the check covers entity rows alone.
+  EXPECT_EQ(replica_verdicts(false, -1, 3), consistent);
+  EXPECT_EQ(replica_verdicts(false, 5, -1), diverged);
 }
 
 }  // namespace
