@@ -80,18 +80,27 @@ const char* to_string(FaultKind kind) {
   return "?";
 }
 
-FaultInjector::FaultInjector(std::vector<FaultEvent> schedule,
-                             RetryPolicy policy, double collective_deadline)
-    : policy_(policy), collective_deadline_(collective_deadline) {
-  if (policy_.max_attempts < 1) {
+void FaultInjector::validate(const RetryPolicy& policy,
+                             double collective_deadline) {
+  if (policy.max_attempts < 1) {
     throw std::invalid_argument(
-        "FaultInjector: RetryPolicy::max_attempts must be >= 1");
+        "FaultInjector: retry limit must be >= 1 (--fault-retry-limit)");
   }
-  if (collective_deadline_ < 0.0) {
+  if (!(policy.backoff_seconds > 0.0)) {
+    throw std::invalid_argument(
+        "FaultInjector: backoff base must be > 0 (--fault-backoff-base)");
+  }
+  if (collective_deadline < 0.0) {
     throw std::invalid_argument(
         "FaultInjector: collective deadline must be >= 0 "
         "(--collective-deadline)");
   }
+}
+
+FaultInjector::FaultInjector(std::vector<FaultEvent> schedule,
+                             RetryPolicy policy, double collective_deadline)
+    : policy_(policy), collective_deadline_(collective_deadline) {
+  validate(policy_, collective_deadline_);
   for (const FaultEvent& event : schedule) {
     if (event.rank < 0) {
       throw std::invalid_argument("FaultInjector: negative rank");

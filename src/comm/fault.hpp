@@ -179,10 +179,18 @@ class FaultInjector {
   /// per-collective budget the deadline watchdog enforces: a kHang event
   /// or a kStraggler whose delay exceeds it becomes a deterministic
   /// RankFailedError. A schedule containing kHang with no deadline is
-  /// rejected (the hang would otherwise be undetectable).
+  /// rejected (the hang would otherwise be undetectable), as are knobs
+  /// validate() rejects.
   explicit FaultInjector(std::vector<FaultEvent> schedule,
                          RetryPolicy policy = {},
                          double collective_deadline = 0.0);
+
+  /// Reject a retry limit below 1, a backoff base that is not positive, or
+  /// a negative deadline, naming the CLI flag (--fault-retry-limit,
+  /// --fault-backoff-base, --collective-deadline). Throws
+  /// std::invalid_argument. The constructor runs it; the CLI also runs it
+  /// when no injector is built, so a bad flag never passes silently.
+  static void validate(const RetryPolicy& policy, double collective_deadline);
 
   /// A seeded random schedule over `num_ranks` ranks and the first
   /// `horizon` collectives of each: every (rank, index) slot independently

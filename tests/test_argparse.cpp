@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "comm/fault.hpp"
 #include "comm/federated.hpp"
 #include "core/trainer.hpp"
 #include "kge/synthetic.hpp"
@@ -153,13 +154,11 @@ TEST(FlagValidation, TopKRejectedByFlagName) {
 }
 
 TEST(FlagValidation, RobustnessKnobsRejectedByFlagName) {
-  core::TrainConfig config;
-  config.collective_deadline = -0.5;
   expect_message_names_flag(
-      [&] { core::DistributedTrainer trainer(flag_dataset(), config); },
+      [] { comm::FaultInjector injector({}, comm::RetryPolicy{}, -0.5); },
       "--collective-deadline");
 
-  config = core::TrainConfig{};
+  core::TrainConfig config;
   config.checkpoint.keep = 0;
   expect_message_names_flag(
       [&] { core::DistributedTrainer trainer(flag_dataset(), config); },
