@@ -41,7 +41,6 @@ class PlateauScheduler {
   double lr() const { return lr_; }
   bool should_stop() const { return stopped_; }
   double best_metric() const { return best_; }
-  int epochs_since_improvement() const { return stale_epochs_; }
 
   /// Mutable state for checkpoint/resume (the config is rebuilt from the
   /// run's flags, only the observation history needs persisting).

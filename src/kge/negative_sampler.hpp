@@ -27,8 +27,6 @@ class NegativeSampler {
   void corrupt_n(const Triple& positive, int n, util::Rng& rng,
                  TripleList& out) const;
 
-  bool filters_known() const { return filter_known_; }
-
  private:
   const Dataset* dataset_;
   bool filter_known_;

@@ -96,13 +96,6 @@ class LatencyHistogram {
     return bucket_floor_seconds(kBuckets);
   }
 
-  /// "p50 12.3us  p95 1.2ms  p99 3.4ms" — the standard serving triple.
-  std::string percentile_summary() const {
-    return "p50 " + format_seconds(quantile_seconds(0.50)) + "  p95 " +
-           format_seconds(quantile_seconds(0.95)) + "  p99 " +
-           format_seconds(quantile_seconds(0.99));
-  }
-
   void reset() {
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
     count_.store(0, std::memory_order_relaxed);

@@ -112,7 +112,6 @@ class QueryCache {
   /// Bound entry age to `lag` publishes (0 = unbounded). Not thread-safe
   /// against concurrent get(): set during wiring.
   void set_max_version_lag(std::uint64_t lag) { max_version_lag_ = lag; }
-  std::uint64_t max_version_lag() const { return max_version_lag_; }
 
   CacheStats stats() const;
 

@@ -85,9 +85,6 @@ class AdmissionController {
     return rounds;
   }
 
-  std::size_t inflight_reads() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
   std::uint64_t shed_reads() const {
     return shed_.load(std::memory_order_relaxed);
   }

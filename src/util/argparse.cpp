@@ -7,7 +7,6 @@
 namespace dynkge::util {
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
-  program_ = argc > 0 ? argv[0] : "";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {

@@ -35,10 +35,7 @@ class ArgParser {
   std::vector<std::int64_t> get_int_list(
       const std::string& name, const std::vector<std::int64_t>& fallback) const;
 
-  const std::string& program_name() const { return program_; }
-
  private:
-  std::string program_;
   std::map<std::string, std::string> values_;
 };
 

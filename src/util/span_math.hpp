@@ -61,27 +61,9 @@ inline void add(std::span<const float> x, std::span<float> y) noexcept {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += x[i];
 }
 
-/// out = x - y (elementwise; sizes must match).
-inline void diff(std::span<const float> x, std::span<const float> y,
-                 std::span<float> out) noexcept {
-  assert(x.size() == y.size() && x.size() == out.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] - y[i];
-}
-
-/// sum_i a[i] * b[i] * c[i] — the DistMult score form. Per-element product
-/// order matches the scalar model code: (double(a) * b) * c.
-inline double trilinear_dot(const float* a, const float* b, const float* c,
-                            std::int32_t n) noexcept {
-  double acc = 0.0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(a[i]) * b[i] * c[i];
-  }
-  return acc;
-}
-
-/// Four independent trilinear dots at once (ILP form): out[j] is
-/// bit-identical to trilinear_dot(a[j], b[j], c[j], n) — four separate
-/// accumulation chains, each in the scalar order.
+/// Four independent trilinear dots sum_i a[i] * b[i] * c[i] at once (ILP
+/// form, the DistMult score): four separate accumulation chains, each in
+/// the scalar model's per-element order (double(a) * b) * c.
 inline void trilinear_dot4(const float* const a[4], const float* const b[4],
                            const float* const c[4], std::int32_t n,
                            double out[4]) noexcept {
@@ -98,19 +80,9 @@ inline void trilinear_dot4(const float* const a[4], const float* const b[4],
   out[3] = acc3;
 }
 
-/// sum_i |h[i] + r[i] - t[i]| — the TransE L1 translation distance, with
-/// the scalar model's per-element order: double(h) + r - t.
-inline double l1_translation(const float* h, const float* r, const float* t,
-                             std::int32_t n) noexcept {
-  double acc = 0.0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    acc += std::fabs(static_cast<double>(h[i]) + r[i] - t[i]);
-  }
-  return acc;
-}
-
-/// Four independent L1 translation distances (ILP form); each chain is
-/// bit-identical to l1_translation on its row triple.
+/// Four independent TransE L1 translation distances sum_i |h[i] + r[i] -
+/// t[i]| (ILP form); each chain keeps the scalar model's per-element order
+/// double(h) + r - t.
 inline void l1_translation4(const float* const h[4], const float* const r[4],
                             const float* const t[4], std::int32_t n,
                             double out[4]) noexcept {
