@@ -45,23 +45,9 @@ int main(int argc, char** argv) {
   }
 
   // Figure 3a: TCA-vs-epoch curves (sampled rows across the longest run).
-  std::size_t longest = 0;
-  for (const auto& report : reports) {
-    longest = std::max(longest, report.epoch_log.size());
-  }
-  util::Table curve({"epoch", "dense TCA", "average TCA", "averagex0.1 TCA",
-                     "random TCA"});
-  const std::size_t stride = std::max<std::size_t>(1, longest / 20);
-  for (std::size_t epoch = 0; epoch < longest; epoch += stride) {
-    curve.begin_row().add(static_cast<std::int64_t>(epoch));
-    for (const auto& report : reports) {
-      if (epoch < report.epoch_log.size()) {
-        curve.add(report.epoch_log[epoch].val_accuracy, 1);
-      } else {
-        curve.add("-");
-      }
-    }
-  }
+  const util::Table curve = bench::tca_curve(
+      {"epoch", "dense TCA", "average TCA", "averagex0.1 TCA", "random TCA"},
+      {&reports[0], &reports[1], &reports[2], &reports[3]});
   bench::emit(curve, "Figure 3a (reproduced): TCA vs epoch per threshold",
               options.csv);
 

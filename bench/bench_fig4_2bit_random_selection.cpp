@@ -31,20 +31,8 @@ int main(int argc, char** argv) {
     reports.push_back(bench::run_experiment(dataset, config));
   }
 
-  std::size_t longest =
-      std::max(reports[0].epoch_log.size(), reports[1].epoch_log.size());
-  util::Table curve({"epoch", "2-bit TCA", "2-bit+RS TCA"});
-  const std::size_t stride = std::max<std::size_t>(1, longest / 20);
-  for (std::size_t epoch = 0; epoch < longest; epoch += stride) {
-    curve.begin_row().add(static_cast<std::int64_t>(epoch));
-    for (const auto& report : reports) {
-      if (epoch < report.epoch_log.size()) {
-        curve.add(report.epoch_log[epoch].val_accuracy, 1);
-      } else {
-        curve.add("-");
-      }
-    }
-  }
+  const util::Table curve = bench::tca_curve(
+      {"epoch", "2-bit TCA", "2-bit+RS TCA"}, {&reports[0], &reports[1]});
   bench::emit(curve, "Figure 4 (reproduced): TCA vs epoch", options.csv);
 
   std::cout << "Finals: 2-bit TCA=" << reports[0].tca

@@ -34,20 +34,9 @@ int main(int argc, char** argv) {
       config.strategy.relation_partition = with_rp;
       reports.push_back(bench::run_experiment(dataset, config));
     }
-    const std::size_t longest =
-        std::max(reports[0].epoch_log.size(), reports[1].epoch_log.size());
-    util::Table curve({"epoch", "without partition TCA", "with partition TCA"});
-    const std::size_t stride = std::max<std::size_t>(1, longest / 20);
-    for (std::size_t epoch = 0; epoch < longest; epoch += stride) {
-      curve.begin_row().add(static_cast<std::int64_t>(epoch));
-      for (const auto& report : reports) {
-        if (epoch < report.epoch_log.size()) {
-          curve.add(report.epoch_log[epoch].val_accuracy, 1);
-        } else {
-          curve.add("-");
-        }
-      }
-    }
+    const util::Table curve = bench::tca_curve(
+        {"epoch", "without partition TCA", "with partition TCA"},
+        {&reports[0], &reports[1]});
     bench::emit(curve, "Figure 6a (reproduced): TCA vs epoch", options.csv);
     std::cout << "Finals: without RP TCA=" << reports[0].tca
               << " MRR=" << reports[0].ranking.mrr

@@ -75,23 +75,10 @@ int main(int argc, char** argv) {
               options.csv);
 
   // Figure 7a: convergence curves for representative ratios.
-  std::size_t longest = 0;
-  for (const auto& [ratio, report] : curve_runs) {
-    longest = std::max(longest, report.epoch_log.size());
-  }
-  util::Table curve(
-      {"epoch", "1 of 1 TCA", "1 of 10 TCA", "10 of 10 TCA"});
-  const std::size_t stride = std::max<std::size_t>(1, longest / 20);
-  for (std::size_t epoch = 0; epoch < longest; epoch += stride) {
-    curve.begin_row().add(static_cast<std::int64_t>(epoch));
-    for (const auto& [ratio, report] : curve_runs) {
-      if (epoch < report.epoch_log.size()) {
-        curve.add(report.epoch_log[epoch].val_accuracy, 1);
-      } else {
-        curve.add("-");
-      }
-    }
-  }
+  std::vector<const core::TrainReport*> runs;
+  for (const auto& [ratio, report] : curve_runs) runs.push_back(&report);
+  const util::Table curve = bench::tca_curve(
+      {"epoch", "1 of 1 TCA", "1 of 10 TCA", "10 of 10 TCA"}, runs);
   bench::emit(curve, "Figure 7a (reproduced): convergence per ratio",
               options.csv);
 

@@ -60,20 +60,8 @@ int main(int argc, char** argv) {
   const core::TrainReport topk = bench::run_experiment(dataset, topk_config);
   const double topk_rows = mean_rows_sent(topk);
 
-  const std::size_t longest =
-      std::max(rs.epoch_log.size(), topk.epoch_log.size());
-  util::Table curve({"epoch", "RS TCA", "TopK TCA"});
-  const std::size_t stride = std::max<std::size_t>(1, longest / 20);
-  for (std::size_t epoch = 0; epoch < longest; epoch += stride) {
-    curve.begin_row().add(static_cast<std::int64_t>(epoch));
-    for (const core::TrainReport* report : {&rs, &topk}) {
-      if (epoch < report->epoch_log.size()) {
-        curve.add(report->epoch_log[epoch].val_accuracy, 1);
-      } else {
-        curve.add("-");
-      }
-    }
-  }
+  const util::Table curve =
+      bench::tca_curve({"epoch", "RS TCA", "TopK TCA"}, {&rs, &topk});
   bench::emit(curve, "Top-K vs RS at equal kept-bytes: TCA vs epoch",
               options.csv);
 

@@ -1,5 +1,6 @@
 #include "harness/harness.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -184,6 +185,140 @@ void emit(const util::Table& table, const std::string& caption, bool csv) {
   if (csv) {
     std::cout << "CSV:\n" << table.to_csv() << "\n";
   }
+}
+
+util::Table tca_curve(std::vector<std::string> header,
+                      const std::vector<const core::TrainReport*>& runs) {
+  std::size_t longest = 0;
+  for (const core::TrainReport* run : runs) {
+    longest = std::max(longest, run->epoch_log.size());
+  }
+  util::Table curve(std::move(header));
+  const std::size_t stride = std::max<std::size_t>(1, longest / 20);
+  for (std::size_t epoch = 0; epoch < longest; epoch += stride) {
+    curve.begin_row().add(static_cast<std::int64_t>(epoch));
+    for (const core::TrainReport* run : runs) {
+      if (epoch < run->epoch_log.size()) {
+        curve.add(run->epoch_log[epoch].val_accuracy, 1);
+      } else {
+        curve.add("-");
+      }
+    }
+  }
+  return curve;
+}
+
+std::vector<core::TrainReport> run_baseline_table(
+    const HarnessOptions& options, const kge::Dataset& dataset,
+    std::span<const paper::BaselineRow> reference,
+    obs::BenchReporter& reporter, const std::string& caption) {
+  util::Table table({"nodes", "method", "TT(sim s)", "N", "TCA", "MRR",
+                     "paper TT(h)", "paper N", "paper TCA", "paper MRR"});
+  std::vector<core::TrainReport> reports;
+  for (const std::int64_t nodes : options.nodes) {
+    const paper::BaselineRow* row = nullptr;
+    for (const auto& candidate : reference) {
+      if (candidate.nodes == nodes) row = &candidate;
+    }
+    for (const bool allgather : {false, true}) {
+      core::TrainConfig config = make_config(options, static_cast<int>(nodes));
+      config.strategy =
+          allgather
+              ? core::StrategyConfig::baseline_allgather(
+                    options.baseline_negatives)
+              : core::StrategyConfig::baseline_allreduce(
+                    options.baseline_negatives);
+      const auto& report = reports.emplace_back(run_experiment(dataset, config));
+      const std::string key = "n" + std::to_string(nodes) + "." +
+                              (allgather ? "allgather" : "allreduce");
+      reporter.set(key + ".tt_sim_seconds", report.total_sim_seconds);
+      reporter.count(key + ".epochs",
+                     static_cast<std::uint64_t>(report.epochs));
+      reporter.set(key + ".tca", report.tca);
+      reporter.set(key + ".mrr", report.ranking.mrr);
+      table.begin_row()
+          .add(nodes)
+          .add(report.strategy_label)
+          .add(report.total_sim_seconds, 3)
+          .add(static_cast<std::int64_t>(report.epochs))
+          .add(report.tca, 1)
+          .add(report.ranking.mrr, 3);
+      if (row != nullptr) {
+        table.add(allgather ? row->allgather_tt_hours : row->allreduce_tt_hours,
+                  2)
+            .add(static_cast<std::int64_t>(allgather ? row->allgather_epochs
+                                                     : row->allreduce_epochs))
+            .add(allgather ? row->allgather_tca : row->allreduce_tca, 1)
+            .add(allgather ? row->allgather_mrr : row->allreduce_mrr, 2);
+      } else {
+        table.add("-").add("-").add("-").add("-");
+      }
+    }
+  }
+  emit(table, caption, options.csv);
+  return reports;
+}
+
+std::vector<core::TrainReport> run_combined_figure(
+    const HarnessOptions& options, const kge::Dataset& dataset,
+    const std::vector<Method>& methods, obs::BenchReporter& reporter,
+    const std::string& figure, double paper_time_reduction_pct,
+    double paper_mrr_gain_pct) {
+  std::vector<std::string> header{"nodes"};
+  for (const Method& method : methods) header.emplace_back(method.name);
+  util::Table tt(header);
+  util::Table epochs = tt;
+  util::Table mrr = tt;
+
+  std::vector<core::TrainReport> reports;
+  double combined_tt_sum = 0.0, allreduce_tt_sum = 0.0;
+  double combined_mrr_sum = 0.0, allreduce_mrr_sum = 0.0;
+  for (const std::int64_t nodes : options.nodes) {
+    tt.begin_row().add(nodes);
+    epochs.begin_row().add(nodes);
+    mrr.begin_row().add(nodes);
+    for (const Method& method : methods) {
+      core::TrainConfig config = make_config(options, static_cast<int>(nodes));
+      config.strategy = method.strategy;
+      const auto& report = reports.emplace_back(run_experiment(dataset, config));
+      tt.add(report.total_sim_seconds, 3);
+      epochs.add(static_cast<std::int64_t>(report.epochs));
+      mrr.add(report.ranking.mrr, 3);
+      const std::string key = "n" + std::to_string(nodes) + "." + method.key;
+      reporter.set(key + ".tt_sim_seconds", report.total_sim_seconds);
+      reporter.count(key + ".epochs",
+                     static_cast<std::uint64_t>(report.epochs));
+      reporter.set(key + ".mrr", report.ranking.mrr);
+      if (&method == &methods.front()) {
+        allreduce_tt_sum += report.total_sim_seconds;
+        allreduce_mrr_sum += report.ranking.mrr;
+      }
+      if (&method == &methods.back()) {
+        combined_tt_sum += report.total_sim_seconds;
+        combined_mrr_sum += report.ranking.mrr;
+      }
+    }
+  }
+
+  const std::string prefix = "Figure " + figure;
+  emit(tt, prefix + "a (reproduced): total training time (sim s)",
+       options.csv);
+  emit(epochs, prefix + "b (reproduced): epochs to convergence", options.csv);
+  emit(mrr, prefix + "c (reproduced): MRR", options.csv);
+
+  const double time_reduction =
+      100.0 * (1.0 - combined_tt_sum / allreduce_tt_sum);
+  const double mrr_gain =
+      100.0 * (combined_mrr_sum / allreduce_mrr_sum - 1.0);
+  std::cout << "Summary vs all-reduce baseline (averaged over node counts):\n"
+            << "  training-time reduction: " << time_reduction
+            << "%  (paper: " << paper_time_reduction_pct << "%)\n"
+            << "  MRR change: " << mrr_gain << "%  (paper: +"
+            << paper_mrr_gain_pct << "%)\n";
+  reporter.set("time_reduction_pct", time_reduction);
+  reporter.set("mrr_gain_pct", mrr_gain);
+  reporter.flag("combined_saves_time", time_reduction > 0.0);
+  return reports;
 }
 
 }  // namespace dynkge::bench

@@ -23,10 +23,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/trainer.hpp"
+#include "harness/paper_reference.hpp"
 #include "kge/dataset.hpp"
 #include "obs/bench_reporter.hpp"
 #include "util/argparse.hpp"
@@ -86,5 +88,37 @@ void print_banner(const std::string& experiment_id,
 
 /// Emit the table, plus CSV when requested.
 void emit(const util::Table& table, const std::string& caption, bool csv);
+
+/// Validation TCA vs epoch, one column per run after "epoch": about 20
+/// rows sampled across the longest run, "-" once a run has stopped.
+util::Table tca_curve(std::vector<std::string> header,
+                      const std::vector<const core::TrainReport*>& runs);
+
+/// Tables 1 and 2: an all-reduce and an all-gather baseline run at every
+/// node count, tabulated under `caption` beside the paper's row for that
+/// count and reported as n<nodes>.<allreduce|allgather>.*. Returns the
+/// reports in that order (per node count, all-reduce first).
+std::vector<core::TrainReport> run_baseline_table(
+    const HarnessOptions& options, const kge::Dataset& dataset,
+    std::span<const paper::BaselineRow> reference,
+    obs::BenchReporter& reporter, const std::string& caption);
+
+/// One method of a combined-methods figure.
+struct Method {
+  const char* name;  ///< legend name
+  const char* key;   ///< metric-name slug for the --bench-json block
+  core::StrategyConfig strategy;
+};
+
+/// Figures 8 and 9: every method at every node count, as "Figure
+/// <figure>{a,b,c}" tables of training time, epochs and MRR, reported as
+/// n<nodes>.<key>.*; then the last method's (the combined stack) average
+/// time reduction and MRR gain over the first (all-reduce) next to the
+/// paper's. Returns the reports per node count, in method order.
+std::vector<core::TrainReport> run_combined_figure(
+    const HarnessOptions& options, const kge::Dataset& dataset,
+    const std::vector<Method>& methods, obs::BenchReporter& reporter,
+    const std::string& figure, double paper_time_reduction_pct,
+    double paper_mrr_gain_pct);
 
 }  // namespace dynkge::bench
