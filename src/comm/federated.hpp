@@ -11,10 +11,11 @@
 // (dynkge_comm links only obs + util). The trainer itself lives in
 // src/core/federated.*, which owns the model state.
 //
-// Client crashes reuse the elastic recovery machinery unchanged: a death
-// surfaces from Cluster::run as RankFailedError, plan_recovery() decides
-// shrink-vs-fail-fast against the same ElasticPolicy budget, and
-// apply_failures() maps the plan's rank indices back to the original
+// Client crashes go through the distributed trainer's supervision loop
+// (comm::supervise, recovery.hpp): a death surfaces from Cluster::run as
+// RankFailedError, plan_recovery() decides shrink-vs-fail-fast against
+// the same ElasticPolicy budget, and the federated rebuild uses
+// apply_failures() to map the plan's rank indices back to the original
 // client ids so shard ownership and RNG streams survive the shrink.
 #pragma once
 
