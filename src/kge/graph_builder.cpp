@@ -25,9 +25,7 @@ Dataset GraphBuilder::dataset_with_random_split(double valid_fraction,
   }
   TripleList shuffled = facts_;
   util::Rng rng(util::derive_seed(seed, 0x6B));
-  for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
-    std::swap(shuffled[i], shuffled[rng.next_below(i + 1)]);
-  }
+  util::shuffle(shuffled, rng);
 
   TripleList train, valid, test;
   std::vector<bool> entity_seen(entities_.size(), false);

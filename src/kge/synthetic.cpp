@@ -73,9 +73,7 @@ Dataset generate_synthetic(const SyntheticSpec& spec) {
   for (std::size_t i = 0; i < num_entities; ++i) {
     perm[i] = static_cast<EntityId>(i);
   }
-  for (std::size_t i = num_entities - 1; i > 0; --i) {
-    std::swap(perm[i], perm[rng.next_below(i + 1)]);
-  }
+  util::shuffle(perm, rng);
 
   // Round-robin over the popularity order so every type gets a mix of hot
   // and cold entities; each type's list stays sorted by popularity.
@@ -166,9 +164,7 @@ Dataset generate_synthetic(const SyntheticSpec& spec) {
   }
 
   // Shuffle so split assignment is independent of generation order.
-  for (std::size_t i = triples.size() - 1; i > 0; --i) {
-    std::swap(triples[i], triples[rng.next_below(i + 1)]);
-  }
+  util::shuffle(triples, rng);
 
   // Split. A triple introducing an unseen entity or relation must go to
   // train so that valid/test never reference untrained embeddings — the

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 namespace dynkge::util {
@@ -132,6 +133,17 @@ class Rng {
   double cached_ = 0.0;
   bool have_cached_ = false;
 };
+
+/// Deterministic Fisher-Yates shuffle of a random-access container: for
+/// i = n-1 down to 1, swap items[i] with items[next_below(i + 1)]. The one
+/// shuffle in dynkge (dataset splits, training-triple orders), so a seed
+/// orders the same items the same way wherever it is drawn.
+template <typename Items>
+void shuffle(Items& items, Rng& rng) {
+  for (std::size_t i = items.size(); i > 1; --i) {
+    std::swap(items[i - 1], items[rng.next_below(i)]);
+  }
+}
 
 /// Zipf(s) sampler over {0, .., n-1} via inverse-CDF on a precomputed table.
 /// Used by the synthetic KG generator for relation/entity popularity skews.
