@@ -32,14 +32,14 @@ constexpr std::int32_t kRelations = 64;
 constexpr std::int32_t kRank = 32;
 constexpr std::int32_t kTopK = 10;
 
-const KgeModel& shared_model() {
-  static const auto model = [] {
+const std::shared_ptr<const KgeModel>& shared_model() {
+  static const std::shared_ptr<const KgeModel> model = [] {
     auto m = dynkge::kge::make_model("complex", kEntities, kRelations, kRank);
     Rng rng(77);
     m->init(rng);
     return m;
   }();
-  return *model;
+  return model;
 }
 
 std::vector<TopKQuery> make_stream(std::size_t count,
@@ -62,7 +62,7 @@ std::vector<TopKQuery> make_stream(std::size_t count,
 /// The pre-serve inference path: full scan into a dense score vector,
 /// then partial_sort. One query per iteration.
 void BM_SingleQueryScan(benchmark::State& state) {
-  const KgeModel& model = shared_model();
+  const KgeModel& model = *shared_model();
   const auto stream = make_stream(512, 512);
   std::vector<double> scores(kEntities);
   std::vector<EntityId> order(kEntities);
@@ -90,7 +90,7 @@ BENCHMARK(BM_SingleQueryScan);
 /// Bounded-heap blocked scan, one thread: no dense score vector, no full
 /// sort — the win independent of parallelism and caching.
 void BM_TopKScorerSerial(benchmark::State& state) {
-  const KgeModel& model = shared_model();
+  const KgeModel& model = *shared_model();
   const TopKScorer scorer;
   const auto stream = make_stream(512, 512);
   std::size_t next = 0;
@@ -104,7 +104,7 @@ BENCHMARK(BM_TopKScorerSerial);
 
 /// One query fanned out across N workers (latency-oriented parallelism).
 void BM_TopKScorerParallel(benchmark::State& state) {
-  const KgeModel& model = shared_model();
+  const KgeModel& model = *shared_model();
   const TopKScorer scorer;
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   const auto stream = make_stream(512, 512);

@@ -24,7 +24,7 @@ class ComplExModel final : public KgeModel {
         rank_(rank) {}
 
   std::string name() const override { return "ComplEx"; }
-  std::int32_t rank() const { return rank_; }
+  ModelSpec spec() const override { return {"complex", rank_, 0.0f}; }
 
   void init(util::Rng& rng) override;
 

@@ -18,7 +18,7 @@ class DistMultModel final : public KgeModel {
       : KgeModel(num_entities, num_relations, rank, rank), rank_(rank) {}
 
   std::string name() const override { return "DistMult"; }
-  std::int32_t rank() const { return rank_; }
+  ModelSpec spec() const override { return {"distmult", rank_, 0.0f}; }
 
   void init(util::Rng& rng) override;
 

@@ -16,10 +16,13 @@
 // cannot silently reintroduce contraction.
 //
 // Clang and non-x86 builds compile the plain baseline body — same bytes,
-// narrower vectors.
+// narrower vectors. So do ThreadSanitizer builds: TSan instruments the
+// ifunc resolver, which the loader runs before the TSan runtime is set up,
+// so a binary linking a clone would crash at start-up.
 #pragma once
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define DYNKGE_KERNEL_CLONES \
   __attribute__((target_clones("default", "avx2")))
 #else

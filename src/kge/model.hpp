@@ -47,6 +47,19 @@ struct GradWork {
   float* gt = nullptr;
 };
 
+/// Score margin TransE and RotatE use unless told otherwise.
+inline constexpr float kDefaultMargin = 12.0f;
+
+/// Everything kge::make_model needs to build another model of the same
+/// kind and shape: the factory name ("complex", "distmult", "transe",
+/// "rotate"), the rank, and the score margin (gamma for TransE/RotatE, 0
+/// for the models without one).
+struct ModelSpec {
+  std::string name;
+  std::int32_t rank = 0;
+  float margin = 0.0f;
+};
+
 class KgeModel {
  public:
   KgeModel(std::int32_t num_entities, std::int32_t num_relations,
@@ -59,6 +72,9 @@ class KgeModel {
   KgeModel& operator=(const KgeModel&) = delete;
 
   virtual std::string name() const = 0;
+
+  /// How this model was constructed (see ModelSpec).
+  virtual ModelSpec spec() const = 0;
 
   /// Initialize both matrices from the given stream (deterministic).
   virtual void init(util::Rng& rng) = 0;

@@ -17,14 +17,13 @@ namespace dynkge::kge {
 class RotatEModel final : public KgeModel {
  public:
   RotatEModel(std::int32_t num_entities, std::int32_t num_relations,
-              std::int32_t rank, float gamma = 12.0f)
+              std::int32_t rank, float gamma = kDefaultMargin)
       : KgeModel(num_entities, num_relations, 2 * rank, rank),
         rank_(rank),
         gamma_(gamma) {}
 
   std::string name() const override { return "RotatE"; }
-  std::int32_t rank() const { return rank_; }
-  float gamma() const { return gamma_; }
+  ModelSpec spec() const override { return {"rotate", rank_, gamma_}; }
 
   /// Keeps the modulus gradient finite at zero distance. Shared by the
   /// scalar path and the blocked kernels — the distance arithmetic must be

@@ -12,10 +12,7 @@
 #include <string_view>
 #include <type_traits>
 
-#include "kge/complex_model.hpp"
-#include "kge/distmult_model.hpp"
-#include "kge/rotate_model.hpp"
-#include "kge/transe_model.hpp"
+#include "kge/model_factory.hpp"
 #include "util/fnv1a.hpp"
 
 namespace dynkge::kge {
@@ -30,16 +27,6 @@ constexpr std::uint32_t kSnapshotVersion = 3;
 /// name the section a reader was in.
 constexpr const char* kSectionTags[] = {"MODL", "OPTE", "OPTR", "TRNR",
                                         "SCHD", "SELC", "RNGS", "RESD"};
-
-/// Canonical lowercase name understood by the loader.
-std::string factory_name(const KgeModel& model) {
-  const std::string name = model.name();
-  if (name == "ComplEx") return "complex";
-  if (name == "DistMult") return "distmult";
-  if (name == "TransE") return "transe";
-  if (name == "RotatE") return "rotate";
-  throw std::runtime_error("save_model: unknown model type " + name);
-}
 
 // --- buffer-based codec ------------------------------------------------
 // Files are built in memory and written atomically, and read back in one
@@ -148,25 +135,10 @@ EmbeddingMatrix read_matrix(ByteReader& in, const char* field) {
 /// Model body shared by the model file (whole payload) and the snapshot's
 /// MODL section: name, rank, gamma, shapes, entity + relation data.
 void write_model_body(ByteWriter& out, const KgeModel& model) {
-  out.str(factory_name(model));
-
-  std::int32_t rank = 0;
-  float gamma = 0.0f;
-  if (const auto* complex_model =
-          dynamic_cast<const ComplExModel*>(&model)) {
-    rank = complex_model->rank();
-  } else if (const auto* distmult =
-                 dynamic_cast<const DistMultModel*>(&model)) {
-    rank = distmult->rank();
-  } else if (const auto* transe = dynamic_cast<const TransEModel*>(&model)) {
-    rank = transe->rank();
-    gamma = transe->gamma();
-  } else if (const auto* rotate = dynamic_cast<const RotatEModel*>(&model)) {
-    rank = rotate->rank();
-    gamma = rotate->gamma();
-  }
-  out.pod(rank);
-  out.pod(gamma);
+  const ModelSpec spec = model.spec();
+  out.str(spec.name);
+  out.pod(spec.rank);
+  out.pod(spec.margin);
 
   out.pod(model.entities().rows());
   out.pod(model.entities().width());
@@ -188,20 +160,10 @@ std::unique_ptr<KgeModel> read_model_body(ByteReader& in) {
   const auto relation_width = in.pod<std::int32_t>("relation_width");
 
   std::unique_ptr<KgeModel> model;
-  if (name == "complex") {
-    model = std::make_unique<ComplExModel>(num_entities, num_relations, rank);
-  } else if (name == "distmult") {
-    model =
-        std::make_unique<DistMultModel>(num_entities, num_relations, rank);
-  } else if (name == "transe") {
-    model = std::make_unique<TransEModel>(num_entities, num_relations, rank,
-                                          gamma);
-  } else if (name == "rotate") {
-    model = std::make_unique<RotatEModel>(num_entities, num_relations, rank,
-                                          gamma);
-  } else {
-    throw std::runtime_error(in.context() + ": unknown model name '" + name +
-                             "'");
+  try {
+    model = make_model(name, num_entities, num_relations, rank, gamma);
+  } catch (const std::invalid_argument& error) {
+    throw std::runtime_error(in.context() + ": " + error.what());
   }
   if (model->entities().width() != entity_width ||
       model->relations().width() != relation_width) {

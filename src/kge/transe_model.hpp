@@ -16,14 +16,13 @@ namespace dynkge::kge {
 class TransEModel final : public KgeModel {
  public:
   TransEModel(std::int32_t num_entities, std::int32_t num_relations,
-              std::int32_t rank, float gamma = 12.0f)
+              std::int32_t rank, float gamma = kDefaultMargin)
       : KgeModel(num_entities, num_relations, rank, rank),
         rank_(rank),
         gamma_(gamma) {}
 
   std::string name() const override { return "TransE"; }
-  std::int32_t rank() const { return rank_; }
-  float gamma() const { return gamma_; }
+  ModelSpec spec() const override { return {"transe", rank_, gamma_}; }
 
   void init(util::Rng& rng) override;
 

@@ -38,11 +38,6 @@ void check_schema_version(const util::JsonValue& object,
   }
 }
 
-double number_or(const util::JsonValue& object, const std::string& key,
-                 double fallback) {
-  return object.has(key) ? object.at(key).number : fallback;
-}
-
 }  // namespace
 
 double interval_union(std::vector<std::pair<double, double>> intervals,
@@ -121,7 +116,8 @@ std::vector<EpochEvent> load_events(const std::string& path) {
     check_schema_version(record, path);
     for (const char* key :
          {"epoch", "rank", "comm_mode", "transport", "probe",
-          "switched_to_allgather", "comm_seconds", "sim_seconds"}) {
+          "probe_baseline_seconds", "switched_to_allgather", "comm_seconds",
+          "sim_seconds"}) {
       if (!record.has(key)) {
         malformed(path, "line " + std::to_string(number) +
                             ": missing key " + key);
@@ -138,7 +134,7 @@ std::vector<EpochEvent> load_events(const std::string& path) {
     event.comm_seconds = record.at("comm_seconds").number;
     event.sim_seconds = record.at("sim_seconds").number;
     event.probe_baseline_seconds =
-        number_or(record, "probe_baseline_seconds", -1.0);
+        record.at("probe_baseline_seconds").number;
     events.push_back(std::move(event));
   }
   if (events.empty()) malformed(path, "no events");
@@ -283,16 +279,6 @@ AnalysisReport analyze(const std::vector<SpanRecord>& spans,
     audit.epoch = event.epoch;
     audit.probe_comm_seconds = event.comm_seconds;
     audit.baseline_comm_seconds = event.probe_baseline_seconds;
-    if (audit.baseline_comm_seconds < 0.0) {
-      // Older logs lack the field: recover the baseline the selector saw
-      // from the most recent all-reduce epoch before the probe.
-      for (std::size_t back = i; back-- > 0;) {
-        if (rank0[back]->transport == "allreduce") {
-          audit.baseline_comm_seconds = rank0[back]->comm_seconds;
-          break;
-        }
-      }
-    }
     audit.switched = event.switched_to_allgather;
     audit.expected_switch =
         audit.baseline_comm_seconds >= 0.0 &&

@@ -38,7 +38,6 @@ struct SpanRecord {
 };
 
 /// One parsed line of the JSONL event stream (one per epoch per rank).
-/// Fields missing from older logs default to the sentinel -1.0.
 struct EpochEvent {
   int epoch = 0;
   int rank = 0;
@@ -48,6 +47,8 @@ struct EpochEvent {
   bool switched_to_allgather = false;
   double comm_seconds = 0.0;
   double sim_seconds = 0.0;
+  /// The all-reduce cost a probe is compared against; -1 until the
+  /// selector has recorded one.
   double probe_baseline_seconds = -1.0;
 };
 

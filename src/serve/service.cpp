@@ -25,46 +25,18 @@ std::string ServiceSnapshot::summary() const {
   return out;
 }
 
-namespace {
-
-stream::AdmissionConfig admission_config(const ServiceConfig& config) {
-  stream::AdmissionConfig out;
-  out.max_read_inflight = config.max_inflight;
-  out.defer_updates_above = config.defer_updates_above;
-  return out;
-}
-
-}  // namespace
-
-InferenceService::InferenceService(const kge::KgeModel& model,
+InferenceService::InferenceService(std::shared_ptr<const kge::KgeModel> model,
                                    const kge::Dataset* dataset,
                                    const ServiceConfig& config)
-    : admission_(admission_config(config)),
+    : admission_(config.max_inflight),
       pool_(static_cast<std::size_t>(std::max(1, config.num_threads))),
-      scorer_(dataset, config.block_size),
-      cache_(config.cache_capacity, config.cache_shards),
+      scorer_(dataset),
+      cache_(config.cache_capacity),
       latency_(config.metrics != nullptr
                    ? &config.metrics->histogram("serve.latency_seconds")
-                   : &own_latency_) {
-  store_.init(model);
-  wire(config);
-}
-
-InferenceService::InferenceService(std::unique_ptr<kge::KgeModel> model,
-                                   const kge::Dataset* dataset,
-                                   const ServiceConfig& config)
-    : admission_(admission_config(config)),
-      pool_(static_cast<std::size_t>(std::max(1, config.num_threads))),
-      scorer_(dataset, config.block_size),
-      cache_(config.cache_capacity, config.cache_shards),
-      latency_(config.metrics != nullptr
-                   ? &config.metrics->histogram("serve.latency_seconds")
-                   : &own_latency_) {
-  store_.init(std::shared_ptr<const kge::KgeModel>(std::move(model)));
-  wire(config);
-}
-
-void InferenceService::wire(const ServiceConfig& config) {
+                   : &own_latency_),
+      trace_(config.trace) {
+  store_.init(std::move(model));
   if (config.metrics != nullptr) {
     query_counter_ = &config.metrics->counter("serve.queries");
     batch_counter_ = &config.metrics->counter("serve.batches");
@@ -74,7 +46,6 @@ void InferenceService::wire(const ServiceConfig& config) {
     invalidated_entries_counter_ =
         &config.metrics->counter("serve.cache.invalidated_entries");
   }
-  trace_ = config.trace;
   cache_.set_max_version_lag(config.cache_max_version_lag);
   store_.add_publish_observer(
       [this](std::uint64_t version,
@@ -109,7 +80,7 @@ std::unique_ptr<InferenceService> InferenceService::from_checkpoint(
 }
 
 std::uint64_t InferenceService::swap_model(
-    std::unique_ptr<kge::KgeModel> model) {
+    std::shared_ptr<const kge::KgeModel> model) {
   return store_.publish(std::move(model));
 }
 

@@ -13,19 +13,21 @@
 //                          parallelizing each), then fills every slot.
 //
 // Streaming updates. The model lives in a stream::SnapshotStore: every
-// query (or batch) pins the current version lock-free, scores entirely
-// against that immutable snapshot, and tags its cache entries with the
-// version. The ONLY mutation routes are swap_model() / reload_checkpoint()
-// (full swap) and a stream::DeltaIngestor publishing into store() (delta
-// refresh) — both go through SnapshotStore::publish, so a swap can never
-// race in-flight scoring: readers finish on the version they pinned. A
-// publish observer registered here invalidates the cache (full clear for a
-// swap, entity-keyed for a delta) and feeds the serve.cache.invalidations
-// / serve.cache.invalidated_entries counters.
+// query (or batch) pins the current version, scores entirely against that
+// immutable snapshot, and tags its cache entries with the version. The
+// ONLY mutation routes are swap_model() / reload_checkpoint() (full swap)
+// and a stream::DeltaIngestor publishing into store() (delta refresh) —
+// both go through SnapshotStore::publish, so a swap can never race
+// in-flight scoring: readers finish on the version they pinned. A publish
+// observer registered here invalidates the cache (full clear for a swap,
+// entity-keyed for a delta) and feeds the serve.cache.invalidations /
+// serve.cache.invalidated_entries counters.
 //
 // Admission control: with ServiceConfig::max_inflight set, reads beyond
 // the in-flight limit are shed immediately — topk() returns nullptr,
-// topk_batch() nullptr slots — instead of queueing into a latency cliff.
+// topk_batch() nullptr slots — instead of queueing into a latency cliff,
+// and a DeltaIngestor wired to admission() defers its publishes while
+// reads sit at the limit.
 //
 // Every answered query is timed into a fixed-bucket log histogram;
 // snapshot() returns latency percentiles, throughput, cache and shed
@@ -60,15 +62,11 @@ namespace dynkge::serve {
 struct ServiceConfig {
   int num_threads = 4;             ///< worker pool size (>= 1)
   std::size_t cache_capacity = 4096;  ///< total cached results; 0 disables
-  std::size_t cache_shards = 8;
-  std::size_t block_size = 4096;   ///< entities per scoring block
 
   /// Reads allowed in flight at once; beyond this, queries are shed
-  /// (topk returns nullptr). 0 = unlimited, never shed.
+  /// (topk returns nullptr) and delta publishes wait while reads sit at
+  /// it (see stream::AdmissionController). 0 = unlimited, never shed.
   std::size_t max_inflight = 0;
-  /// Delta publishes yield while read depth exceeds this (see
-  /// stream::AdmissionConfig). 0 = never defer.
-  std::size_t defer_updates_above = 0;
   /// Cache entries older than this many publishes are treated as misses
   /// (bounds staleness from the entity-keyed invalidation gap; see
   /// QueryCache). 0 = unbounded.
@@ -99,18 +97,11 @@ struct ServiceSnapshot {
 
 class InferenceService {
  public:
-  /// Serve `model` as snapshot version 1. `dataset` (optional) enables
-  /// known-triple filtering; both must outlive the service unless
-  /// ownership is transferred via the unique_ptr overload /
-  /// from_checkpoint. NOTE: with the non-owning overload the caller must
-  /// not mutate the model afterwards — publish a copy via swap_model()
-  /// instead.
-  InferenceService(const kge::KgeModel& model, const kge::Dataset* dataset,
-                   const ServiceConfig& config = {});
-
-  /// Owning variant: the service keeps the model alive (until it is
-  /// rotated out of the snapshot ring by later publishes).
-  InferenceService(std::unique_ptr<kge::KgeModel> model,
+  /// Serve `model` as snapshot version 1; the service keeps it alive
+  /// until a later publish supersedes it and no request pins it. A
+  /// std::unique_ptr<kge::KgeModel> converts. `dataset` (optional)
+  /// enables known-triple filtering and must outlive the service.
+  InferenceService(std::shared_ptr<const kge::KgeModel> model,
                    const kge::Dataset* dataset,
                    const ServiceConfig& config = {});
 
@@ -135,7 +126,7 @@ class InferenceService {
   /// Atomically replace the served model (zero-downtime: in-flight reads
   /// finish on the version they pinned). Clears the query cache via the
   /// publish observer. Returns the new version number.
-  std::uint64_t swap_model(std::unique_ptr<kge::KgeModel> model);
+  std::uint64_t swap_model(std::shared_ptr<const kge::KgeModel> model);
 
   /// swap_model() from a checkpoint written by kge::save_model.
   std::uint64_t reload_checkpoint(const std::string& path);
@@ -156,10 +147,6 @@ class InferenceService {
   ServiceSnapshot snapshot() const;
   void reset_metrics();
 
-  /// The current snapshot's model. Only safe for inspection while no
-  /// concurrent publishes run; request paths pin via store().acquire()
-  /// instead.
-  const kge::KgeModel& model() const { return *store_.acquire().model; }
   int num_threads() const { return static_cast<int>(pool_.size()); }
 
  private:
@@ -169,7 +156,6 @@ class InferenceService {
   void on_publish(std::uint64_t version,
                   const std::vector<kge::EntityId>& touched);
   void record_latency(double seconds, std::size_t queries);
-  void wire(const ServiceConfig& config);
 
   stream::SnapshotStore store_;
   stream::AdmissionController admission_;

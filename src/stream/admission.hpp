@@ -4,17 +4,17 @@
 // delta-update work. Without admission control an update burst can queue
 // unbounded refresh work behind reads (or vice versa) until every request
 // times out. The controller keeps one number — the count of in-flight
-// read queries — and applies two policies to it:
+// read queries — and one limit, `max_inflight` (0 = unlimited), and
+// applies two policies to them:
 //
-//   * Read shedding: when `max_read_inflight` is set and the depth is at
-//     the limit, new reads are rejected immediately (fail fast beats
-//     queueing into a latency cliff). The InferenceService returns a null
-//     result for shed queries and counts them.
+//   * Read shedding: a read that would take the depth past the limit is
+//     rejected immediately (fail fast beats queueing into a latency
+//     cliff). The InferenceService returns a null result for shed queries
+//     and counts them.
 //
-//   * Update deferral: when `defer_updates_above` is set, the delta
-//     ingestor delays publishing a refresh while read depth exceeds the
-//     threshold, up to `max_update_defer_rounds` yields — updates yield to
-//     reads under load, but are never starved forever.
+//   * Update deferral: while reads sit at the limit, the delta ingestor
+//     delays publishing a refresh by up to kMaxDeferRounds yields —
+//     updates yield to reads under load, but are never starved forever.
 //
 // All counters are relaxed atomics; admission is wait-free on the read
 // path (one CAS loop bounded by contention on a single cache line).
@@ -26,21 +26,15 @@
 
 namespace dynkge::stream {
 
-struct AdmissionConfig {
-  /// Reads allowed in flight at once; 0 = unlimited (never shed).
-  std::size_t max_read_inflight = 0;
-  /// Defer update publishes while read depth exceeds this; 0 = never
-  /// defer.
-  std::size_t defer_updates_above = 0;
-  /// Yield at most this many times while deferring one update.
-  int max_update_defer_rounds = 1000;
-};
-
 class AdmissionController {
  public:
-  AdmissionController() = default;
-  explicit AdmissionController(const AdmissionConfig& config)
-      : config_(config) {}
+  /// Yields one deferred update waits at most.
+  static constexpr int kMaxDeferRounds = 1000;
+
+  /// `max_inflight`: reads allowed in flight at once; 0 = unlimited
+  /// (never shed, never defer).
+  explicit AdmissionController(std::size_t max_inflight = 0)
+      : max_inflight_(max_inflight) {}
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -48,13 +42,13 @@ class AdmissionController {
   /// Try to admit `n` read queries. On success the caller owes a matching
   /// exit_read(n); on failure (queue full) the queries were shed.
   bool try_enter_read(std::size_t n = 1) {
-    if (config_.max_read_inflight == 0) {
+    if (max_inflight_ == 0) {
       inflight_.fetch_add(n, std::memory_order_relaxed);
       return true;
     }
     std::size_t depth = inflight_.load(std::memory_order_relaxed);
     for (;;) {
-      if (depth + n > config_.max_read_inflight) {
+      if (depth + n > max_inflight_) {
         shed_.fetch_add(n, std::memory_order_relaxed);
         return false;
       }
@@ -69,15 +63,14 @@ class AdmissionController {
     inflight_.fetch_sub(n, std::memory_order_relaxed);
   }
 
-  /// Block (bounded) while reads are saturated; called by the ingestor
-  /// before publishing a refresh. Returns the number of yield rounds the
-  /// update waited.
+  /// Block (bounded) while reads sit at the in-flight limit; called by
+  /// the ingestor before publishing a refresh. Returns the number of
+  /// yield rounds the update waited.
   int defer_update() {
-    if (config_.defer_updates_above == 0) return 0;
+    if (max_inflight_ == 0) return 0;
     int rounds = 0;
-    while (inflight_.load(std::memory_order_relaxed) >
-               config_.defer_updates_above &&
-           rounds < config_.max_update_defer_rounds) {
+    while (inflight_.load(std::memory_order_relaxed) >= max_inflight_ &&
+           rounds < kMaxDeferRounds) {
       std::this_thread::yield();
       ++rounds;
     }
@@ -91,10 +84,9 @@ class AdmissionController {
   std::uint64_t update_deferrals() const {
     return deferrals_.load(std::memory_order_relaxed);
   }
-  const AdmissionConfig& config() const { return config_; }
 
  private:
-  AdmissionConfig config_;
+  const std::size_t max_inflight_;
   std::atomic<std::size_t> inflight_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> deferrals_{0};

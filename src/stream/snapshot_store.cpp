@@ -1,7 +1,7 @@
 #include "stream/snapshot_store.hpp"
 
 #include <stdexcept>
-#include <thread>
+#include <string>
 #include <utility>
 
 namespace dynkge::stream {
@@ -11,22 +11,13 @@ std::uint64_t SnapshotStore::init(
   if (model == nullptr) {
     throw std::invalid_argument("SnapshotStore::init: null model");
   }
-  std::lock_guard<std::mutex> lock(publish_mu_);
-  if (version_.load(std::memory_order_relaxed) != 0) {
+  const std::lock_guard<std::mutex> publisher(publish_mu_);
+  const std::lock_guard<std::mutex> lock(current_mu_);
+  if (current_) {
     throw std::logic_error("SnapshotStore::init: already initialized");
   }
-  slots_[0].model = std::move(model);
-  slots_[0].version = 1;
-  current_.store(0, std::memory_order_release);
-  version_.store(1, std::memory_order_release);
+  current_ = PinnedModel{std::move(model), 1};
   return 1;
-}
-
-std::uint64_t SnapshotStore::init(const kge::KgeModel& model) {
-  // Aliasing shared_ptr: shares no ownership, never deletes. The caller
-  // guarantees `model` outlives the store.
-  return init(std::shared_ptr<const kge::KgeModel>(
-      std::shared_ptr<const kge::KgeModel>(), &model));
 }
 
 std::uint64_t SnapshotStore::publish(
@@ -35,77 +26,55 @@ std::uint64_t SnapshotStore::publish(
   if (model == nullptr) {
     throw std::invalid_argument("SnapshotStore::publish: null model");
   }
-  std::lock_guard<std::mutex> lock(publish_mu_);
-  if (version_.load(std::memory_order_relaxed) == 0) {
+  const std::lock_guard<std::mutex> publisher(publish_mu_);
+  // Only publishers write current_, so `previous` stays the current
+  // version until the swap below.
+  PinnedModel previous = acquire();
+  if (!previous) {
     throw std::logic_error("SnapshotStore::publish: init() first");
   }
-  return publish_locked(std::move(model), std::move(touched));
-}
-
-std::uint64_t SnapshotStore::publish(std::unique_ptr<kge::KgeModel> model,
-                                     std::vector<kge::EntityId> touched) {
-  return publish(std::shared_ptr<const kge::KgeModel>(std::move(model)),
-                 std::move(touched));
-}
-
-std::uint64_t SnapshotStore::publish_locked(
-    std::shared_ptr<const kge::KgeModel> model,
-    std::vector<kge::EntityId>&& touched) {
   const obs::TraceSpan span(sinks_.trace, "stream.swap", 0);
-
-  const std::size_t cur = current_.load(std::memory_order_relaxed);
-  const Slot& cur_slot = slots_[cur];
-  if (model->num_entities() != cur_slot.model->num_entities() ||
-      model->num_relations() != cur_slot.model->num_relations()) {
+  if (model->num_entities() != previous->num_entities() ||
+      model->num_relations() != previous->num_relations()) {
     throw std::invalid_argument(
         "SnapshotStore::publish: entity/relation universe mismatch "
         "(expected " +
-        std::to_string(cur_slot.model->num_entities()) + " entities, " +
-        std::to_string(cur_slot.model->num_relations()) + " relations; got " +
+        std::to_string(previous->num_entities()) + " entities, " +
+        std::to_string(previous->num_relations()) + " relations; got " +
         std::to_string(model->num_entities()) + ", " +
         std::to_string(model->num_relations()) + ")");
   }
 
-  const std::size_t next = (cur + 1) % kRingSlots;
-  Slot& slot = slots_[next];
-  // Drain the brief acquire() windows still pinning this slot (it stopped
-  // being current kRingSlots publishes ago; pins last a few instructions).
-  while (slot.readers.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
+  const std::uint64_t version = previous.version + 1;
+  {
+    const std::lock_guard<std::mutex> lock(current_mu_);
+    current_ = PinnedModel{std::move(model), version};
   }
-  slot.model = std::move(model);  // frees the version evicted from the ring
-  slot.version = slots_[cur].version + 1;
-  current_.store(next, std::memory_order_release);
-  version_.store(slot.version, std::memory_order_release);
-  publishes_.fetch_add(1, std::memory_order_relaxed);
+  // Drop the displaced version outside the reader lock: it is freed here
+  // unless a request still pins it.
+  previous = {};
 
   if (sinks_.metrics != nullptr) {
     sinks_.metrics->counter("stream.snapshots_published").add(1);
-    sinks_.metrics->gauge("stream.version")
-        .set(static_cast<double>(slot.version));
+    sinks_.metrics->gauge("stream.version").set(static_cast<double>(version));
   }
-  for (const auto& observer : observers_) observer(slot.version, touched);
-  return slot.version;
+  for (const auto& observer : observers_) observer(version, touched);
+  return version;
 }
 
 PinnedModel SnapshotStore::acquire() const {
-  for (;;) {
-    const std::size_t idx = current_.load(std::memory_order_acquire);
-    const Slot& slot = slots_[idx];
-    slot.readers.fetch_add(1, std::memory_order_acq_rel);
-    if (current_.load(std::memory_order_acquire) == idx) {
-      // The epoch pointer still names this slot, so no publisher can be
-      // mutating it (publishers drain readers before reuse, and only
-      // advance the pointer after the slot is fully written).
-      PinnedModel pinned{slot.model, slot.version};
-      slot.readers.fetch_sub(1, std::memory_order_release);
-      return pinned;
-    }
-    // The pointer moved between the load and the pin; retry on the new
-    // current slot. The stale count must be dropped so a wrapped-around
-    // publisher's drain loop terminates.
-    slot.readers.fetch_sub(1, std::memory_order_release);
-  }
+  const std::lock_guard<std::mutex> lock(current_mu_);
+  return current_;
+}
+
+std::uint64_t SnapshotStore::current_version() const {
+  const std::lock_guard<std::mutex> lock(current_mu_);
+  return current_.version;
+}
+
+std::uint64_t SnapshotStore::publishes() const {
+  const std::uint64_t version = current_version();
+  return version == 0 ? 0 : version - 1;
 }
 
 void SnapshotStore::add_publish_observer(PublishObserver observer) {

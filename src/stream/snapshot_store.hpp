@@ -2,34 +2,27 @@
 // zero-downtime hot-swap.
 //
 // The serving layer must keep answering queries while new model versions
-// arrive (full retrains or incremental delta refreshes). The store holds a
-// small ring of the most recent versions; each slot owns one immutable
-// model (shared_ptr<const KgeModel>) plus a reader count. The score path
-// takes no lock:
+// arrive (full retrains or incremental delta refreshes). The store holds
+// one current version: an immutable model (shared_ptr<const KgeModel>)
+// tagged with its version number.
 //
-//   * acquire() — load the current slot index (the epoch pointer), bump
-//     that slot's reader count, re-check the pointer, copy the slot's
-//     shared_ptr out, and drop the count. The returned PinnedModel keeps
-//     its version alive via refcount for as long as the request runs, so
-//     a reader never observes a torn swap and every read is served
-//     entirely from one version ("stale reads are bounded to the pinned
-//     version").
+//   * acquire() — copies the current version under a mutex that no one
+//     holds for longer than one shared_ptr copy or swap. The returned
+//     PinnedModel keeps its version alive via refcount for as long as the
+//     request runs, so every read is served entirely from one version
+//     ("stale reads are bounded to the pinned version").
 //
-//   * publish() — serialized by a writer mutex. The publisher prepares the
-//     next ring slot: it waits for that slot's readers to drain (they are
-//     only pinned for the few instructions of the shared_ptr copy — the
-//     slot became unreachable kRingSlots publishes ago), installs the new
-//     model, then advances the epoch pointer with a release store. Readers
-//     switch to the new version on their next acquire(); in-flight reads
-//     drain on the old version undisturbed.
+//   * publish() — serialized by a publisher mutex. Swaps the new version
+//     in under the same short lock and drops the displaced one outside
+//     it: a superseded version is freed as soon as no request pins it.
+//     Readers switch on their next acquire(); in-flight reads finish on
+//     the version they pinned.
 //
 // Publish observers (registered once at wiring time) run on the publisher
 // thread after the swap — the serving layer uses them for entity-keyed
 // cache invalidation, metrics and JSONL events.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -62,20 +55,13 @@ using PublishObserver =
 
 class SnapshotStore {
  public:
-  /// Versions retained (and the bound on how far a long-lived PinnedModel
-  /// may lag before publishers stop having to wait for it).
-  static constexpr std::size_t kRingSlots = 4;
-
   SnapshotStore() = default;
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
 
   /// Install the first version (version 1). Must be called exactly once,
-  /// before any acquire(); publishes after the first must use publish().
-  /// The non-owning overload aliases `model` without taking ownership —
-  /// the caller keeps it alive for the store's lifetime.
+  /// before any acquire(); later versions go through publish().
   std::uint64_t init(std::shared_ptr<const kge::KgeModel> model);
-  std::uint64_t init(const kge::KgeModel& model);
 
   /// Atomically make `model` the current version and return its number.
   /// `touched` lists the entity rows that differ from the previous
@@ -85,21 +71,16 @@ class SnapshotStore {
   /// against readers; concurrent publishers are serialized.
   std::uint64_t publish(std::shared_ptr<const kge::KgeModel> model,
                         std::vector<kge::EntityId> touched = {});
-  std::uint64_t publish(std::unique_ptr<kge::KgeModel> model,
-                        std::vector<kge::EntityId> touched = {});
 
-  /// Pin the current version. Lock-free: two atomic RMWs plus one
-  /// shared_ptr copy; never blocks on a publisher.
+  /// Pin the current version: one shared_ptr copy under a lock that a
+  /// publisher holds only for a pointer swap.
   PinnedModel acquire() const;
 
   /// Version of the current snapshot (0 before init()).
-  std::uint64_t current_version() const {
-    return version_.load(std::memory_order_acquire);
-  }
+  std::uint64_t current_version() const;
 
-  std::uint64_t publishes() const {
-    return publishes_.load(std::memory_order_relaxed);
-  }
+  /// Publishes accepted since init() (each one advanced the version by 1).
+  std::uint64_t publishes() const;
 
   /// Register a publish observer (called on the publisher thread, after
   /// the swap). Not thread-safe against concurrent publish(): register
@@ -111,23 +92,12 @@ class SnapshotStore {
   void set_telemetry(const obs::TelemetrySinks& sinks) { sinks_ = sinks; }
 
  private:
-  struct Slot {
-    /// Readers currently copying this slot's shared_ptr (not the number
-    /// of outstanding PinnedModels — those hold refcounts instead).
-    mutable std::atomic<std::uint64_t> readers{0};
-    std::shared_ptr<const kge::KgeModel> model;  ///< epoch-protected
-    std::uint64_t version = 0;                   ///< epoch-protected
-  };
+  mutable std::mutex current_mu_;  ///< held for one copy or swap only
+  PinnedModel current_;            ///< guarded by current_mu_
 
-  std::uint64_t publish_locked(std::shared_ptr<const kge::KgeModel> model,
-                               std::vector<kge::EntityId>&& touched);
-
-  std::array<Slot, kRingSlots> slots_;
-  std::atomic<std::size_t> current_{0};   ///< the epoch pointer
-  std::atomic<std::uint64_t> version_{0};
-  std::atomic<std::uint64_t> publishes_{0};
-
-  std::mutex publish_mu_;  ///< one publisher at a time
+  /// One publisher at a time: versions equal publish order, and observers
+  /// see them in that order. Only holders of this mutex write current_.
+  std::mutex publish_mu_;
   std::vector<PublishObserver> observers_;
   obs::TelemetrySinks sinks_;
 };

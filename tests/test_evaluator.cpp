@@ -17,6 +17,7 @@ class StubModel final : public KgeModel {
       : KgeModel(num_entities, num_relations, 1, 1) {}
 
   std::string name() const override { return "Stub"; }
+  ModelSpec spec() const override { return {"stub", 1, 0.0f}; }
   void init(util::Rng&) override {}
 
   void set_score(EntityId h, RelationId r, EntityId t, double s) {

@@ -35,7 +35,8 @@ Dataset make_dataset() {
   return Dataset(kEntities, kRelations, train, valid, test);
 }
 
-std::unique_ptr<kge::KgeModel> make_initialized(const std::string& name) {
+/// Shared, so a test can serve the model and still score it directly.
+std::shared_ptr<kge::KgeModel> make_initialized(const std::string& name) {
   auto model = kge::make_model(name, kEntities, kRelations, 4);
   util::Rng rng(31);
   model->init(rng);
@@ -62,7 +63,7 @@ TEST_F(InferenceServiceTest, AnswersMatchDirectScorer) {
   const auto model = make_initialized("complex");
   const Dataset dataset = make_dataset();
   const TopKScorer reference(&dataset);
-  InferenceService service(*model, &dataset);
+  InferenceService service(model, &dataset);
 
   const TopKQuery q{Direction::kTail, 2, 1, 5, false};
   const auto served = service.topk(q);
@@ -72,7 +73,7 @@ TEST_F(InferenceServiceTest, AnswersMatchDirectScorer) {
 
 TEST_F(InferenceServiceTest, CacheHitReturnsSameResultObject) {
   const auto model = make_initialized("complex");
-  InferenceService service(*model, nullptr);
+  InferenceService service(model, nullptr);
   const TopKQuery q{Direction::kTail, 1, 0, 8, false};
   const auto first = service.topk(q);
   const auto second = service.topk(q);
@@ -86,7 +87,7 @@ TEST_F(InferenceServiceTest, CacheHitReturnsSameResultObject) {
 
 TEST_F(InferenceServiceTest, SwapInvalidatesCacheAndBumpsVersion) {
   const auto model = make_initialized("complex");
-  InferenceService service(*model, nullptr);
+  InferenceService service(model, nullptr);
   EXPECT_EQ(service.current_version(), 1u);
   const TopKQuery q{Direction::kTail, 1, 0, 8, false};
   const auto first = service.topk(q);
@@ -129,7 +130,7 @@ TEST_F(InferenceServiceTest, AdmissionShedsBeyondInflightLimit) {
   const auto model = make_initialized("complex");
   ServiceConfig config;
   config.max_inflight = 1;
-  InferenceService service(*model, nullptr, config);
+  InferenceService service(model, nullptr, config);
   // Saturate the admission window from the outside, then observe a shed.
   ASSERT_TRUE(service.admission().try_enter_read(1));
   EXPECT_EQ(service.topk({Direction::kTail, 1, 0, 4, false}), nullptr);
@@ -140,11 +141,28 @@ TEST_F(InferenceServiceTest, AdmissionShedsBeyondInflightLimit) {
   EXPECT_EQ(snapshot.queries, 1u);
 }
 
+// One knob: while reads sit at max_inflight, a publish waits a bounded
+// number of yields; once a read slot frees up it does not wait at all.
+TEST_F(InferenceServiceTest, UpdatesDeferWhileReadsSitAtInflightLimit) {
+  ServiceConfig config;
+  config.max_inflight = 2;
+  InferenceService service(make_initialized("complex"), nullptr, config);
+  stream::AdmissionController& admission = service.admission();
+  ASSERT_TRUE(admission.try_enter_read(1));
+  ASSERT_TRUE(admission.try_enter_read(1));  // both read slots taken
+  EXPECT_EQ(admission.defer_update(),
+            stream::AdmissionController::kMaxDeferRounds);
+  admission.exit_read(1);
+  EXPECT_EQ(admission.defer_update(), 0);
+  admission.exit_read(1);
+  EXPECT_EQ(admission.update_deferrals(), 1u);
+}
+
 TEST_F(InferenceServiceTest, BatchMatchesSingleQueries) {
   const auto model = make_initialized("complex");
   const Dataset dataset = make_dataset();
   const TopKScorer reference(&dataset);
-  InferenceService service(*model, &dataset);
+  InferenceService service(model, &dataset);
 
   std::vector<TopKQuery> batch;
   for (EntityId e = 0; e < 12; ++e) {
@@ -168,7 +186,7 @@ TEST_F(InferenceServiceTest, BatchMatchesSingleQueries) {
 
 TEST_F(InferenceServiceTest, ConcurrentClientsGetConsistentAnswers) {
   const auto model = make_initialized("complex");
-  InferenceService service(*model, nullptr, ServiceConfig{2, 64, 4, 16});
+  InferenceService service(model, nullptr, ServiceConfig{2, 64});
   const TopKScorer reference;
 
   std::vector<std::thread> clients;
@@ -193,7 +211,7 @@ TEST_F(InferenceServiceTest, ConcurrentClientsGetConsistentAnswers) {
 
 TEST_F(InferenceServiceTest, SnapshotTracksLatencyAndSummary) {
   const auto model = make_initialized("complex");
-  InferenceService service(*model, nullptr);
+  InferenceService service(model, nullptr);
   for (int i = 0; i < 20; ++i) {
     service.topk({Direction::kTail, static_cast<EntityId>(i % kEntities),
                   0, 4, false});

@@ -150,7 +150,7 @@ TEST(ComplExModel, WidthIsTwiceRank) {
   ComplExModel model(3, 2, 5);
   EXPECT_EQ(model.entities().width(), 10);
   EXPECT_EQ(model.relations().width(), 10);
-  EXPECT_EQ(model.rank(), 5);
+  EXPECT_EQ(model.spec().rank, 5);
 }
 
 TEST(ComplExModel, AsymmetricRelationsScoreDifferently) {

@@ -35,14 +35,6 @@ TEST(SnapshotStore, InitInstallsVersionOne) {
   EXPECT_EQ(pin->num_entities(), kEntities);
 }
 
-TEST(SnapshotStore, NonOwningInitAliasesCallerModel) {
-  const auto model = make_model();
-  SnapshotStore store;
-  store.init(*model);
-  const PinnedModel pin = store.acquire();
-  EXPECT_EQ(pin.model.get(), model.get());  // same object, not a copy
-}
-
 TEST(SnapshotStore, InitAndPublishValidate) {
   SnapshotStore store;
   EXPECT_THROW(store.init(std::shared_ptr<const kge::KgeModel>()),
@@ -73,22 +65,31 @@ TEST(SnapshotStore, PublishAdvancesVersionAndSwapsModel) {
   EXPECT_EQ(pin.model.get(), second_raw);
 }
 
-TEST(SnapshotStore, PinnedVersionSurvivesRingWraparound) {
+// The store keeps only the current version: a superseded one lives
+// exactly as long as some request pins it.
+TEST(SnapshotStore, SupersededVersionLivesOnlyWhilePinned) {
+  {
+    SnapshotStore store;
+    store.init(std::shared_ptr<const kge::KgeModel>(make_model(1)));
+    const PinnedModel pin = store.acquire();
+    const std::weak_ptr<const kge::KgeModel> first = pin.model;
+    const float first_value = pin->entities().flat()[0];
+    for (std::uint64_t i = 0; i < 6; ++i) store.publish(make_model(100 + i));
+
+    // The pin still reads its own version's bytes: its shared_ptr keeps
+    // the superseded snapshot alive for as long as the request runs.
+    EXPECT_FALSE(first.expired());
+    EXPECT_EQ(pin.version, 1u);
+    EXPECT_EQ(pin->entities().flat()[0], first_value);
+  }
+
+  // With no pin, version 1 is freed by the very next publish.
   SnapshotStore store;
   store.init(std::shared_ptr<const kge::KgeModel>(make_model(1)));
-  const PinnedModel pin = store.acquire();
-  const float first_value = pin->entities().flat()[0];
-
-  // Push the pinned version all the way out of the ring.
-  for (std::uint64_t i = 0; i < SnapshotStore::kRingSlots + 2; ++i) {
-    store.publish(make_model(100 + i));
-  }
-  EXPECT_EQ(store.current_version(), 1u + SnapshotStore::kRingSlots + 2);
-
-  // The pin still reads its own version's bytes: the shared_ptr refcount
-  // keeps the evicted snapshot alive for as long as the request runs.
-  EXPECT_EQ(pin.version, 1u);
-  EXPECT_EQ(pin->entities().flat()[0], first_value);
+  const std::weak_ptr<const kge::KgeModel> first = store.acquire().model;
+  ASSERT_FALSE(first.expired());
+  store.publish(make_model(2));
+  EXPECT_TRUE(first.expired());
 }
 
 TEST(SnapshotStore, ObserversSeeVersionAndTouchedEntities) {

@@ -202,16 +202,24 @@ TEST(StreamService, CacheVersionLagForcesRescoreAfterManyPublishes) {
   EXPECT_EQ(*third, *first);            // same weights -> same answer
 }
 
+// A delta publish yields while reads sit at max_inflight, then goes
+// through: updates wait for reads but are never starved.
 TEST(StreamService, UpdateDeferralYieldsToSaturatedReads) {
-  stream::AdmissionConfig admission;
-  admission.defer_updates_above = 1;
-  admission.max_update_defer_rounds = 3;
-  stream::AdmissionController controller(admission);
-  ASSERT_TRUE(controller.try_enter_read(2));  // saturate reads
-  EXPECT_EQ(controller.defer_update(), 3);    // bounded, never starves
-  controller.exit_read(2);
-  EXPECT_EQ(controller.defer_update(), 0);    // no pressure, no wait
-  EXPECT_EQ(controller.update_deferrals(), 1u);
+  ServiceConfig config;
+  config.max_inflight = 2;
+  InferenceService service(make_model(), nullptr, config);
+  auto ingestor = make_ingestor(service);
+  stream::AdmissionController& admission = service.admission();
+
+  ASSERT_TRUE(admission.try_enter_read(2));  // saturate reads
+  ingestor.submit({1, 0, 2});
+  EXPECT_EQ(ingestor.flush(), 2u);  // deferred (bounded), then published
+  EXPECT_EQ(admission.update_deferrals(), 1u);
+
+  admission.exit_read(2);
+  ingestor.submit({3, 0, 4});
+  EXPECT_EQ(ingestor.flush(), 3u);
+  EXPECT_EQ(admission.update_deferrals(), 1u);  // no pressure, no wait
 }
 
 }  // namespace

@@ -861,7 +861,6 @@ int cmd_serve(const util::ArgParser& args) {
       static_cast<std::size_t>(args.get_int("cache", 1024));
   config.max_inflight =
       static_cast<std::size_t>(args.get_int("max-inflight", 0));
-  config.defer_updates_above = config.max_inflight;
   config.cache_max_version_lag =
       static_cast<std::uint64_t>(args.get_int("max-version-lag", 8));
 
