@@ -65,15 +65,6 @@ class Barrier {
 /// Scalar reduction operators for allreduce_scalar.
 enum class ScalarOp { kSum, kMin, kMax };
 
-/// One traced collective on a rank's simulated timeline (tracing is off
-/// by default; see Communicator::enable_trace).
-struct CommEvent {
-  CollectiveKind kind = CollectiveKind::kBarrier;
-  std::size_t bytes = 0;      ///< this rank's modeled traffic
-  double sim_start = 0.0;     ///< simulated time the collective began
-  double sim_end = 0.0;       ///< simulated time it completed
-};
-
 /// Staging area shared by all ranks of one cluster. Slots are valid between
 /// the publish barrier and the release barrier of a single collective.
 struct SharedState {
@@ -158,11 +149,6 @@ class Communicator {
   CommStats& stats() { return stats_; }
   const CommStats& stats() const { return stats_; }
 
-  /// Start recording every collective as a CommEvent on this rank's
-  /// simulated timeline (profiling aid; adds one vector push per op).
-  void enable_trace() { tracing_ = true; }
-  const std::vector<CommEvent>& trace() const { return trace_; }
-
   /// Attach a fault injector (shared by all ranks of the cluster; usually
   /// set through Cluster::set_fault_injector). Every collective then
   /// consults it before publishing — see comm/fault.hpp for semantics.
@@ -176,13 +162,10 @@ class Communicator {
   int fault_epoch() const { return fault_epoch_; }
 
  private:
-  /// Account one collective: statistics, optional trace entry, and the
-  /// simulated-clock advance. Single funnel for every cost in this class.
+  /// Account one collective: statistics and the simulated-clock advance.
+  /// Single funnel for every cost in this class.
   void apply_cost(CollectiveKind kind, std::size_t bytes, double seconds) {
     stats_.record(kind, bytes, seconds);
-    if (tracing_) {
-      trace_.push_back(CommEvent{kind, bytes, sim_now_, sim_now_ + seconds});
-    }
     sim_now_ += seconds;
   }
   /// Fault-injection hook, called at the entry of every collective before
@@ -246,8 +229,6 @@ class Communicator {
   SharedState& state_;
   const CostModel& model_;
   CommStats stats_;
-  std::vector<CommEvent> trace_;
-  bool tracing_ = false;
   double sim_now_ = 0.0;
   FaultInjector* injector_ = nullptr;
   std::uint64_t collective_index_ = 0;

@@ -59,19 +59,6 @@ std::string report_to_json(const TrainReport& report,
   json.end_array();
   json.end_object();
 
-  if (!report.comm_trace.empty()) {
-    json.key("comm_trace").begin_array();
-    for (const comm::CommEvent& event : report.comm_trace) {
-      json.begin_object();
-      json.kv("kind", comm::to_string(event.kind));
-      json.kv("bytes", event.bytes);
-      json.kv("sim_start", event.sim_start);
-      json.kv("sim_end", event.sim_end);
-      json.end_object();
-    }
-    json.end_array();
-  }
-
   json.key("epoch_log").begin_array();
   for (const EpochRecord& record : report.epoch_log) {
     json.begin_object();

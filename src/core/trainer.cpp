@@ -369,13 +369,14 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
   const StrategyConfig& strategy = config_.strategy;
   const obs::TelemetrySinks& tel = config_.telemetry;
 
-  // Track layout: tid = rank for the simulated ranks, tid = num_nodes for
-  // host-side (pre-cluster) work.
+  // Track layout: tid = rank for the simulated ranks, tid = the configured
+  // num_nodes for host-side work (as in comm::supervise) in every attempt.
+  const int host_track = config_.num_nodes;
   if (tel.trace != nullptr) {
     for (int r = 0; r < num_nodes; ++r) {
       tel.trace->set_thread_name(r, "rank " + std::to_string(r));
     }
-    tel.trace->set_thread_name(num_nodes, "host");
+    tel.trace->set_thread_name(host_track, "host");
   }
 
   // ---- Partition the training triples (host side, deterministic) ------
@@ -385,7 +386,7 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
   RelationPartition relation_partition;
   if (strategy.relation_partition) {
     const obs::TraceSpan span(tel.trace, "relation_partition.setup",
-                              num_nodes);
+                              host_track);
     relation_partition = partition_by_relation(train_triples, num_nodes,
                                                dataset_.num_relations());
     shards = relation_partition.shards;
@@ -495,7 +496,6 @@ RankProgram::RankProgram(const Attempt& attempt, Communicator& comm)
       disk_faults_left_(config_.checkpoint.test_disk_fault_at_epoch >= 0
                             ? config_.checkpoint.test_disk_fault_attempts
                             : 0) {
-  if (config_.trace_communication && rank_ == 0) comm_.enable_trace();
   if (tel_.metrics != nullptr) {
     m_steps_ = &tel_.metrics->counter("train.steps");
     m_bytes_ = &tel_.metrics->counter("train.bytes_on_wire");
@@ -1084,7 +1084,6 @@ void RankProgram::finish() {
   if (rank_ != 0) return;
   report.allreduce_fraction = selector_.allreduce_fraction();
   report.comm_stats = comm_.stats();
-  if (config_.trace_communication) report.comm_trace = comm_.trace();
   if (config_.compute_final_metrics) {
     final_metrics(evaluator_, *model_, attempt_.dataset, config_.seed,
                   config_.eval_max_triples, report.tca, report.ranking);

@@ -162,8 +162,6 @@ struct TrainConfig {
   std::size_t valid_max_triples = 500;  ///< per-epoch validation subsample
   std::size_t eval_max_triples = 250;   ///< final MRR ranking subsample
   bool compute_final_metrics = true;    ///< TCA + MRR after training
-  bool trace_communication = false;     ///< record rank 0's collective
-                                        ///< timeline into the report
 
   /// Observability sinks (src/obs/): metrics registry, Chrome trace-event
   /// writer, per-epoch JSONL event stream. All non-owning and default-off;
@@ -249,9 +247,6 @@ struct TrainReport {
   /// partition was active). Use it for downstream inference: scoring,
   /// link-prediction queries, further evaluation.
   std::shared_ptr<kge::KgeModel> model;
-
-  /// Rank 0's collective timeline (only when trace_communication is on).
-  std::vector<comm::CommEvent> comm_trace;
 };
 
 class DistributedTrainer {

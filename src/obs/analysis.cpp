@@ -1,8 +1,10 @@
 #include "obs/analysis.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -22,20 +24,84 @@ bool is_collective(const std::string& name) {
   return name.rfind("exchange.", 0) == 0;
 }
 
-[[noreturn]] void malformed(const std::string& path, const std::string& why) {
-  throw std::runtime_error("analyze: " + path + ": " + why);
+using Type = util::JsonValue::Type;
+
+/// The epoch-event schema, its one statement: every key the trainer writes
+/// per (epoch, rank) in RankProgram::close_epoch, with its JSON type.
+constexpr std::pair<const char*, Type> kEpochEventKeys[] = {
+    {"schema_version", Type::kNumber}, {"epoch", Type::kNumber},
+    {"rank", Type::kNumber},           {"comm_mode", Type::kString},
+    {"transport", Type::kString},      {"probe", Type::kBool},
+    {"probe_baseline_seconds", Type::kNumber},
+    {"switched_to_allgather", Type::kBool},
+    {"selection", Type::kString},      {"keep_rate", Type::kNumber},
+    {"quant", Type::kString},          {"bytes_on_wire", Type::kNumber},
+    {"ss_candidates_scored", Type::kNumber},
+    {"ss_candidates_kept", Type::kNumber},
+    {"loss", Type::kNumber},           {"lr", Type::kNumber},
+    {"val_accuracy", Type::kNumber},   {"sim_seconds", Type::kNumber},
+    {"comm_seconds", Type::kNumber}};
+
+[[noreturn]] void malformed(const std::string& where, const std::string& why) {
+  throw std::runtime_error("analyze: " + where + ": " + why);
 }
 
-void check_schema_version(const util::JsonValue& object,
-                          const std::string& path) {
-  if (!object.has("schema_version")) return;  // pre-versioning artifact
-  const double version = object.at("schema_version").number;
-  if (static_cast<int>(version) != kTelemetrySchemaVersion) {
-    malformed(path, "unsupported schema_version " +
-                        std::to_string(static_cast<int>(version)) +
-                        " (this build understands " +
-                        std::to_string(kTelemetrySchemaVersion) + ")");
+/// One JSON object read through typed accessors: each rejects a missing
+/// key or a value of the wrong type, naming `where` (file, line) and key.
+class Fields {
+ public:
+  Fields(const util::JsonValue& object, std::string where)
+      : object_(object), where_(std::move(where)) {
+    if (!object_.is_object()) fail("not a JSON object");
   }
+  [[noreturn]] void fail(const std::string& why) const {
+    malformed(where_, why);
+  }
+
+  const util::JsonValue& get(const char* key, Type type) const {
+    if (!object_.has(key)) fail(std::string("missing key ") + key);
+    const util::JsonValue& value = object_.at(key);
+    if (value.type != type) fail(std::string("key ") + key + ": wrong type");
+    return value;
+  }
+  double number(const char* key) const {
+    const double value = get(key, Type::kNumber).number;
+    if (!std::isfinite(value)) fail(std::string("key ") + key + ": not finite");
+    return value;
+  }
+  /// A non-negative integer below INT_MAX: epochs, ranks, tids, worlds.
+  int id(const char* key) const {
+    const double value = number(key);
+    if (!(value >= 0.0 && value < std::numeric_limits<int>::max()) ||
+        value != std::floor(value)) {
+      fail(std::string("key ") + key + ": not an id");
+    }
+    return static_cast<int>(value);
+  }
+  const std::string& string(const char* key) const {
+    return get(key, Type::kString).string;
+  }
+  bool boolean(const char* key) const { return get(key, Type::kBool).boolean; }
+
+ private:
+  const util::JsonValue& object_;
+  std::string where_;
+};
+
+/// Parse `text` as one stamped JSON object, naming `where` on failure.
+util::JsonValue parse_stamped(const std::string& text,
+                              const std::string& where) {
+  util::JsonValue value;
+  try {
+    value = util::parse_json(text);
+  } catch (const std::exception& error) {
+    malformed(where, error.what());
+  }
+  if (Fields(value, where).id("schema_version") != kTelemetrySchemaVersion) {
+    malformed(where, "unsupported schema_version (this build understands " +
+                         std::to_string(kTelemetrySchemaVersion) + ")");
+  }
+  return value;
 }
 
 }  // namespace
@@ -62,36 +128,36 @@ double interval_union(std::vector<std::pair<double, double>> intervals,
   return total;
 }
 
-std::vector<SpanRecord> load_trace_spans(const std::string& path) {
+std::vector<SpanRecord> load_trace_spans(
+    const std::string& path, std::map<int, std::string>* track_labels) {
   std::ifstream in(path);
   if (!in) malformed(path, "cannot open");
   std::stringstream buffer;
   buffer << in.rdbuf();
-  util::JsonValue trace;
-  try {
-    trace = util::parse_json(buffer.str());
-  } catch (const std::exception& error) {
-    malformed(path, error.what());
-  }
-  if (!trace.is_object() || !trace.has("traceEvents") ||
-      !trace.at("traceEvents").is_array()) {
-    malformed(path, "not a Chrome trace (no traceEvents array)");
-  }
-  check_schema_version(trace, path);
+  const util::JsonValue trace = parse_stamped(buffer.str(), path);
 
   std::vector<SpanRecord> spans;
-  for (const util::JsonValue& event : trace.at("traceEvents").array) {
-    if (!event.is_object() || !event.has("ph")) {
-      malformed(path, "trace event without ph");
+  std::size_t index = 0;
+  for (const util::JsonValue& event :
+       Fields(trace, path).get("traceEvents", Type::kArray).array) {
+    const std::string where = path + ": trace event " + std::to_string(index++);
+    const Fields fields(event, where);
+    fields.id("pid");
+    const int tid = fields.id("tid");
+    const std::string& phase = fields.string("ph");
+    if (phase == "M") {
+      if (fields.string("name") != "thread_name") {
+        fields.fail("metadata other than thread_name");
+      }
+      const std::string& label =
+          Fields(fields.get("args", Type::kObject), where).string("name");
+      if (track_labels != nullptr) (*track_labels)[tid] = label;
+      continue;
     }
-    const std::string& phase = event.at("ph").string;
-    if (phase == "M") continue;  // thread_name metadata
-    if (phase != "X") malformed(path, "unexpected event phase " + phase);
-    SpanRecord span;
-    span.name = event.at("name").string;
-    span.tid = static_cast<int>(event.at("tid").number);
-    span.ts_us = event.at("ts").number;
-    span.dur_us = event.at("dur").number;
+    if (phase != "X") fields.fail("unexpected event phase " + phase);
+    SpanRecord span{fields.string("name"), tid, fields.number("ts"),
+                    fields.number("dur")};
+    if (span.dur_us < 0.0) fields.fail("negative dur");
     spans.push_back(std::move(span));
   }
   return spans;
@@ -100,45 +166,139 @@ std::vector<SpanRecord> load_trace_spans(const std::string& path) {
 std::vector<EpochEvent> load_events(const std::string& path) {
   std::ifstream in(path);
   if (!in) malformed(path, "cannot open");
-  std::vector<EpochEvent> events;
-  std::string line;
-  std::size_t number = 0;
-  while (std::getline(in, line)) {
-    ++number;
-    if (line.empty()) continue;
-    util::JsonValue record;
-    try {
-      record = util::parse_json(line);
-    } catch (const std::exception& error) {
-      malformed(path, "line " + std::to_string(number) + ": " +
-                          error.what());
-    }
-    check_schema_version(record, path);
-    for (const char* key :
-         {"epoch", "rank", "comm_mode", "transport", "probe",
-          "probe_baseline_seconds", "switched_to_allgather", "comm_seconds",
-          "sim_seconds"}) {
-      if (!record.has(key)) {
-        malformed(path, "line " + std::to_string(number) +
-                            ": missing key " + key);
+  const auto at = [&](std::size_t line) {
+    return path + ":" + std::to_string(line);
+  };
+  // Epoch events no recovery has dropped, by (epoch, rank), with lines.
+  std::map<std::pair<int, int>, std::pair<EpochEvent, std::size_t>> standing;
+  std::vector<int> worlds = {-1};  // per attempt; -1 until known
+  std::string text;
+  for (std::size_t number = 1; std::getline(in, text); ++number) {
+    if (text.empty()) continue;
+    const util::JsonValue record = parse_stamped(text, at(number));
+    const Fields line(record, at(number));
+    if (record.has("event")) {
+      const std::string& kind = line.string("event");
+      if (kind == "checkpoint_error") continue;  // a skipped snapshot
+      if (kind != "recovery") {
+        line.fail("event " + kind + " is not part of a training stream");
       }
+      const int old_world = line.id("old_world");
+      const int new_world = line.id("new_world");
+      const int resume_epoch = line.id("resume_epoch");
+      if (new_world < 1 || new_world >= old_world ||
+          (worlds.back() >= 0 && worlds.back() != old_world)) {
+        line.fail("recovery does not shrink the running world");
+      }
+      worlds.back() = old_world;
+      worlds.push_back(new_world);
+      std::erase_if(standing, [&](const auto& entry) {
+        return entry.first.first >= resume_epoch;
+      });
+      continue;
     }
+    for (const auto& [key, type] : kEpochEventKeys) line.get(key, type);
     EpochEvent event;
-    event.epoch = static_cast<int>(record.at("epoch").number);
-    event.rank = static_cast<int>(record.at("rank").number);
-    event.comm_mode = record.at("comm_mode").string;
-    event.transport = record.at("transport").string;
-    event.probe = record.at("probe").boolean;
-    event.switched_to_allgather =
-        record.at("switched_to_allgather").boolean;
-    event.comm_seconds = record.at("comm_seconds").number;
-    event.sim_seconds = record.at("sim_seconds").number;
-    event.probe_baseline_seconds =
-        record.at("probe_baseline_seconds").number;
-    events.push_back(std::move(event));
+    event.epoch = line.id("epoch");
+    event.rank = line.id("rank");
+    event.attempt = static_cast<int>(worlds.size()) - 1;
+    event.comm_mode = line.string("comm_mode");
+    event.transport = line.string("transport");
+    event.probe = line.boolean("probe");
+    event.switched_to_allgather = line.boolean("switched_to_allgather");
+    event.comm_seconds = line.number("comm_seconds");
+    event.sim_seconds = line.number("sim_seconds");
+    event.probe_baseline_seconds = line.number("probe_baseline_seconds");
+    const double keep_rate = line.number("keep_rate");
+    if (!(keep_rate >= 0.0 && keep_rate <= 1.0)) {
+      line.fail("keep_rate " + std::to_string(keep_rate) + " outside [0, 1]");
+    }
+    if (event.probe && event.transport != "allgather") {
+      line.fail("probe epoch runs on " + event.transport);
+    }
+    const std::pair<int, int> key{event.epoch, event.rank};
+    if (!standing.try_emplace(key, std::move(event), number).second) {
+      line.fail("duplicate event for epoch " + std::to_string(key.first) +
+                " rank " + std::to_string(key.second));
+    }
   }
-  if (events.empty()) malformed(path, "no events");
+  if (standing.empty()) malformed(path, "no epoch events");
+  if (worlds.size() == 1) {  // no recovery: every rank that logged
+    for (const auto& [key, entry] : standing) {
+      worlds[0] = std::max(worlds[0], key.second + 1);
+    }
+  }
+
+  // One contiguous range of epochs, each logged by a single attempt: once
+  // by every rank of that attempt's world.
+  std::vector<EpochEvent> events;
+  for (auto it = standing.begin(); it != standing.end();) {
+    const auto& [first, first_line] = it->second;
+    const std::string epoch = "epoch " + std::to_string(first.epoch);
+    if (!events.empty() && events.back().epoch + 1 != first.epoch) {
+      malformed(at(first_line), "epochs jump from " +
+                                    std::to_string(events.back().epoch) +
+                                    " to " + std::to_string(first.epoch));
+    }
+    const int world = worlds[static_cast<std::size_t>(first.attempt)];
+    for (int rank = 0; rank < world; ++rank, ++it) {
+      if (it == standing.end() || it->first != std::pair{first.epoch, rank}) {
+        malformed(at(first_line), epoch + " has no event for rank " +
+                                      std::to_string(rank) + " of " +
+                                      std::to_string(world));
+      }
+      const auto& [event, line] = it->second;
+      if (event.attempt != first.attempt) {
+        malformed(at(line), epoch + " is logged by two attempts");
+      }
+      events.push_back(event);
+    }
+    if (it != standing.end() && it->first.first == first.epoch) {
+      malformed(at(it->second.second),
+                epoch + " has a rank outside the world of " +
+                    std::to_string(world));
+    }
+  }
   return events;
+}
+
+void check_tracks(const std::vector<SpanRecord>& spans,
+                  const std::map<int, std::string>& track_labels,
+                  const std::vector<EpochEvent>& events,
+                  const std::string& trace_path) {
+  // Each track is one sequential program, so its spans either follow or
+  // contain each other; a partial overlap means broken span plumbing
+  // (e.g. two ranks writing one tid).
+  std::map<int, std::vector<const SpanRecord*>> tracks;
+  for (const SpanRecord& span : spans) tracks[span.tid].push_back(&span);
+  for (auto& [tid, track] : tracks) {
+    std::sort(track.begin(), track.end(),
+              [](const SpanRecord* a, const SpanRecord* b) {
+                return a->ts_us != b->ts_us ? a->ts_us < b->ts_us
+                                            : a->dur_us > b->dur_us;
+              });
+    std::vector<double> open_ends;  // ends of the enclosing spans
+    for (const SpanRecord* span : track) {
+      const double end = span->ts_us + span->dur_us;
+      while (!open_ends.empty() && open_ends.back() <= span->ts_us) {
+        open_ends.pop_back();
+      }
+      if (!open_ends.empty() && end > open_ends.back()) {
+        malformed(trace_path, "span " + span->name + " on track " +
+                                  std::to_string(tid) +
+                                  " partially overlaps its enclosing span");
+      }
+      open_ends.push_back(end);
+    }
+  }
+  for (const EpochEvent& event : events) {
+    const std::string label = "rank " + std::to_string(event.rank);
+    const auto it = track_labels.find(event.rank);
+    if (it == track_labels.end() || it->second != label ||
+        tracks.count(event.rank) == 0) {
+      malformed(trace_path, "no track \"" + label + "\" carrying spans");
+    }
+  }
 }
 
 AnalysisReport analyze(const std::vector<SpanRecord>& spans,
@@ -156,44 +316,47 @@ AnalysisReport analyze(const std::vector<SpanRecord>& spans,
   report.num_epochs = static_cast<int>(by_epoch.size());
   report.comm_mode = events.front().comm_mode;
 
-  // Pair each rank's i-th "epoch" span (by start time) with the rank's
-  // i-th event (by epoch number); collectives attribute to the enclosing
-  // epoch span by interval overlap.
-  std::map<int, std::vector<const SpanRecord*>> epoch_spans;   // by tid
-  std::map<int, std::vector<const SpanRecord*>> comm_spans;    // by tid
+  // Within each attempt (recovery.rebuild spans end one), pair a rank's
+  // i-th "epoch" span (by start time) with its i-th event (by epoch
+  // number); collectives attribute to the enclosing epoch span by
+  // interval overlap.
+  std::vector<double> rebuilds;
   for (const SpanRecord& span : spans) {
-    if (span.name == "epoch") epoch_spans[span.tid].push_back(&span);
+    if (span.name == "recovery.rebuild") rebuilds.push_back(span.ts_us);
+  }
+  std::sort(rebuilds.begin(), rebuilds.end());
+  using Track = std::pair<int, int>;  // (rank, attempt)
+  std::map<Track, std::vector<const SpanRecord*>> epoch_spans;
+  std::map<int, std::vector<const SpanRecord*>> comm_spans;  // by tid
+  for (const SpanRecord& span : spans) {
+    if (span.name == "epoch") {
+      const auto attempt = static_cast<int>(
+          std::upper_bound(rebuilds.begin(), rebuilds.end(), span.ts_us) -
+          rebuilds.begin());
+      epoch_spans[{span.tid, attempt}].push_back(&span);
+    }
     if (is_collective(span.name)) comm_spans[span.tid].push_back(&span);
   }
-  for (auto& [tid, list] : epoch_spans) {
+  for (auto& [track, list] : epoch_spans) {
     std::stable_sort(list.begin(), list.end(),
                      [](const SpanRecord* a, const SpanRecord* b) {
                        return a->ts_us < b->ts_us;
                      });
   }
 
-  std::map<int, std::vector<int>> epochs_of_rank;  // sorted epoch numbers
-  for (const auto& [epoch, ranks] : by_epoch) {
-    for (const auto& [rank, event] : ranks) {
-      epochs_of_rank[rank].push_back(epoch);
-    }
-  }
-
+  std::map<Track, std::size_t> paired;  // events paired so far, per track
   for (const auto& [epoch, ranks] : by_epoch) {
     EpochAnalysis analysis;
     analysis.epoch = epoch;
-    bool complete = static_cast<int>(ranks.size()) == report.num_ranks;
+    bool complete = true;
     double dur_sum = 0.0, dur_max = -1.0, comm_fraction_sum = 0.0;
     for (const auto& [rank, event] : ranks) {
-      const auto& order = epochs_of_rank[rank];
-      const auto position =
-          std::lower_bound(order.begin(), order.end(), epoch) -
-          order.begin();
-      const auto track = epoch_spans.find(rank);
-      if (track == epoch_spans.end() ||
-          position >= static_cast<std::ptrdiff_t>(track->second.size())) {
+      const Track key{rank, event->attempt};
+      const std::size_t position = paired[key]++;
+      const auto track = epoch_spans.find(key);
+      if (track == epoch_spans.end() || position >= track->second.size()) {
         complete = false;
-        break;
+        continue;
       }
       const SpanRecord& span = *track->second[position];
       RankEpochProfile profile;

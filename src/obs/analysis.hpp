@@ -41,6 +41,9 @@ struct SpanRecord {
 struct EpochEvent {
   int epoch = 0;
   int rank = 0;
+  /// The supervised attempt that logged it: how many recovery lines
+  /// precede it in the stream (0 in a run that never recovered).
+  int attempt = 0;
   std::string comm_mode;
   std::string transport;
   bool probe = false;
@@ -110,19 +113,39 @@ struct AnalysisReport {
 double interval_union(std::vector<std::pair<double, double>> intervals,
                       double lo, double hi);
 
-/// Parse a TraceWriter JSON file. Throws std::runtime_error on malformed
-/// input or an unknown schema_version.
-std::vector<SpanRecord> load_trace_spans(const std::string& path);
+// -- The training-telemetry contract (DESIGN.md §11) ------------------------
+// These loaders and check_tracks are its one statement; `dynkge analyze`
+// runs all three before analysing. Violations throw std::runtime_error
+// naming the file (and, for events, the line).
 
-/// Parse an EventLog JSONL file. Throws std::runtime_error on malformed
-/// lines, missing required fields, or an unknown schema_version.
+/// Parse a TraceWriter JSON file; `track_labels`, when given, receives the
+/// thread_name label of each tid. Throws std::runtime_error on input that
+/// breaks the trace half of the contract.
+std::vector<SpanRecord> load_trace_spans(
+    const std::string& path,
+    std::map<int, std::string>* track_labels = nullptr);
+
+/// Parse an EventLog JSONL file of one training run and return the epoch
+/// events that stand after its recoveries, by (epoch, rank). Throws
+/// std::runtime_error on input that breaks the event half of the contract.
 std::vector<EpochEvent> load_events(const std::string& path);
 
+/// The checks that join a training run's trace with its events: spans
+/// nest on every track, and each rank in `events` has a labelled "rank N"
+/// track carrying spans. Serve traces, whose concurrent serve.* spans
+/// share one unlabelled track, skip it.
+void check_tracks(const std::vector<SpanRecord>& spans,
+                  const std::map<int, std::string>& track_labels,
+                  const std::vector<EpochEvent>& events,
+                  const std::string& trace_path);
+
 /// Join spans and events into the full report. Epoch numbering comes from
-/// the events; the i-th "epoch" span on a rank's track is paired with the
-/// rank's i-th event. Epochs missing a span on any rank (e.g. truncated
-/// traces) are left out of `epochs` — the strategy audit, which needs
-/// only the events, still covers them.
+/// the events. Within each attempt (a recovery.rebuild span ends one), a
+/// rank's i-th "epoch" span (by start time) pairs with its i-th event of
+/// that attempt; a span left over (an aborted epoch) stays unpaired. An
+/// epoch is analysed over the ranks that logged it, and left out of
+/// `epochs` if one of them has no span (e.g. a truncated trace) — the
+/// strategy audit, which needs only the events, still covers it.
 AnalysisReport analyze(const std::vector<SpanRecord>& spans,
                        const std::vector<EpochEvent>& events);
 

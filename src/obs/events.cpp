@@ -11,18 +11,17 @@ EventLog::EventLog(const std::string& path) : out_(path, std::ios::trunc) {
 }
 
 void EventLog::write_line(const std::string& json) {
-  const std::lock_guard<std::mutex> lock(mu_);
+  if (json.size() < 2 || json.front() != '{') {
+    throw std::invalid_argument("EventLog: a line must be a JSON object");
+  }
   // Stamp the schema version as the first field so every writer (trainer,
   // serving, streaming) emits versioned records without carrying the key
-  // itself. Non-object lines pass through untouched.
-  if (json.size() >= 2 && json.front() == '{') {
-    out_ << "{\"schema_version\":" << kTelemetrySchemaVersion;
-    if (json[1] != '}') out_ << ',';
-    out_.write(json.data() + 1, static_cast<std::streamsize>(json.size() - 1));
-    out_ << '\n';
-  } else {
-    out_ << json << '\n';
-  }
+  // itself.
+  const std::lock_guard<std::mutex> lock(mu_);
+  out_ << "{\"schema_version\":" << kTelemetrySchemaVersion;
+  if (json[1] != '}') out_ << ',';
+  out_.write(json.data() + 1, static_cast<std::streamsize>(json.size() - 1));
+  out_ << '\n';
   ++lines_;
 }
 

@@ -2,7 +2,8 @@
 //
 // One line per event, each a self-contained JSON object, so a whole
 // training run can be replayed and plotted offline (`jq`, pandas,
-// `tools/check_telemetry.py`). Writers are cold-path (once per epoch per
+// `dynkge analyze`, whose loaders in obs/analysis state the contract a
+// training stream meets). Writers are cold-path (once per epoch per
 // rank); a mutex serializes lines so concurrent ranks never interleave
 // bytes within a line.
 #pragma once
@@ -16,7 +17,7 @@ namespace dynkge::obs {
 
 /// Version stamped into every telemetry artifact this build writes: each
 /// JSONL event line and the trace file's top-level metadata. Consumers
-/// (tools/check_telemetry.py, obs/analysis) reject versions they do not
+/// (obs/analysis) reject a missing stamp or a version they do not
 /// understand instead of misreading renamed fields. Bump when an existing
 /// field changes meaning; adding fields is backward-compatible.
 inline constexpr int kTelemetrySchemaVersion = 1;
@@ -31,7 +32,8 @@ class EventLog {
 
   /// Append one JSON object as its own line, stamping
   /// `"schema_version":N` as its first field. `json` must be a complete
-  /// serialized object without a trailing newline. Thread-safe.
+  /// serialized object without a trailing newline; anything that does not
+  /// start with '{' throws std::invalid_argument. Thread-safe.
   void write_line(const std::string& json);
 
   std::uint64_t lines_written() const;

@@ -3,9 +3,11 @@
 // it. The JSON output loads directly in Perfetto / chrome://tracing.
 //
 // Track layout: one pid (0, the process), one tid per logical track —
-// the trainer uses tid = rank for the simulated ranks and tid = num_nodes
-// for host-side work, the serving layer tid 0. set_thread_name() attaches
-// the human-readable track labels via "M" metadata events.
+// the trainer uses tid = rank for the simulated ranks and tid = the
+// configured num_nodes for host-side work (also after an elastic shrink,
+// so a dead rank's track keeps its "rank N" label), the serving layer
+// tid 0. set_thread_name() attaches the human-readable track labels via
+// "M" metadata events.
 //
 // Disabled cost: a TraceSpan constructed with a null writer performs no
 // clock read and no allocation — the disabled hot path is two pointer

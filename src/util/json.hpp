@@ -27,9 +27,6 @@ struct JsonValue {
 
   bool is_object() const { return type == Type::kObject; }
   bool is_array() const { return type == Type::kArray; }
-  bool is_number() const { return type == Type::kNumber; }
-  bool is_string() const { return type == Type::kString; }
-  bool is_bool() const { return type == Type::kBool; }
 
   bool has(const std::string& key) const {
     return is_object() && object.count(key) > 0;
@@ -45,6 +42,9 @@ struct JsonValue {
 
 class JsonParser {
  public:
+  /// Deeper nesting is rejected rather than recursed into (the stack).
+  static constexpr int kMaxDepth = 64;
+
   explicit JsonParser(const std::string& text) : text_(text) {}
 
   /// Parse the whole input as one JSON value; trailing garbage throws.
@@ -92,9 +92,14 @@ class JsonParser {
     JsonValue value;
     switch (peek()) {
       case '{':
-        return parse_object();
       case '[':
-        return parse_array();
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        value = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
       case '"':
         value.type = JsonValue::Type::kString;
         value.string = parse_string();
@@ -225,6 +230,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 inline JsonValue parse_json(const std::string& text) {

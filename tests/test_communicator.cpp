@@ -186,46 +186,6 @@ TEST_P(CommunicatorP, UnchargedAllGatherMovesDataButNoCost) {
   });
 }
 
-TEST_P(CommunicatorP, TraceDisabledByDefault) {
-  Cluster cluster(GetParam());
-  cluster.run([](Communicator& comm) {
-    comm.barrier();
-    std::vector<float> v(4, 1.0f);
-    comm.allreduce_sum_inplace(v);
-    EXPECT_TRUE(comm.trace().empty());
-  });
-}
-
-TEST_P(CommunicatorP, TraceRecordsOrderedTimeline) {
-  Cluster cluster(GetParam());
-  cluster.run([&](Communicator& comm) {
-    comm.enable_trace();
-    comm.sim_add_compute(0.5);
-    std::vector<float> v(256, 1.0f);
-    comm.allreduce_sum_inplace(v);
-    comm.barrier();
-    std::vector<std::byte> raw(16, std::byte{1});
-    std::vector<std::byte> out;
-    std::vector<std::size_t> counts;
-    comm.allgatherv_bytes(raw, out, counts);
-
-    const auto& trace = comm.trace();
-    ASSERT_EQ(trace.size(), 3u);
-    EXPECT_EQ(trace[0].kind, CollectiveKind::kAllReduce);
-    EXPECT_EQ(trace[0].bytes, 256 * sizeof(float));
-    EXPECT_EQ(trace[1].kind, CollectiveKind::kBarrier);
-    EXPECT_EQ(trace[2].kind, CollectiveKind::kAllGatherV);
-    // Timeline is ordered and starts after the compute segment.
-    EXPECT_GE(trace[0].sim_start, 0.5);
-    for (const auto& event : trace) {
-      EXPECT_LE(event.sim_start, event.sim_end);
-    }
-    for (std::size_t i = 1; i < trace.size(); ++i) {
-      EXPECT_GE(trace[i].sim_start, trace[i - 1].sim_end);
-    }
-  });
-}
-
 TEST(Cluster, RejectsZeroRanks) {
   EXPECT_THROW(Cluster(0), std::invalid_argument);
 }

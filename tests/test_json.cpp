@@ -151,20 +151,6 @@ TEST(ReportJson, ContainsAllSections) {
   EXPECT_EQ(occurrences, 4u);
 }
 
-TEST(ReportJson, IncludesCommTraceWhenPresent) {
-  core::TrainReport report;
-  report.strategy_label = "allgather";
-  report.comm_trace.push_back(
-      comm::CommEvent{comm::CollectiveKind::kAllGatherV, 128, 0.5, 0.7});
-  const std::string json = core::report_to_json(report);
-  EXPECT_NE(json.find("\"comm_trace\""), std::string::npos);
-  EXPECT_NE(json.find("\"allgatherv\""), std::string::npos);
-  // Absent when empty.
-  core::TrainReport quiet;
-  EXPECT_EQ(core::report_to_json(quiet).find("comm_trace"),
-            std::string::npos);
-}
-
 TEST(ReportJson, WriteToFile) {
   core::TrainReport report;
   report.strategy_label = "allreduce";

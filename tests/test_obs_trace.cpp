@@ -1,24 +1,24 @@
 // TraceWriter/TraceSpan: event recording, disabled no-op, JSON
-// well-formedness, and proper nesting of the spans a real training run
-// emits on every rank's track.
+// well-formedness, and a real training run's trace meeting the telemetry
+// contract (obs/analysis): spans nest on every labelled rank track.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "core/trainer.hpp"
 #include "kge/synthetic.hpp"
+#include "obs/analysis.hpp"
+#include "obs/events.hpp"
 #include "util/json.hpp"
 
 namespace dynkge::obs {
 namespace {
 
-using dynkge::util::JsonValue;
 using dynkge::util::parse_json;
 
 TEST(TraceSpan, NullWriterIsANoOp) {
@@ -76,44 +76,6 @@ TEST(TraceWriter, ThreadNamesBecomeMetadataEvents) {
   EXPECT_EQ(names[7], "host");
 }
 
-/// Check that the complete events on each track are properly nested: a
-/// span either finishes before the next one starts or fully contains it.
-/// Each tid is one sequential rank program reading one monotonic clock,
-/// so RAII scoping guarantees this — a violation means broken span
-/// plumbing (e.g. two ranks writing the same tid).
-void expect_properly_nested(const std::vector<JsonValue>& events) {
-  std::map<double, std::vector<const JsonValue*>> per_tid;
-  for (const auto& event : events) {
-    if (event.at("ph").string == "X") {
-      per_tid[event.at("tid").number].push_back(&event);
-    }
-  }
-  EXPECT_FALSE(per_tid.empty());
-  for (auto& [tid, spans] : per_tid) {
-    std::sort(spans.begin(), spans.end(),
-              [](const JsonValue* a, const JsonValue* b) {
-                if (a->at("ts").number != b->at("ts").number) {
-                  return a->at("ts").number < b->at("ts").number;
-                }
-                return a->at("dur").number > b->at("dur").number;
-              });
-    std::vector<double> open_ends;  // stack of enclosing span end times
-    for (const JsonValue* span : spans) {
-      const double ts = span->at("ts").number;
-      const double end = ts + span->at("dur").number;
-      while (!open_ends.empty() && open_ends.back() <= ts) {
-        open_ends.pop_back();
-      }
-      if (!open_ends.empty()) {
-        EXPECT_LE(end, open_ends.back())
-            << "span " << span->at("name").string << " on tid " << tid
-            << " partially overlaps its predecessor";
-      }
-      open_ends.push_back(end);
-    }
-  }
-}
-
 TEST(TraceWriter, TrainingRunEmitsWellFormedNestedSpans) {
   const kge::Dataset dataset = kge::generate_synthetic([] {
     kge::SyntheticSpec spec;
@@ -126,6 +88,9 @@ TEST(TraceWriter, TrainingRunEmitsWellFormedNestedSpans) {
   }());
 
   TraceWriter trace;
+  const std::string trace_path = ::testing::TempDir() + "nested_trace.json";
+  const std::string events_path = ::testing::TempDir() + "nested_events.jsonl";
+  EventLog events(events_path);
   core::TrainConfig config;
   config.embedding_rank = 8;
   config.num_nodes = 2;
@@ -139,21 +104,25 @@ TEST(TraceWriter, TrainingRunEmitsWellFormedNestedSpans) {
   config.strategy = core::StrategyConfig::drs_1bit_rp_ss(4, 1);
   config.strategy.dynamic_probe_interval = 2;
   config.telemetry.trace = &trace;
+  config.telemetry.events = &events;
   const auto report = core::DistributedTrainer(dataset, config).train();
   ASSERT_EQ(report.epochs, 3);
   ASSERT_GT(trace.size(), 0u);
+  events.flush();
+  trace.write(trace_path);
 
-  const auto root = parse_json(trace.to_json());
-  const auto& events = root.at("traceEvents").array;
-
+  // The telemetry contract: typed complete spans that nest on every track
+  // (each tid is one sequential rank program, so RAII scoping guarantees
+  // it), and a labelled "rank N" track carrying spans for every rank.
+  std::map<int, std::string> labels;
+  const auto spans = load_trace_spans(trace_path, &labels);
+  check_tracks(spans, labels, load_events(events_path), trace_path);
   std::set<std::string> names;
-  for (const auto& event : events) {
-    if (event.at("ph").string == "X") {
-      names.insert(event.at("name").string);
-      // Only rank tracks (0, 1) and the host track (2) exist.
-      EXPECT_GE(event.at("tid").number, 0.0);
-      EXPECT_LE(event.at("tid").number, 2.0);
-    }
+  for (const SpanRecord& span : spans) {
+    names.insert(span.name);
+    // Only rank tracks (0, 1) and the host track (2) exist.
+    EXPECT_GE(span.tid, 0);
+    EXPECT_LE(span.tid, 2);
   }
   for (const char* expected :
        {"epoch", "hard_negatives", "forward_backward", "grad_select",
@@ -164,8 +133,8 @@ TEST(TraceWriter, TrainingRunEmitsWellFormedNestedSpans) {
   // Epoch 2 is the all-gather probe, epochs 0-1 run all-reduce.
   EXPECT_EQ(names.count("exchange.allreduce"), 1u);
   EXPECT_EQ(names.count("exchange.allgather"), 1u);
-
-  expect_properly_nested(events);
+  std::remove(trace_path.c_str());
+  std::remove(events_path.c_str());
 }
 
 }  // namespace

@@ -293,24 +293,6 @@ TEST(Trainer, ParameterServerMatchesAllReduceTrajectory) {
   EXPECT_EQ(ps.strategy_label, "param-server");
 }
 
-TEST(Trainer, CommTraceCapturedWhenRequested) {
-  TrainConfig config = fast_config(2);
-  config.max_epochs = 3;
-  config.trace_communication = true;
-  config.strategy = StrategyConfig::baseline_allgather(2);
-  const auto report = DistributedTrainer(tiny_dataset(), config).train();
-  ASSERT_FALSE(report.comm_trace.empty());
-  // The timeline ends near the total simulated time and never regresses.
-  for (std::size_t i = 1; i < report.comm_trace.size(); ++i) {
-    EXPECT_GE(report.comm_trace[i].sim_start,
-              report.comm_trace[i - 1].sim_start);
-  }
-  // Off by default.
-  config.trace_communication = false;
-  const auto quiet = DistributedTrainer(tiny_dataset(), config).train();
-  EXPECT_TRUE(quiet.comm_trace.empty());
-}
-
 TEST(Trainer, WarmStartResumesFromGivenParameters) {
   TrainConfig config = fast_config(2);
   config.max_epochs = 8;

@@ -19,7 +19,7 @@ intentional perf change is one command.
 Exit codes (distinct so CI failures are self-explanatory):
     0  every gate held
     1  malformed input: unreadable/invalid JSON, unknown bench kind,
-       bench-kind mismatch, or unsupported schema_version
+       bench-kind mismatch, or missing/unsupported schema_version
     2  a gated metric is missing from the current results (the bench
        stopped emitting it -- usually a rename or a dropped sweep point)
     3  a metric is out of its gate (a real regression)
@@ -312,8 +312,8 @@ def lookup(node, path):
 
 def check_schema_version(doc, label):
     version = doc.get("schema_version")
-    if version is not None and version not in KNOWN_SCHEMA_VERSIONS:
-        return (f"{label}: unsupported schema_version {version!r} "
+    if version not in KNOWN_SCHEMA_VERSIONS:
+        return (f"{label}: missing or unsupported schema_version {version!r} "
                 f"(known: {list(KNOWN_SCHEMA_VERSIONS)})")
     return None
 

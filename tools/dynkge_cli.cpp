@@ -149,6 +149,7 @@
 #include <atomic>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -626,11 +627,13 @@ int cmd_train(const util::ArgParser& args) {
   return 0;
 }
 
-// Offline telemetry analysis: join a train run's trace spans with its
-// event stream (obs/analysis.hpp) and print the critical-path table plus
-// the DRS strategy audit. Exit codes: 0 clean, 2 bad flags, 4 when a
-// recorded probe decision contradicts the recorded costs — so CI can gate
-// on "the selector never decided against its own measurements".
+// Offline telemetry analysis: check a train run's trace and event stream
+// against the telemetry contract (obs/analysis.hpp), join them, and print
+// the critical-path table plus the DRS strategy audit. Exit codes: 0
+// clean, 1 an artifact breaks the contract (the message names the file
+// and line), 2 bad flags, 4 when a recorded probe decision contradicts the
+// recorded costs — so CI can gate on "the selector never decided against
+// its own measurements".
 int cmd_analyze(const util::ArgParser& args) {
   const std::string trace_path = args.get_string("trace", "");
   const std::string events_path = args.get_string("events", "");
@@ -639,8 +642,10 @@ int cmd_analyze(const util::ArgParser& args) {
                  "are required\n";
     return 2;
   }
-  const auto spans = obs::load_trace_spans(trace_path);
+  std::map<int, std::string> labels;
+  const auto spans = obs::load_trace_spans(trace_path, &labels);
   const auto events = obs::load_events(events_path);
+  obs::check_tracks(spans, labels, events, trace_path);
   const obs::AnalysisReport report = obs::analyze(spans, events);
 
   const std::string text =
