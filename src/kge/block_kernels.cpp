@@ -8,11 +8,12 @@
 //
 // Determinism contract (DESIGN.md "Blocked training kernels"):
 //
-//  * Scoring: one independent double accumulation chain per triple, each
-//    chain's per-element expression copied verbatim from score(). The
-//    4-wide forms interleave four chains for instruction-level
-//    parallelism; interleaving independent chains does not reassociate
-//    any of them, so every score is bit-identical to the scalar path.
+//  * Scoring: a model's term kernel writes each triple's per-element
+//    terms, each one score()'s per-element expression verbatim, loading
+//    every row contiguously and vectorizing along the element index. One
+//    shared kernel then adds eight triples' terms in eight independent
+//    left-to-right chains from 0.0. No term is split and no chain is
+//    reordered, so every score is bit-identical to the scalar path.
 //
 //  * Gradients: work items are processed strictly in order. For h != t
 //    the three gradient rows are distinct memory, so each element is
@@ -26,6 +27,7 @@
 //    relation per block (same input -> same libm value, so caching is
 //    byte-safe) instead of once per triple.
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 #include <vector>
@@ -35,52 +37,71 @@
 #include "kge/distmult_model.hpp"
 #include "kge/rotate_model.hpp"
 #include "kge/transe_model.hpp"
-#include "util/span_math.hpp"
 
 namespace dynkge::kge {
 namespace {
 
+// ---- scoring: per-element terms, summed in eight chains ----------------
+
+/// Triples summed side by side. One chain waits on its own previous add;
+/// eight independent chains keep the adders busy meanwhile.
+constexpr std::size_t kChains = 8;
+/// Elements per stack chunk of terms. The chains carry across chunks, so
+/// any rank fits in kChains x kChunk doubles (4 KiB).
+constexpr std::int32_t kChunk = 64;
+
+/// out[j] = the left-to-right double sum, from 0.0, of triple j's k terms,
+/// for j in [0, count). `terms(j, begin, n, dst)` writes triple j's terms
+/// for elements [begin, begin + n) to dst. Inlined into each model's
+/// cloned kernel, so the term loops compile per ISA.
+template <typename Terms>
+[[gnu::always_inline]] inline void sum_terms(std::size_t count,
+                                             std::int32_t k,
+                                             const Terms& terms,
+                                             double* out) {
+  double chunk[kChains][kChunk] = {};
+  for (std::size_t j = 0; j < count; j += kChains) {
+    const std::size_t group = std::min(kChains, count - j);
+    double acc[kChains] = {};
+    for (std::int32_t begin = 0; begin < k; begin += kChunk) {
+      const std::int32_t n = std::min(kChunk, k - begin);
+      for (std::size_t q = 0; q < kChains; ++q) {
+        if (q < group) {
+          terms(j + q, begin, n, chunk[q]);
+        } else {
+          std::fill_n(chunk[q], n, 0.0);  // an idle chain adds zeros
+        }
+      }
+      for (std::int32_t i = 0; i < n; ++i) {
+        for (std::size_t q = 0; q < kChains; ++q) acc[q] += chunk[q][i];
+      }
+    }
+    std::copy_n(acc, group, out + j);
+  }
+}
+
 // ---- ComplEx ---------------------------------------------------------
 
 DYNKGE_KERNEL_CLONES
-void complex_score4(const float* const eh[4], const float* const er[4],
-                    const float* const et[4], std::int32_t k,
-                    double out[4]) {
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  for (std::int32_t i = 0; i < k; ++i) {
-    {
-      const double h_re = eh[0][i], h_im = eh[0][k + i];
-      const double r_re = er[0][i], r_im = er[0][k + i];
-      const double t_re = et[0][i], t_im = et[0][k + i];
-      acc0 += h_re * r_re * t_re + h_im * r_re * t_im + h_re * r_im * t_im -
-              h_im * r_im * t_re;
+void complex_scores(const EmbeddingMatrix& entities,
+                    const EmbeddingMatrix& relations,
+                    std::span<const Triple> triples, std::int32_t k,
+                    double* out) {
+  const auto terms = [&](std::size_t j, std::int32_t begin, std::int32_t n,
+                         double* __restrict dst)
+      __attribute__((always_inline)) {
+    const float* eh = entities.row(triples[j].head).data() + begin;
+    const float* er = relations.row(triples[j].relation).data() + begin;
+    const float* et = entities.row(triples[j].tail).data() + begin;
+    for (std::int32_t i = 0; i < n; ++i) {
+      const double h_re = eh[i], h_im = eh[k + i];
+      const double r_re = er[i], r_im = er[k + i];
+      const double t_re = et[i], t_im = et[k + i];
+      dst[i] = h_re * r_re * t_re + h_im * r_re * t_im + h_re * r_im * t_im -
+               h_im * r_im * t_re;
     }
-    {
-      const double h_re = eh[1][i], h_im = eh[1][k + i];
-      const double r_re = er[1][i], r_im = er[1][k + i];
-      const double t_re = et[1][i], t_im = et[1][k + i];
-      acc1 += h_re * r_re * t_re + h_im * r_re * t_im + h_re * r_im * t_im -
-              h_im * r_im * t_re;
-    }
-    {
-      const double h_re = eh[2][i], h_im = eh[2][k + i];
-      const double r_re = er[2][i], r_im = er[2][k + i];
-      const double t_re = et[2][i], t_im = et[2][k + i];
-      acc2 += h_re * r_re * t_re + h_im * r_re * t_im + h_re * r_im * t_im -
-              h_im * r_im * t_re;
-    }
-    {
-      const double h_re = eh[3][i], h_im = eh[3][k + i];
-      const double r_re = er[3][i], r_im = er[3][k + i];
-      const double t_re = et[3][i], t_im = et[3][k + i];
-      acc3 += h_re * r_re * t_re + h_im * r_re * t_im + h_re * r_im * t_im -
-              h_im * r_im * t_re;
-    }
-  }
-  out[0] = acc0;
-  out[1] = acc1;
-  out[2] = acc2;
-  out[3] = acc3;
+  };
+  sum_terms(triples.size(), k, terms, out);
 }
 
 DYNKGE_KERNEL_CLONES
@@ -103,12 +124,23 @@ void complex_grad(const float* __restrict eh, const float* __restrict er,
 
 // ---- TransE ----------------------------------------------------------
 
-/// util::l1_translation4 compiled under the kernel dispatch (inlining into
-/// a cloned body specializes the header inline per ISA).
+/// The L1 distance sum_i |h + r - t|; TransE scores gamma minus it.
 DYNKGE_KERNEL_CLONES
-void transe_l1_4(const float* const eh[4], const float* const er[4],
-                 const float* const et[4], std::int32_t k, double out[4]) {
-  util::l1_translation4(eh, er, et, k, out);
+void transe_distances(const EmbeddingMatrix& entities,
+                      const EmbeddingMatrix& relations,
+                      std::span<const Triple> triples, std::int32_t k,
+                      double* out) {
+  const auto terms = [&](std::size_t j, std::int32_t begin, std::int32_t n,
+                         double* __restrict dst)
+      __attribute__((always_inline)) {
+    const float* eh = entities.row(triples[j].head).data() + begin;
+    const float* er = relations.row(triples[j].relation).data() + begin;
+    const float* et = entities.row(triples[j].tail).data() + begin;
+    for (std::int32_t i = 0; i < n; ++i) {
+      dst[i] = std::fabs(static_cast<double>(eh[i]) + er[i] - et[i]);
+    }
+  };
+  sum_terms(triples.size(), k, terms, out);
 }
 
 DYNKGE_KERNEL_CLONES
@@ -127,12 +159,22 @@ void transe_grad(const float* __restrict eh, const float* __restrict er,
 
 // ---- DistMult --------------------------------------------------------
 
-/// util::trilinear_dot4 compiled under the kernel dispatch.
 DYNKGE_KERNEL_CLONES
-void distmult_score4(const float* const eh[4], const float* const er[4],
-                     const float* const et[4], std::int32_t k,
-                     double out[4]) {
-  util::trilinear_dot4(eh, er, et, k, out);
+void distmult_scores(const EmbeddingMatrix& entities,
+                     const EmbeddingMatrix& relations,
+                     std::span<const Triple> triples, std::int32_t k,
+                     double* out) {
+  const auto terms = [&](std::size_t j, std::int32_t begin, std::int32_t n,
+                         double* __restrict dst)
+      __attribute__((always_inline)) {
+    const float* eh = entities.row(triples[j].head).data() + begin;
+    const float* er = relations.row(triples[j].relation).data() + begin;
+    const float* et = entities.row(triples[j].tail).data() + begin;
+    for (std::int32_t i = 0; i < n; ++i) {
+      dst[i] = static_cast<double>(eh[i]) * er[i] * et[i];
+    }
+  };
+  sum_terms(triples.size(), k, terms, out);
 }
 
 DYNKGE_KERNEL_CLONES
@@ -179,18 +221,31 @@ class RotatePhaseCache {
   std::vector<double> data_;
 };
 
+/// The rotated distance sum_i |h_i e^{i theta_i} - t_i|; RotatE scores
+/// gamma minus it.
 DYNKGE_KERNEL_CLONES
-double rotate_distance(const float* eh, const float* et, const double* cs,
-                       std::int32_t k) {
-  double distance = 0.0;
-  for (std::int32_t i = 0; i < k; ++i) {
-    const double c = cs[i];
-    const double s = cs[k + i];
-    const double d_re = eh[i] * c - eh[k + i] * s - et[i];
-    const double d_im = eh[i] * s + eh[k + i] * c - et[k + i];
-    distance += std::sqrt(d_re * d_re + d_im * d_im + RotatEModel::kEpsilon);
-  }
-  return distance;
+void rotate_distances(const EmbeddingMatrix& entities,
+                      const EmbeddingMatrix& relations,
+                      RotatePhaseCache& cache,
+                      std::span<const Triple> triples, std::int32_t k,
+                      double* out) {
+  const auto terms = [&](std::size_t j, std::int32_t begin, std::int32_t n,
+                         double* __restrict dst)
+      __attribute__((always_inline)) {
+    const Triple& triple = triples[j];
+    const float* eh = entities.row(triple.head).data() + begin;
+    const float* et = entities.row(triple.tail).data() + begin;
+    const double* cs =
+        cache.get(triple.relation, relations.row(triple.relation)) + begin;
+    for (std::int32_t i = 0; i < n; ++i) {
+      const double c = cs[i];
+      const double s = cs[k + i];
+      const double d_re = eh[i] * c - eh[k + i] * s - et[i];
+      const double d_im = eh[i] * s + eh[k + i] * c - et[k + i];
+      dst[i] = std::sqrt(d_re * d_re + d_im * d_im + RotatEModel::kEpsilon);
+    }
+  };
+  sum_terms(triples.size(), k, terms, out);
 }
 
 DYNKGE_KERNEL_CLONES
@@ -224,22 +279,7 @@ void rotate_grad(const float* __restrict eh, const float* __restrict et,
 
 void ComplExModel::score_triples_block(std::span<const Triple> triples,
                                        std::span<double> out) const {
-  const std::int32_t k = rank_;
-  std::size_t j = 0;
-  for (; j + 4 <= triples.size(); j += 4) {
-    const float* eh[4];
-    const float* er[4];
-    const float* et[4];
-    for (int q = 0; q < 4; ++q) {
-      eh[q] = entities_.row(triples[j + q].head).data();
-      er[q] = relations_.row(triples[j + q].relation).data();
-      et[q] = entities_.row(triples[j + q].tail).data();
-    }
-    complex_score4(eh, er, et, k, out.data() + j);
-  }
-  for (; j < triples.size(); ++j) {
-    out[j] = score(triples[j].head, triples[j].relation, triples[j].tail);
-  }
+  complex_scores(entities_, relations_, triples, rank_, out.data());
 }
 
 void ComplExModel::accumulate_gradients_block(std::span<const GradWork> work,
@@ -259,22 +299,7 @@ void ComplExModel::accumulate_gradients_block(std::span<const GradWork> work,
 
 void DistMultModel::score_triples_block(std::span<const Triple> triples,
                                         std::span<double> out) const {
-  const std::int32_t k = rank_;
-  std::size_t j = 0;
-  for (; j + 4 <= triples.size(); j += 4) {
-    const float* eh[4];
-    const float* er[4];
-    const float* et[4];
-    for (int q = 0; q < 4; ++q) {
-      eh[q] = entities_.row(triples[j + q].head).data();
-      er[q] = relations_.row(triples[j + q].relation).data();
-      et[q] = entities_.row(triples[j + q].tail).data();
-    }
-    distmult_score4(eh, er, et, k, out.data() + j);
-  }
-  for (; j < triples.size(); ++j) {
-    out[j] = score(triples[j].head, triples[j].relation, triples[j].tail);
-  }
+  distmult_scores(entities_, relations_, triples, rank_, out.data());
 }
 
 void DistMultModel::accumulate_gradients_block(std::span<const GradWork> work,
@@ -294,27 +319,8 @@ void DistMultModel::accumulate_gradients_block(std::span<const GradWork> work,
 
 void TransEModel::score_triples_block(std::span<const Triple> triples,
                                       std::span<double> out) const {
-  const std::int32_t k = rank_;
-  std::size_t j = 0;
-  for (; j + 4 <= triples.size(); j += 4) {
-    const float* eh[4];
-    const float* er[4];
-    const float* et[4];
-    for (int q = 0; q < 4; ++q) {
-      eh[q] = entities_.row(triples[j + q].head).data();
-      er[q] = relations_.row(triples[j + q].relation).data();
-      et[q] = entities_.row(triples[j + q].tail).data();
-    }
-    double l1[4];
-    transe_l1_4(eh, er, et, k, l1);
-    out[j] = gamma_ - l1[0];
-    out[j + 1] = gamma_ - l1[1];
-    out[j + 2] = gamma_ - l1[2];
-    out[j + 3] = gamma_ - l1[3];
-  }
-  for (; j < triples.size(); ++j) {
-    out[j] = score(triples[j].head, triples[j].relation, triples[j].tail);
-  }
+  transe_distances(entities_, relations_, triples, rank_, out.data());
+  for (std::size_t j = 0; j < triples.size(); ++j) out[j] = gamma_ - out[j];
 }
 
 void TransEModel::accumulate_gradients_block(std::span<const GradWork> work,
@@ -334,35 +340,11 @@ void TransEModel::accumulate_gradients_block(std::span<const GradWork> work,
 
 void RotatEModel::score_triples_block(std::span<const Triple> triples,
                                       std::span<double> out) const {
-  const std::int32_t k = rank_;
   const std::size_t max_relations =
       std::min(triples.size(), static_cast<std::size_t>(num_relations()));
-  RotatePhaseCache cache(k, max_relations);
-  // The distance chains carry a sqrt each, so the win here is the phase
-  // cache plus 4 independent chains hiding the sqrt latency.
-  std::size_t j = 0;
-  for (; j + 4 <= triples.size(); j += 4) {
-    const float* eh[4];
-    const float* et[4];
-    const double* cs[4];
-    for (int q = 0; q < 4; ++q) {
-      const Triple& triple = triples[j + q];
-      eh[q] = entities_.row(triple.head).data();
-      et[q] = entities_.row(triple.tail).data();
-      cs[q] = cache.get(triple.relation, relations_.row(triple.relation));
-    }
-    for (int q = 0; q < 4; ++q) {
-      out[j + q] = gamma_ - rotate_distance(eh[q], et[q], cs[q], k);
-    }
-  }
-  for (; j < triples.size(); ++j) {
-    const Triple& triple = triples[j];
-    const double* cs =
-        cache.get(triple.relation, relations_.row(triple.relation));
-    out[j] = gamma_ - rotate_distance(entities_.row(triple.head).data(),
-                                      entities_.row(triple.tail).data(), cs,
-                                      k);
-  }
+  RotatePhaseCache cache(rank_, max_relations);
+  rotate_distances(entities_, relations_, cache, triples, rank_, out.data());
+  for (std::size_t j = 0; j < triples.size(); ++j) out[j] = gamma_ - out[j];
 }
 
 void RotatEModel::accumulate_gradients_block(std::span<const GradWork> work,

@@ -1,5 +1,7 @@
 #include "kge/dataset.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
@@ -42,9 +44,15 @@ Dataset::Dataset(std::int32_t num_entities, std::int32_t num_relations,
   validate_split(valid_, num_entities_, num_relations_, "valid");
   validate_split(test_, num_entities_, num_relations_, "test");
 
-  known_.reserve(num_facts() * 2);
+  const std::size_t capacity =
+      std::bit_ceil(std::max<std::size_t>(2, 2 * num_facts()));
+  known_.assign(capacity, kEmptySlot);
+  slot_shift_ = 64 - std::countr_zero(capacity);
   for (const auto* split : {&train_, &valid_, &test_}) {
-    for (const Triple& t : *split) known_.insert(pack_triple(t));
+    for (const Triple& t : *split) {
+      const std::uint64_t key = pack_triple(t);
+      known_[find_slot(key)] = key;
+    }
   }
 }
 

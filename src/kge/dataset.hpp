@@ -4,10 +4,11 @@
 // triple.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_set>
+#include <vector>
 
 #include "kge/triple.hpp"
 
@@ -32,7 +33,9 @@ class Dataset {
 
   /// True if {h, r, t} appears in any split (the filtered-evaluation test).
   bool contains(EntityId head, RelationId relation, EntityId tail) const {
-    return known_.count(pack_triple(head, relation, tail)) != 0;
+    if (known_.empty()) return false;  // default-constructed
+    const std::uint64_t key = pack_triple(head, relation, tail);
+    return known_[find_slot(key)] == key;
   }
   bool contains(const Triple& t) const {
     return contains(t.head, t.relation, t.tail);
@@ -47,7 +50,29 @@ class Dataset {
   TripleList train_;
   TripleList valid_;
   TripleList test_;
-  std::unordered_set<std::uint64_t> known_;
+
+  /// A free slot of known_: pack_triple never sets bit 63.
+  static constexpr std::uint64_t kEmptySlot = ~0ULL;
+
+  /// The slot holding `key`, or the empty slot that ends its probe. The
+  /// probe starts where multiplicative (Fibonacci) hashing puts it: the
+  /// top log2(capacity) bits of key * 2^64 / phi.
+  std::size_t find_slot(std::uint64_t key) const {
+    const std::size_t mask = known_.size() - 1;
+    auto slot = static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                                         slot_shift_);
+    while (known_[slot] != key && known_[slot] != kEmptySlot) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
+  /// Every split's packed triples in one open-addressing table with linear
+  /// probing. The capacity is a power of two, at least 2 and at least twice
+  /// the fact count, so the load stays <= 0.5 and every probe ends at an
+  /// empty slot. Empty only when default-constructed.
+  std::vector<std::uint64_t> known_;
+  int slot_shift_ = 63;  // 64 - log2(known_.size())
 };
 
 }  // namespace dynkge::kge

@@ -89,7 +89,7 @@ class KgeModel {
 
   /// out[i] = phi(triples[i]) — the training-side blocked scoring kernel.
   /// The default loops over score(); the built-in models override with
-  /// ILP forms (four independent accumulation chains) that are
+  /// kernels that sum eight triples' terms in eight independent chains,
   /// bit-identical per triple to score(). Scoring is side-effect free and
   /// consumes no RNG, so callers may batch freely without changing the
   /// determinism contract.

@@ -11,14 +11,12 @@
 //    units are compiled with -fno-math-errno (value-safe: IEEE results
 //    are unchanged) to lift that; see src/kge/CMakeLists.txt.
 //
-//  * Determinism contract. Reduction kernels (dot, nrm2, asum, the
-//    trilinear forms) accumulate in double along a single left-to-right
-//    chain and must never be reassociated: the trainer's byte-identity
-//    guarantees depend on every mode producing the same accumulation
-//    order. Throughput across *rows* comes from instruction-level
-//    parallelism instead: the *_dot4 / *_l1_4 forms run four independent
-//    row-triples at once, one accumulator chain per triple, each chain
-//    ordered exactly like its scalar sibling.
+//  * Determinism contract. Reduction kernels (dot, nrm2, asum) accumulate
+//    in double along a single left-to-right chain and must never be
+//    reassociated: the trainer's byte-identity guarantees depend on every
+//    mode producing the same accumulation order. The blocked score kernels
+//    (src/kge/block_kernels.cpp) get their throughput from many such
+//    chains side by side, never from splitting one.
 //
 //  * No FMA contraction. The build targets baseline x86-64 (no -mfma), so
 //    a*b+c compiles to mul+add and the blocked kernels stay bit-identical
@@ -29,7 +27,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 namespace dynkge::util {
@@ -59,44 +56,6 @@ inline void scale(float a, std::span<float> x) noexcept {
 inline void add(std::span<const float> x, std::span<float> y) noexcept {
   assert(x.size() == y.size());
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += x[i];
-}
-
-/// Four independent trilinear dots sum_i a[i] * b[i] * c[i] at once (ILP
-/// form, the DistMult score): four separate accumulation chains, each in
-/// the scalar model's per-element order (double(a) * b) * c.
-inline void trilinear_dot4(const float* const a[4], const float* const b[4],
-                           const float* const c[4], std::int32_t n,
-                           double out[4]) noexcept {
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    acc0 += static_cast<double>(a[0][i]) * b[0][i] * c[0][i];
-    acc1 += static_cast<double>(a[1][i]) * b[1][i] * c[1][i];
-    acc2 += static_cast<double>(a[2][i]) * b[2][i] * c[2][i];
-    acc3 += static_cast<double>(a[3][i]) * b[3][i] * c[3][i];
-  }
-  out[0] = acc0;
-  out[1] = acc1;
-  out[2] = acc2;
-  out[3] = acc3;
-}
-
-/// Four independent TransE L1 translation distances sum_i |h[i] + r[i] -
-/// t[i]| (ILP form); each chain keeps the scalar model's per-element order
-/// double(h) + r - t.
-inline void l1_translation4(const float* const h[4], const float* const r[4],
-                            const float* const t[4], std::int32_t n,
-                            double out[4]) noexcept {
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    acc0 += std::fabs(static_cast<double>(h[0][i]) + r[0][i] - t[0][i]);
-    acc1 += std::fabs(static_cast<double>(h[1][i]) + r[1][i] - t[1][i]);
-    acc2 += std::fabs(static_cast<double>(h[2][i]) + r[2][i] - t[2][i]);
-    acc3 += std::fabs(static_cast<double>(h[3][i]) + r[3][i] - t[3][i]);
-  }
-  out[0] = acc0;
-  out[1] = acc1;
-  out[2] = acc2;
-  out[3] = acc3;
 }
 
 /// Euclidean norm.

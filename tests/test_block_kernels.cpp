@@ -1,16 +1,18 @@
 // Blocked-kernel equivalence: the batched score/gradient/Adam kernels and
 // the training step built on them must be byte-identical to the per-triple
 // kernels — per kernel and per step on adversarial inputs (h == t
-// aliasing, non-multiple-of-4 block sizes), and end to end through the
-// trainer against golden digests across models, quantization modes, and
-// selection strategies. "Byte-identical" is meant literally: every
-// comparison below is memcmp over the raw float/double storage (or a
-// digest of it), not an epsilon check.
+// aliasing, partial eight-triple groups, ranks off the vector width,
+// extreme floats), and end to end through the trainer against golden
+// digests across models, quantization modes, and selection strategies.
+// "Byte-identical" is meant literally: every comparison below is memcmp
+// over the raw float/double storage (or a digest of it), not an epsilon
+// check.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,8 +46,8 @@ std::unique_ptr<KgeModel> seeded_model(const std::string& name) {
 }
 
 /// A triple list that exercises the block kernels' edge cases: size 21 is
-/// not a multiple of 4 (tail handled by the scalar fallback loop), and
-/// several triples have h == t (the aliased-gradient fallback).
+/// not a multiple of the eight-triple score group, and several triples
+/// have h == t (the aliased-gradient fallback).
 std::vector<Triple> adversarial_triples() {
   std::vector<Triple> triples;
   util::Rng rng(11);
@@ -68,21 +70,57 @@ bool same_bytes(std::span<const float> a, std::span<const float> b) {
 
 // ---- direct kernel equivalence ---------------------------------------
 
+/// Fill the first rows of both tables with values that stress the score
+/// arithmetic: signed zeros, subnormals and +-1e30 (a product of three
+/// reaches 1e90, still finite in double), each row in another rotation.
+void plant_special_rows(KgeModel& model) {
+  constexpr float kSpecial[] = {0.0f, -0.0f, 1e-40f, -1e-40f, 1e30f, -1e30f};
+  for (kge::EntityId row = 0; row < 6; ++row) {
+    for (EmbeddingMatrix* table : {&model.entities(), &model.relations()}) {
+      const auto values = table->row(row);
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        values[i] = kSpecial[(i + static_cast<std::size_t>(row)) % 6];
+      }
+    }
+  }
+}
+
 TEST(BlockKernels, ScoreBlockBitIdenticalToScalar) {
-  const auto triples = adversarial_triples();
-  for (const char* name : kModels) {
-    const auto model = seeded_model(name);
-    std::vector<double> blocked(triples.size());
-    model->score_triples_block(triples, blocked);
-    for (std::size_t i = 0; i < triples.size(); ++i) {
-      const double scalar = model->score(triples[i].head,
-                                         triples[i].relation,
-                                         triples[i].tail);
-      // memcmp, not ==: catches a sign-of-zero or NaN-payload divergence
-      // that double equality would wave through.
-      EXPECT_EQ(std::memcmp(&scalar, &blocked[i], sizeof(double)), 0)
-          << name << " triple " << i << ": scalar " << scalar << " blocked "
-          << blocked[i];
+  // Triples naming the special rows first, then the adversarial list.
+  std::vector<Triple> triples;
+  for (kge::EntityId e = 0; e < 6; ++e) {
+    triples.push_back({e, e, (e + 1) % 6});
+    triples.push_back({e, (e + 2) % 6, 7 + e});
+  }
+  for (const Triple& triple : adversarial_triples()) triples.push_back(triple);
+  // Rank 5 leaves a remainder after every vector width; rank 70 carries
+  // the chains across two term chunks.
+  for (const std::int32_t rank : {12, 5, 70}) {
+    for (const char* name : kModels) {
+      auto model = kge::make_model(name, 60, 12, rank);
+      util::Rng rng(7);
+      model->init(rng);
+      plant_special_rows(*model);
+      // Every block length 0-17 covers every remainder of the eight-triple
+      // group; the whole list covers several full groups.
+      std::vector<std::size_t> lengths(18);
+      std::iota(lengths.begin(), lengths.end(), 0);
+      lengths.push_back(triples.size());
+      for (const std::size_t length : lengths) {
+        const std::span<const Triple> block(triples.data(), length);
+        std::vector<double> blocked(length);
+        model->score_triples_block(block, blocked);
+        for (std::size_t i = 0; i < length; ++i) {
+          const double scalar =
+              model->score(block[i].head, block[i].relation, block[i].tail);
+          // memcmp, not ==: catches a sign-of-zero or NaN-payload
+          // divergence that double equality would wave through.
+          EXPECT_EQ(std::memcmp(&scalar, &blocked[i], sizeof(double)), 0)
+              << name << " rank " << rank << " length " << length
+              << " triple " << i << ": scalar " << scalar << " blocked "
+              << blocked[i];
+        }
+      }
     }
   }
 }
@@ -269,7 +307,7 @@ void expect_same_grads(const kge::SparseGrad& expected,
 TEST(TrainStep, ForwardBackwardMatchesPerTripleComposition) {
   const StepBatch batch;
   const std::size_t examples = batch.positives.size() + batch.negatives.size();
-  ASSERT_NE(examples % 4, 0u);
+  ASSERT_NE(examples % 8, 0u);  // the last score group is partial
   const float scale = 1.0f / static_cast<float>(examples);
   // 0 keeps every example; 0.5 drops roughly the half of the examples the
   // model already classifies correctly, so the cut path runs for real.

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "kge/triple.hpp"
+#include "util/rng.hpp"
 
 namespace dynkge::kge {
 namespace {
@@ -54,6 +58,107 @@ TEST(Dataset, ContainsSeesAllSplits) {
   EXPECT_TRUE(ds.contains(3, 0, 4));   // test
   EXPECT_FALSE(ds.contains(0, 0, 2));
   EXPECT_FALSE(ds.contains(Triple{1, 0, 0}));
+}
+
+/// The filter's answer for `q` must be the reference set's.
+void expect_same_answer(const Dataset& ds,
+                        const std::set<std::uint64_t>& reference,
+                        const Triple& q) {
+  EXPECT_EQ(ds.contains(q), reference.count(pack_triple(q)) == 1)
+      << ds.num_facts() << " facts: (" << q.head << ", " << q.relation
+      << ", " << q.tail << ")";
+}
+
+TEST(Dataset, ContainsMatchesReferenceSet) {
+  // The largest id pack_triple keeps; the largest legal entity id is one
+  // below it, since num_entities must stay under 2^21.
+  constexpr EntityId kTopId = (1 << 21) - 1;
+  constexpr RelationId kRelations = 7;
+  util::Rng rng(2026);
+  // Mostly ids from a small pool, so triples collide, probes run long and
+  // near misses land next to stored keys; the rest span the whole id space.
+  const auto entity = [&](EntityId limit) {
+    return static_cast<EntityId>(
+        rng.next_bernoulli(0.75) ? rng.next_below(48) : rng.next_below(limit));
+  };
+  // Capacity steps at powers of two: 1024 facts get 2048 slots (a load
+  // just under one half, as a few facts repeat), 1025 facts get 4096.
+  for (const std::size_t facts : {1024u, 1025u}) {
+    TripleList splits[3];
+    // The same triples in every split: key 0, and the largest legal ids.
+    for (TripleList& split : splits) {
+      split.push_back({0, 0, 0});
+      split.push_back({kTopId - 1, kRelations - 1, kTopId - 1});
+    }
+    for (std::size_t n = 6; n < facts; ++n) {
+      splits[n % 3].push_back(
+          {entity(kTopId),
+           static_cast<RelationId>(rng.next_below(kRelations)),
+           entity(kTopId)});
+    }
+    const Dataset ds(kTopId, kRelations, splits[0], splits[1], splits[2]);
+    ASSERT_EQ(ds.num_facts(), facts);
+    std::set<std::uint64_t> reference;
+    std::vector<Triple> stored;
+    for (const TripleList& split : splits) {
+      for (const Triple& t : split) {
+        reference.insert(pack_triple(t));
+        stored.push_back(t);
+      }
+    }
+    const auto check = [&](const Triple& q) {
+      expect_same_answer(ds, reference, q);
+    };
+    check({0, 0, 0});
+    check({kTopId, kRelations - 1, kTopId});
+    check({kTopId, kTopId, kTopId});
+    for (int i = 0; i < 100000; ++i) {
+      Triple q = stored[rng.next_below(stored.size())];
+      switch (rng.next_below(3)) {
+        case 0:  // a stored triple
+          break;
+        case 1:  // a near miss: the tail moved by one
+          q.tail = std::min(q.tail + 1, kTopId);
+          break;
+        default:  // anywhere, ids up to 2^21 - 1 included
+          q = {entity(kTopId + 1),
+               static_cast<RelationId>(rng.next_below(kRelations + 1)),
+               entity(kTopId + 1)};
+      }
+      check(q);
+    }
+  }
+  // Small tables, queried exhaustively: across 1-64 facts over 8 entities
+  // and 2 relations, some probes run past the last slot and must wrap.
+  for (std::size_t facts = 1; facts <= 64; ++facts) {
+    TripleList train;
+    std::set<std::uint64_t> reference;
+    for (std::size_t n = 0; n < facts; ++n) {
+      train.push_back({static_cast<EntityId>(rng.next_below(8)),
+                       static_cast<RelationId>(rng.next_below(2)),
+                       static_cast<EntityId>(rng.next_below(8))});
+      reference.insert(pack_triple(train.back()));
+    }
+    const Dataset ds(8, 2, train, {}, {});
+    for (EntityId h = 0; h < 8; ++h) {
+      for (RelationId r = 0; r < 2; ++r) {
+        for (EntityId t = 0; t < 8; ++t) {
+          expect_same_answer(ds, reference, {h, r, t});
+        }
+      }
+    }
+  }
+}
+
+TEST(Dataset, EmptyTablesContainNothing) {
+  const Dataset unset;  // default-constructed: no table at all
+  EXPECT_FALSE(unset.contains(0, 0, 0));
+  EXPECT_FALSE(unset.contains(Triple{1, 2, 3}));
+  const Dataset no_facts(3, 1, {}, {}, {});
+  EXPECT_FALSE(no_facts.contains(0, 0, 0));
+  const Dataset one_fact(3, 1, {{1, 0, 2}}, {}, {});
+  EXPECT_FALSE(one_fact.contains(0, 0, 0));  // key 0 is not the empty slot
+  EXPECT_TRUE(one_fact.contains(1, 0, 2));
 }
 
 TEST(Dataset, RejectsOutOfRangeEntity) {

@@ -3,17 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
-#include "kge/complex_model.hpp"
+#include "kge/model_factory.hpp"
 #include "kge/synthetic.hpp"
 
 namespace dynkge::core {
 namespace {
 
 struct Fixture {
-  Fixture()
+  explicit Fixture(const std::string& model_name = "complex")
       : dataset(kge::generate_synthetic([] {
           kge::SyntheticSpec spec;
           spec.num_entities = 200;
@@ -23,14 +25,15 @@ struct Fixture {
           spec.seed = 77;
           return spec;
         }())),
-        model(dataset.num_entities(), dataset.num_relations(), 8),
+        model(kge::make_model(model_name, dataset.num_entities(),
+                              dataset.num_relations(), 8)),
         sampler(dataset) {
     util::Rng rng(3);
-    model.init(rng);
+    model->init(rng);
   }
 
   kge::Dataset dataset;
-  kge::ComplExModel model;
+  std::unique_ptr<kge::KgeModel> model;
   kge::NegativeSampler sampler;
 };
 
@@ -38,7 +41,7 @@ TEST(HardNegatives, BaselinePathSkipsScoring) {
   Fixture f;
   util::Rng rng(1);
   kge::TripleList out;
-  const int scored = select_hard_negatives(f.model, f.sampler,
+  const int scored = select_hard_negatives(*f.model, f.sampler,
                                            f.dataset.train()[0], 5, 5, rng,
                                            out);
   EXPECT_EQ(scored, 0);
@@ -49,7 +52,7 @@ TEST(HardNegatives, SelectionPathScoresAllCandidates) {
   Fixture f;
   util::Rng rng(1);
   kge::TripleList out;
-  const int scored = select_hard_negatives(f.model, f.sampler,
+  const int scored = select_hard_negatives(*f.model, f.sampler,
                                            f.dataset.train()[0], 10, 1, rng,
                                            out);
   EXPECT_EQ(scored, 10);
@@ -63,18 +66,18 @@ TEST(HardNegatives, PicksTheHighestScoringCandidate) {
   // the selected one scores at least as high as every candidate.
   util::Rng selection_rng(42);
   kge::TripleList out;
-  select_hard_negatives(f.model, f.sampler, positive, 8, 1, selection_rng,
+  select_hard_negatives(*f.model, f.sampler, positive, 8, 1, selection_rng,
                         out);
   ASSERT_EQ(out.size(), 1u);
   const double chosen =
-      f.model.score(out[0].head, out[0].relation, out[0].tail);
+      f.model->score(out[0].head, out[0].relation, out[0].tail);
 
   util::Rng replay_rng(42);
   for (int i = 0; i < 8; ++i) {
     const kge::Triple candidate = f.sampler.corrupt(positive, replay_rng);
     EXPECT_GE(chosen + 1e-9,
-              f.model.score(candidate.head, candidate.relation,
-                            candidate.tail));
+              f.model->score(candidate.head, candidate.relation,
+                             candidate.tail));
   }
 }
 
@@ -82,11 +85,11 @@ TEST(HardNegatives, MOutOfNReturnsSortedHardest) {
   Fixture f;
   util::Rng rng(9);
   kge::TripleList out;
-  select_hard_negatives(f.model, f.sampler, f.dataset.train()[1], 12, 3, rng,
+  select_hard_negatives(*f.model, f.sampler, f.dataset.train()[1], 12, 3, rng,
                         out);
   ASSERT_EQ(out.size(), 3u);
   const auto score = [&](const kge::Triple& t) {
-    return f.model.score(t.head, t.relation, t.tail);
+    return f.model->score(t.head, t.relation, t.tail);
   };
   EXPECT_GE(score(out[0]) + 1e-9, score(out[1]));
   EXPECT_GE(score(out[1]) + 1e-9, score(out[2]));
@@ -96,9 +99,9 @@ TEST(HardNegatives, AppendsWithoutClearing) {
   Fixture f;
   util::Rng rng(2);
   kge::TripleList out;
-  select_hard_negatives(f.model, f.sampler, f.dataset.train()[0], 4, 1, rng,
+  select_hard_negatives(*f.model, f.sampler, f.dataset.train()[0], 4, 1, rng,
                         out);
-  select_hard_negatives(f.model, f.sampler, f.dataset.train()[1], 4, 2, rng,
+  select_hard_negatives(*f.model, f.sampler, f.dataset.train()[1], 4, 2, rng,
                         out);
   EXPECT_EQ(out.size(), 3u);
 }
@@ -108,7 +111,7 @@ TEST(HardNegatives, AllNegativesShareTheRelation) {
   util::Rng rng(5);
   const kge::Triple positive = f.dataset.train()[2];
   kge::TripleList out;
-  select_hard_negatives(f.model, f.sampler, positive, 10, 2, rng, out);
+  select_hard_negatives(*f.model, f.sampler, positive, 10, 2, rng, out);
   for (const kge::Triple& negative : out) {
     EXPECT_EQ(negative.relation, positive.relation);
     EXPECT_NE(negative, positive);
@@ -119,10 +122,10 @@ TEST(HardNegatives, RejectsBadCounts) {
   Fixture f;
   util::Rng rng(1);
   kge::TripleList out;
-  EXPECT_THROW(select_hard_negatives(f.model, f.sampler, f.dataset.train()[0],
+  EXPECT_THROW(select_hard_negatives(*f.model, f.sampler, f.dataset.train()[0],
                                      0, 1, rng, out),
                std::invalid_argument);
-  EXPECT_THROW(select_hard_negatives(f.model, f.sampler, f.dataset.train()[0],
+  EXPECT_THROW(select_hard_negatives(*f.model, f.sampler, f.dataset.train()[0],
                                      5, 0, rng, out),
                std::invalid_argument);
 }
@@ -131,9 +134,9 @@ TEST(HardNegatives, DeterministicGivenSeed) {
   Fixture f;
   util::Rng r1(11), r2(11);
   kge::TripleList a, b;
-  select_hard_negatives(f.model, f.sampler, f.dataset.train()[3], 10, 2, r1,
+  select_hard_negatives(*f.model, f.sampler, f.dataset.train()[3], 10, 2, r1,
                         a);
-  select_hard_negatives(f.model, f.sampler, f.dataset.train()[3], 10, 2, r2,
+  select_hard_negatives(*f.model, f.sampler, f.dataset.train()[3], 10, 2, r2,
                         b);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
@@ -194,52 +197,51 @@ std::span<const kge::Triple> batch_of(const Fixture& f, std::size_t n) {
   return std::span<const kge::Triple>(f.dataset.train()).subspan(0, n);
 }
 
-TEST(HardNegativesBlock, MatchesPerPositiveWhenMining) {
-  Fixture f;
+/// The blocked selection against the oracle, once per built-in model.
+class HardNegativesBlock : public testing::TestWithParam<const char*> {
+ protected:
+  Fixture f{GetParam()};
+};
+
+TEST_P(HardNegativesBlock, MatchesPerPositiveWhenMining) {
   const auto positives = batch_of(f, 13);
   const Selection expected =
-      per_positive(f.model, f.sampler, positives, 7, 2, {});
+      per_positive(*f.model, f.sampler, positives, 7, 2, {});
   EXPECT_EQ(expected.scored, 13u * 7u);
   expect_same_selection(expected,
-                        blocked(f.model, f.sampler, positives, 7, 2, {}));
+                        blocked(*f.model, f.sampler, positives, 7, 2, {}));
 }
 
-TEST(HardNegativesBlock, MatchesPerPositiveOnTiedScores) {
-  Fixture f;
-  // Zeroing every other entity row makes every candidate that names one
-  // score exactly 0, so most positives see a run of tied candidates that
-  // straddles the `used` boundary: only an identical candidate sequence
-  // and an identical sort call pick the same ones in the same order.
-  kge::ComplExModel tied(f.dataset.num_entities(), f.dataset.num_relations(),
-                         8);
-  std::ranges::copy(f.model.entities().flat(), tied.entities().flat().begin());
-  std::ranges::copy(f.model.relations().flat(),
-                    tied.relations().flat().begin());
-  for (kge::EntityId e = 0; e < tied.num_entities(); e += 2) {
-    std::ranges::fill(tied.entities().row(e), 0.0f);
+TEST_P(HardNegativesBlock, MatchesPerPositiveOnTiedScores) {
+  // Zeroing every other entity row ties every candidate that replaces the
+  // same side of a positive with a zeroed entity (under ComplEx and
+  // DistMult they all score exactly 0), so most positives see a run of
+  // tied candidates that straddles the `used` boundary: only an identical
+  // candidate sequence and an identical sort call pick the same ones in
+  // the same order.
+  for (kge::EntityId e = 0; e < f.model->num_entities(); e += 2) {
+    std::ranges::fill(f.model->entities().row(e), 0.0f);
   }
   const auto positives = batch_of(f, 24);
-  expect_same_selection(per_positive(tied, f.sampler, positives, 8, 3, {}),
-                        blocked(tied, f.sampler, positives, 8, 3, {}));
+  expect_same_selection(per_positive(*f.model, f.sampler, positives, 8, 3, {}),
+                        blocked(*f.model, f.sampler, positives, 8, 3, {}));
 }
 
-TEST(HardNegativesBlock, UsingEverySampleSkipsScoring) {
-  Fixture f;
+TEST_P(HardNegativesBlock, UsingEverySampleSkipsScoring) {
   const auto positives = batch_of(f, 6);
   for (const int used : {5, 9}) {  // used == sampled and used > sampled
     const Selection expected =
-        per_positive(f.model, f.sampler, positives, 5, used, {});
+        per_positive(*f.model, f.sampler, positives, 5, used, {});
     EXPECT_EQ(expected.scored, 0u);
     EXPECT_EQ(expected.out.size(), 6u * 5u);
     expect_same_selection(
-        expected, blocked(f.model, f.sampler, positives, 5, used, {}));
+        expected, blocked(*f.model, f.sampler, positives, 5, used, {}));
   }
 }
 
-TEST(HardNegativesBlock, EmptyBatchTouchesNothing) {
-  Fixture f;
+TEST_P(HardNegativesBlock, EmptyBatchTouchesNothing) {
   for (const int used : {2, 4}) {
-    const Selection got = blocked(f.model, f.sampler, {}, 4, used, {});
+    const Selection got = blocked(*f.model, f.sampler, {}, 4, used, {});
     EXPECT_EQ(got.scored, 0u);
     EXPECT_TRUE(got.out.empty());
     EXPECT_TRUE(got.offsets.empty());
@@ -247,22 +249,30 @@ TEST(HardNegativesBlock, EmptyBatchTouchesNothing) {
   }
 }
 
-TEST(HardNegativesBlock, AppendsToExistingContents) {
-  Fixture f;
+TEST_P(HardNegativesBlock, AppendsToExistingContents) {
   const auto positives = batch_of(f, 5);
   Selection prefix;
   prefix.out = {f.dataset.train()[20], f.dataset.train()[21]};
   prefix.offsets = {0, 7};
   for (const int used : {1, 6}) {
     const Selection expected =
-        per_positive(f.model, f.sampler, positives, 6, used, prefix);
+        per_positive(*f.model, f.sampler, positives, 6, used, prefix);
     // Offsets count from the start of `out`, prefilled triples included.
     EXPECT_EQ(expected.offsets.size(), 2u + positives.size());
     EXPECT_EQ(expected.offsets[2], 2u + static_cast<std::size_t>(used));
     expect_same_selection(
-        expected, blocked(f.model, f.sampler, positives, 6, used, prefix));
+        expected, blocked(*f.model, f.sampler, positives, 6, used, prefix));
   }
 }
+
+// No instantiation prefix, so the tests keep the HardNegativesBlock.*
+// names, each suffixed with its model.
+INSTANTIATE_TEST_SUITE_P(, HardNegativesBlock,
+                         testing::Values("complex", "distmult", "transe",
+                                         "rotate"),
+                         [](const testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace dynkge::core

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "kge/synthetic.hpp"
 
 namespace dynkge::kge {
@@ -93,6 +95,29 @@ TEST(NegativeSampler, DeterministicGivenSeed) {
   util::Rng r1(7), r2(7);
   for (const Triple& pos : ds.train().subspan(0, 20)) {
     EXPECT_EQ(sampler.corrupt(pos, r1), sampler.corrupt(pos, r2));
+  }
+}
+
+TEST(NegativeSampler, FallbackNeverReturnsThePositive) {
+  // Every triple over 2 entities and 1 relation is known, so the filtered
+  // draws all fail and each call ends in the unfiltered fallback.
+  const Dataset ds(2, 1, {{0, 0, 0}, {0, 0, 1}, {1, 0, 0}, {1, 0, 1}}, {},
+                   {});
+  const NegativeSampler sampler(ds);
+  const Triple positive{0, 0, 1};
+  util::Rng rng(7);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_NE(sampler.corrupt(positive, rng), positive) << "call " << i;
+  }
+}
+
+TEST(NegativeSampler, FallbackThrowsWithOneEntity) {
+  // One entity admits no corruption at all.
+  const Dataset ds(1, 1, {{0, 0, 0}}, {}, {});
+  for (const bool filter_known : {true, false}) {
+    const NegativeSampler sampler(ds, filter_known);
+    util::Rng rng(7);
+    EXPECT_THROW(sampler.corrupt({0, 0, 0}, rng), std::invalid_argument);
   }
 }
 
