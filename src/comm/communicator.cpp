@@ -166,24 +166,23 @@ void Communicator::allreduce_sum(std::span<const float> in,
   if (in.size() != out.size()) {
     throw std::invalid_argument("allreduce_sum: size mismatch");
   }
-  check_faults();
-  publish_and_sync(reinterpret_cast<const std::byte*>(in.data()),
-                   in.size_bytes());
-  align_clock();
   // Every rank computes the same sum in the same rank order, into a private
   // temp so in-place callers do not race with siblings still reading `in`.
   std::vector<float> tmp(in.size(), 0.0f);
-  for (int r = 0; r < num_ranks_; ++r) {
-    if (state_.size[r] != in.size_bytes()) {
-      state_.barrier.abort();
-      throw std::invalid_argument("allreduce_sum: rank size mismatch");
-    }
-    const auto* p = reinterpret_cast<const float*>(state_.ptr[r]);
-    for (std::size_t i = 0; i < tmp.size(); ++i) tmp[i] += p[i];
-  }
+  allgatherv_slots(
+      std::as_bytes(in),
+      [&](Slots slots) {
+        for (const std::span<const std::byte> slot : slots) {
+          if (slot.size() != in.size_bytes()) {
+            throw std::invalid_argument("allreduce_sum: rank size mismatch");
+          }
+          const auto* p = reinterpret_cast<const float*>(slot.data());
+          for (std::size_t i = 0; i < tmp.size(); ++i) tmp[i] += p[i];
+        }
+      },
+      /*charge_cost=*/false);
   const double t = model_.allreduce_time(num_ranks_, in.size_bytes());
   apply_cost(CollectiveKind::kAllReduce, in.size_bytes(), t);
-  release();
   std::copy(tmp.begin(), tmp.end(), out.begin());
 }
 
@@ -217,33 +216,55 @@ double Communicator::allreduce_scalar(double value, ScalarOp op) {
   return result;
 }
 
-void Communicator::allgatherv_bytes(std::span<const std::byte> local,
-                                    std::vector<std::byte>& out,
-                                    std::vector<std::size_t>& counts,
+void Communicator::allgatherv_slots(std::span<const std::byte> local,
+                                    const std::function<void(Slots)>& read,
                                     bool charge_cost) {
   check_faults();
   publish_and_sync(local.data(), local.size());
   align_clock();
-  counts.assign(num_ranks_, 0);
+  slot_scratch_.resize(static_cast<std::size_t>(num_ranks_));
   std::size_t total = 0;
   for (int r = 0; r < num_ranks_; ++r) {
-    counts[r] = state_.size[r];
+    slot_scratch_[r] = {state_.ptr[r], state_.size[r]};
     total += state_.size[r];
   }
-  out.resize(total);
-  std::size_t offset = 0;
-  for (int r = 0; r < num_ranks_; ++r) {
-    if (counts[r] != 0) {
-      std::memcpy(out.data() + offset, state_.ptr[r], counts[r]);
-    }
-    offset += counts[r];
+  std::exception_ptr error;
+  try {
+    read(slot_scratch_);
+  } catch (...) {
+    error = std::current_exception();
   }
   if (charge_cost) {
-    const double t =
-        model_.allgatherv_time(num_ranks_, total, local.size());
+    const double t = model_.allgatherv_time(num_ranks_, total, local.size());
     apply_cost(CollectiveKind::kAllGatherV, local.size(), t);
   }
   release();
+  if (error != nullptr) std::rethrow_exception(error);
+}
+
+void Communicator::allgatherv_bytes(std::span<const std::byte> local,
+                                    std::vector<std::byte>& out,
+                                    std::vector<std::size_t>& counts,
+                                    bool charge_cost) {
+  allgatherv_slots(
+      local,
+      [&](Slots slots) {
+        counts.resize(slots.size());
+        std::size_t total = 0;
+        for (std::size_t r = 0; r < slots.size(); ++r) {
+          counts[r] = slots[r].size();
+          total += slots[r].size();
+        }
+        out.resize(total);
+        std::size_t offset = 0;
+        for (const std::span<const std::byte> slot : slots) {
+          if (!slot.empty()) {
+            std::memcpy(out.data() + offset, slot.data(), slot.size());
+          }
+          offset += slot.size();
+        }
+      },
+      charge_cost);
 }
 
 void Communicator::charge(CollectiveKind kind, std::size_t total_bytes,

@@ -120,10 +120,24 @@ class Communicator {
   /// Reduce one double across ranks; every rank receives the result.
   double allreduce_scalar(double value, ScalarOp op);
 
+  /// Every rank's published payload, indexed by rank.
+  using Slots = std::span<const std::span<const std::byte>>;
+
+  /// Gather without a copy: `read` sees all ranks' payloads in place —
+  /// published, checksum-verified when wire integrity is armed — after
+  /// the publish barrier and before the release barrier, so every slot
+  /// stays valid for the whole call. An exception out of `read` is held
+  /// until this rank has passed the release barrier (no sibling is still
+  /// reading this rank's payload when it unwinds), then rethrown. When
+  /// `charge_cost` is false the clocks are still aligned (it is a
+  /// synchronization point) but no modeled time or bytes are recorded —
+  /// the caller accounts via charge().
+  void allgatherv_slots(std::span<const std::byte> local,
+                        const std::function<void(Slots)>& read,
+                        bool charge_cost = true);
+
   /// Concatenate the byte payloads of all ranks in rank order. `counts[r]`
-  /// receives rank r's contribution size. When `charge_cost` is false the
-  /// clocks are still aligned (it is a synchronization point) but no
-  /// modeled time or bytes are recorded — the caller accounts via charge().
+  /// receives rank r's contribution size. A copying allgatherv_slots().
   void allgatherv_bytes(std::span<const std::byte> local,
                         std::vector<std::byte>& out,
                         std::vector<std::size_t>& counts,
@@ -239,6 +253,8 @@ class Communicator {
   /// Scratch for the corrupted copy (the caller's buffer is const and
   /// must be retransmittable untouched).
   std::vector<std::byte> corrupt_scratch_;
+  /// The slot views allgatherv_slots() hands its reader.
+  std::vector<std::span<const std::byte>> slot_scratch_;
 };
 
 /// Owns the simulated cluster: executes one rank program per rank on a
@@ -286,15 +302,19 @@ template <typename T>
 void Communicator::allgatherv(std::span<const T> local, std::vector<T>& out,
                               std::vector<std::size_t>& counts) {
   static_assert(std::is_trivially_copyable_v<T>);
-  std::vector<std::byte> raw;
-  std::vector<std::size_t> byte_counts;
-  allgatherv_bytes(std::as_bytes(local), raw, byte_counts);
-  out.resize(raw.size() / sizeof(T));
-  if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
-  counts.resize(byte_counts.size());
-  for (std::size_t r = 0; r < byte_counts.size(); ++r) {
-    counts[r] = byte_counts[r] / sizeof(T);
-  }
+  allgatherv_slots(std::as_bytes(local), [&](Slots slots) {
+    counts.resize(slots.size());
+    out.clear();
+    for (std::size_t r = 0; r < slots.size(); ++r) {
+      counts[r] = slots[r].size() / sizeof(T);
+      const std::size_t offset = out.size();
+      out.resize(offset + counts[r]);
+      if (counts[r] != 0) {
+        std::memcpy(out.data() + offset, slots[r].data(),
+                    counts[r] * sizeof(T));
+      }
+    }
+  });
 }
 
 }  // namespace dynkge::comm

@@ -1,5 +1,7 @@
 #include "core/grad_exchange.hpp"
 
+#include <optional>
+
 namespace dynkge::core {
 
 GradExchange::GradExchange(comm::Communicator& comm,
@@ -68,8 +70,6 @@ std::size_t GradExchange::exchange_matrix(
     codec.encode_grad(local, encoded, rng);
   }
 
-  std::vector<std::byte>& gathered = gather_scratch_;
-  std::vector<std::size_t>& counts = count_scratch_;
   // The in-process transport is always a gather of encoded rows; what
   // differs per mode is the *modeled* collective the clock is charged for:
   //  - all-gather: the real encoded volume, charged by the collective;
@@ -78,24 +78,33 @@ std::size_t GradExchange::exchange_matrix(
   //    server link carries every worker's volume, the bottleneck the
   //    paper's introduction describes), which merges and broadcasts the
   //    merged rows back.
-  {
-    const obs::TraceSpan span(trace_,
-                              transport == Transport::kAllGather
-                                  ? "exchange.allgather"
-                              : transport == Transport::kAllReduce
-                                  ? "exchange.allreduce"
-                                  : "exchange.param_server",
-                              trace_tid_);
-    comm_.allgatherv_bytes(encoded, gathered, counts,
-                           /*charge_cost=*/transport ==
-                               Transport::kAllGather);
-  }
+  // Every rank decodes each rank's payload straight from its published
+  // slot, in rank order, before the release barrier. The decode is kept
+  // out of the exchange span: one span covers publish and verification,
+  // a second the release-barrier wait.
+  const char* const exchange_span = transport == Transport::kAllGather
+                                        ? "exchange.allgather"
+                                    : transport == Transport::kAllReduce
+                                        ? "exchange.allreduce"
+                                        : "exchange.param_server";
   std::size_t total_encoded = 0;
-  for (const std::size_t c : counts) total_encoded += c;
-  {
-    const obs::TraceSpan span(trace_, "quantize.decode", trace_tid_);
-    codec.decode_accumulate(gathered, merged);
-  }
+  std::optional<obs::TraceSpan> wire(std::in_place, trace_, exchange_span,
+                                     trace_tid_);
+  comm_.allgatherv_slots(
+      encoded,
+      [&](comm::Communicator::Slots slots) {
+        wire.reset();
+        {
+          const obs::TraceSpan span(trace_, "quantize.decode", trace_tid_);
+          for (const std::span<const std::byte> slot : slots) {
+            codec.decode_accumulate(slot, merged);
+            total_encoded += slot.size();
+          }
+        }
+        wire.emplace(trace_, exchange_span, trace_tid_);
+      },
+      /*charge_cost=*/transport == Transport::kAllGather);
+  wire.reset();
 
   switch (transport) {
     case Transport::kAllGather:
@@ -152,8 +161,8 @@ ExchangeResult GradExchange::exchange(kge::ModelGrads& local,
   // Cluster average: divide the rank sum by P.
   const float inv_ranks = 1.0f / static_cast<float>(comm_.size());
   for (kge::SparseGrad* grad : {&merged.entity, &merged.relation}) {
-    for (const std::int32_t id : grad->sorted_ids()) {
-      for (float& v : grad->row(id)) v *= inv_ranks;
+    for (const kge::SparseGrad::SlotRef& slot : grad->sorted_slots()) {
+      for (float& v : grad->row_at(slot.offset)) v *= inv_ranks;
     }
   }
 

@@ -120,8 +120,6 @@ class GradExchange {
   std::vector<float> quantized_scratch_;
   std::vector<std::byte> codec_scratch_;
   std::vector<std::byte> encode_scratch_;
-  std::vector<std::byte> gather_scratch_;
-  std::vector<std::size_t> count_scratch_;
 };
 
 }  // namespace dynkge::core

@@ -188,9 +188,8 @@ void RowCodec::encode_grad(const kge::SparseGrad& grad,
     throw std::invalid_argument("RowCodec::encode_grad: width mismatch");
   }
   // Block form: one pre-sized buffer, rows resolved through sorted_slots()
-  // (one arena access each) instead of sorted_ids() + row(id) (one hash
-  // lookup each). Iteration order — and therefore the 2-bit mode's RNG
-  // draw order — is unchanged: ascending id.
+  // (one arena access each, no index read). Iteration order — and
+  // therefore the 2-bit mode's RNG draw order — is ascending id.
   out.clear();
   out.reserve(grad.num_rows() * bytes_per_row_);
   for (const kge::SparseGrad::SlotRef& slot : grad.sorted_slots()) {

@@ -11,9 +11,9 @@
 // for each of sorted_ids() — and the per-element arithmetic is copied
 // verbatim from update_row, so parameters, moments, and their bytes are
 // identical between the two forms. The only differences are mechanical:
-// sorted_slots() replaces one hash lookup per row with a direct arena
-// access, and the step-state checks and config loads are hoisted out of
-// the row loop.
+// sorted_slots() hands over each row's arena offset, saving the index read
+// of sorted_ids() + row(id), and the step-state checks and config loads
+// are hoisted out of the row loop.
 
 #include <cmath>
 #include <stdexcept>

@@ -8,10 +8,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -66,8 +67,16 @@ class EmbeddingMatrix {
   std::vector<float> data_;
 };
 
-/// Accumulates gradient rows for one optimizer step. Rows are created on
-/// first touch; iteration order is made deterministic by sorting ids.
+/// Accumulates gradient rows for one optimizer step. Rows are created
+/// zero-filled on first touch and live in one arena in first-touch order.
+/// A dense id -> arena-row index, grown to the largest id touched, finds a
+/// row with one array read (ids are bounded by the embedding table, so no
+/// hashing is needed), and a three-level occupancy bitmap yields ascending
+/// ids instead of a sort. A walk descends only into words that got a bit,
+/// so it costs about one word per level per row when a few rows are
+/// spread over a large table (the per-triple SGD step) and stays a linear
+/// scan when rows are dense. clear() resets only what was touched since
+/// the last clear, so index, bitmaps and arena are reused across batches.
 class SparseGrad {
  public:
   SparseGrad() = default;
@@ -78,19 +87,15 @@ class SparseGrad {
   }
 
   std::int32_t width() const { return width_; }
-  std::size_t num_rows() const { return slots_.size(); }
-  bool empty() const { return slots_.empty(); }
+  std::size_t num_rows() const { return num_rows_; }
+  bool empty() const { return num_rows_ == 0; }
 
-  bool has(std::int32_t id) const { return slots_.count(id) != 0; }
+  bool has(std::int32_t id) const { return find(id) != kAbsent; }
 
-  /// Row for `id`, created zero-filled on first touch.
+  /// Row for `id`, created zero-filled on first touch. Throws
+  /// std::out_of_range for a negative id.
   std::span<float> accumulate(std::int32_t id) {
-    const auto [it, inserted] = slots_.try_emplace(id, arena_.size());
-    if (inserted) {
-      arena_.resize(arena_.size() + width_, 0.0f);
-      ids_dirty_ = true;
-    }
-    return {arena_.data() + it->second, static_cast<std::size_t>(width_)};
+    return row_at(accumulate_offset(id));
   }
 
   /// Arena offset of the row for `id`, created zero-filled on first touch.
@@ -99,28 +104,17 @@ class SparseGrad {
   /// while the arena is still growing and resolves pointers once per
   /// batch afterwards.
   std::size_t accumulate_offset(std::int32_t id) {
-    const auto [it, inserted] = slots_.try_emplace(id, arena_.size());
-    if (inserted) {
-      arena_.resize(arena_.size() + width_, 0.0f);
-      ids_dirty_ = true;
-    }
-    return it->second;
+    std::uint32_t row = find(id);
+    if (row == kAbsent) row = create(id);
+    return static_cast<std::size_t>(row) * static_cast<std::size_t>(width_);
   }
 
   /// Existing row for `id`; throws if absent.
   std::span<const float> row(std::int32_t id) const {
-    const auto it = slots_.find(id);
-    if (it == slots_.end()) {
-      throw std::out_of_range("SparseGrad: row absent");
-    }
-    return {arena_.data() + it->second, static_cast<std::size_t>(width_)};
+    return row_at(existing_offset(id));
   }
   std::span<float> row(std::int32_t id) {
-    const auto it = slots_.find(id);
-    if (it == slots_.end()) {
-      throw std::out_of_range("SparseGrad: row absent");
-    }
-    return {arena_.data() + it->second, static_cast<std::size_t>(width_)};
+    return row_at(existing_offset(id));
   }
 
   /// (id, arena offset) of a live row; see sorted_slots().
@@ -131,10 +125,18 @@ class SparseGrad {
 
   /// Rows in ascending id order with their arena offsets (cached;
   /// invalidated by new rows and erases). The blocked kernels iterate this
-  /// instead of sorted_ids() + row(id), replacing one hash lookup per row
-  /// with a direct arena access.
+  /// instead of sorted_ids() + row(id), one direct arena access per row.
   const std::vector<SlotRef>& sorted_slots() const {
-    refresh_caches();
+    if (slots_stale_) {
+      sorted_slots_.clear();
+      sorted_slots_.reserve(num_rows_);
+      for_each_id([&](std::size_t id) {
+        sorted_slots_.push_back({static_cast<std::int32_t>(id),
+                                 static_cast<std::size_t>(index_[id]) *
+                                     static_cast<std::size_t>(width_)});
+      });
+      slots_stale_ = false;
+    }
     return sorted_slots_;
   }
 
@@ -149,52 +151,155 @@ class SparseGrad {
 
   /// Row ids in ascending order (cached; invalidated by new rows).
   const std::vector<std::int32_t>& sorted_ids() const {
-    refresh_caches();
+    if (ids_stale_) {
+      sorted_ids_.clear();
+      sorted_ids_.reserve(num_rows_);
+      for (const SlotRef& slot : sorted_slots()) sorted_ids_.push_back(slot.id);
+      ids_stale_ = false;
+    }
     return sorted_ids_;
   }
 
-  /// Drop all rows but keep allocations for reuse across batches.
+  /// Drop all rows but keep allocations for reuse across batches. Only the
+  /// index entries and bitmap words touched since the last clear are reset.
   void clear() {
-    slots_.clear();
+    for (std::size_t w = top_begin_; w < top_end_; ++w) reset(kLevels - 1, w);
+    top_begin_ = kNoWord;
+    top_end_ = 0;
     arena_.clear();
+    arena_rows_ = 0;
+    num_rows_ = 0;
     sorted_ids_.clear();
     sorted_slots_.clear();
-    ids_dirty_ = false;
+    ids_stale_ = false;
+    slots_stale_ = false;
   }
 
   /// Remove a row (used by the random-selection strategy when a gradient
   /// vector is dropped from communication).
   void erase(std::int32_t id) {
-    const auto it = slots_.find(id);
-    if (it == slots_.end()) return;
+    if (!has(id)) return;
     // The arena slot is abandoned, not compacted; clear() reclaims it. The
     // row count and iteration exclude it immediately.
-    slots_.erase(it);
-    ids_dirty_ = true;
+    const auto slot = static_cast<std::size_t>(id);
+    index_[slot] = kAbsent;
+    levels_[0][slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    --num_rows_;
+    ids_stale_ = true;
+    slots_stale_ = true;
   }
 
  private:
-  void refresh_caches() const {
-    if (!ids_dirty_) return;
-    sorted_slots_.clear();
-    sorted_slots_.reserve(slots_.size());
-    for (const auto& [id, offset] : slots_) {
-      sorted_slots_.push_back({id, offset});
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+  static constexpr std::size_t kNoWord = ~std::size_t{0};
+  /// Three levels of 64-way fan-out: a top word covers 2^18 ids, so even a
+  /// 2^31-id index has at most 8192 top words.
+  static constexpr int kLevels = 3;
+
+  /// Arena row of `id`, or kAbsent. A negative id converts to a value past
+  /// any index size, so it reads as absent without a separate test.
+  std::uint32_t find(std::int32_t id) const {
+    const auto slot = static_cast<std::uint32_t>(id);
+    return slot < index_.size() ? index_[slot] : kAbsent;
+  }
+
+  /// Calls f(id) for every live id in ascending order.
+  template <typename F>
+  void for_each_id(F&& f) const {
+    for (std::size_t w = top_begin_; w < top_end_; ++w) {
+      visit(kLevels - 1, w, f);
     }
-    std::sort(sorted_slots_.begin(), sorted_slots_.end(),
-              [](const SlotRef& a, const SlotRef& b) { return a.id < b.id; });
-    sorted_ids_.clear();
-    sorted_ids_.reserve(sorted_slots_.size());
-    for (const SlotRef& slot : sorted_slots_) sorted_ids_.push_back(slot.id);
-    ids_dirty_ = false;
+  }
+
+  template <typename F>
+  void visit(int level, std::size_t word, F& f) const {
+    for (std::uint64_t bits = levels_[level][word]; bits != 0;
+         bits &= bits - 1) {
+      const std::size_t child =
+          word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      if (level == 0) {
+        f(child);
+      } else {
+        visit(level - 1, child, f);
+      }
+    }
+  }
+
+  /// Zeroes `word` of `level` and every word below it, marking their ids
+  /// absent in the index.
+  void reset(int level, std::size_t word) {
+    for (std::uint64_t bits = levels_[level][word]; bits != 0;
+         bits &= bits - 1) {
+      const std::size_t child =
+          word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      if (level == 0) {
+        index_[child] = kAbsent;
+      } else {
+        reset(level - 1, child);
+      }
+    }
+    levels_[level][word] = 0;
+  }
+
+  std::size_t existing_offset(std::int32_t id) const {
+    const std::uint32_t row = find(id);
+    if (row == kAbsent) throw std::out_of_range("SparseGrad: row absent");
+    return static_cast<std::size_t>(row) * static_cast<std::size_t>(width_);
+  }
+
+  /// Slow path of accumulate_offset(): index `id` (growing the index to
+  /// it) at the next arena row.
+  std::uint32_t create(std::int32_t id) {
+    if (id < 0) {
+      throw std::out_of_range("SparseGrad: negative row id");
+    }
+    if (arena_rows_ == kAbsent) {
+      throw std::length_error("SparseGrad: arena row count overflow");
+    }
+    const auto slot = static_cast<std::size_t>(id);
+    if (slot >= index_.size()) {
+      index_.resize(slot + 1, kAbsent);
+      std::size_t words = slot;
+      for (auto& level : levels_) {
+        words /= 64;
+        level.resize(words + 1, 0);
+      }
+    }
+    const std::uint32_t row = arena_rows_++;
+    index_[slot] = row;
+    std::size_t bit = slot;  // at level k: the index of the level-k bit
+    for (auto& level : levels_) {
+      level[bit / 64] |= std::uint64_t{1} << (bit % 64);
+      bit /= 64;
+    }
+    top_begin_ = std::min(top_begin_, bit);
+    top_end_ = std::max(top_end_, bit + 1);
+    arena_.resize(arena_.size() + static_cast<std::size_t>(width_), 0.0f);
+    ++num_rows_;
+    ids_stale_ = true;
+    slots_stale_ = true;
+    return row;
   }
 
   std::int32_t width_ = 0;
-  std::unordered_map<std::int32_t, std::size_t> slots_;
+  /// id -> arena row (kAbsent when the id has no live row).
+  std::vector<std::uint32_t> index_;
+  /// levels_[0] has one bit per id, set while the id has a live row;
+  /// levels_[k] has one bit per word of levels_[k - 1], set when that word
+  /// gets a bit and cleared only by clear() (an erase may leave it over an
+  /// emptied word).
+  std::array<std::vector<std::uint64_t>, kLevels> levels_;
+  /// Top-level words [top_begin_, top_end_) hold every bit set since the
+  /// last clear(); walks and clear() start from these.
+  std::size_t top_begin_ = kNoWord;
+  std::size_t top_end_ = 0;
   std::vector<float> arena_;
+  std::uint32_t arena_rows_ = 0;  ///< rows created, abandoned ones included
+  std::size_t num_rows_ = 0;      ///< live rows
   mutable std::vector<std::int32_t> sorted_ids_;
   mutable std::vector<SlotRef> sorted_slots_;
-  mutable bool ids_dirty_ = false;
+  mutable bool ids_stale_ = false;
+  mutable bool slots_stale_ = false;
 };
 
 }  // namespace dynkge::kge

@@ -1,6 +1,7 @@
 #include "stream/delta_ingestor.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "kge/model_factory.hpp"
@@ -18,10 +19,42 @@ DeltaIngestor::DeltaIngestor(SnapshotStore& store, const IngestConfig& config)
     throw std::logic_error(
         "DeltaIngestor: SnapshotStore has no initial version (call init())");
   }
+  const PinnedModel base = store_.acquire();
+  num_entities_ = base.model->num_entities();
+  num_relations_ = base.model->num_relations();
   pending_.reserve(config_.batch_size);
 }
 
+void DeltaIngestor::check_universe(const kge::Triple& delta) const {
+  const auto entity = [&](kge::EntityId id) {
+    return id >= 0 && id < num_entities_;
+  };
+  if (entity(delta.head) && entity(delta.tail) && delta.relation >= 0 &&
+      delta.relation < num_relations_) {
+    return;
+  }
+  throw std::out_of_range(
+      "DeltaIngestor: delta (" + std::to_string(delta.head) + ", " +
+      std::to_string(delta.relation) + ", " + std::to_string(delta.tail) +
+      ") lies outside the universe of " + std::to_string(num_entities_) +
+      " entities and " + std::to_string(num_relations_) + " relations");
+}
+
 bool DeltaIngestor::submit(const kge::Triple& delta) {
+  check_universe(delta);
+  return enqueue(delta);
+}
+
+std::size_t DeltaIngestor::submit_batch(std::span<const kge::Triple> deltas) {
+  for (const kge::Triple& delta : deltas) check_universe(delta);
+  std::size_t accepted = 0;
+  for (const kge::Triple& delta : deltas) {
+    if (enqueue(delta)) ++accepted;
+  }
+  return accepted;
+}
+
+bool DeltaIngestor::enqueue(const kge::Triple& delta) {
   std::vector<kge::Triple> to_flush;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
@@ -48,14 +81,6 @@ bool DeltaIngestor::submit(const kge::Triple& delta) {
   }
   if (!to_flush.empty()) flush_batch(std::move(to_flush));
   return true;
-}
-
-std::size_t DeltaIngestor::submit_batch(std::span<const kge::Triple> deltas) {
-  std::size_t accepted = 0;
-  for (const kge::Triple& delta : deltas) {
-    if (submit(delta)) ++accepted;
-  }
-  return accepted;
 }
 
 std::uint64_t DeltaIngestor::flush() {

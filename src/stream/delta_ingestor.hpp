@@ -69,10 +69,13 @@ class DeltaIngestor {
 
   /// Queue one delta. Returns false (and counts a shed) when the pending
   /// queue is full. When the pending batch reaches batch_size it is
-  /// flushed inline on the calling thread.
+  /// flushed inline on the calling thread. Throws std::out_of_range,
+  /// queuing nothing, when an id lies outside the model's universe.
   bool submit(const kge::Triple& delta);
 
-  /// Queue many deltas; returns how many were accepted.
+  /// Queue many deltas; returns how many were accepted. Every delta is
+  /// checked against the universe first, so a batch holding an
+  /// out-of-universe delta throws std::out_of_range and queues nothing.
   std::size_t submit_batch(std::span<const kge::Triple> deltas);
 
   /// Refresh + publish everything pending. Returns the new version, or 0
@@ -83,10 +86,18 @@ class DeltaIngestor {
   IngestStats stats() const;
 
  private:
+  /// submit() past the universe check.
+  bool enqueue(const kge::Triple& delta);
   std::uint64_t flush_batch(std::vector<kge::Triple>&& batch);
+  /// Throws std::out_of_range naming `delta` and the universe when one of
+  /// its ids has no row in the model.
+  void check_universe(const kge::Triple& delta) const;
 
   SnapshotStore& store_;
   IngestConfig config_;
+  /// The store's entity/relation universe (publish() keeps it fixed).
+  std::int32_t num_entities_ = 0;
+  std::int32_t num_relations_ = 0;
 
   mutable std::mutex pending_mu_;
   std::vector<kge::Triple> pending_;

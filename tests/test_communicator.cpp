@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <vector>
 
 namespace dynkge::comm {
@@ -184,6 +185,51 @@ TEST_P(CommunicatorP, UnchargedAllGatherMovesDataButNoCost) {
     EXPECT_EQ(out.size(), 4u * p);
     EXPECT_EQ(comm.stats().of(CollectiveKind::kAllGatherV).calls, 0u);
   });
+}
+
+TEST_P(CommunicatorP, SlotGatherReadsEveryRankInPlace) {
+  const int p = GetParam();
+  Cluster cluster(p);
+  cluster.run([&](Communicator& comm) {
+    const std::vector<std::byte> local(
+        static_cast<std::size_t>(comm.rank() + 1),
+        static_cast<std::byte>(comm.rank()));
+    int seen = 0;
+    comm.allgatherv_slots(local, [&](Communicator::Slots slots) {
+      ASSERT_EQ(slots.size(), static_cast<std::size_t>(p));
+      for (int r = 0; r < p; ++r) {
+        ASSERT_EQ(slots[r].size(), static_cast<std::size_t>(r + 1));
+        for (const std::byte b : slots[r]) {
+          EXPECT_EQ(b, static_cast<std::byte>(r));
+        }
+        ++seen;
+      }
+    });
+    EXPECT_EQ(seen, p);
+    EXPECT_EQ(comm.stats().of(CollectiveKind::kAllGatherV).calls, 1u);
+  });
+}
+
+TEST_P(CommunicatorP, SlotGatherReaderErrorSurfacesAfterRelease) {
+  // A reader that throws on one rank must not strand the others at the
+  // release barrier nor end the process: the error is rethrown once the
+  // rank is past the barrier and surfaces from Cluster::run.
+  const int p = GetParam();
+  Cluster cluster(p);
+  std::atomic<int> released{0};
+  EXPECT_THROW(
+      cluster.run([&](Communicator& comm) {
+        const std::byte token{1};
+        comm.allgatherv_slots(
+            std::span<const std::byte>(&token, 1),
+            [&](Communicator::Slots) {
+              if (comm.rank() == p - 1) throw std::runtime_error("decode");
+            });
+        released.fetch_add(1);
+        comm.barrier();
+      }),
+      std::runtime_error);
+  EXPECT_EQ(released.load(), p - 1);
 }
 
 TEST(Cluster, RejectsZeroRanks) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 namespace dynkge::kge {
 namespace {
 
@@ -137,6 +144,150 @@ TEST(SparseGrad, RowThrowsForMissing) {
   EXPECT_THROW(g.row(5), std::out_of_range);
   const SparseGrad& cg = g;
   EXPECT_THROW(cg.row(5), std::out_of_range);
+}
+
+TEST(SparseGrad, NegativeIdIsAbsentAndCannotBeCreated) {
+  SparseGrad g(2);
+  EXPECT_FALSE(g.has(-1));
+  EXPECT_THROW(g.accumulate(-1), std::out_of_range);
+  EXPECT_THROW(g.accumulate_offset(-7), std::out_of_range);
+  EXPECT_THROW(g.row(-1), std::out_of_range);
+  g.erase(-1);  // absent, so a no-op
+  EXPECT_TRUE(g.empty());
+  EXPECT_TRUE(g.sorted_ids().empty());
+}
+
+/// The semantics SparseGrad must keep, stated on a std::map: rows are
+/// created zero-filled at the next arena row in first-touch order, an
+/// erased row's arena slot is abandoned until clear(), and iteration is
+/// by ascending id.
+struct ReferenceGrad {
+  struct Row {
+    std::size_t offset;
+    std::vector<float> values;
+  };
+  std::map<std::int32_t, Row> rows;
+  std::size_t arena_rows = 0;
+
+  Row& accumulate(std::int32_t id, std::int32_t width) {
+    const auto it = rows.find(id);
+    if (it != rows.end()) return it->second;
+    Row row{arena_rows++ * static_cast<std::size_t>(width),
+            std::vector<float>(static_cast<std::size_t>(width), 0.0f)};
+    return rows.emplace(id, std::move(row)).first->second;
+  }
+};
+
+void expect_matches(const SparseGrad& g, const ReferenceGrad& ref,
+                    const std::set<std::int32_t>& ever_touched,
+                    const std::string& where) {
+  SCOPED_TRACE(where);
+  ASSERT_EQ(g.num_rows(), ref.rows.size());
+  ASSERT_EQ(g.empty(), ref.rows.empty());
+  std::vector<std::int32_t> ids;
+  for (const auto& [id, row] : ref.rows) {
+    ids.push_back(id);
+    ASSERT_TRUE(g.has(id)) << "id " << id;
+    const auto got = g.row(id);
+    ASSERT_EQ(got.size(), row.values.size());
+    ASSERT_EQ(std::memcmp(got.data(), row.values.data(), got.size_bytes()),
+              0)
+        << "row bytes of id " << id;
+  }
+  ASSERT_EQ(g.sorted_ids(), ids);
+  const auto& slots = g.sorted_slots();
+  ASSERT_EQ(slots.size(), ref.rows.size());
+  std::size_t i = 0;
+  for (const auto& [id, row] : ref.rows) {
+    ASSERT_EQ(slots[i].id, id);
+    ASSERT_EQ(slots[i].offset, row.offset) << "first-touch offset of " << id;
+    ASSERT_EQ(g.row_at(slots[i].offset).data(), g.row(id).data());
+    ++i;
+  }
+  // Erased and cleared ids must read absent: a stale index entry would
+  // hand out an arena row that no longer exists.
+  EXPECT_FALSE(g.has(-1));
+  for (const std::int32_t id : ever_touched) {
+    ASSERT_EQ(g.has(id), ref.rows.count(id) != 0) << "id " << id;
+  }
+}
+
+TEST(SparseGrad, MatchesReferenceMap) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    util::Rng rng(seed);
+    const auto width = static_cast<std::int32_t>(1 + rng.next_below(9));
+    SparseGrad g(width);
+    ReferenceGrad ref;
+    std::set<std::int32_t> ever_touched;
+    // The id range widens as the run goes on (to 2^21, past several
+    // top-level bitmap words), so accumulates keep landing past the
+    // index's current size; id 0 is drawn throughout.
+    std::int32_t bound = 8;
+    for (int step = 0; step < 1500; ++step) {
+      if (step % 80 == 79) bound *= 2;
+      std::int32_t id =
+          rng.next_below(8) == 0
+              ? 0
+              : static_cast<std::int32_t>(
+                    rng.next_below(static_cast<std::uint64_t>(bound)));
+      const float value = static_cast<float>(step % 97) * 0.25f + 1.0f;
+      const std::uint64_t pick = rng.next_below(64);
+      // Erases target a live row half of the time.
+      if (pick >= 1 && pick < 15 && !ref.rows.empty() &&
+          rng.next_below(2) == 0) {
+        auto it = ref.rows.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             rng.next_below(ref.rows.size())));
+        id = it->first;
+      }
+      std::string op;
+      if (pick == 0) {
+        op = "clear";
+        g.clear();
+        ref.rows.clear();
+        ref.arena_rows = 0;
+      } else if (pick < 9) {
+        op = "erase";
+        g.erase(id);
+        ref.rows.erase(id);
+      } else if (pick < 15) {
+        op = "erase then re-accumulate";
+        g.erase(id);
+        ref.rows.erase(id);
+        auto row = g.accumulate(id);
+        auto& expected = ref.accumulate(id, width).values;
+        row[0] += value;
+        expected[0] += value;
+      } else if (pick == 15) {
+        op = "accumulate(-1)";
+        EXPECT_THROW(g.accumulate(-1), std::out_of_range);
+      } else if (pick < 36) {
+        op = "accumulate_offset";
+        const std::size_t offset = g.accumulate_offset(id);
+        auto& expected = ref.accumulate(id, width);
+        ASSERT_EQ(offset, expected.offset);
+        auto row = g.row_at(offset);
+        for (std::size_t i = 0; i < row.size(); ++i) {
+          row[i] += value * static_cast<float>(i + 1);
+          expected.values[i] += value * static_cast<float>(i + 1);
+        }
+      } else {
+        op = "accumulate";
+        auto row = g.accumulate(id);
+        auto& expected = ref.accumulate(id, width).values;
+        for (std::size_t i = 0; i < row.size(); ++i) {
+          row[i] -= value;
+          expected[i] -= value;
+        }
+      }
+      ever_touched.insert(id);
+      expect_matches(g, ref, ever_touched,
+                     "seed " + std::to_string(seed) + " step " +
+                         std::to_string(step) + " after " + op + "(" +
+                         std::to_string(id) + ")");
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "comm/communicator.hpp"
+#include "core/grad_exchange.hpp"
 
 namespace dynkge::comm {
 namespace {
@@ -257,6 +259,113 @@ TEST_P(FaultMatrixTest, CorruptEscalatesToRankFailedWhenBudgetExhausted) {
   EXPECT_EQ(counters.corrupted_payloads, 3u);  // one per attempt
   EXPECT_EQ(counters.corruptions_detected, counters.corrupted_payloads);
   EXPECT_EQ(counters.exhausted, 1u);
+}
+
+/// A rank program running `steps` GradExchange merges over `transport`
+/// (two collectives each: entity rows, then relation rows). Returns every
+/// merged row as (id, value bits), step by step.
+std::vector<std::uint32_t> exchange_loop(Communicator& comm,
+                                         core::Transport transport,
+                                         int steps) {
+  constexpr std::int32_t kEntities = 64;
+  constexpr std::int32_t kRelations = 8;
+  constexpr std::int32_t kWidth = 6;
+  core::GradExchange exchange(comm, core::StrategyConfig{}, kEntities,
+                              kWidth, kRelations, kWidth);
+  core::ExchangePlan plan;
+  plan.transport = transport;
+  util::Rng rng(3);
+  kge::ModelGrads merged(kWidth, kWidth);
+  std::vector<std::uint32_t> out;
+  for (int step = 0; step < steps; ++step) {
+    kge::ModelGrads local(kWidth, kWidth);
+    for (const std::int32_t id : {comm.rank(), comm.rank() + 1, 10 + step}) {
+      auto row = local.entity.accumulate(id);
+      for (std::int32_t i = 0; i < kWidth; ++i) {
+        row[i] = 0.1f * static_cast<float>((comm.rank() + 1) * (i + 1)) -
+                 0.3f * static_cast<float>(step);
+      }
+    }
+    local.relation.accumulate(step % kRelations)[0] =
+        static_cast<float>(comm.rank()) + 0.5f;
+    exchange.exchange(local, merged, plan, rng);
+    for (const kge::SparseGrad* grad : {&merged.entity, &merged.relation}) {
+      for (const auto& slot : grad->sorted_slots()) {
+        out.push_back(static_cast<std::uint32_t>(slot.id));
+        for (const float v : grad->row_at(slot.offset)) {
+          out.push_back(std::bit_cast<std::uint32_t>(v));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST_P(FaultMatrixTest, CorruptExchangeIsRetransmittedAndMergeUnchanged) {
+  // The exchange decodes straight from the published slots, so the
+  // checksum pass must run before any decode: a corrupted gradient
+  // payload is retransmitted and the merged rows stay bit-identical.
+  const int num_ranks = GetParam();
+  for (const core::Transport transport :
+       {core::Transport::kAllGather, core::Transport::kAllReduce}) {
+    SCOPED_TRACE(core::to_string(transport));
+    std::vector<std::vector<std::uint32_t>> clean(num_ranks);
+    Cluster reference(num_ranks);
+    reference.run([&](Communicator& comm) {
+      clean[comm.rank()] = exchange_loop(comm, transport, 4);
+    });
+
+    // Collective #2 is the second step's entity exchange.
+    FaultInjector injector({FaultEvent{FaultKind::kCorrupt, /*rank=*/1,
+                                       /*collective_index=*/2,
+                                       /*failures=*/2}});
+    std::vector<std::vector<std::uint32_t>> faulted(num_ranks);
+    Cluster cluster(num_ranks);
+    cluster.set_fault_injector(&injector);
+    cluster.run([&](Communicator& comm) {
+      faulted[comm.rank()] = exchange_loop(comm, transport, 4);
+    });
+
+    EXPECT_EQ(clean, faulted);
+    for (int r = 1; r < num_ranks; ++r) EXPECT_EQ(faulted[r], faulted[0]);
+    const FaultCounters counters = injector.counters();
+    EXPECT_EQ(counters.corrupted_payloads, 2u);
+    EXPECT_EQ(counters.corruptions_detected, counters.corrupted_payloads);
+    EXPECT_EQ(counters.retransmits, 2u);
+    EXPECT_EQ(counters.exhausted, 0u);
+  }
+}
+
+TEST_P(FaultMatrixTest, CorruptExchangeEscalatesWhenBudgetExhausted) {
+  // Past the retry budget the corrupter dies and the others unwind; no
+  // rank may free a payload a sibling is still verifying or decoding
+  // (the sanitizer jobs run this test).
+  const int num_ranks = GetParam();
+  for (const core::Transport transport :
+       {core::Transport::kAllGather, core::Transport::kAllReduce}) {
+    SCOPED_TRACE(core::to_string(transport));
+    RetryPolicy policy;
+    policy.max_attempts = 3;
+    FaultInjector injector({FaultEvent{FaultKind::kCorrupt, /*rank=*/1,
+                                       /*collective_index=*/3,
+                                       /*failures=*/5}},
+                           policy);
+    Cluster cluster(num_ranks);
+    cluster.set_fault_injector(&injector);
+    try {
+      cluster.run(
+          [&](Communicator& comm) { exchange_loop(comm, transport, 4); });
+      FAIL() << "persistent corruption did not escalate";
+    } catch (const RankFailedError& error) {
+      EXPECT_EQ(error.rank(), 1);
+      EXPECT_NE(std::string(error.what()).find("corrupted payload"),
+                std::string::npos);
+    }
+    const FaultCounters counters = injector.counters();
+    EXPECT_EQ(counters.corrupted_payloads, 3u);
+    EXPECT_EQ(counters.corruptions_detected, counters.corrupted_payloads);
+    EXPECT_EQ(counters.exhausted, 1u);
+  }
 }
 
 TEST_P(FaultMatrixTest, HangTripsWatchdogIntoRankFailed) {

@@ -394,6 +394,45 @@ TEST(DeltaIngestor, ShedsBeyondMaxPending) {
   EXPECT_EQ(ingestor.stats().submitted, 2u);
 }
 
+TEST(DeltaIngestor, RejectsOutOfUniverseDeltas) {
+  // An id past the entity table used to be queued and then overran the
+  // table in incremental_refresh's base-row copy at flush time.
+  SnapshotStore store;
+  store.init(std::shared_ptr<const kge::KgeModel>(make_base()));
+  IngestConfig config;
+  config.batch_size = 100;  // never auto-flush in this test
+  DeltaIngestor ingestor(store, config);
+  ASSERT_TRUE(ingestor.submit({1, 0, 2}));
+
+  for (const Triple& bad : {Triple{kEntities, 0, 1}, Triple{1, 0, -1},
+                            Triple{1, kRelations, 2}}) {
+    try {
+      ingestor.submit(bad);
+      FAIL() << "submit accepted an out-of-universe delta";
+    } catch (const std::out_of_range& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("(" + std::to_string(bad.head) + ", " +
+                             std::to_string(bad.relation) + ", " +
+                             std::to_string(bad.tail) + ")"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find(std::to_string(kEntities) + " entities"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find(std::to_string(kRelations) + " relations"),
+                std::string::npos)
+          << message;
+    }
+    // A batch holding one bad delta queues none of its good ones.
+    const TripleList batch = {{3, 1, 4}, bad, {5, 2, 6}};
+    EXPECT_THROW(ingestor.submit_batch(batch), std::out_of_range);
+    EXPECT_EQ(ingestor.pending(), 1u);
+    EXPECT_EQ(ingestor.stats().submitted, 1u);
+  }
+  EXPECT_EQ(ingestor.stats().shed, 0u);
+  EXPECT_EQ(ingestor.flush(), 2u);  // the one good delta still flushes
+}
+
 TEST(DeltaIngestor, RequiresInitializedStoreAndPositiveBatch) {
   SnapshotStore uninitialized;
   EXPECT_THROW(DeltaIngestor(uninitialized, {}), std::logic_error);
