@@ -51,6 +51,16 @@ class RowAdam {
   void update_rows_scaled(SparseGrad& grads, float scale,
                           EmbeddingMatrix& params);
 
+  /// update_rows for the ids in `rows` only (ascending, unique), whose
+  /// moments sit at their rank: moment row k belongs to rows[k], so an
+  /// optimizer with rows.size() moment rows serves a few rows of a larger
+  /// `params` (the stream refresh keeps moments for a batch's touched rows
+  /// only). Gradient rows of other ids are skipped. Returns the number of
+  /// rows updated. Each update is byte-identical to update_rows'.
+  std::size_t update_listed_rows(const SparseGrad& grads,
+                                 std::span<const std::int32_t> rows,
+                                 EmbeddingMatrix& params);
+
   double learning_rate() const { return config_.learning_rate; }
   void set_learning_rate(double lr) { config_.learning_rate = lr; }
   const AdamConfig& config() const { return config_; }

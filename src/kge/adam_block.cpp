@@ -1,4 +1,5 @@
-// Blocked Adam application: one call retires every row of a SparseGrad.
+// Blocked Adam application: one call retires every row of a SparseGrad
+// (update_listed_rows: every row whose id is listed).
 //
 // This translation unit is compiled with -fno-math-errno (value-safe: only
 // libm's errno side effect is dropped) so the per-element loop — which
@@ -83,6 +84,41 @@ void RowAdam::update_rows_scaled(SparseGrad& grads, float scale,
              v_.row(slot.id).data(), n, b1, b2, wd, lr, bias1_, bias2_,
              config_.epsilon);
   }
+}
+
+std::size_t RowAdam::update_listed_rows(const SparseGrad& grads,
+                                        std::span<const std::int32_t> rows,
+                                        EmbeddingMatrix& params) {
+  if (step_ == 0) {
+    throw std::logic_error("RowAdam::update_listed_rows before begin_step");
+  }
+  if (grads.width() != params.width()) {
+    throw std::invalid_argument("RowAdam: gradient width mismatch");
+  }
+  if (rows.size() != static_cast<std::size_t>(m_.rows())) {
+    throw std::invalid_argument(
+        "RowAdam::update_listed_rows: one moment row per listed row");
+  }
+  const auto n = static_cast<std::size_t>(params.width());
+  const auto b1 = static_cast<float>(config_.beta1);
+  const auto b2 = static_cast<float>(config_.beta2);
+  const auto wd = static_cast<float>(config_.weight_decay);
+  const double lr = config_.learning_rate;
+  // Both sequences ascend, so one forward walk pairs each gradient row
+  // with its rank in `rows`.
+  std::size_t rank = 0;
+  std::size_t updated = 0;
+  for (const SparseGrad::SlotRef& slot : grads.sorted_slots()) {
+    while (rank < rows.size() && rows[rank] < slot.id) ++rank;
+    if (rank == rows.size()) break;
+    if (rows[rank] != slot.id) continue;
+    const auto k = static_cast<std::int32_t>(rank);
+    adam_row(grads.row_at(slot.offset).data(), params.row(slot.id).data(),
+             m_.row(k).data(), v_.row(k).data(), n, b1, b2, wd, lr, bias1_,
+             bias2_, config_.epsilon);
+    ++updated;
+  }
+  return updated;
 }
 
 }  // namespace dynkge::kge

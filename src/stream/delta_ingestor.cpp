@@ -1,5 +1,7 @@
 #include "stream/delta_ingestor.hpp"
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,8 +12,43 @@
 
 namespace dynkge::stream {
 
+struct DeltaIngestor::ReturnSlot {
+  std::mutex mu;
+  bool open = true;  ///< false once the ingestor is gone
+  /// The newest version handed back and not yet taken. `version` stays as
+  /// a high-water mark after a take: an older version coming back later
+  /// can never be caught up, so it is freed.
+  std::unique_ptr<kge::KgeModel> model;
+  std::uint64_t version = 0;
+};
+
+/// Deleter of every model the ingestor publishes: the last owner (the
+/// store's publish that displaced it, or the reader whose pin outlived
+/// that) hands the model back instead of freeing it.
+struct DeltaIngestor::HandBack {
+  std::shared_ptr<ReturnSlot> slot;
+  std::uint64_t version = 0;  ///< set right after publish; 0 = never kept
+
+  void operator()(const kge::KgeModel* published) const {
+    // The ingestor built the model mutable and published it as const.
+    std::unique_ptr<kge::KgeModel> model(
+        const_cast<kge::KgeModel*>(published));
+    {
+      const std::lock_guard<std::mutex> lock(slot->mu);
+      if (slot->open && version > slot->version) {
+        std::swap(slot->model, model);
+        slot->version = version;
+      }
+    }
+    // `model` — the older buffer it displaced, or itself — is freed here,
+    // outside the lock.
+  }
+};
+
 DeltaIngestor::DeltaIngestor(SnapshotStore& store, const IngestConfig& config)
-    : store_(store), config_(config) {
+    : store_(store),
+      config_(config),
+      returned_(std::make_shared<ReturnSlot>()) {
   if (config_.batch_size == 0) {
     throw std::invalid_argument("DeltaIngestor: batch_size must be >= 1");
   }
@@ -23,6 +60,13 @@ DeltaIngestor::DeltaIngestor(SnapshotStore& store, const IngestConfig& config)
   num_entities_ = base.model->num_entities();
   num_relations_ = base.model->num_relations();
   pending_.reserve(config_.batch_size);
+}
+
+DeltaIngestor::~DeltaIngestor() {
+  std::unique_ptr<kge::KgeModel> buffer;
+  const std::lock_guard<std::mutex> lock(returned_->mu);
+  returned_->open = false;
+  buffer = std::move(returned_->model);
 }
 
 void DeltaIngestor::check_universe(const kge::Triple& delta) const {
@@ -104,21 +148,30 @@ std::uint64_t DeltaIngestor::flush_batch(std::vector<kge::Triple>&& batch) {
   const PinnedModel base = store_.acquire();
   const std::uint64_t next_version = base.version + 1;
 
-  std::unique_ptr<kge::KgeModel> refreshed = kge::clone_model(*base.model);
+  std::unique_ptr<kge::KgeModel> refreshed = take_returned(base);
+  const bool full_copy = refreshed == nullptr;
+  if (full_copy) refreshed = kge::clone_model(*base.model);
   RefreshResult result = incremental_refresh(
       *refreshed, batch, next_version, config_.refresh, config_.dataset);
 
   // Updates yield to saturated read traffic (bounded), then swap in.
   if (config_.admission != nullptr) config_.admission->defer_update();
-  std::vector<kge::EntityId> touched = result.touched;
-  const std::uint64_t version =
-      store_.publish(std::move(refreshed), std::move(touched));
+  const std::shared_ptr<const kge::KgeModel> published(
+      refreshed.release(), HandBack{returned_});
+  const std::uint64_t version = store_.publish(published, result.touched);
+  // No one else can drop the model's last reference while `published`
+  // holds one, so the deleter reads this version when it runs.
+  std::get_deleter<HandBack>(published)->version = version;
+  last_version_ = version;
+  last_base_version_ = base.version;
+  last_touched_ = result.touched;
 
   const double seconds = clock.seconds();
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.batches;
     stats_.touched_rows += result.touched.size();
+    stats_.full_copies += full_copy ? 1 : 0;
     stats_.last_drift = result.drift;
     stats_.last_mean_loss = result.mean_loss;
   }
@@ -126,6 +179,7 @@ std::uint64_t DeltaIngestor::flush_batch(std::vector<kge::Triple>&& batch) {
     auto& m = *config_.telemetry.metrics;
     m.counter("stream.batches").add(1);
     m.counter("stream.touched_entities").add(result.touched.size());
+    m.counter("stream.refresh.full_copies").add(full_copy ? 1 : 0);
     m.histogram("stream.refresh_seconds").record(seconds);
     m.gauge("stream.refresh.drift").set(result.drift);
   }
@@ -144,6 +198,30 @@ std::uint64_t DeltaIngestor::flush_batch(std::vector<kge::Triple>&& batch) {
     config_.telemetry.events->write_line(json.str());
   }
   return version;
+}
+
+std::unique_ptr<kge::KgeModel> DeltaIngestor::take_returned(
+    const PinnedModel& current) {
+  std::unique_ptr<kge::KgeModel> buffer;
+  std::uint64_t buffer_version = 0;
+  {
+    const std::lock_guard<std::mutex> lock(returned_->mu);
+    buffer = std::move(returned_->model);
+    buffer_version = returned_->version;
+  }
+  // The buffer qualifies when `current` is this ingestor's last publish
+  // and was refreshed from the buffer's version: the two then differ only
+  // in last_touched_. A buffer that does not qualify now never will, and
+  // is freed.
+  if (buffer == nullptr || current.version != last_version_ ||
+      buffer_version != last_base_version_) {
+    return nullptr;
+  }
+  for (const kge::EntityId id : last_touched_) {
+    const auto row = current->entities().row(id);
+    std::copy(row.begin(), row.end(), buffer->entities().row(id).begin());
+  }
+  return buffer;
 }
 
 std::size_t DeltaIngestor::pending() const {

@@ -4,11 +4,21 @@
 //
 // The ingest path is: submit() enqueues (bounded — deltas beyond
 // `max_pending` are shed and counted, the ingest-side admission valve);
-// flush() drains the pending batch, clones the current model
-// (kge::clone_model), refreshes only the touched entity rows
-// (stream/refresh.hpp) and publishes. Publishing defers to read traffic
-// via the shared AdmissionController, so an update burst cannot starve
-// the score path.
+// flush() drains the pending batch, brings a copy of the current model up
+// to date, refreshes only the touched entity rows (stream/refresh.hpp) in
+// it and publishes it. Publishing defers to read traffic via the shared
+// AdmissionController, so an update burst cannot starve the score path.
+//
+// The copy costs O(touched rows), not O(table), in steady state: every
+// model the ingestor publishes carries a deleter that, once the store has
+// displaced it and no reader pins it, hands it back instead of freeing
+// it. When the handed-back model is the version the current one was
+// refreshed from, and the current one is this ingestor's own publish,
+// the two differ only in the rows that refresh touched: copying those
+// rows makes the buffer current. Otherwise — the first flushes, a reader
+// still pinning the displaced version, another publisher in between —
+// flush() clones the current model whole (kge::clone_model) and counts a
+// full copy.
 //
 // Determinism: versions are produced in flush order, each refresh is
 // seeded by (seed, version), and batches preserve submission order — so
@@ -21,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -54,6 +65,7 @@ struct IngestStats {
   std::uint64_t shed = 0;        ///< deltas rejected (queue full)
   std::uint64_t batches = 0;     ///< refreshes published
   std::uint64_t touched_rows = 0;  ///< entity rows updated, cumulative
+  std::uint64_t full_copies = 0;   ///< refreshes that cloned the whole model
   double last_drift = 0.0;
   double last_mean_loss = 0.0;
 };
@@ -63,6 +75,10 @@ class DeltaIngestor {
   /// `store` must be initialized (init() called) and outlive the
   /// ingestor.
   DeltaIngestor(SnapshotStore& store, const IngestConfig& config);
+
+  /// Models it published may outlive it in the store; they are freed,
+  /// not handed back, once the ingestor is gone.
+  ~DeltaIngestor();
 
   DeltaIngestor(const DeltaIngestor&) = delete;
   DeltaIngestor& operator=(const DeltaIngestor&) = delete;
@@ -89,6 +105,10 @@ class DeltaIngestor {
   /// submit() past the universe check.
   bool enqueue(const kge::Triple& delta);
   std::uint64_t flush_batch(std::vector<kge::Triple>&& batch);
+  /// The handed-back model brought up to `current`, or null when it is not
+  /// the version this ingestor's last publish was refreshed from (or that
+  /// publish is no longer current). Caller holds flush_mu_.
+  std::unique_ptr<kge::KgeModel> take_returned(const PinnedModel& current);
   /// Throws std::out_of_range naming `delta` and the universe when one of
   /// its ids has no row in the model.
   void check_universe(const kge::Triple& delta) const;
@@ -103,6 +123,18 @@ class DeltaIngestor {
   std::vector<kge::Triple> pending_;
 
   std::mutex flush_mu_;  ///< serializes refresh+publish
+
+  /// Where published models come back (delta_ingestor.cpp). Each published
+  /// model's deleter shares it, so a deleter that runs after the ingestor
+  /// is gone is still safe.
+  struct ReturnSlot;
+  struct HandBack;
+  std::shared_ptr<ReturnSlot> returned_;
+  /// This ingestor's last publish (guarded by flush_mu_): its version, the
+  /// version it was refreshed from, and the rows that refresh touched.
+  std::uint64_t last_version_ = 0;
+  std::uint64_t last_base_version_ = 0;
+  std::vector<kge::EntityId> last_touched_;
 
   mutable std::mutex stats_mu_;
   IngestStats stats_;

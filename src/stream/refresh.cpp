@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
 #include "core/hard_negatives.hpp"
@@ -41,20 +40,20 @@ RefreshResult incremental_refresh(kge::KgeModel& model,
   if (deltas.empty() || params.steps <= 0) return result;
 
   // The frozen-base contract: only rows named by the batch may change.
-  std::unordered_set<kge::EntityId> touched;
+  std::vector<kge::EntityId>& touched = result.touched;
   touched.reserve(deltas.size() * 2);
   for (const kge::Triple& t : deltas) {
-    touched.insert(t.head);
-    touched.insert(t.tail);
+    touched.push_back(t.head);
+    touched.push_back(t.tail);
   }
-  result.touched.assign(touched.begin(), touched.end());
-  std::sort(result.touched.begin(), result.touched.end());
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
   // Base rows, kept to report the drift this refresh introduces.
   std::vector<float> base_rows;
   const auto width = static_cast<std::size_t>(model.entities().width());
-  base_rows.reserve(result.touched.size() * width);
-  for (const kge::EntityId id : result.touched) {
+  base_rows.reserve(touched.size() * width);
+  for (const kge::EntityId id : touched) {
     const auto row = model.entities().row(id);
     base_rows.insert(base_rows.end(), row.begin(), row.end());
   }
@@ -67,8 +66,10 @@ RefreshResult incremental_refresh(kge::KgeModel& model,
   kge::AdamConfig adam;
   adam.learning_rate = params.learning_rate;
   adam.weight_decay = params.weight_decay;
-  kge::RowAdam entity_opt(model.num_entities(), model.entities().width(),
-                          adam);
+  // Moments for the touched rows only, at their rank in `touched`: a
+  // refresh starts them at zero and no other row is ever updated.
+  kge::RowAdam entity_opt(static_cast<std::int32_t>(touched.size()),
+                          model.entities().width(), adam);
 
   const bool hard_mining = dataset != nullptr &&
                            params.negatives_used < params.negatives_sampled &&
@@ -112,20 +113,17 @@ RefreshResult incremental_refresh(kge::KgeModel& model,
     // Apply Adam only to rows inside the frozen-base contract, in sorted
     // id order (the determinism contract shared with the trainer).
     // Gradient rows for corruption entities outside the batch are
-    // dropped; relation gradients are dropped entirely.
-    for (const kge::EntityId id : std::vector(grads.entity.sorted_ids())) {
-      if (touched.count(id) == 0) grads.entity.erase(id);
-    }
+    // skipped; relation gradients are dropped entirely.
     entity_opt.begin_step();
-    entity_opt.update_rows(grads.entity, model.entities());
-    result.row_updates += grads.entity.num_rows();
+    result.row_updates +=
+        entity_opt.update_listed_rows(grads.entity, touched, model.entities());
     result.mean_loss =
         loss_sum / static_cast<double>(deltas.size() + negatives.size());
   }
 
   double drift_sq = 0.0;
-  for (std::size_t i = 0; i < result.touched.size(); ++i) {
-    const auto now = model.entities().row(result.touched[i]);
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    const auto now = model.entities().row(touched[i]);
     const float* base = base_rows.data() + i * width;
     for (std::size_t j = 0; j < width; ++j) {
       const double d = static_cast<double>(now[j]) - base[j];

@@ -15,7 +15,10 @@
 // Each optimization pass is the distributed trainer's step: negatives for
 // the whole batch (core::select_hard_negatives_block, or uniform
 // corruptions), one core::forward_backward with unit coefficient scale and
-// no underflow cut, then RowAdam::update_rows over the touched rows.
+// no underflow cut, then RowAdam::update_listed_rows over the touched rows.
+// Adam moments exist for those rows only (touched.size() x width, each at
+// its rank in `touched`), so a refresh costs O(touched rows), not
+// O(num_entities), beyond the scoring it does.
 //
 // Determinism: given the same base model bytes, the same delta batch in
 // the same order, the same params and the same (seed, version) pair, the

@@ -50,8 +50,8 @@ std::uint64_t SnapshotStore::publish(
     const std::lock_guard<std::mutex> lock(current_mu_);
     current_ = PinnedModel{std::move(model), version};
   }
-  // Drop the displaced version outside the reader lock: it is freed here
-  // unless a request still pins it.
+  // Drop the displaced version outside the reader lock: it is released
+  // here unless a request still pins it.
   previous = {};
 
   if (sinks_.metrics != nullptr) {

@@ -14,7 +14,8 @@
 //
 //   * publish() — serialized by a publisher mutex. Swaps the new version
 //     in under the same short lock and drops the displaced one outside
-//     it: a superseded version is freed as soon as no request pins it.
+//     it: a superseded version is released (its shared_ptr deleter runs)
+//     as soon as no request pins it.
 //     Readers switch on their next acquire(); in-flight reads finish on
 //     the version they pinned.
 //

@@ -160,7 +160,11 @@ void ThreadPool::run_cohort(std::size_t n,
   }
   for (auto& thread : overflow) thread.join();
 
-  for (auto& error : cohort->errors) {
+  // A pool worker's copy of `cohort` can outlive this call. Holding the
+  // errors here means every exception is released on this thread, never
+  // freed by a worker while the caller still reads the rethrown one.
+  const std::vector<std::exception_ptr> errors = std::move(cohort->errors);
+  for (const auto& error : errors) {
     if (error) std::rethrow_exception(error);
   }
 }

@@ -246,6 +246,47 @@ TEST(BlockKernels, AdamUpdateRowsScaledMatchesScaleThenUpdate) {
   EXPECT_TRUE(same_bytes(params_scalar.flat(), params_blocked.flat()));
 }
 
+TEST(BlockKernels, AdamUpdateListedRowsMatchesPerRowUpdates) {
+  kge::AdamConfig config;
+  config.learning_rate = 0.01;
+  config.weight_decay = 1e-4;
+  EmbeddingMatrix params_scalar(48, 12);
+  util::Rng rng(43);
+  for (float& x : params_scalar.flat()) {
+    x = static_cast<float>(rng.next_double());
+  }
+  EmbeddingMatrix params_listed = params_scalar;
+
+  // Gradient rows 0, 3, 17, 29, 41; listed rows 3, 17, 29 and 40, so two
+  // gradient rows are skipped and one listed row has no gradient.
+  const std::vector<std::int32_t> listed{3, 17, 29, 40};
+  kge::RowAdam scalar_opt(48, 12, config);
+  kge::RowAdam listed_opt(static_cast<std::int32_t>(listed.size()), 12,
+                          config);
+  const kge::SparseGrad grads = make_test_grads(12);
+  for (int step = 0; step < 2; ++step) {
+    scalar_opt.begin_step();
+    listed_opt.begin_step();
+    for (const std::int32_t id : {3, 17, 29}) {
+      scalar_opt.update_row(id, grads.row(id), params_scalar);
+    }
+    EXPECT_EQ(listed_opt.update_listed_rows(grads, listed, params_listed), 3u);
+    EXPECT_TRUE(same_bytes(params_scalar.flat(), params_listed.flat()))
+        << "step " << step;
+    for (std::size_t k = 0; k < listed.size(); ++k) {
+      const auto id = listed[k];
+      const auto row = static_cast<std::int32_t>(k);
+      EXPECT_TRUE(same_bytes(scalar_opt.moment1().row(id),
+                             listed_opt.moment1().row(row)));
+      EXPECT_TRUE(same_bytes(scalar_opt.moment2().row(id),
+                             listed_opt.moment2().row(row)));
+    }
+  }
+  const std::vector<std::int32_t> too_few{3, 17};
+  EXPECT_THROW(listed_opt.update_listed_rows(grads, too_few, params_listed),
+               std::invalid_argument);
+}
+
 // ---- the training step ------------------------------------------------
 
 /// Negatives for adversarial_triples(): positive i gets i % 4 of them

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <unistd.h>
 
 #include "golden_digest.hpp"
@@ -474,6 +477,166 @@ TEST(DeltaIngestor, ReplayedStreamProducesByteIdenticalSnapshots) {
   for (std::size_t i = 0; i < fa.size(); ++i) {
     ASSERT_EQ(fa[i], fb[i]) << "element " << i;
   }
+}
+
+// ---- recycled buffers against a reference chain ----------------------
+//
+// The ingestor refreshes a handed-back buffer in place when it can and a
+// clone otherwise. Either way every version it publishes must equal the
+// reference chain: a clone of the version before, refreshed by
+// incremental_refresh with the same batch and version.
+
+/// Entity then relation bytes of a model.
+std::vector<float> model_bytes(const kge::KgeModel& model) {
+  std::vector<float> bytes(model.entities().flat().begin(),
+                           model.entities().flat().end());
+  bytes.insert(bytes.end(), model.relations().flat().begin(),
+               model.relations().flat().end());
+  return bytes;
+}
+
+class ChainedIngest {
+ public:
+  ChainedIngest() : reference_(make_base()) {
+    store_.init(kge::clone_model(*reference_));
+    start_ingestor();
+  }
+
+  SnapshotStore& store() { return store_; }
+  DeltaIngestor& ingestor() { return *ingestor_; }
+
+  /// Ingest one batch of random deltas, advance the reference chain, and
+  /// compare the published version with it.
+  void flush_and_check() {
+    TripleList batch;
+    for (int i = 0; i < 6; ++i) {
+      batch.push_back(
+          {static_cast<EntityId>(rng_.next_below(kEntities)),
+           static_cast<kge::RelationId>(rng_.next_below(kRelations)),
+           static_cast<EntityId>(rng_.next_below(kEntities))});
+    }
+    ingestor_->submit_batch(batch);
+    const std::uint64_t version = ingestor_->flush();
+    ASSERT_EQ(version, store_.current_version());
+    std::unique_ptr<kge::KgeModel> next = kge::clone_model(*reference_);
+    incremental_refresh(*next, batch, version, config_.refresh);
+    reference_ = std::move(next);
+    expect_matches_reference(store_.acquire());
+  }
+
+  /// Another publisher replaces the current version.
+  void publish_other(std::uint64_t seed) {
+    std::unique_ptr<kge::KgeModel> other = make_base(seed);
+    reference_ = kge::clone_model(*other);
+    store_.publish(std::move(other));
+  }
+
+  void expect_matches_reference(const PinnedModel& pin) const {
+    EXPECT_EQ(model_bytes(*pin), model_bytes(*reference_))
+        << "version " << pin.version;
+  }
+
+  std::vector<float> reference_bytes() const {
+    return model_bytes(*reference_);
+  }
+
+  void destroy_ingestor() { ingestor_.reset(); }
+  void start_ingestor() {
+    config_.batch_size = 1000;  // flushed by hand
+    config_.refresh.seed = 31;
+    ingestor_ = std::make_unique<DeltaIngestor>(store_, config_);
+  }
+
+ private:
+  SnapshotStore store_;
+  IngestConfig config_;
+  std::unique_ptr<DeltaIngestor> ingestor_;
+  std::unique_ptr<kge::KgeModel> reference_;
+  util::Rng rng_{77};
+};
+
+TEST(DeltaIngestorRecycling, UnpinnedFlushesReuseTheDisplacedVersion) {
+  ChainedIngest chain;
+  for (int i = 0; i < 8; ++i) chain.flush_and_check();
+  // Version 1 was not the ingestor's to take back, so the first two
+  // flushes clone; each later one catches up the version it displaced.
+  EXPECT_EQ(chain.ingestor().stats().full_copies, 2u);
+  EXPECT_EQ(chain.ingestor().stats().batches, 8u);
+}
+
+TEST(DeltaIngestorRecycling, PinnedVersionIsNeitherWrittenNorReused) {
+  ChainedIngest chain;
+  for (int i = 0; i < 3; ++i) chain.flush_and_check();
+  ASSERT_EQ(chain.ingestor().stats().full_copies, 2u);
+
+  PinnedModel pinned = chain.store().acquire();  // version 4
+  const std::vector<float> pinned_bytes = model_bytes(*pinned);
+  chain.flush_and_check();  // reuses version 3; version 4 stays pinned
+  EXPECT_EQ(chain.ingestor().stats().full_copies, 2u);
+  chain.flush_and_check();  // version 4 is not back: clone
+  EXPECT_EQ(chain.ingestor().stats().full_copies, 3u);
+  EXPECT_EQ(model_bytes(*pinned), pinned_bytes);
+  pinned = {};  // version 4 comes back after version 5: freed, not kept
+  chain.flush_and_check();
+  chain.flush_and_check();
+  EXPECT_EQ(chain.ingestor().stats().full_copies, 3u);
+}
+
+TEST(DeltaIngestorRecycling, AnotherPublisherForcesFullCopies) {
+  ChainedIngest chain;
+  for (int i = 0; i < 3; ++i) chain.flush_and_check();
+  ASSERT_EQ(chain.ingestor().stats().full_copies, 2u);
+
+  chain.publish_other(/*seed=*/91);  // version 5 displaces the ingestor's 4
+  chain.flush_and_check();  // current is not the ingestor's own: clone
+  chain.flush_and_check();  // the other publisher's version is not back
+  EXPECT_EQ(chain.ingestor().stats().full_copies, 4u);
+  chain.flush_and_check();
+  chain.flush_and_check();
+  EXPECT_EQ(chain.ingestor().stats().full_copies, 4u);
+}
+
+TEST(DeltaIngestorRecycling, ConcurrentReadersNeverSeeTheirVersionChange) {
+  // Readers drop their pins on their own threads, so displaced versions
+  // come back from there, and a refresh in place must never write one a
+  // reader still holds (TSan sees such a write too).
+  ChainedIngest chain;
+  std::atomic<bool> done{false};
+  std::atomic<int> changed{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const PinnedModel pin = chain.store().acquire();
+        const std::vector<float> first = model_bytes(*pin);
+        std::this_thread::yield();
+        if (model_bytes(*pin) != first) changed.fetch_add(1);
+      }
+    });
+  }
+  for (int i = 0; i < 30; ++i) chain.flush_and_check();
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(changed.load(), 0);
+}
+
+TEST(DeltaIngestorRecycling, VersionsOutliveTheIngestor) {
+  ChainedIngest chain;
+  for (int i = 0; i < 4; ++i) chain.flush_and_check();
+  chain.destroy_ingestor();
+
+  // The store still holds the ingestor's last version; displacing it, and
+  // then dropping the last pin on it, frees it.
+  PinnedModel held = chain.store().acquire();
+  chain.expect_matches_reference(held);
+  const std::vector<float> held_bytes = chain.reference_bytes();
+  chain.publish_other(/*seed=*/92);
+  EXPECT_EQ(model_bytes(*held), held_bytes);
+  held = {};
+
+  chain.start_ingestor();
+  for (int i = 0; i < 4; ++i) chain.flush_and_check();
+  EXPECT_EQ(chain.ingestor().stats().full_copies, 2u);
 }
 
 }  // namespace

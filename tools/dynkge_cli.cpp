@@ -1048,6 +1048,7 @@ int cmd_serve_bench(const util::ArgParser& args) {
   double churn_qps = 0.0;
   std::uint64_t churn_failed = 0;
   std::uint64_t churn_versions = 0;
+  std::uint64_t churn_full_copies = 0;
   serve::ServiceSnapshot churn;
   if (mixed_updates > 0) {
     const auto deltas = make_delta_stream(
@@ -1075,12 +1076,14 @@ int cmd_serve_bench(const util::ArgParser& args) {
     churn_qps = static_cast<double>(stream.size()) / churn_seconds;
     churn = service.snapshot();
     churn_versions = service.current_version() - version_before;
+    churn_full_copies = ingestor.stats().full_copies;
     std::cout << "churn (" << mixed_updates << " deltas, batch "
               << ingest.batch_size << "): " << stream.size()
               << " queries in "
               << obs::LatencyHistogram::format_seconds(churn_seconds)
               << "  ->  " << static_cast<std::uint64_t>(churn_qps)
-              << " qps, " << churn_versions << " versions published, "
+              << " qps, " << churn_versions << " versions published ("
+              << churn_full_copies << " full model copies), "
               << churn_failed << " failed requests\n"
               << "latency under churn: " << churn.summary() << "\n";
   }
@@ -1105,6 +1108,7 @@ int cmd_serve_bench(const util::ArgParser& args) {
     reporter.set("churn.qps", churn_qps);
     reporter.set("churn.p99_seconds", churn.p99_seconds);
     reporter.count("churn.versions_published", churn_versions);
+    reporter.count("churn.full_copies", churn_full_copies);
     reporter.count("churn.failed_requests", churn_failed);
     reporter.count("churn.shed", churn.shed);
     reporter.count("churn.cache_invalidations", churn.cache.invalidations);
