@@ -13,26 +13,23 @@ namespace {
 using dynkge::comm::Cluster;
 using dynkge::comm::Communicator;
 using dynkge::comm::CostModel;
+using dynkge::comm::ScalarOp;
 
-void BM_AllReduceSum(benchmark::State& state) {
+void BM_AllReduceScalar(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
-  const std::size_t elems = static_cast<std::size_t>(state.range(1));
   Cluster cluster(ranks);
   for (auto _ : state) {
     cluster.run([&](Communicator& comm) {
-      std::vector<float> data(elems, 1.0f);
-      comm.allreduce_sum_inplace(data);
-      benchmark::DoNotOptimize(data.data());
+      double value = comm.rank();
+      for (int i = 0; i < 100; ++i) {
+        value = comm.allreduce_scalar(value, ScalarOp::kMax);
+      }
+      benchmark::DoNotOptimize(value);
     });
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          ranks * elems * sizeof(float));
+  state.SetItemsProcessed(state.iterations() * 100);
 }
-BENCHMARK(BM_AllReduceSum)
-    ->Args({2, 1 << 10})
-    ->Args({4, 1 << 10})
-    ->Args({8, 1 << 10})
-    ->Args({4, 1 << 14});
+BENCHMARK(BM_AllReduceScalar)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_AllGatherV(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
@@ -40,11 +37,14 @@ void BM_AllGatherV(benchmark::State& state) {
   Cluster cluster(ranks);
   for (auto _ : state) {
     cluster.run([&](Communicator& comm) {
-      std::vector<std::byte> local(bytes, std::byte{1});
-      std::vector<std::byte> out;
-      std::vector<std::size_t> counts;
-      comm.allgatherv_bytes(local, out, counts);
-      benchmark::DoNotOptimize(out.data());
+      const std::vector<std::byte> local(bytes, std::byte{1});
+      std::size_t read = 0;
+      comm.allgatherv_slots(local, [&](Communicator::Slots slots) {
+        for (const auto slot : slots) {
+          for (const std::byte b : slot) read += static_cast<std::size_t>(b);
+        }
+      });
+      benchmark::DoNotOptimize(read);
     });
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -54,18 +54,6 @@ BENCHMARK(BM_AllGatherV)
     ->Args({2, 4 << 10})
     ->Args({4, 4 << 10})
     ->Args({8, 4 << 10});
-
-void BM_Barrier(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  Cluster cluster(ranks);
-  for (auto _ : state) {
-    cluster.run([&](Communicator& comm) {
-      for (int i = 0; i < 100; ++i) comm.barrier();
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * 100);
-}
-BENCHMARK(BM_Barrier)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_CostModelAllReduce(benchmark::State& state) {
   const CostModel model;

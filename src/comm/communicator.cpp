@@ -8,28 +8,6 @@
 #include "util/fnv1a.hpp"
 
 namespace dynkge::comm {
-namespace {
-
-/// FNV-1a over a payload, extended over the publishing rank's scalar slot
-/// so zero-byte collectives (barrier, allreduce_scalar) are covered by the
-/// same digest. Zero simulated seconds are charged for this — see
-/// DESIGN.md §13 for why that keeps checksummed runs byte-identical.
-std::uint64_t integrity_hash(const std::byte* data, std::size_t bytes,
-                             double scalar) {
-  return util::fnv1a(&scalar, sizeof(scalar), util::fnv1a(data, bytes));
-}
-
-/// Flip the low bit of a double's mantissa (the corruption a flaky link
-/// would inflict on a scalar payload).
-double flip_low_bit(double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  bits ^= 1ULL;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-}  // namespace
 
 void Barrier::arrive_and_wait() {
   std::unique_lock<std::mutex> lock(mu_);
@@ -70,50 +48,42 @@ void Communicator::publish_and_sync(const std::byte* data, std::size_t bytes) {
   }
 
   // Wire-integrity path (armed by attaching any injector, even an empty
-  // schedule — the CLI's --wire-checksums). The digest is computed over
-  // the payload this rank *intends* to send plus its scalar slot, before
-  // any corruption; a scheduled kCorrupt fault publishes a bit-flipped
-  // copy instead for its first rounds. After the publish barrier, every
-  // rank verifies every slot against its checksum over identical shared
-  // state, so all ranks reach the same verdict: clean -> proceed,
-  // corrupt -> a separator barrier (re-publishing must not race ranks
-  // still verifying) and another round, budget exhausted -> the
-  // corrupting rank dies with RankFailedError and the rest unwind with
-  // AbortedError (aggregated by Cluster::run like any rank death).
+  // schedule — the CLI's --wire-checksums). The FNV-1a digest is computed
+  // over the payload this rank *intends* to send, before any corruption,
+  // and costs no simulated seconds (DESIGN.md §13); a scheduled kCorrupt
+  // fault publishes a copy with its first byte flipped instead for its
+  // first rounds — an empty payload becomes one flipped byte, so every
+  // corruption changes the digest. After the publish barrier, every rank
+  // verifies every slot against its checksum over identical shared state,
+  // so all ranks reach the same verdict: clean -> proceed, corrupt -> a
+  // separator barrier (re-publishing must not race ranks still verifying)
+  // and another round, budget exhausted -> the corrupting rank dies with
+  // RankFailedError and the rest unwind with AbortedError (aggregated by
+  // Cluster::run like any rank death).
   const int corrupt_sends = pending_corrupt_sends_;
   pending_corrupt_sends_ = 0;
-  const double clean_scalar = state_.scalar[rank_];
-  const std::uint64_t clean_hash = integrity_hash(data, bytes, clean_scalar);
+  const std::uint64_t clean_hash = util::fnv1a(data, bytes);
   const RetryPolicy& policy = injector_->policy();
   double backoff = policy.backoff_seconds;
   int round = 0;
   while (true) {
-    const bool corrupt_now = round < corrupt_sends;
-    if (corrupt_now) {
-      injector_->record_corrupted_payload();
-      if (bytes > 0) {
-        corrupt_scratch_.assign(data, data + bytes);
-        corrupt_scratch_[0] ^= std::byte{0x01};
-        state_.ptr[rank_] = corrupt_scratch_.data();
-      } else {
-        // Zero-byte payload (barrier / scalar collective): corrupt the
-        // scalar slot instead, restored on retransmit.
-        state_.ptr[rank_] = data;
-        state_.scalar[rank_] = flip_low_bit(clean_scalar);
-      }
-    } else {
-      state_.ptr[rank_] = data;
-      state_.scalar[rank_] = clean_scalar;
-    }
+    state_.ptr[rank_] = data;
     state_.size[rank_] = bytes;
+    if (round < corrupt_sends) {
+      injector_->record_corrupted_payload();
+      corrupt_scratch_.assign(data, data + bytes);
+      if (corrupt_scratch_.empty()) corrupt_scratch_.push_back(std::byte{0});
+      corrupt_scratch_[0] ^= std::byte{0x01};
+      state_.ptr[rank_] = corrupt_scratch_.data();
+      state_.size[rank_] = corrupt_scratch_.size();
+    }
     state_.checksum[rank_] = clean_hash;
     state_.barrier.arrive_and_wait();
 
     bool any_bad = false;
     bool self_bad = false;
     for (int r = 0; r < num_ranks_; ++r) {
-      const std::uint64_t got =
-          integrity_hash(state_.ptr[r], state_.size[r], state_.scalar[r]);
+      const std::uint64_t got = util::fnv1a(state_.ptr[r], state_.size[r]);
       if (got != state_.checksum[r]) {
         any_bad = true;
         if (r == rank_) self_bad = true;
@@ -152,70 +122,6 @@ void Communicator::align_clock() {
   sim_now_ = max_clock;
 }
 
-void Communicator::barrier() {
-  check_faults();
-  publish_and_sync(nullptr, 0);
-  align_clock();
-  const double t = model_.barrier_time(num_ranks_);
-  apply_cost(CollectiveKind::kBarrier, 0, t);
-  release();
-}
-
-void Communicator::allreduce_sum(std::span<const float> in,
-                                 std::span<float> out) {
-  if (in.size() != out.size()) {
-    throw std::invalid_argument("allreduce_sum: size mismatch");
-  }
-  // Every rank computes the same sum in the same rank order, into a private
-  // temp so in-place callers do not race with siblings still reading `in`.
-  std::vector<float> tmp(in.size(), 0.0f);
-  allgatherv_slots(
-      std::as_bytes(in),
-      [&](Slots slots) {
-        for (const std::span<const std::byte> slot : slots) {
-          if (slot.size() != in.size_bytes()) {
-            throw std::invalid_argument("allreduce_sum: rank size mismatch");
-          }
-          const auto* p = reinterpret_cast<const float*>(slot.data());
-          for (std::size_t i = 0; i < tmp.size(); ++i) tmp[i] += p[i];
-        }
-      },
-      /*charge_cost=*/false);
-  const double t = model_.allreduce_time(num_ranks_, in.size_bytes());
-  apply_cost(CollectiveKind::kAllReduce, in.size_bytes(), t);
-  std::copy(tmp.begin(), tmp.end(), out.begin());
-}
-
-void Communicator::allreduce_sum_inplace(std::span<float> data) {
-  allreduce_sum(data, data);
-}
-
-double Communicator::allreduce_scalar(double value, ScalarOp op) {
-  check_faults();
-  state_.scalar[rank_] = value;
-  publish_and_sync(nullptr, 0);
-  align_clock();
-  double result = state_.scalar[0];
-  for (int r = 1; r < num_ranks_; ++r) {
-    const double v = state_.scalar[r];
-    switch (op) {
-      case ScalarOp::kSum:
-        result += v;
-        break;
-      case ScalarOp::kMin:
-        result = std::min(result, v);
-        break;
-      case ScalarOp::kMax:
-        result = std::max(result, v);
-        break;
-    }
-  }
-  const double t = model_.allreduce_time(num_ranks_, sizeof(double));
-  apply_cost(CollectiveKind::kAllReduce, sizeof(double), t);
-  release();
-  return result;
-}
-
 void Communicator::allgatherv_slots(std::span<const std::byte> local,
                                     const std::function<void(Slots)>& read,
                                     bool charge_cost) {
@@ -242,29 +148,40 @@ void Communicator::allgatherv_slots(std::span<const std::byte> local,
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-void Communicator::allgatherv_bytes(std::span<const std::byte> local,
-                                    std::vector<std::byte>& out,
-                                    std::vector<std::size_t>& counts,
-                                    bool charge_cost) {
+double Communicator::allreduce_scalar(double value, ScalarOp op) {
+  double result = 0.0;
   allgatherv_slots(
-      local,
+      std::as_bytes(std::span<const double>(&value, 1)),
       [&](Slots slots) {
-        counts.resize(slots.size());
-        std::size_t total = 0;
-        for (std::size_t r = 0; r < slots.size(); ++r) {
-          counts[r] = slots[r].size();
-          total += slots[r].size();
-        }
-        out.resize(total);
-        std::size_t offset = 0;
-        for (const std::span<const std::byte> slot : slots) {
-          if (!slot.empty()) {
-            std::memcpy(out.data() + offset, slot.data(), slot.size());
+        for (int r = 0; r < num_ranks_; ++r) {
+          if (slots[r].size() != sizeof(double)) {
+            throw std::logic_error(
+                "allreduce_scalar: rank " + std::to_string(r) +
+                " published " + std::to_string(slots[r].size()) + " bytes");
           }
-          offset += slot.size();
+          double v = 0.0;
+          std::memcpy(&v, slots[r].data(), sizeof(v));
+          if (r == 0) {
+            result = v;
+            continue;
+          }
+          switch (op) {
+            case ScalarOp::kSum:
+              result += v;
+              break;
+            case ScalarOp::kMin:
+              result = std::min(result, v);
+              break;
+            case ScalarOp::kMax:
+              result = std::max(result, v);
+              break;
+          }
         }
       },
-      charge_cost);
+      /*charge_cost=*/false);
+  const double t = model_.allreduce_time(num_ranks_, sizeof(double));
+  apply_cost(CollectiveKind::kAllReduce, sizeof(double), t);
+  return result;
 }
 
 void Communicator::charge(CollectiveKind kind, std::size_t total_bytes,

@@ -8,6 +8,13 @@
 // deterministic) and exchange data through a shared staging area guarded
 // by a generation-counted barrier.
 //
+// The data operations are two collectives and a cost entry:
+// allgatherv_slots (every rank reads all P published payloads in place),
+// allreduce_scalar (an 8-byte gather reduced in rank order, charged as an
+// all-reduce) and charge (the modeled cost of a collective the caller
+// realized some cheaper way). All publishes take one path, so one
+// checksum/retransmit loop covers every collective.
+//
 // Timing: physical thread time spent inside collectives is *not* what the
 // experiments report. Instead every Communicator carries a simulated clock:
 // compute segments advance it by measured thread-CPU seconds (see
@@ -19,7 +26,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstring>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -73,7 +79,6 @@ struct SharedState {
         ptr(num_ranks, nullptr),
         size(num_ranks, 0),
         clock(num_ranks, 0.0),
-        scalar(num_ranks, 0.0),
         checksum(num_ranks, 0),
         fault(num_ranks) {}
 
@@ -81,9 +86,8 @@ struct SharedState {
   std::vector<const std::byte*> ptr;
   std::vector<std::size_t> size;
   std::vector<double> clock;
-  std::vector<double> scalar;
-  /// FNV-1a digest of the rank's *intended* payload (+ scalar slot),
-  /// published alongside it when a fault injector arms wire integrity.
+  /// FNV-1a digest of the rank's *intended* payload, published alongside
+  /// it when a fault injector arms wire integrity.
   /// Receivers verify every slot against it — see
   /// Communicator::publish_and_sync.
   std::vector<std::uint64_t> checksum;
@@ -109,15 +113,10 @@ class Communicator {
   int size() const { return num_ranks_; }
   bool is_root() const { return rank_ == 0; }
 
-  /// Synchronize all ranks (and charge the modeled barrier latency).
-  void barrier();
-
-  /// Element-wise sum across ranks; every rank receives the full result.
-  /// `in` and `out` must have equal size and may alias.
-  void allreduce_sum(std::span<const float> in, std::span<float> out);
-  void allreduce_sum_inplace(std::span<float> data);
-
-  /// Reduce one double across ranks; every rank receives the result.
+  /// Reduce one double across ranks in rank order; every rank receives
+  /// the same result. Gathered as an 8-byte payload through
+  /// allgatherv_slots (so it is checksummed like any other), then charged
+  /// as one modeled all-reduce of 8 bytes.
   double allreduce_scalar(double value, ScalarOp op);
 
   /// Every rank's published payload, indexed by rank.
@@ -135,19 +134,6 @@ class Communicator {
   void allgatherv_slots(std::span<const std::byte> local,
                         const std::function<void(Slots)>& read,
                         bool charge_cost = true);
-
-  /// Concatenate the byte payloads of all ranks in rank order. `counts[r]`
-  /// receives rank r's contribution size. A copying allgatherv_slots().
-  void allgatherv_bytes(std::span<const std::byte> local,
-                        std::vector<std::byte>& out,
-                        std::vector<std::size_t>& counts,
-                        bool charge_cost = true);
-
-  /// Typed convenience wrapper over allgatherv_bytes. counts are in
-  /// elements, not bytes.
-  template <typename T>
-  void allgatherv(std::span<const T> local, std::vector<T>& out,
-                  std::vector<std::size_t>& counts);
 
   /// Record the modeled cost of a collective that was *logically* performed
   /// even though the in-process transport did something cheaper (e.g. a
@@ -219,10 +205,10 @@ class Communicator {
   /// After this returns, all ranks' slots are readable.
   ///
   /// With a fault injector attached, wire integrity is armed: every
-  /// publish carries an FNV-1a checksum of the intended payload (extended
-  /// over the rank's scalar slot, so scalar collectives are covered too),
-  /// a scheduled kCorrupt fault makes this rank publish a bit-flipped
-  /// copy instead, and after the publish barrier every rank verifies
+  /// publish carries an FNV-1a checksum of the intended payload, a
+  /// scheduled kCorrupt fault makes this rank publish a bit-flipped copy
+  /// instead (an empty payload becomes one flipped byte, so it is caught
+  /// too), and after the publish barrier every rank verifies
   /// every slot against its checksum. All ranks verify identical shared
   /// state, so the verdict is deterministic: on a mismatch the corrupter
   /// retransmits (a further publish round under the RetryPolicy, backoff
@@ -251,7 +237,7 @@ class Communicator {
   /// from a kCorrupt event, consumed by publish_and_sync).
   int pending_corrupt_sends_ = 0;
   /// Scratch for the corrupted copy (the caller's buffer is const and
-  /// must be retransmittable untouched).
+  /// must be retransmittable untouched); never empty while published.
   std::vector<std::byte> corrupt_scratch_;
   /// The slot views allgatherv_slots() hands its reader.
   std::vector<std::span<const std::byte>> slot_scratch_;
@@ -294,27 +280,5 @@ class Cluster {
   CostModel model_;
   FaultInjector* injector_ = nullptr;
 };
-
-// ----------------------------------------------------------------------
-// Template implementations.
-
-template <typename T>
-void Communicator::allgatherv(std::span<const T> local, std::vector<T>& out,
-                              std::vector<std::size_t>& counts) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  allgatherv_slots(std::as_bytes(local), [&](Slots slots) {
-    counts.resize(slots.size());
-    out.clear();
-    for (std::size_t r = 0; r < slots.size(); ++r) {
-      counts[r] = slots[r].size() / sizeof(T);
-      const std::size_t offset = out.size();
-      out.resize(offset + counts[r]);
-      if (counts[r] != 0) {
-        std::memcpy(out.data() + offset, slots[r].data(),
-                    counts[r] * sizeof(T));
-      }
-    }
-  });
-}
 
 }  // namespace dynkge::comm

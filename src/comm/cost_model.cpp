@@ -19,27 +19,18 @@ int ceil_log2(int n) {
 
 const char* to_string(CollectiveKind kind) {
   switch (kind) {
-    case CollectiveKind::kBarrier:
-      return "barrier";
     case CollectiveKind::kBroadcast:
       return "broadcast";
     case CollectiveKind::kAllReduce:
       return "allreduce";
     case CollectiveKind::kAllGatherV:
       return "allgatherv";
-    case CollectiveKind::kScatterV:
-      return "scatterv";
     case CollectiveKind::kGatherV:
       return "gatherv";
     case CollectiveKind::kCount:
       break;
   }
   return "unknown";
-}
-
-double CostModel::barrier_time(int num_ranks) const {
-  if (num_ranks <= 1) return 0.0;
-  return ceil_log2(num_ranks) * params_.alpha;
 }
 
 double CostModel::broadcast_time(int num_ranks, std::size_t bytes) const {
@@ -66,35 +57,22 @@ double CostModel::allgatherv_time(int num_ranks, std::size_t total_bytes,
   return (p - 1.0) * params_.alpha + received * params_.beta;
 }
 
-double CostModel::scatterv_time(int num_ranks, std::size_t total_bytes,
-                                std::size_t root_bytes) const {
-  if (num_ranks <= 1) return 0.0;
-  const double p = num_ranks;
-  const double sent =
-      static_cast<double>(total_bytes) - static_cast<double>(root_bytes);
-  return (p - 1.0) * params_.alpha + sent * params_.beta;
-}
-
 double CostModel::gatherv_time(int num_ranks, std::size_t total_bytes,
                                std::size_t self_bytes) const {
-  // Same traffic pattern as scatterv, reversed.
-  return scatterv_time(num_ranks, total_bytes, self_bytes);
+  // The root receives what the ring all-gather hands each rank.
+  return allgatherv_time(num_ranks, total_bytes, self_bytes);
 }
 
 double CostModel::time_for(CollectiveKind kind, int num_ranks,
                            std::size_t total_bytes,
                            std::size_t self_bytes) const {
   switch (kind) {
-    case CollectiveKind::kBarrier:
-      return barrier_time(num_ranks);
     case CollectiveKind::kBroadcast:
       return broadcast_time(num_ranks, total_bytes);
     case CollectiveKind::kAllReduce:
       return allreduce_time(num_ranks, total_bytes);
     case CollectiveKind::kAllGatherV:
       return allgatherv_time(num_ranks, total_bytes, self_bytes);
-    case CollectiveKind::kScatterV:
-      return scatterv_time(num_ranks, total_bytes, self_bytes);
     case CollectiveKind::kGatherV:
       return gatherv_time(num_ranks, total_bytes, self_bytes);
     case CollectiveKind::kCount:

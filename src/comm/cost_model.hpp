@@ -8,16 +8,16 @@
 //       T = 2 (P-1) alpha + 2 S (P-1)/P beta + S (P-1)/P gamma
 //   allgatherv (ring):
 //       T = (P-1) alpha + (S_total - S_self) beta
+//   gatherv (linear to root):
+//       T = (P-1) alpha + (S_total - S_root) beta
 //   broadcast (binomial tree):
 //       T = ceil(log2 P) (alpha + S beta)
-//   scatterv (linear from root):
-//       T = (P-1) alpha + (S_total - S_root) beta
-//   barrier (dissemination):
-//       T = ceil(log2 P) alpha
 //
 // where S is the per-rank message size in bytes, S_total the sum over ranks,
 // alpha the per-stage latency, beta seconds/byte of bandwidth, gamma
-// seconds/byte of local reduction arithmetic.
+// seconds/byte of local reduction arithmetic. allreduce and allgatherv are
+// the two collectives the paper's DRS picks between; gatherv + broadcast
+// model the parameter-server exchange.
 //
 // Why this substitution is sound for this paper: every effect the paper
 // measures — the allgather/allreduce crossover in P, the 32x volume drop
@@ -32,11 +32,9 @@ namespace dynkge::comm {
 
 /// Which collective a cost or statistic refers to.
 enum class CollectiveKind : int {
-  kBarrier = 0,
-  kBroadcast,
+  kBroadcast = 0,
   kAllReduce,
   kAllGatherV,
-  kScatterV,
   kGatherV,
   kCount,  // number of kinds; keep last
 };
@@ -78,15 +76,12 @@ class CostModel {
 
   const CostModelParams& params() const { return params_; }
 
-  double barrier_time(int num_ranks) const;
   double broadcast_time(int num_ranks, std::size_t bytes) const;
   double allreduce_time(int num_ranks, std::size_t bytes) const;
   /// total_bytes = sum over ranks of contributed bytes; self_bytes = this
   /// rank's contribution (already local, not received over the network).
   double allgatherv_time(int num_ranks, std::size_t total_bytes,
                          std::size_t self_bytes) const;
-  double scatterv_time(int num_ranks, std::size_t total_bytes,
-                       std::size_t root_bytes) const;
   double gatherv_time(int num_ranks, std::size_t total_bytes,
                       std::size_t self_bytes) const;
 

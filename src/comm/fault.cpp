@@ -1,9 +1,8 @@
 #include "comm/fault.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
-
-#include "util/rng.hpp"
 
 namespace dynkge::comm {
 namespace {
@@ -131,37 +130,6 @@ FaultInjector::FaultInjector(std::vector<FaultEvent> schedule,
   fired_ = std::make_unique<std::atomic<bool>[]>(slot > 0 ? slot : 1);
 }
 
-FaultInjector FaultInjector::random(std::uint64_t seed, int num_ranks,
-                                    std::uint64_t horizon, double crash_prob,
-                                    double transient_prob,
-                                    double straggler_prob,
-                                    RetryPolicy policy) {
-  std::vector<FaultEvent> schedule;
-  for (int rank = 0; rank < num_ranks; ++rank) {
-    // One stream per rank so the schedule is stable under horizon changes.
-    util::Rng rng(util::derive_seed(seed, rank, 0xFA017u));
-    for (std::uint64_t index = 0; index < horizon; ++index) {
-      const double draw = rng.next_double();
-      FaultEvent event;
-      event.rank = rank;
-      event.collective_index = index;
-      if (draw < crash_prob) {
-        event.kind = FaultKind::kRankCrash;
-      } else if (draw < crash_prob + transient_prob) {
-        event.kind = FaultKind::kTransient;
-        event.failures = 1 + static_cast<int>(rng.next_below(2));
-      } else if (draw < crash_prob + transient_prob + straggler_prob) {
-        event.kind = FaultKind::kStraggler;
-        event.delay_seconds = rng.next_double(0.01, 0.5);
-      } else {
-        continue;
-      }
-      schedule.push_back(event);
-    }
-  }
-  return FaultInjector(std::move(schedule), policy);
-}
-
 std::vector<FaultEvent> FaultInjector::parse_spec(const std::string& spec) {
   std::vector<FaultEvent> schedule;
   std::stringstream events(spec);
@@ -172,11 +140,12 @@ std::vector<FaultEvent> FaultInjector::parse_spec(const std::string& spec) {
     std::stringstream fields(item);
     std::string field;
     while (std::getline(fields, field, '@')) parts.push_back(field);
-    if (parts.size() < 3 || parts.size() > 4) {
-      throw std::invalid_argument(
-          "FaultInjector: bad fault spec '" + item +
-          "' (expected kind@rank@index[@param])");
-    }
+    const auto bad = [&](const std::string& why) {
+      return std::invalid_argument("FaultInjector: bad fault spec '" + item +
+                                   "' (--fault-spec): " + why);
+    };
+    const char* const kSyntax = "expected kind@rank@index[@param]";
+    if (parts.size() < 3 || parts.size() > 4) throw bad(kSyntax);
     FaultEvent event;
     try {
       event.kind = kind_by_name(parts[0]);
@@ -201,12 +170,17 @@ std::vector<FaultEvent> FaultInjector::parse_spec(const std::string& spec) {
           event.failures = std::stoi(parts[3]);
         }
       }
-    } catch (const std::invalid_argument&) {
-      throw std::invalid_argument("FaultInjector: bad fault spec '" + item +
-                                  "'");
-    } catch (const std::out_of_range&) {
-      throw std::invalid_argument("FaultInjector: bad fault spec '" + item +
-                                  "'");
+    } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+      throw bad(kSyntax);
+    }
+    if ((event.kind == FaultKind::kTransient ||
+         event.kind == FaultKind::kCorrupt) &&
+        event.failures < 1) {
+      throw bad("the failure count must be >= 1");
+    }
+    if (event.kind == FaultKind::kStraggler &&
+        !(std::isfinite(event.delay_seconds) && event.delay_seconds >= 0.0)) {
+      throw bad("the straggler delay must be finite and >= 0");
     }
     schedule.push_back(event);
   }

@@ -192,15 +192,6 @@ class FaultInjector {
   /// when no injector is built, so a bad flag never passes silently.
   static void validate(const RetryPolicy& policy, double collective_deadline);
 
-  /// A seeded random schedule over `num_ranks` ranks and the first
-  /// `horizon` collectives of each: every (rank, index) slot independently
-  /// draws crash/transient/straggler with the given probabilities.
-  /// Deterministic in (seed, num_ranks, horizon, probabilities).
-  static FaultInjector random(std::uint64_t seed, int num_ranks,
-                              std::uint64_t horizon, double crash_prob,
-                              double transient_prob, double straggler_prob,
-                              RetryPolicy policy = {});
-
   /// Parse a comma-separated CLI spec into a schedule. Each event is
   ///   crash@RANK@INDEX
   ///   transient@RANK@INDEX[@FAILURES]
@@ -210,7 +201,8 @@ class FaultInjector {
   /// where INDEX is either a rank-local collective index ("40") or an
   /// epoch address ("e2": first collective of epoch 2 — stable across
   /// restarts and elastic shrink). e.g. "transient@1@40@2,crash@1@e2".
-  /// Throws std::invalid_argument on malformed specs.
+  /// FAILURES must be >= 1 and DELAY_SECONDS finite and >= 0. Throws
+  /// std::invalid_argument naming --fault-spec on malformed specs.
   static std::vector<FaultEvent> parse_spec(const std::string& spec);
 
   /// Called by a rank at the entry of its `index`-th collective; `epoch`

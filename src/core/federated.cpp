@@ -15,10 +15,45 @@
 #include "kge/model_factory.hpp"
 #include "kge/negative_sampler.hpp"
 #include "kge/serialize.hpp"
+#include "util/json_writer.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace dynkge::core {
+
+void validate_federated_policy(const FederatedPolicy& policy) {
+  if (policy.num_clients < 1) {
+    throw std::invalid_argument(
+        "FederatedPolicy: num_clients must be >= 1 (--clients)");
+  }
+  if (policy.local_epochs < 1) {
+    throw std::invalid_argument(
+        "FederatedPolicy: local_epochs must be >= 1 (--local-epochs)");
+  }
+  if (policy.rounds < 1) {
+    throw std::invalid_argument(
+        "FederatedPolicy: rounds must be >= 1 (--rounds)");
+  }
+  if (policy.elastic.max_rank_failures < 0) {
+    throw std::invalid_argument(
+        "FederatedPolicy: max rank failures must be >= 0 "
+        "(--max-rank-failures)");
+  }
+}
+
+std::vector<int> apply_failures(const std::vector<int>& active_clients,
+                                const std::vector<int>& failed_ranks) {
+  std::vector<int> survivors;
+  survivors.reserve(active_clients.size());
+  for (std::size_t i = 0; i < active_clients.size(); ++i) {
+    const bool failed =
+        std::binary_search(failed_ranks.begin(), failed_ranks.end(),
+                           static_cast<int>(i));
+    if (!failed) survivors.push_back(active_clients[i]);
+  }
+  return survivors;
+}
+
 namespace {
 
 using comm::Communicator;
@@ -37,7 +72,6 @@ struct Attempt {
   const FederatedSnapshot* resume;  ///< null: cold start
   std::vector<TripleList> shards;   ///< by original client id
   int start_round;
-  comm::FederatedObserver& observer;
   FederatedReport& report;
   std::shared_ptr<FederatedSnapshot>& newest;
 };
@@ -108,7 +142,7 @@ class ClientProgram {
 FederatedTrainer::FederatedTrainer(const kge::Dataset& dataset,
                                    FederatedConfig config)
     : dataset_(dataset), config_(std::move(config)) {
-  comm::validate_federated_policy(config_.policy);
+  validate_federated_policy(config_.policy);
   if (config_.negatives < 1) {
     throw std::invalid_argument(
         "FederatedConfig: negatives must be >= 1 (--negatives)");
@@ -186,7 +220,7 @@ FederatedReport FederatedTrainer::train() {
       },
       [&](const comm::RecoveryPlan& plan) {
         if (newest != nullptr) resume = newest;
-        active = comm::apply_failures(active, plan.failed_ranks);
+        active = apply_failures(active, plan.failed_ranks);
         return resume != nullptr ? resume->next_round : 0;
       });
   report.client_failures = tally.failures;
@@ -218,7 +252,6 @@ FederatedReport FederatedTrainer::run_attempt(
     }
   }
 
-  comm::FederatedObserver observer(tel);
   const Attempt attempt{
       .dataset = dataset_,
       .config = config_,
@@ -232,7 +265,6 @@ FederatedReport FederatedTrainer::run_attempt(
           shuffled_train_triples(dataset_, config_.seed),
           config_.policy.num_clients),
       .start_round = start_round,
-      .observer = observer,
       .report = report,
       .newest = newest};
   run_cluster(static_cast<int>(active.size()), config_.network,
@@ -431,8 +463,9 @@ void ClientProgram::exchange_delta(int round, RoundTally& tally) {
 }
 
 /// Round accounting in fixed rank order (identical on every client):
-/// validation, cluster-max times, the mean loss, the plateau decision, the
-/// round event, and rank 0's record.
+/// validation, cluster-max times, the mean loss, the plateau decision, one
+/// "federated_round" event per client, and rank 0's federated.* metrics
+/// and record.
 void ClientProgram::close_round(int round, const RoundTally& tally) {
   double val_accuracy = 0.0;
   if (rank_ == 0) {
@@ -440,7 +473,7 @@ void ClientProgram::close_round(int round, const RoundTally& tally) {
         *model_, util::derive_seed(config_.seed, round, 0xACCu),
         config_.valid_max_triples);
   }
-  comm::FederatedRoundStats stats;
+  FederatedRoundStats stats;
   stats.val_accuracy = comm_.allreduce_scalar(val_accuracy, ScalarOp::kMax);
   stats.comm_seconds = comm_.allreduce_scalar(
       comm_.stats().total_modeled_seconds() - tally.comm_start,
@@ -455,7 +488,6 @@ void ClientProgram::close_round(int round, const RoundTally& tally) {
 
   stats.round = round;
   stats.client = client_;
-  stats.root = rank_ == 0;
   stats.active_clients = static_cast<int>(attempt_.active.size());
   stats.local_epochs = config_.policy.local_epochs;
   stats.selection = to_string(config_.strategy.selection);
@@ -465,9 +497,38 @@ void ClientProgram::close_round(int round, const RoundTally& tally) {
                               static_cast<double>(tally.rows_before);
   stats.bytes_on_wire = tally.bytes_on_wire;
   stats.lr = tally.lr;
-  attempt_.observer.on_round(stats);
+  const obs::TelemetrySinks& tel = config_.telemetry;
+  if (tel.events != nullptr) {
+    util::JsonWriter json;
+    json.begin_object()
+        .kv("event", "federated_round")
+        .kv("round", stats.round)
+        .kv("client", stats.client)
+        .kv("active_clients", stats.active_clients)
+        .kv("local_epochs", stats.local_epochs)
+        .kv("selection", stats.selection)
+        .kv("keep_rate", stats.keep_rate)
+        .kv("bytes_on_wire", stats.bytes_on_wire)
+        .kv("loss", stats.mean_loss)
+        .kv("lr", stats.lr)
+        .kv("val_accuracy", stats.val_accuracy)
+        .kv("sim_seconds", stats.sim_seconds)
+        .kv("comm_seconds", stats.comm_seconds)
+        .end_object();
+    tel.events->write_line(json.str());
+  }
   if (rank_ != 0) return;
 
+  if (tel.metrics != nullptr) {
+    tel.metrics->counter("federated.rounds").add(1);
+    tel.metrics->counter("federated.bytes_on_wire").add(stats.bytes_on_wire);
+    tel.metrics->gauge("federated.active_clients")
+        .set(static_cast<double>(stats.active_clients));
+    tel.metrics->gauge("federated.val_accuracy").set(stats.val_accuracy);
+    tel.metrics->gauge("federated.loss").set(stats.mean_loss);
+    tel.metrics->histogram("federated.round_sim_seconds")
+        .record(stats.sim_seconds);
+  }
   FederatedReport& report = attempt_.report;
   report.round_log.push_back(stats);
   report.rounds = round + 1;
@@ -484,12 +545,19 @@ void ClientProgram::snapshot(int round) {
   const std::string local_blob = kge::encode_residual_maps(
       {&entity_selector_.residuals(), &relation_selector_.residuals(),
        &exchange_.entity_residuals(), &exchange_.relation_residuals()});
-  std::vector<std::byte> blobs;
-  std::vector<std::size_t> counts;
-  comm_.allgatherv_bytes(
+  // One RESD blob per client, read straight from its slot.
+  std::vector<std::string> residuals;
+  comm_.allgatherv_slots(
       std::as_bytes(std::span<const char>(local_blob.data(),
                                           local_blob.size())),
-      blobs, counts, /*charge_cost=*/false);
+      [&](Communicator::Slots slots) {
+        if (rank_ != 0) return;
+        for (const std::span<const std::byte> slot : slots) {
+          residuals.emplace_back(reinterpret_cast<const char*>(slot.data()),
+                                 slot.size());
+        }
+      },
+      /*charge_cost=*/false);
   if (rank_ != 0) return;
 
   auto snap = std::make_shared<FederatedSnapshot>();
@@ -500,12 +568,7 @@ void ClientProgram::snapshot(int round) {
                                model_->relations().flat().end());
   snap->scheduler = scheduler_.state();
   snap->clients = attempt_.active;
-  std::size_t offset = 0;
-  for (const std::size_t count : counts) {
-    snap->client_residuals.emplace_back(
-        reinterpret_cast<const char*>(blobs.data()) + offset, count);
-    offset += count;
-  }
+  snap->client_residuals = std::move(residuals);
   // Rank 0 only throws from collectives, so this write completes before
   // any crash can unwind this frame; the cohort join orders it before the
   // supervisor (or the caller) reads it.

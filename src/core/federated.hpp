@@ -20,13 +20,17 @@
 // consume client contributions in fixed rank order.
 //
 // Client crashes go through comm::supervise, the distributed trainer's
-// supervision loop: within the elastic budget the roster shrinks to the
-// survivors and the poisoned round replays from the previous round's
-// in-memory snapshot — byte-identical to a fresh run on the shrunk roster
-// resumed from the same snapshot. A dead client's shard simply drops out
-// (its data is private). Each client's program runs in named stages
-// (federated.cpp): restore, train locally, exchange the delta, close the
-// round, snapshot, finish.
+// supervision loop: a death surfaces from Cluster::run as RankFailedError,
+// plan_recovery() decides shrink-vs-fail-fast against the same
+// ElasticPolicy budget, and within it the roster shrinks to the survivors
+// (apply_failures maps the plan's rank indices back to original client
+// ids, so shard ownership and RNG streams survive the shrink) and the
+// poisoned round replays from the previous round's in-memory snapshot —
+// byte-identical to a fresh run on the shrunk roster resumed from the
+// same snapshot. A dead client's shard simply drops out (its data is
+// private). Each client's program runs in named stages (federated.cpp):
+// restore, train locally, exchange the delta, close the round, snapshot,
+// finish.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +39,7 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "comm/federated.hpp"
+#include "comm/recovery.hpp"
 #include "core/lr_scheduler.hpp"
 #include "core/strategy_config.hpp"
 #include "kge/dataset.hpp"
@@ -44,6 +48,43 @@
 #include "util/thread_pool.hpp"
 
 namespace dynkge::core {
+
+/// Shape of a federated run: M clients x R rounds x E local epochs, plus
+/// how much client failure the run absorbs before failing fast.
+struct FederatedPolicy {
+  int num_clients = 2;         ///< --clients: simulated clients (M)
+  int local_epochs = 1;        ///< --local-epochs: local passes per round (E)
+  int rounds = 10;             ///< --rounds: aggregation rounds (R)
+  comm::ElasticPolicy elastic; ///< --elastic / --max-rank-failures
+};
+
+/// Validate by field, naming the CLI flag in the message (the
+/// TrainConfig::validate precedent). Throws std::invalid_argument.
+void validate_federated_policy(const FederatedPolicy& policy);
+
+/// Map a recovery plan's failed rank *indices* (positions within the
+/// currently active roster, ascending) back to the surviving original
+/// client ids. Keying everything on original client ids is what keeps a
+/// post-crash replay byte-identical to a fresh run on the shrunk roster.
+std::vector<int> apply_failures(const std::vector<int>& active_clients,
+                                const std::vector<int>& failed_ranks);
+
+/// Per-round record (one per client per round): the "federated_round"
+/// event's fields, and the report's round_log entries.
+struct FederatedRoundStats {
+  int round = 0;
+  int client = 0;          ///< original client id
+  int active_clients = 0;
+  int local_epochs = 0;
+  std::string selection;   ///< selection mode label for the round
+  double keep_rate = 1.0;  ///< delta rows kept / rows before selection
+  std::size_t bytes_on_wire = 0;
+  double mean_loss = 0.0;
+  double lr = 0.0;
+  double val_accuracy = 0.0;
+  double sim_seconds = 0.0;
+  double comm_seconds = 0.0;
+};
 
 /// Everything needed to resume a federated run at a round boundary. Kept
 /// in memory for elastic recovery (like the distributed trainer's live
@@ -77,7 +118,7 @@ struct FederatedConfig {
   /// topk_k as in TrainConfig.
   StrategyConfig strategy;
 
-  comm::FederatedPolicy policy;  ///< clients / local epochs / rounds / elastic
+  FederatedPolicy policy;  ///< clients / local epochs / rounds / elastic
 
   int host_threads = 0;
   std::shared_ptr<util::ThreadPool> host_pool;
@@ -122,7 +163,7 @@ struct FederatedReport {
   bool replicas_consistent = false;
 
   /// The rank-0 client's round records (times and loss are cluster-wide).
-  std::vector<comm::FederatedRoundStats> round_log;
+  std::vector<FederatedRoundStats> round_log;
 
   /// The final global model (shared by all clients).
   std::shared_ptr<kge::KgeModel> model;

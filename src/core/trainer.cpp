@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -91,15 +92,36 @@ struct EpochTally {
   std::size_t bytes = 0, ss_scored = 0, ss_kept = 0;
 };
 
-/// The rank-private parts of a snapshot, gathered to every rank: each
-/// rank's encoded residual maps and, under relation partition, each
-/// owner's relation rows and Adam moments (rank 0's copies of relations
-/// it does not own are stale).
-struct GatheredParts {
-  std::vector<std::byte> blobs;
-  std::vector<std::size_t> blob_counts;
-  std::vector<float> owned_relations;
-};
+/// Rows [lo, hi) of each matrix in turn, back to back: what a rank
+/// publishes for the relations it owns.
+std::vector<float> pack_rows(
+    std::initializer_list<const kge::EmbeddingMatrix*> matrices,
+    kge::RelationId lo, kge::RelationId hi) {
+  std::vector<float> packed;
+  for (const kge::EmbeddingMatrix* matrix : matrices) {
+    for (kge::RelationId r = lo; r < hi; ++r) {
+      const auto row = matrix->row(r);
+      packed.insert(packed.end(), row.begin(), row.end());
+    }
+  }
+  return packed;
+}
+
+/// The inverse of pack_rows: overwrite rows [lo, hi) of each matrix in
+/// turn from a published slot. Rows of a matrix are contiguous, so each
+/// matrix takes one copy.
+void unpack_rows(std::span<const std::byte> packed,
+                 std::initializer_list<kge::EmbeddingMatrix*> matrices,
+                 kge::RelationId lo, kge::RelationId hi) {
+  if (hi <= lo) return;
+  const std::byte* src = packed.data();
+  for (kge::EmbeddingMatrix* matrix : matrices) {
+    const std::size_t bytes =
+        static_cast<std::size_t>(hi - lo) * matrix->row(lo).size_bytes();
+    std::memcpy(matrix->row(lo).data(), src, bytes);
+    src += bytes;
+  }
+}
 
 /// Everything one simulated rank owns for the length of an attempt, and
 /// the stages of its program: restore, step, close the epoch, checkpoint,
@@ -112,9 +134,8 @@ class RankProgram {
  private:
   // ---- snapshot state in, snapshot state out ---------------------------
   void restore(const kge::TrainingSnapshot& snap);
-  GatheredParts gather_snapshot_parts();
-  kge::TrainingSnapshot build_snapshot(int epoch,
-                                       const GatheredParts& parts) const;
+  kge::TrainingSnapshot build_snapshot(int epoch) const;
+  void gather_snapshot_parts(kge::TrainingSnapshot* snap);
 
   // ---- one epoch -------------------------------------------------------
   void run_epoch(int epoch);
@@ -528,7 +549,7 @@ void RankProgram::run() {
 // ---- snapshot state in, snapshot state out -------------------------------
 
 /// Restore every piece of state a fresh run would have at the snapshot's
-/// epoch. The inverse of gather_snapshot_parts + build_snapshot.
+/// epoch. The inverse of build_snapshot + gather_snapshot_parts.
 void RankProgram::restore(const kge::TrainingSnapshot& snap) {
   std::ranges::copy(snap.model->entities().flat(),
                     model_->entities().flat().begin());
@@ -561,47 +582,9 @@ void RankProgram::restore(const kge::TrainingSnapshot& snap) {
   }
 }
 
-/// Collective (every rank): gather the rank-private snapshot parts.
-/// Charge-free, so the simulated timeline is untouched.
-GatheredParts RankProgram::gather_snapshot_parts() {
-  GatheredParts parts;
-  const std::string local_blob = encode_residual_maps(
-      {&entity_selector_.residuals(), &relation_selector_.residuals(),
-       &exchange_.entity_residuals(), &exchange_.relation_residuals()});
-  comm_.allgatherv_bytes(
-      std::as_bytes(std::span<const char>(local_blob.data(),
-                                          local_blob.size())),
-      parts.blobs, parts.blob_counts, /*charge_cost=*/false);
-
-  if (strategy_.relation_partition) {
-    const auto [lo, hi] = attempt_.relation_partition.relation_range[rank_];
-    const auto width = static_cast<std::size_t>(model_->relations().width());
-    std::vector<float> mine;
-    mine.reserve(3 * static_cast<std::size_t>(hi - lo) * width);
-    const kge::KgeModel& frozen = *model_;
-    for (const kge::EmbeddingMatrix* matrix :
-         {&frozen.relations(), &relation_opt_.moment1(),
-          &relation_opt_.moment2()}) {
-      for (kge::RelationId r = lo; r < hi; ++r) {
-        const auto row = matrix->row(r);
-        mine.insert(mine.end(), row.begin(), row.end());
-      }
-    }
-    std::vector<std::byte> raw;
-    std::vector<std::size_t> counts;
-    comm_.allgatherv_bytes(std::as_bytes(std::span<const float>(mine)), raw,
-                           counts, /*charge_cost=*/false);
-    parts.owned_relations.resize(raw.size() / sizeof(float));
-    if (!raw.empty()) {
-      std::memcpy(parts.owned_relations.data(), raw.data(), raw.size());
-    }
-  }
-  return parts;
-}
-
-/// Rank 0: the full training state after `epoch`, as restore() reads it.
-kge::TrainingSnapshot RankProgram::build_snapshot(
-    int epoch, const GatheredParts& parts) const {
+/// Rank 0: the training state after `epoch` that rank 0 holds itself, as
+/// restore() reads it; gather_snapshot_parts() adds the rest.
+kge::TrainingSnapshot RankProgram::build_snapshot(int epoch) const {
   const int num_nodes = attempt_.num_nodes;
   kge::TrainingSnapshot snap;
   // A copy: overlaying the owners' relation rows must not touch the live
@@ -611,23 +594,6 @@ kge::TrainingSnapshot RankProgram::build_snapshot(
                      entity_opt_.moment2()};
   snap.relation_opt = {relation_opt_.step(), relation_opt_.moment1(),
                        relation_opt_.moment2()};
-  if (strategy_.relation_partition) {
-    const auto width = static_cast<std::size_t>(model_->relations().width());
-    std::size_t offset = 0;
-    for (int r = 0; r < num_nodes; ++r) {
-      const auto [lo, hi] = attempt_.relation_partition.relation_range[r];
-      for (kge::EmbeddingMatrix* matrix :
-           {&snap.model->relations(), &snap.relation_opt.m,
-            &snap.relation_opt.v}) {
-        for (kge::RelationId rel = lo; rel < hi; ++rel) {
-          std::copy_n(parts.owned_relations.begin() +
-                          static_cast<std::ptrdiff_t>(offset),
-                      width, matrix->row(rel).begin());
-          offset += width;
-        }
-      }
-    }
-  }
   snap.trainer.next_epoch = epoch + 1;
   snap.trainer.num_nodes = num_nodes;
   snap.trainer.seed = config_.seed;
@@ -649,17 +615,53 @@ kge::TrainingSnapshot RankProgram::build_snapshot(
                         selector_state.base_probe_time,
                         selector_state.topk_probe_time};
   snap.rank_rng_seeds.reserve(num_nodes);
-  std::size_t blob_offset = 0;
   for (int r = 0; r < num_nodes; ++r) {
     snap.rank_rng_seeds.push_back(
         util::derive_seed(config_.seed, r, epoch + 1, 0xE0u));
-    const std::size_t count = parts.blob_counts[r];
-    snap.rank_residuals.emplace_back(
-        reinterpret_cast<const char*>(parts.blobs.data()) + blob_offset,
-        count);
-    blob_offset += count;
   }
   return snap;
+}
+
+/// Collective (every rank): the rank-private parts of a snapshot — each
+/// rank's encoded residual maps (one RESD blob per rank) and, under
+/// relation partition, each owner's relation rows and Adam moments (rank
+/// 0's copies of relations it does not own are stale). Rank 0 reads them
+/// from the slots straight into `snap`; the other ranks pass null and
+/// only publish. Charge-free, so the simulated timeline is untouched.
+void RankProgram::gather_snapshot_parts(kge::TrainingSnapshot* snap) {
+  const std::string local_blob = encode_residual_maps(
+      {&entity_selector_.residuals(), &relation_selector_.residuals(),
+       &exchange_.entity_residuals(), &exchange_.relation_residuals()});
+  comm_.allgatherv_slots(
+      std::as_bytes(std::span<const char>(local_blob.data(),
+                                          local_blob.size())),
+      [&](Communicator::Slots slots) {
+        if (snap == nullptr) return;
+        for (const std::span<const std::byte> slot : slots) {
+          snap->rank_residuals.emplace_back(
+              reinterpret_cast<const char*>(slot.data()), slot.size());
+        }
+      },
+      /*charge_cost=*/false);
+  if (!strategy_.relation_partition) return;
+
+  const auto& ranges = attempt_.relation_partition.relation_range;
+  const std::vector<float> mine = pack_rows(
+      {&model_->relations(), &relation_opt_.moment1(),
+       &relation_opt_.moment2()},
+      ranges[rank_].first, ranges[rank_].second);
+  comm_.allgatherv_slots(
+      std::as_bytes(std::span<const float>(mine)),
+      [&](Communicator::Slots slots) {
+        if (snap == nullptr) return;
+        for (std::size_t r = 0; r < slots.size(); ++r) {
+          unpack_rows(slots[r],
+                      {&snap->model->relations(), &snap->relation_opt.m,
+                       &snap->relation_opt.v},
+                      ranges[r].first, ranges[r].second);
+        }
+      },
+      /*charge_cost=*/false);
 }
 
 // ---- one epoch ----------------------------------------------------------
@@ -946,11 +948,13 @@ void RankProgram::checkpoint(int epoch) {
   if (!disk_due && !live_due) return;
   const obs::TraceSpan span(tel_.trace, "checkpoint.write", rank_);
 
-  const GatheredParts parts = gather_snapshot_parts();
   if (disk_due) ++checkpoints_total_;
+  std::optional<kge::TrainingSnapshot> snap;
+  if (rank_ == 0) snap = build_snapshot(epoch);
+  gather_snapshot_parts(snap ? &*snap : nullptr);
   if (rank_ == 0) {
-    const std::string sealed =
-        kge::serialize_snapshot(build_snapshot(epoch, parts));
+    const std::string sealed = kge::serialize_snapshot(*snap);
+    snap.reset();  // only the sealed bytes are kept
     if (live_due) *attempt_.live_snapshot = sealed;
     if (disk_due) write_to_disk(epoch, sealed);
   }
@@ -961,11 +965,10 @@ void RankProgram::checkpoint(int epoch) {
     // timing. Charge-free, so the simulated timeline is untouched; only the
     // collective count differs from a non-elastic run (relevant solely to
     // index-addressed fault specs — epoch addressing is unaffected).
-    std::vector<std::byte> sync;
-    std::vector<std::size_t> sync_counts;
-    const char token = 0;
-    comm_.allgatherv_bytes(std::as_bytes(std::span<const char>(&token, 1)),
-                           sync, sync_counts, /*charge_cost=*/false);
+    const std::byte token{0};
+    comm_.allgatherv_slots(std::span<const std::byte>(&token, 1),
+                           [](Communicator::Slots) {},
+                           /*charge_cost=*/false);
   }
 }
 
@@ -1062,23 +1065,19 @@ void RankProgram::finish() {
   if (rank_ == 0) report.compute_cpu_seconds = cluster_compute;
 
   if (strategy_.relation_partition) {
-    const auto [lo, hi] = attempt_.relation_partition.relation_range[rank_];
-    const std::size_t width = model_->relations().width();
-    std::vector<float> mine;
-    mine.reserve(static_cast<std::size_t>(hi - lo) * width);
-    for (kge::RelationId r = lo; r < hi; ++r) {
-      const auto row = model_->relations().row(r);
-      mine.insert(mine.end(), row.begin(), row.end());
-    }
-    std::vector<float> gathered;
-    std::vector<std::size_t> counts;
-    comm_.allgatherv(std::span<const float>(mine), gathered, counts);
-    // Ranges are contiguous ascending, so the rank-ordered concatenation
-    // is the full relation matrix.
-    if (gathered.size() == model_->relations().flat().size()) {
-      std::copy(gathered.begin(), gathered.end(),
-                model_->relations().flat().begin());
-    }
+    // Every owner's rows land in place on every rank. `mine` is a copy,
+    // so no rank overwrites rows a sibling is still reading.
+    const auto& ranges = attempt_.relation_partition.relation_range;
+    const std::vector<float> mine = pack_rows(
+        {&model_->relations()}, ranges[rank_].first, ranges[rank_].second);
+    comm_.allgatherv_slots(
+        std::as_bytes(std::span<const float>(mine)),
+        [&](Communicator::Slots slots) {
+          for (std::size_t r = 0; r < slots.size(); ++r) {
+            unpack_rows(slots[r], {&model_->relations()}, ranges[r].first,
+                        ranges[r].second);
+          }
+        });
   }
 
   if (rank_ != 0) return;

@@ -43,8 +43,9 @@ namespace dynkge::serve {
 
 /// Pack the query identity into one 64-bit key. Field widths follow
 /// kge::pack_triple: 21 bits for entity and relation ids (enough for
-/// FB250K-scale graphs with huge headroom), 16 for k, 1 for direction,
-/// 1 for the filter flag.
+/// FB250K-scale graphs with huge headroom), 16 for k (kMaxTopK), 1 for
+/// direction, 1 for the filter flag. Only a validated query (serve::
+/// validate_query) has a key of its own: wider fields would alias.
 constexpr std::uint64_t pack_query(const TopKQuery& q) noexcept {
   constexpr std::uint64_t kIdMask = (1ULL << 21) - 1;
   return (static_cast<std::uint64_t>(q.entity) & kIdMask) |

@@ -4,6 +4,7 @@
 #include <mutex>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace dynkge::serve {
@@ -24,15 +25,19 @@ bool stronger(const ScoredEntity& a, const ScoredEntity& b) {
   return weaker(b, a);
 }
 
-void validate(const TopKQuery& query, const kge::KgeModel& model) {
-  if (query.k <= 0) throw std::invalid_argument("TopKScorer: k <= 0");
+}  // namespace
+
+void validate_query(const TopKQuery& query, const kge::KgeModel& model) {
+  if (query.k <= 0 || query.k > kMaxTopK) {
+    throw std::invalid_argument("TopKScorer: k = " + std::to_string(query.k) +
+                                " is outside [1, " +
+                                std::to_string(kMaxTopK) + "]");
+  }
   if (query.entity < 0 || query.entity >= model.num_entities() ||
       query.relation < 0 || query.relation >= model.num_relations()) {
     throw std::out_of_range("TopKScorer: entity/relation out of range");
   }
 }
-
-}  // namespace
 
 void TopKScorer::scan_range(const TopKQuery& query, const kge::KgeModel& model,
                             kge::EntityId begin, kge::EntityId end,
@@ -98,7 +103,7 @@ void TopKScorer::finalize(TopKResult& candidates, std::int32_t k) {
 
 TopKResult TopKScorer::topk(const TopKQuery& query,
                             const kge::KgeModel& model) const {
-  validate(query, model);
+  validate_query(query, model);
   TopKResult result;
   scan_range(query, model, 0, model.num_entities(), result);
   finalize(result, query.k);
@@ -107,7 +112,7 @@ TopKResult TopKScorer::topk(const TopKQuery& query,
 
 TopKResult TopKScorer::topk(const TopKQuery& query, const kge::KgeModel& model,
                             util::ThreadPool& pool) const {
-  validate(query, model);
+  validate_query(query, model);
   TopKResult merged;
   std::mutex merge_mutex;
   pool.parallel_for(

@@ -38,15 +38,26 @@ enum class Direction : std::uint8_t {
   kHead,  ///< (?, r, t) — `entity` is the tail
 };
 
+/// Largest k a query may ask for: the 16 bits of k a cache key keeps
+/// (serve/query_cache.hpp pack_query).
+inline constexpr std::int32_t kMaxTopK = 0xFFFF;
+
 struct TopKQuery {
   Direction direction = Direction::kTail;
   kge::EntityId entity = 0;       ///< the fixed entity (head or tail)
   kge::RelationId relation = 0;
-  std::int32_t k = 10;
+  std::int32_t k = 10;            ///< 1..kMaxTopK
   bool filter_known = false;      ///< drop candidates that are known facts
 
   friend bool operator==(const TopKQuery&, const TopKQuery&) = default;
 };
+
+/// Throws std::invalid_argument unless 1 <= k <= kMaxTopK, and
+/// std::out_of_range unless the entity and relation are ids of `model`.
+/// TopKScorer checks every query; InferenceService checks before its
+/// cache lookup, so a query the scorer would refuse never aliases a
+/// cached answer.
+void validate_query(const TopKQuery& query, const kge::KgeModel& model);
 
 struct ScoredEntity {
   kge::EntityId entity = 0;

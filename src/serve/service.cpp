@@ -106,6 +106,7 @@ QueryCache::ResultPtr InferenceService::topk(const TopKQuery& query) {
   }
   const util::Stopwatch clock;
   const stream::PinnedModel pin = store_.acquire();
+  validate_query(query, *pin.model);
   auto result = scored_or_cached(query, pin, /*parallel=*/true);
   record_latency(clock.seconds(), 1);
   return result;
@@ -126,6 +127,7 @@ std::vector<QueryCache::ResultPtr> InferenceService::topk_batch(
   // One pin for the whole batch: every query in it is answered from the
   // same snapshot version, even if a publish lands mid-batch.
   const stream::PinnedModel pin = store_.acquire();
+  for (const TopKQuery& q : queries) validate_query(q, *pin.model);
 
   // Deduplicate: slot -> index into `distinct`.
   std::vector<TopKQuery> distinct;

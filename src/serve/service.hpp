@@ -113,13 +113,15 @@ class InferenceService {
   /// Answer one query (cache, then parallel scan on a miss). The returned
   /// pointer is immutable and stays valid after eviction, invalidation or
   /// any number of swaps. Returns nullptr iff the query was shed by
-  /// admission control.
+  /// admission control. A query validate_query() refuses against the
+  /// pinned version throws its exception before the cache is consulted.
   QueryCache::ResultPtr topk(const TopKQuery& query);
 
   /// Answer a batch; results[i] corresponds to queries[i]. Duplicate
   /// queries are scored once; the whole batch is answered from one pinned
   /// snapshot version. If admission sheds the batch, every slot is
-  /// nullptr.
+  /// nullptr. Every query is validated before deduplication; one refused
+  /// query throws for the whole batch.
   std::vector<QueryCache::ResultPtr> topk_batch(
       std::span<const TopKQuery> queries);
 

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "comm/fault.hpp"
-#include "comm/federated.hpp"
+#include "core/federated.hpp"
 #include "core/trainer.hpp"
 #include "kge/synthetic.hpp"
 
@@ -179,27 +179,27 @@ TEST(FlagValidation, RobustnessKnobsRejectedByFlagName) {
 }
 
 TEST(FlagValidation, FederatedPolicyRejectedByFlagName) {
-  comm::FederatedPolicy policy;
+  core::FederatedPolicy policy;
 
   policy.num_clients = 0;
   expect_message_names_flag(
-      [&] { comm::validate_federated_policy(policy); }, "--clients");
+      [&] { core::validate_federated_policy(policy); }, "--clients");
 
-  policy = comm::FederatedPolicy{};
+  policy = core::FederatedPolicy{};
   policy.local_epochs = 0;
   expect_message_names_flag(
-      [&] { comm::validate_federated_policy(policy); }, "--local-epochs");
+      [&] { core::validate_federated_policy(policy); }, "--local-epochs");
 
-  policy = comm::FederatedPolicy{};
+  policy = core::FederatedPolicy{};
   policy.rounds = 0;
   expect_message_names_flag(
-      [&] { comm::validate_federated_policy(policy); }, "--rounds");
+      [&] { core::validate_federated_policy(policy); }, "--rounds");
 
-  policy = comm::FederatedPolicy{};
+  policy = core::FederatedPolicy{};
   policy.elastic.enabled = true;
   policy.elastic.max_rank_failures = -1;
   expect_message_names_flag(
-      [&] { comm::validate_federated_policy(policy); },
+      [&] { core::validate_federated_policy(policy); },
       "--max-rank-failures");
 }
 

@@ -7,11 +7,10 @@ namespace {
 
 TEST(CostModel, SingleRankIsFree) {
   const CostModel m;
-  EXPECT_DOUBLE_EQ(m.barrier_time(1), 0.0);
   EXPECT_DOUBLE_EQ(m.broadcast_time(1, 1 << 20), 0.0);
   EXPECT_DOUBLE_EQ(m.allreduce_time(1, 1 << 20), 0.0);
   EXPECT_DOUBLE_EQ(m.allgatherv_time(1, 1 << 20, 1 << 20), 0.0);
-  EXPECT_DOUBLE_EQ(m.scatterv_time(1, 1 << 20, 1 << 20), 0.0);
+  EXPECT_DOUBLE_EQ(m.gatherv_time(1, 1 << 20, 1 << 20), 0.0);
 }
 
 TEST(CostModel, AllReduceClosedForm) {
@@ -39,12 +38,6 @@ TEST(CostModel, BroadcastLogStages) {
   EXPECT_NEAR(m.broadcast_time(4, 0), 2e-6, 1e-15);
   EXPECT_NEAR(m.broadcast_time(5, 0), 3e-6, 1e-15);
   EXPECT_NEAR(m.broadcast_time(8, 0), 3e-6, 1e-15);
-}
-
-TEST(CostModel, BarrierLogStages) {
-  const CostModelParams p{2e-6, 0.0, 0.0};
-  const CostModel m(p);
-  EXPECT_NEAR(m.barrier_time(16), 4 * 2e-6, 1e-15);
 }
 
 TEST(CostModel, AllReduceSaturatesWithRanks) {
@@ -90,14 +83,17 @@ TEST(CostModel, TimeForDispatch) {
                    m.allreduce_time(4, 1000));
   EXPECT_DOUBLE_EQ(m.time_for(CollectiveKind::kAllGatherV, 4, 1000, 250),
                    m.allgatherv_time(4, 1000, 250));
-  EXPECT_DOUBLE_EQ(m.time_for(CollectiveKind::kBarrier, 4, 0, 0),
-                   m.barrier_time(4));
+  EXPECT_DOUBLE_EQ(m.time_for(CollectiveKind::kGatherV, 4, 1000, 250),
+                   m.gatherv_time(4, 1000, 250));
+  EXPECT_DOUBLE_EQ(m.time_for(CollectiveKind::kBroadcast, 4, 1000, 1000),
+                   m.broadcast_time(4, 1000));
 }
 
 TEST(CostModel, KindNames) {
   EXPECT_STREQ(to_string(CollectiveKind::kAllReduce), "allreduce");
   EXPECT_STREQ(to_string(CollectiveKind::kAllGatherV), "allgatherv");
-  EXPECT_STREQ(to_string(CollectiveKind::kBarrier), "barrier");
+  EXPECT_STREQ(to_string(CollectiveKind::kGatherV), "gatherv");
+  EXPECT_STREQ(to_string(CollectiveKind::kBroadcast), "broadcast");
 }
 
 TEST(CommStats, RecordAndTotals) {

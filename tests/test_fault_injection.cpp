@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -16,15 +17,21 @@
 namespace dynkge::comm {
 namespace {
 
-/// A rank program that runs `steps` allreduces with a barrier sprinkled
-/// in, returning the final reduced value (identical on every rank of a
-/// clean run).
+/// An empty, uncharged gather: a pure synchronization point.
+void sync(Communicator& comm) {
+  comm.allgatherv_slots({}, [](Communicator::Slots) {},
+                        /*charge_cost=*/false);
+}
+
+/// A rank program that runs `steps` scalar allreduces with an empty gather
+/// sprinkled in (collectives #4, #12, #20, ...), returning the final
+/// reduced value (identical on every rank of a clean run).
 double collective_loop(Communicator& comm, int steps) {
   double value = static_cast<double>(comm.rank() + 1);
   for (int step = 0; step < steps; ++step) {
     value = comm.allreduce_scalar(value, ScalarOp::kSum) /
             static_cast<double>(comm.size());
-    if (step % 7 == 3) comm.barrier();
+    if (step % 7 == 3) sync(comm);
   }
   return value;
 }
@@ -146,37 +153,47 @@ TEST(FaultInjector, ParseSpecRejectsMalformedInput) {
   EXPECT_THROW(FaultInjector::parse_spec("crash@0"), std::invalid_argument);
   EXPECT_THROW(FaultInjector::parse_spec("crash@x@1"),
                std::invalid_argument);
+  // Failure counts below 1 and straggler delays that are negative or not
+  // finite are rejected, naming the flag (a negative count used to wrap
+  // the retry counter).
+  for (const char* spec :
+       {"transient@0@3@-3", "transient@0@3@0", "corrupt@1@e0@0",
+        "corrupt@1@2@-1", "straggler@0@3@-0.5", "straggler@0@3@nan",
+        "straggler@0@3@inf", "straggler@0@3@-inf"}) {
+    SCOPED_TRACE(spec);
+    try {
+      FaultInjector::parse_spec(spec);
+      FAIL() << "accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("--fault-spec"),
+                std::string::npos);
+    }
+  }
+  EXPECT_EQ(FaultInjector::parse_spec("straggler@0@3@0").size(), 1u);
   // An empty spec is a valid empty schedule (the CLI's default).
   EXPECT_TRUE(FaultInjector::parse_spec("").empty());
 }
 
-TEST(FaultInjector, RandomScheduleIsDeterministicInSeed) {
-  // Two injectors from the same seed must fire the exact same faults when
-  // driven through identical cluster runs (no crashes in the mix so the
-  // runs complete).
-  auto a = FaultInjector::random(123, 2, 400, 0.0, 0.05, 0.05);
-  auto b = FaultInjector::random(123, 2, 400, 0.0, 0.05, 0.05);
-  EXPECT_EQ(a.scheduled_events(), b.scheduled_events());
-  EXPECT_GT(a.scheduled_events(), 0u);
-  for (FaultInjector* injector : {&a, &b}) {
-    Cluster cluster(2);
-    cluster.set_fault_injector(injector);
-    cluster.run([&](Communicator& comm) { collective_loop(comm, 100); });
-  }
-  EXPECT_EQ(a.counters().transients, b.counters().transients);
-  EXPECT_EQ(a.counters().stragglers, b.counters().stragglers);
-  EXPECT_EQ(a.counters().retries, b.counters().retries);
-  EXPECT_GT(a.counters().transients + a.counters().stragglers, 0u);
-}
-
 // ---- wire integrity & deadline watchdog ------------------------------
 
-/// A rank program exercising the payload (byte-checksummed) path: float
-/// allreduces whose result feeds the next step.
+/// A rank program exercising the payload path: float gathers summed in
+/// rank order, whose result feeds the next step.
 std::vector<float> payload_loop(Communicator& comm, int steps) {
   std::vector<float> data(8, static_cast<float>(comm.rank() + 1));
   for (int step = 0; step < steps; ++step) {
-    comm.allreduce_sum_inplace(data);
+    std::vector<float> sum(data.size(), 0.0f);
+    comm.allgatherv_slots(
+        std::as_bytes(std::span<const float>(data)),
+        [&](Communicator::Slots slots) {
+          for (const std::span<const std::byte> slot : slots) {
+            for (std::size_t i = 0; i < sum.size(); ++i) {
+              float v = 0.0f;
+              std::memcpy(&v, slot.data() + i * sizeof(v), sizeof(v));
+              sum[i] += v;
+            }
+          }
+        });
+    data = sum;
     for (float& v : data) v /= static_cast<float>(comm.size() + 1);
   }
   return data;
@@ -211,8 +228,8 @@ TEST_P(FaultMatrixTest, CorruptPayloadIsRetransmittedAndResultsUnchanged) {
 }
 
 TEST_P(FaultMatrixTest, CorruptScalarCollectiveIsCoveredByChecksums) {
-  // Zero-byte collectives (allreduce_scalar) are covered too: the digest
-  // extends over the publishing rank's scalar slot.
+  // allreduce_scalar publishes its double as an 8-byte payload, so the
+  // same checksum covers it. Collective #11 is step 10's reduction.
   const int num_ranks = GetParam();
 
   std::vector<double> clean(num_ranks, 0.0);
@@ -222,7 +239,7 @@ TEST_P(FaultMatrixTest, CorruptScalarCollectiveIsCoveredByChecksums) {
   });
 
   FaultInjector injector({FaultEvent{FaultKind::kCorrupt, /*rank=*/1,
-                                     /*collective_index=*/12,
+                                     /*collective_index=*/11,
                                      /*failures=*/1}});
   std::vector<double> faulted(num_ranks, 0.0);
   Cluster cluster(num_ranks);
@@ -235,6 +252,70 @@ TEST_P(FaultMatrixTest, CorruptScalarCollectiveIsCoveredByChecksums) {
   const FaultCounters counters = injector.counters();
   EXPECT_EQ(counters.corrupted_payloads, 1u);
   EXPECT_EQ(counters.corruptions_detected, 1u);
+  EXPECT_EQ(counters.retransmits, 1u);
+}
+
+/// A gather in which only rank 0 publishes (one byte); every other slot
+/// is empty. Returns the slot sizes this rank read.
+std::vector<std::size_t> empty_gather(Communicator& comm) {
+  const std::byte token{7};
+  std::vector<std::size_t> sizes;
+  comm.allgatherv_slots(
+      std::span<const std::byte>(&token, comm.rank() == 0 ? 1 : 0),
+      [&](Communicator::Slots slots) {
+        for (const auto slot : slots) sizes.push_back(slot.size());
+      });
+  return sizes;
+}
+
+TEST_P(FaultMatrixTest, CorruptEmptyPayloadIsRetransmittedAndReadEmpty) {
+  // A corrupted empty payload is published as one flipped byte, so the
+  // checksum catches it; the retransmit publishes nothing again, and
+  // every rank reads the corrupter's slot back empty.
+  const int num_ranks = GetParam();
+  FaultInjector injector({FaultEvent{FaultKind::kCorrupt, /*rank=*/1,
+                                     /*collective_index=*/0,
+                                     /*failures=*/1}});
+  Cluster cluster(num_ranks);
+  cluster.set_fault_injector(&injector);
+  std::vector<std::vector<std::size_t>> read(num_ranks);
+  cluster.run([&](Communicator& comm) {
+    read[comm.rank()] = empty_gather(comm);
+  });
+
+  std::vector<std::size_t> expected(num_ranks, 0);
+  expected[0] = 1;
+  for (int r = 0; r < num_ranks; ++r) EXPECT_EQ(read[r], expected);
+  const FaultCounters counters = injector.counters();
+  EXPECT_EQ(counters.corrupted_payloads, 1u);
+  EXPECT_EQ(counters.corruptions_detected, 1u);
+  EXPECT_EQ(counters.retransmits, 1u);
+  EXPECT_EQ(counters.exhausted, 0u);
+}
+
+TEST_P(FaultMatrixTest, CorruptEmptyPayloadEscalatesPastTheBudget) {
+  const int num_ranks = GetParam();
+  RetryPolicy policy;
+  policy.max_attempts = 2;
+  FaultInjector injector({FaultEvent{FaultKind::kCorrupt, /*rank=*/1,
+                                     /*collective_index=*/0,
+                                     /*failures=*/2}},
+                         policy);
+  Cluster cluster(num_ranks);
+  cluster.set_fault_injector(&injector);
+  try {
+    cluster.run([&](Communicator& comm) { empty_gather(comm); });
+    FAIL() << "persistent corruption did not escalate";
+  } catch (const RankFailedError& error) {
+    EXPECT_EQ(error.ranks(), std::vector<int>{1});
+    EXPECT_NE(std::string(error.what()).find("corrupted payload"),
+              std::string::npos);
+  }
+  const FaultCounters counters = injector.counters();
+  EXPECT_EQ(counters.corrupted_payloads, 2u);
+  EXPECT_EQ(counters.corruptions_detected, 2u);
+  EXPECT_EQ(counters.retransmits, 1u);
+  EXPECT_EQ(counters.exhausted, 1u);
 }
 
 TEST_P(FaultMatrixTest, CorruptEscalatesToRankFailedWhenBudgetExhausted) {

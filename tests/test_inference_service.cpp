@@ -253,6 +253,63 @@ TEST_F(InferenceServiceTest, CheckpointRoundTripServesIdenticalTopK) {
   }
 }
 
+// The cache key keeps 16 bits of k and 21 of the entity id, so an
+// unvalidated k = 10 + 2^16 or entity 5 + 2^21 would be answered with
+// another query's cached entry. Both are refused before the cache, with
+// the scorer's exception types.
+TEST_F(InferenceServiceTest, QueriesAliasingACachedKeyAreRejected) {
+  const auto model = make_initialized("complex");
+  InferenceService service(model, nullptr);
+  const TopKQuery cached{Direction::kTail, 5, 1, 10, false};
+  ASSERT_NE(service.topk(cached), nullptr);
+
+  TopKQuery wide_k = cached;
+  wide_k.k += 1 << 16;
+  EXPECT_THROW(service.topk(wide_k), std::invalid_argument);
+  TopKQuery wide_entity = cached;
+  wide_entity.entity += 1 << 21;
+  EXPECT_THROW(service.topk(wide_entity), std::out_of_range);
+
+  const auto snapshot = service.snapshot();
+  EXPECT_EQ(snapshot.queries, 1u);
+  EXPECT_EQ(snapshot.cache.hits, 0u);
+  // The widest k the key holds is served (clamped to the entity count).
+  TopKQuery widest = cached;
+  widest.k = kMaxTopK;
+  EXPECT_EQ(service.topk(widest)->size(),
+            static_cast<std::size_t>(kEntities));
+}
+
+TEST_F(InferenceServiceTest, BatchedAliasesAreRejectedBeforeDedup) {
+  // Inside a batch an alias would deduplicate onto the valid query's slot;
+  // across batches it would hit the valid query's cached entry.
+  const auto model = make_initialized("complex");
+  InferenceService service(model, nullptr);
+  const TopKQuery valid{Direction::kHead, 5, 2, 10, false};
+  TopKQuery wide_k = valid;
+  wide_k.k += 1 << 16;
+  TopKQuery wide_entity = valid;
+  wide_entity.entity += 1 << 21;
+
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "uncached" : "cached");
+    EXPECT_THROW(service.topk_batch(std::vector<TopKQuery>{valid, wide_k}),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        service.topk_batch(std::vector<TopKQuery>{valid, wide_entity}),
+        std::out_of_range);
+    EXPECT_THROW(service.topk_batch(std::vector<TopKQuery>{wide_k}),
+                 std::invalid_argument);
+    EXPECT_THROW(service.topk_batch(std::vector<TopKQuery>{wide_entity}),
+                 std::out_of_range);
+    const auto answers = service.topk_batch(std::vector<TopKQuery>{valid});
+    ASSERT_EQ(answers.size(), 1u);
+    ASSERT_NE(answers[0], nullptr);
+    EXPECT_EQ(answers[0]->size(), 10u);
+  }
+  EXPECT_EQ(service.snapshot().queries, 2u);
+}
+
 TEST_F(InferenceServiceTest, FromCheckpointMissingFileThrows) {
   EXPECT_THROW(InferenceService::from_checkpoint(path("absent.dkge")),
                std::runtime_error);

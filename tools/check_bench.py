@@ -94,10 +94,13 @@ def training_run_gates(key, with_tca=True, with_mrr=True, with_tt=True):
 # Gate sets, one per bench binary.
 
 # dynkge serve-bench with --mixed-updates: steady-state and churn serving.
+# The steady phase gates its median latency, not p99: with CI's arguments
+# (1500 queries, batch 32) it times 47 batches, and each batch's time is
+# recorded once per query, so its p99 is the single slowest batch.
 SERVE_GATES = [
     g("steady.cache_hit_rate", "higher"),
     g("steady.qps", "higher", 0.90),
-    g("steady.p99_seconds", "lower", TIMING_TOL),
+    g("steady.p50_seconds", "lower", TIMING_TOL),
     g("churn.qps", "higher", 0.90),
     g("churn.p99_seconds", "lower", TIMING_TOL),
     c("churn.versions_published", "higher"),
