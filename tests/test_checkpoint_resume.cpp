@@ -12,6 +12,7 @@
 #include <string>
 
 #include "core/trainer.hpp"
+#include "kge/serialize.hpp"
 #include "kge/synthetic.hpp"
 
 namespace dynkge::core {
@@ -69,14 +70,28 @@ StrategyConfig strategy_by_name(const std::string& name) {
   if (name == "allreduce") return StrategyConfig::baseline_allreduce(2);
   if (name == "allgather") return StrategyConfig::baseline_allgather(2);
   if (name == "drs_1bit") return StrategyConfig::drs_1bit(2);
+  if (name == "topk") return StrategyConfig::topk(40, 2);
+  if (name == "rs_1bit_ef") {
+    StrategyConfig strategy = StrategyConfig::rs_1bit(2);
+    strategy.one_bit_scale = OneBitScale::kMean;
+    strategy.error_feedback = true;
+    return strategy;
+  }
   return StrategyConfig::drs_1bit_rp_ss(5, 1);  // "full": relation partition
+}
+
+/// Strategies whose snapshots carry parked residual rows (selection
+/// residuals under Top-K, quantization residuals under error feedback).
+bool parks_residuals(const std::string& name) {
+  return name == "topk" || name == "rs_1bit_ef";
 }
 
 class CheckpointResumeP : public ::testing::TestWithParam<const char*> {};
 
 INSTANTIATE_TEST_SUITE_P(Strategies, CheckpointResumeP,
                          ::testing::Values("allreduce", "allgather",
-                                           "drs_1bit", "full"));
+                                           "drs_1bit", "full", "topk",
+                                           "rs_1bit_ef"));
 
 TEST_P(CheckpointResumeP, ResumedRunIsByteIdenticalToUninterrupted) {
   const std::string strategy = GetParam();
@@ -93,6 +108,15 @@ TEST_P(CheckpointResumeP, ResumedRunIsByteIdenticalToUninterrupted) {
   first_leg.max_epochs = 3;
   const auto partial = DistributedTrainer(tiny_dataset(), first_leg).train();
   EXPECT_GT(partial.checkpoints_written, 0);
+  if (parks_residuals(strategy)) {
+    // The resume must go through parked rows: four empty residual maps
+    // encode as 16 bytes.
+    const kge::TrainingSnapshot snap =
+        kge::load_snapshot(first_leg.checkpoint.dir + "/snapshot.dkgs");
+    for (const std::string& blob : snap.rank_residuals) {
+      EXPECT_GT(blob.size(), 16u) << strategy;
+    }
+  }
 
   // C: restart from the snapshot and run to the full epoch budget.
   TrainConfig second_leg = config;
