@@ -371,7 +371,10 @@ void ClientProgram::restore(const FederatedSnapshot& snap) {
   // exactly the residual mass it parked before the crash.
   const auto slot = static_cast<std::size_t>(
       std::ranges::lower_bound(snap.clients, client_) - snap.clients.begin());
-  auto residuals = kge::decode_residual_maps(snap.client_residuals[slot], 4);
+  auto residuals = kge::decode_residual_maps(
+      snap.client_residuals[slot],
+      {&model_->entities(), &model_->relations(), &model_->entities(),
+       &model_->relations()});
   entity_selector_.restore_residuals(std::move(residuals[0]));
   relation_selector_.restore_residuals(std::move(residuals[1]));
   exchange_.restore_residuals(std::move(residuals[2]),

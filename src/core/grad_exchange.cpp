@@ -28,46 +28,19 @@ GradExchange::GradExchange(comm::Communicator& comm,
                             static_cast<std::size_t>(relation_width) *
                             sizeof(float)) {}
 
-void GradExchange::apply_error_feedback(
-    kge::SparseGrad& local,
-    std::unordered_map<std::int32_t, std::vector<float>>& residual,
-    const RowCodec& codec, util::Rng& rng) {
-  // Fold stored residuals into this step's gradient, then store the new
-  // quantization error. Residuals for rows not touched this step stay
-  // put and flow in whenever the row next appears. No rows are created or
-  // erased inside the loop, so the cached slot list (and the arena
-  // offsets in it) stays valid throughout.
-  quantized_scratch_.resize(static_cast<std::size_t>(codec.width()));
-  const std::span<float> quantized(quantized_scratch_);
-  for (const kge::SparseGrad::SlotRef& slot : local.sorted_slots()) {
-    auto row = local.row_at(slot.offset);
-    const auto it = residual.find(slot.id);
-    if (it != residual.end()) {
-      for (std::size_t i = 0; i < row.size(); ++i) row[i] += it->second[i];
-    }
-    codec.quantized_values(row, quantized, codec_scratch_, rng);
-    auto& stored = residual[slot.id];
-    stored.resize(row.size());
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      stored[i] = row[i] - quantized[i];
-    }
-  }
-}
-
 std::size_t GradExchange::exchange_matrix(
     kge::SparseGrad& local, kge::SparseGrad& merged, const RowCodec& codec,
-    Transport transport, std::size_t dense_bytes,
-    std::unordered_map<std::int32_t, std::vector<float>>* residual,
+    Transport transport, std::size_t dense_bytes, kge::ResidualMap* residual,
     util::Rng& rng) {
-  if (transport != Transport::kAllReduce && residual != nullptr &&
-      codec.mode() != QuantMode::kNone) {
-    apply_error_feedback(local, *residual, codec, rng);
-  }
-
+  // Error feedback applies to quantized codes only: all-reduce epochs
+  // send raw floats, which leave no error to park.
+  const bool feedback = residual != nullptr &&
+                        transport != Transport::kAllReduce &&
+                        codec.mode() != QuantMode::kNone;
   std::vector<std::byte>& encoded = encode_scratch_;
   {
     const obs::TraceSpan span(trace_, "quantize.encode", trace_tid_);
-    codec.encode_grad(local, encoded, rng);
+    codec.encode_grad(local, encoded, rng, feedback ? residual : nullptr);
   }
 
   // The in-process transport is always a gather of encoded rows; what

@@ -21,13 +21,15 @@
 // is active, in which case they are not exchanged at all (each rank is
 // the sole owner of its relations).
 //
-// Error feedback (extension, Karimireddy et al. 2019): per-row residuals
-// of the quantization error are added back into the next step's gradient
-// before encoding.
+// Error feedback (extension, Karimireddy et al. 2019): on the row-based
+// transports each quantized row gets its parked residual added before it
+// is encoded, and the error of the code actually sent (the row minus what
+// the receivers decode) is parked for the row's next appearance. Both
+// happen inside RowCodec::encode_grad, in the one write of the wire
+// buffer.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,9 +45,6 @@ namespace dynkge::core {
 struct ExchangePlan {
   Transport transport = Transport::kAllReduce;  ///< this epoch's transport
   bool exchange_relations = true; ///< false when relation partition is on
-
-  /// Convenience used by tests and the trainer.
-  bool use_allgather() const { return transport == Transport::kAllGather; }
 };
 
 /// What one exchange call did (feeds the per-epoch records).
@@ -72,17 +71,11 @@ class GradExchange {
 
   /// Checkpoint access to the error-feedback residuals (quantization error
   /// parked for the next step — training state, like optimizer moments).
-  const std::unordered_map<std::int32_t, std::vector<float>>&
-  entity_residuals() const {
-    return entity_residual_;
-  }
-  const std::unordered_map<std::int32_t, std::vector<float>>&
-  relation_residuals() const {
+  const kge::ResidualMap& entity_residuals() const { return entity_residual_; }
+  const kge::ResidualMap& relation_residuals() const {
     return relation_residual_;
   }
-  void restore_residuals(
-      std::unordered_map<std::int32_t, std::vector<float>> entity,
-      std::unordered_map<std::int32_t, std::vector<float>> relation) {
+  void restore_residuals(kge::ResidualMap entity, kge::ResidualMap relation) {
     entity_residual_ = std::move(entity);
     relation_residual_ = std::move(relation);
   }
@@ -92,14 +85,7 @@ class GradExchange {
   std::size_t exchange_matrix(kge::SparseGrad& local, kge::SparseGrad& merged,
                               const RowCodec& codec, Transport transport,
                               std::size_t dense_bytes,
-                              std::unordered_map<std::int32_t,
-                                                 std::vector<float>>* residual,
-                              util::Rng& rng);
-
-  void apply_error_feedback(
-      kge::SparseGrad& local,
-      std::unordered_map<std::int32_t, std::vector<float>>& residual,
-      const RowCodec& codec, util::Rng& rng);
+                              kge::ResidualMap* residual, util::Rng& rng);
 
   comm::Communicator& comm_;
   StrategyConfig strategy_;
@@ -111,14 +97,9 @@ class GradExchange {
   RowCodec raw_relation_codec_;
   std::size_t entity_dense_bytes_;
   std::size_t relation_dense_bytes_;
-  std::unordered_map<std::int32_t, std::vector<float>> entity_residual_;
-  std::unordered_map<std::int32_t, std::vector<float>> relation_residual_;
-
-  // Reused hot-path buffers: error feedback runs per gradient row per
-  // step, and both the encoded wire buffers and the dequantized row are
-  // steady-state sized, so after warm-up nothing here allocates.
-  std::vector<float> quantized_scratch_;
-  std::vector<std::byte> codec_scratch_;
+  kge::ResidualMap entity_residual_;
+  kge::ResidualMap relation_residual_;
+  /// This rank's wire buffer, reused across calls.
   std::vector<std::byte> encode_scratch_;
 };
 

@@ -74,7 +74,8 @@ std::vector<double> row_norms(const kge::SparseGrad& grad,
 }  // namespace
 
 SelectionStats select_gradient_rows(kge::SparseGrad& grad, SelectionMode mode,
-                                    util::Rng& rng, std::size_t topk_k) {
+                                    util::Rng& rng, std::size_t topk_k,
+                                    kge::ResidualMap* parked) {
   SelectionStats stats;
   stats.rows_before = grad.num_rows();
   stats.rows_after = stats.rows_before;
@@ -88,7 +89,12 @@ SelectionStats select_gradient_rows(kge::SparseGrad& grad, SelectionMode mode,
   std::vector<char> keep;
   stats.rows_after = mark_kept_rows(ids, norms, mode, topk_k, rng, keep);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (!keep[i]) grad.erase(ids[i]);
+    if (keep[i]) continue;
+    if (parked != nullptr) {
+      const auto row = grad.row(ids[i]);
+      (*parked)[ids[i]].assign(row.begin(), row.end());
+    }
+    grad.erase(ids[i]);
   }
   return stats;
 }
@@ -98,36 +104,18 @@ SelectionStats GradSelector::apply(kge::SparseGrad& grad, util::Rng& rng,
   if (!accumulate_residuals_) {
     return select_gradient_rows(grad, mode, rng, topk_k_);
   }
-
-  // Fold parked residuals into the rows present this step. Rows whose
-  // residual is parked but which are absent from this step's gradient
-  // stay parked (they flow in whenever the row is next touched).
-  for (const std::int32_t id : grad.sorted_ids()) {
-    const auto it = residual_.find(id);
+  // Fold parked residuals into the rows present this step, so selection
+  // sees the residual-augmented norms. Rows whose residual is parked but
+  // which are absent from this step's gradient stay parked (they flow in
+  // whenever the row is next touched).
+  for (const kge::SparseGrad::SlotRef& slot : grad.sorted_slots()) {
+    const auto it = residual_.find(slot.id);
     if (it == residual_.end()) continue;
-    auto row = grad.row(id);
+    const std::span<float> row = grad.row_at(slot.offset);
     for (std::size_t i = 0; i < row.size(); ++i) row[i] += it->second[i];
     residual_.erase(it);
   }
-
-  // Select on the residual-augmented norms, parking what gets dropped.
-  SelectionStats stats;
-  stats.rows_before = grad.num_rows();
-  stats.rows_after = stats.rows_before;
-  if (mode == SelectionMode::kNone || grad.empty()) return stats;
-
-  const std::vector<std::int32_t> ids = grad.sorted_ids();
-  const std::vector<double> norms = row_norms(grad, ids);
-
-  std::vector<char> keep;
-  stats.rows_after = mark_kept_rows(ids, norms, mode, topk_k_, rng, keep);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (keep[i]) continue;
-    const auto row = grad.row(ids[i]);
-    residual_[ids[i]].assign(row.begin(), row.end());
-    grad.erase(ids[i]);
-  }
-  return stats;
+  return select_gradient_rows(grad, mode, rng, topk_k_, &residual_);
 }
 
 SelectionStats GradSelector::apply(kge::SparseGrad& grad, util::Rng& rng) {

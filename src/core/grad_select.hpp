@@ -12,9 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "core/strategy_config.hpp"
 #include "kge/embedding.hpp"
@@ -37,10 +35,12 @@ struct SelectionStats {
 
 /// Drop rows of `grad` in place according to `mode`. `rng` is only used by
 /// the Bernoulli mode; `topk_k` only by SelectionMode::kTopK (the number of
-/// rows to keep, ties broken toward the smaller entity id). Returns
+/// rows to keep, ties broken toward the smaller entity id). With `parked`,
+/// each dropped row's values are stored there under its id. Returns
 /// before/after row counts.
 SelectionStats select_gradient_rows(kge::SparseGrad& grad, SelectionMode mode,
-                                    util::Rng& rng, std::size_t topk_k = 0);
+                                    util::Rng& rng, std::size_t topk_k = 0,
+                                    kge::ResidualMap* parked = nullptr);
 
 /// Stateful selector with optional residual accumulation (Aji & Heafield
 /// 2017, cited in the paper's related work): the values of dropped rows
@@ -55,8 +55,8 @@ class GradSelector {
         accumulate_residuals_(accumulate_residuals),
         topk_k_(topk_k) {}
 
-  /// Fold residuals in, select rows, store new residuals for dropped
-  /// rows. Mutates `grad` in place.
+  /// Fold parked residuals into `grad`, then select rows, parking the
+  /// ones dropped. Mutates `grad` in place.
   SelectionStats apply(kge::SparseGrad& grad, util::Rng& rng);
 
   /// Like apply(), but with the mode overridden for this call. The dynamic
@@ -72,12 +72,8 @@ class GradSelector {
   /// Checkpoint access: the parked residual rows are part of the training
   /// state (dropping them on resume would change which gradient mass the
   /// next epochs deliver).
-  const std::unordered_map<std::int32_t, std::vector<float>>& residuals()
-      const {
-    return residual_;
-  }
-  void restore_residuals(
-      std::unordered_map<std::int32_t, std::vector<float>> residuals) {
+  const kge::ResidualMap& residuals() const { return residual_; }
+  void restore_residuals(kge::ResidualMap residuals) {
     residual_ = std::move(residuals);
   }
 
@@ -85,7 +81,7 @@ class GradSelector {
   SelectionMode mode_;
   bool accumulate_residuals_;
   std::size_t topk_k_;
-  std::unordered_map<std::int32_t, std::vector<float>> residual_;
+  kge::ResidualMap residual_;
 };
 
 }  // namespace dynkge::core

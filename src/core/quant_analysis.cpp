@@ -18,11 +18,13 @@ QuantizationQuality analyze_quantization(const RowCodec& codec,
 
   const double norm = util::nrm2(row);
   std::vector<float> decoded(row.size());
-  std::vector<std::byte> scratch;
+  std::vector<std::byte> wire;
   double error_sq_sum = 0.0, dot_sum = 0.0, decoded_norm_sum = 0.0,
          bias_sum = 0.0;
   for (int trial = 0; trial < trials; ++trial) {
-    codec.quantized_values(row, decoded, scratch, rng);
+    wire.clear();
+    codec.encode(0, row, wire, rng);
+    codec.decode(wire, decoded);
     double error_sq = 0.0, dot = 0.0, decoded_sq = 0.0, bias = 0.0;
     for (std::size_t i = 0; i < row.size(); ++i) {
       const double e = static_cast<double>(decoded[i]) - row[i];

@@ -12,17 +12,39 @@
 namespace dynkge::core {
 namespace {
 
-void append_bytes(std::vector<std::byte>& out, const void* data,
-                  std::size_t n) {
-  const auto* p = static_cast<const std::byte*>(data);
-  out.insert(out.end(), p, p + n);
-}
-
 template <typename T>
 T read_as(const std::byte* p) {
   T value;
   std::memcpy(&value, p, sizeof(T));
   return value;
+}
+
+/// Pack code(0..count-1), `Bits` bits each, low bits first, into
+/// ceil(count * Bits / 8) bytes at `out`. Codes are taken in element
+/// order, which fixes the 2-bit mode's RNG draw order.
+template <int Bits, typename Code>
+void pack_codes(std::byte* out, std::int32_t count, Code&& code) {
+  constexpr int kPerByte = 8 / Bits;
+  std::uint8_t byte = 0;
+  int filled = 0;
+  for (std::int32_t i = 0; i < count; ++i) {
+    byte |= static_cast<std::uint8_t>(code(i) << (Bits * filled));
+    if (++filled == kPerByte) {
+      *out++ = static_cast<std::byte>(byte);
+      byte = 0;
+      filled = 0;
+    }
+  }
+  if (filled != 0) *out = static_cast<std::byte>(byte);
+}
+
+/// The `Bits`-bit code of element i in a pack_codes() buffer.
+template <int Bits>
+unsigned code_at(const std::byte* codes, std::int32_t i) {
+  constexpr int kPerByte = 8 / Bits;
+  return (static_cast<unsigned>(codes[i / kPerByte]) >>
+          (Bits * (i % kPerByte))) &
+         ((1u << Bits) - 1u);
 }
 
 }  // namespace
@@ -78,63 +100,88 @@ float RowCodec::compute_scale(std::span<const float> row) const {
   return best;
 }
 
-void RowCodec::encode(std::int32_t id, std::span<const float> row,
-                      std::vector<std::byte>& out, util::Rng& rng) const {
-  if (row.size() != static_cast<std::size_t>(width_)) {
-    throw std::invalid_argument("RowCodec::encode: width mismatch");
-  }
-  append_bytes(out, &id, sizeof(id));
+void RowCodec::write_row(std::int32_t id, std::span<const float> row,
+                         std::byte* out, util::Rng& rng) const {
+  std::memcpy(out, &id, sizeof(id));
+  out += sizeof(id);
   switch (mode_) {
-    case QuantMode::kNone: {
-      append_bytes(out, row.data(), row.size_bytes());
+    case QuantMode::kNone:
+      std::memcpy(out, row.data(), row.size_bytes());
       return;
-    }
     case QuantMode::kOneBit: {
       const float scale = compute_scale(row);
-      append_bytes(out, &scale, sizeof(scale));
-      std::uint8_t bits = 0;
-      int filled = 0;
-      for (std::int32_t i = 0; i < width_; ++i) {
-        bits |= static_cast<std::uint8_t>(row[i] >= 0.0f) << filled;
-        if (++filled == 8) {
-          out.push_back(static_cast<std::byte>(bits));
-          bits = 0;
-          filled = 0;
-        }
-      }
-      if (filled != 0) out.push_back(static_cast<std::byte>(bits));
+      std::memcpy(out, &scale, sizeof(scale));
+      pack_codes<1>(out + sizeof(scale), width_, [&](std::int32_t i) {
+        return static_cast<unsigned>(row[i] >= 0.0f);
+      });
       return;
     }
     case QuantMode::kTwoBit: {
       // TernGrad with the paper's modification: mean|v| as the scale.
       const float scale = util::amean(row);
-      append_bytes(out, &scale, sizeof(scale));
-      std::uint8_t codes = 0;
-      int filled = 0;
-      for (std::int32_t i = 0; i < width_; ++i) {
-        std::uint8_t code = 0;  // zero
-        if (scale > 0.0f) {
-          // Explicit clamp: elements with |v| >= scale (common — scale is
-          // the row *mean*) must keep with probability exactly 1. The
-          // clamp is byte-identical to passing the raw ratio because
-          // next_bernoulli(p) is next_double() < p with next_double() in
-          // [0, 1), but an out-of-range probability is a latent bug if
-          // the Bernoulli implementation ever changes.
-          const double p =
-              std::min(1.0, static_cast<double>(std::fabs(row[i]) / scale));
-          if (rng.next_bernoulli(p)) code = row[i] >= 0.0f ? 1 : 2;
-        }
-        codes |= static_cast<std::uint8_t>(code << (2 * filled));
-        if (++filled == 4) {
-          out.push_back(static_cast<std::byte>(codes));
-          codes = 0;
-          filled = 0;
-        }
-      }
-      if (filled != 0) out.push_back(static_cast<std::byte>(codes));
+      std::memcpy(out, &scale, sizeof(scale));
+      pack_codes<2>(out + sizeof(scale), width_, [&](std::int32_t i) {
+        if (!(scale > 0.0f)) return 0u;  // zero code, no draw
+        // Explicit clamp: elements with |v| >= scale (common — scale is
+        // the row *mean*) must keep with probability exactly 1. The clamp
+        // is byte-identical to passing the raw ratio because
+        // next_bernoulli(p) is next_double() < p with next_double() in
+        // [0, 1), but an out-of-range probability is a latent bug if the
+        // Bernoulli implementation ever changes.
+        const double p =
+            std::min(1.0, static_cast<double>(std::fabs(row[i]) / scale));
+        if (!rng.next_bernoulli(p)) return 0u;
+        return row[i] >= 0.0f ? 1u : 2u;
+      });
       return;
     }
   }
+}
+
+template <typename Sink>
+void RowCodec::read_row(const std::byte* in, Sink&& sink) const {
+  in += sizeof(std::int32_t);  // the id
+  switch (mode_) {
+    case QuantMode::kNone:
+      for (std::int32_t i = 0; i < width_; ++i) {
+        sink(i, read_as<float>(in + static_cast<std::size_t>(i) *
+                                        sizeof(float)));
+      }
+      return;
+    case QuantMode::kOneBit: {
+      const auto scale = read_as<float>(in);
+      const std::byte* bits = in + sizeof(scale);
+      for (std::int32_t i = 0; i < width_; ++i) {
+        sink(i, code_at<1>(bits, i) != 0 ? scale : -scale);
+      }
+      return;
+    }
+    case QuantMode::kTwoBit: {
+      const auto scale = read_as<float>(in);
+      const std::byte* codes = in + sizeof(scale);
+      for (std::int32_t i = 0; i < width_; ++i) {
+        const unsigned code = code_at<2>(codes, i);
+        sink(i, code == 0 ? 0.0f : (code == 1 ? scale : -scale));
+      }
+      return;
+    }
+  }
+  // Exhaustive switch above — reaching here means mode_ holds a value
+  // outside the enum (memory corruption or an unhandled new mode). Leaving
+  // the values untouched would poison the gradient merge; fail loudly.
+  std::fprintf(stderr, "RowCodec: unhandled QuantMode %d\n",
+               static_cast<int>(mode_));
+  std::abort();
+}
+
+void RowCodec::encode(std::int32_t id, std::span<const float> row,
+                      std::vector<std::byte>& out, util::Rng& rng) const {
+  if (row.size() != static_cast<std::size_t>(width_)) {
+    throw std::invalid_argument("RowCodec::encode: width mismatch");
+  }
+  const std::size_t at = out.size();
+  out.resize(at + bytes_per_row_);
+  write_row(id, row, out.data() + at, rng);
 }
 
 std::int32_t RowCodec::decode(std::span<const std::byte> in,
@@ -143,57 +190,38 @@ std::int32_t RowCodec::decode(std::span<const std::byte> in,
       values.size() != static_cast<std::size_t>(width_)) {
     throw std::invalid_argument("RowCodec::decode: size mismatch");
   }
-  const std::byte* p = in.data();
-  const auto id = read_as<std::int32_t>(p);
-  p += sizeof(std::int32_t);
-  switch (mode_) {
-    case QuantMode::kNone: {
-      std::memcpy(values.data(), p, values.size_bytes());
-      return id;
-    }
-    case QuantMode::kOneBit: {
-      const auto scale = read_as<float>(p);
-      p += sizeof(float);
-      for (std::int32_t i = 0; i < width_; ++i) {
-        const auto bits = static_cast<std::uint8_t>(p[i / 8]);
-        const bool positive = (bits >> (i % 8)) & 1u;
-        values[i] = positive ? scale : -scale;
-      }
-      return id;
-    }
-    case QuantMode::kTwoBit: {
-      const auto scale = read_as<float>(p);
-      p += sizeof(float);
-      for (std::int32_t i = 0; i < width_; ++i) {
-        const auto codes = static_cast<std::uint8_t>(p[i / 4]);
-        const std::uint8_t code = (codes >> (2 * (i % 4))) & 3u;
-        values[i] = code == 0 ? 0.0f : (code == 1 ? scale : -scale);
-      }
-      return id;
-    }
-  }
-  // Exhaustive switch above — reaching here means mode_ holds a value
-  // outside the enum (memory corruption or an unhandled new mode). The
-  // previous fallthrough silently returned the id with `values` untouched,
-  // which would poison the gradient merge; fail loudly instead.
-  std::fprintf(stderr, "RowCodec::decode: unhandled QuantMode %d\n",
-               static_cast<int>(mode_));
-  std::abort();
+  read_row(in.data(), [&](std::int32_t i, float v) { values[i] = v; });
+  return read_as<std::int32_t>(in.data());
 }
 
-void RowCodec::encode_grad(const kge::SparseGrad& grad,
-                           std::vector<std::byte>& out,
-                           util::Rng& rng) const {
+void RowCodec::encode_grad(kge::SparseGrad& grad, std::vector<std::byte>& out,
+                           util::Rng& rng, kge::ResidualMap* residual) const {
   if (grad.width() != width_) {
     throw std::invalid_argument("RowCodec::encode_grad: width mismatch");
   }
-  // Block form: one pre-sized buffer, rows resolved through sorted_slots()
-  // (one arena access each, no index read). Iteration order — and
-  // therefore the 2-bit mode's RNG draw order — is ascending id.
-  out.clear();
-  out.reserve(grad.num_rows() * bytes_per_row_);
-  for (const kge::SparseGrad::SlotRef& slot : grad.sorted_slots()) {
-    encode(slot.id, grad.row_at(slot.offset), out, rng);
+  // Rows are resolved through sorted_slots() (one arena access each, no
+  // index read). No row is created or erased here, so the slot list stays
+  // valid throughout.
+  const std::vector<kge::SparseGrad::SlotRef>& slots = grad.sorted_slots();
+  out.resize(slots.size() * bytes_per_row_);
+  std::byte* at = out.data();
+  for (const kge::SparseGrad::SlotRef& slot : slots) {
+    const std::span<float> row = grad.row_at(slot.offset);
+    if (residual == nullptr) {
+      write_row(slot.id, row, at, rng);
+    } else {
+      // A residual parked for a row absent this step stays put and flows
+      // in whenever the row next appears.
+      const auto [it, fresh] =
+          residual->try_emplace(slot.id, static_cast<std::size_t>(width_));
+      std::vector<float>& parked = it->second;
+      if (!fresh) {
+        for (std::int32_t i = 0; i < width_; ++i) row[i] += parked[i];
+      }
+      write_row(slot.id, row, at, rng);
+      read_row(at, [&](std::int32_t i, float v) { parked[i] = row[i] - v; });
+    }
+    at += bytes_per_row_;
   }
 }
 
@@ -203,59 +231,16 @@ void RowCodec::decode_accumulate(std::span<const std::byte> in,
     throw std::invalid_argument(
         "RowCodec::decode_accumulate: buffer is not a whole number of rows");
   }
-  // Decode straight into the accumulator rows — no per-call temp vector
-  // and no separate add pass. Each element adds the exact value decode()
-  // would have produced (including +0.0f for a 2-bit zero code, so a
-  // -0.0f accumulator element is still normalized the way the two-pass
-  // path did it).
+  // Each reader value is added straight into the accumulator row, in
+  // element order — including +0.0f for a 2-bit zero code, so a -0.0f
+  // accumulator element is normalized exactly as decode-then-add would.
   for (std::size_t offset = 0; offset < in.size();
        offset += bytes_per_row_) {
     const std::byte* p = in.data() + offset;
-    const auto id = read_as<std::int32_t>(p);
-    p += sizeof(std::int32_t);
-    auto row = accumulator.accumulate(id);
-    switch (mode_) {
-      case QuantMode::kNone: {
-        for (std::int32_t i = 0; i < width_; ++i) {
-          row[i] += read_as<float>(p + static_cast<std::size_t>(i) *
-                                           sizeof(float));
-        }
-        break;
-      }
-      case QuantMode::kOneBit: {
-        const auto scale = read_as<float>(p);
-        p += sizeof(float);
-        for (std::int32_t i = 0; i < width_; ++i) {
-          const auto bits = static_cast<std::uint8_t>(p[i / 8]);
-          const bool positive = (bits >> (i % 8)) & 1u;
-          row[i] += positive ? scale : -scale;
-        }
-        break;
-      }
-      case QuantMode::kTwoBit: {
-        const auto scale = read_as<float>(p);
-        p += sizeof(float);
-        for (std::int32_t i = 0; i < width_; ++i) {
-          const auto codes = static_cast<std::uint8_t>(p[i / 4]);
-          const std::uint8_t code = (codes >> (2 * (i % 4))) & 3u;
-          row[i] += code == 0 ? 0.0f : (code == 1 ? scale : -scale);
-        }
-        break;
-      }
-    }
+    const std::span<float> row =
+        accumulator.accumulate(read_as<std::int32_t>(p));
+    read_row(p, [&](std::int32_t i, float v) { row[i] += v; });
   }
-}
-
-void RowCodec::quantized_values(std::span<const float> in,
-                                std::span<float> out,
-                                std::vector<std::byte>& scratch,
-                                util::Rng& rng) const {
-  // `scratch` is caller-owned so the error-feedback loop (one call per
-  // gradient row per step) stops heap-allocating: after the first call
-  // the buffer's capacity is bytes_per_row() and clear() is free.
-  scratch.clear();
-  encode(0, in, scratch, rng);
-  decode(scratch, out);
 }
 
 }  // namespace dynkge::core

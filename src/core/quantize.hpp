@@ -13,6 +13,11 @@
 //             P(code_i != 0) = min(1, |v_i| / scale)   (stochastic,
 //             unbiased in expectation)
 //
+// Each mode has one row writer and one row reader. Every entry point goes
+// through them: encode/encode_grad write, decode/decode_accumulate read,
+// and error feedback reads back the code it just wrote, so the parked
+// residual is the error of the code that was sent.
+//
 // The 1-bit scheme cuts the per-value payload 32x, which is what shifts
 // the all-reduce/all-gather crossover and lets the dynamic selector pick
 // all-gather ~60% more often (paper section 4.3).
@@ -49,24 +54,28 @@ class RowCodec {
   std::int32_t decode(std::span<const std::byte> in,
                       std::span<float> values) const;
 
-  /// Serialize a whole gradient (rows in ascending id order).
-  void encode_grad(const kge::SparseGrad& grad, std::vector<std::byte>& out,
-                   util::Rng& rng) const;
+  /// Serialize a whole gradient into `out`, sized once, rows in ascending
+  /// id order (which is also the 2-bit mode's RNG draw order). With
+  /// `residual` (error feedback), each row first gets its parked residual
+  /// added in `grad`, and the row minus its code, as decode() would read
+  /// it back, is parked in its place.
+  void encode_grad(kge::SparseGrad& grad, std::vector<std::byte>& out,
+                   util::Rng& rng, kge::ResidualMap* residual = nullptr) const;
 
   /// Parse a buffer of serialized rows, *adding* each row's values into
   /// the accumulator (the merge step of the sparse exchange).
   void decode_accumulate(std::span<const std::byte> in,
                          kge::SparseGrad& accumulator) const;
 
-  /// out = decode(encode(in)) without serialization overhead; used to
-  /// compute the quantization residual for error feedback. `scratch` is a
-  /// caller-provided reusable buffer (this runs once per gradient row per
-  /// step — a per-call allocation here was a measurable hot-path cost).
-  void quantized_values(std::span<const float> in, std::span<float> out,
-                        std::vector<std::byte>& scratch,
-                        util::Rng& rng) const;
-
  private:
+  /// The writer: bytes_per_row() bytes of `row`'s code at `out`.
+  void write_row(std::int32_t id, std::span<const float> row,
+                 std::byte* out, util::Rng& rng) const;
+  /// The reader: sink(i, value) for each element of the row at `in`, in
+  /// element order.
+  template <typename Sink>
+  void read_row(const std::byte* in, Sink&& sink) const;
+
   float compute_scale(std::span<const float> row) const;
 
   QuantMode mode_;

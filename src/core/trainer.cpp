@@ -568,7 +568,10 @@ void RankProgram::restore(const kge::TrainingSnapshot& snap) {
                      snap.comm_selector.committed_arm,
                      snap.comm_selector.base_probe_time,
                      snap.comm_selector.topk_probe_time});
-  auto residuals = decode_residual_maps(snap.rank_residuals[rank_], 4);
+  auto residuals = decode_residual_maps(
+      snap.rank_residuals[rank_],
+      {&model_->entities(), &model_->relations(), &model_->entities(),
+       &model_->relations()});
   entity_selector_.restore_residuals(std::move(residuals[0]));
   relation_selector_.restore_residuals(std::move(residuals[1]));
   exchange_.restore_residuals(std::move(residuals[2]),

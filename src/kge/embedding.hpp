@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -301,5 +302,9 @@ class SparseGrad {
   mutable bool ids_stale_ = false;
   mutable bool slots_stale_ = false;
 };
+
+/// Gradient rows parked for a later step (selection and error-feedback
+/// residuals): row id -> the row's values, one full matrix row each.
+using ResidualMap = std::unordered_map<std::int32_t, std::vector<float>>;
 
 }  // namespace dynkge::kge

@@ -640,9 +640,11 @@ std::string encode_residual_maps(
   return blob;
 }
 
-std::vector<ResidualMap> decode_residual_maps(const std::string& blob,
-                                              std::size_t num_maps) {
-  std::vector<ResidualMap> maps(num_maps);
+std::vector<ResidualMap> decode_residual_maps(
+    const std::string& blob,
+    std::initializer_list<const EmbeddingMatrix*> matrices) {
+  std::vector<ResidualMap> maps;
+  maps.reserve(matrices.size());
   std::size_t pos = 0;
   const auto read = [&](void* out, std::size_t size) {
     if (size > blob.size() - pos) {
@@ -652,19 +654,36 @@ std::vector<ResidualMap> decode_residual_maps(const std::string& blob,
     std::memcpy(out, blob.data() + pos, size);
     pos += size;
   };
-  for (ResidualMap& map : maps) {
+  const auto reject = [&](std::size_t map, const std::string& what) {
+    throw std::runtime_error("resume: residual map " + std::to_string(map) +
+                             ": " + what + " (snapshot RESD section)");
+  };
+  for (const EmbeddingMatrix* matrix : matrices) {
+    const std::size_t index = maps.size();
+    ResidualMap& map = maps.emplace_back();
     std::uint32_t count = 0;
     read(&count, sizeof(count));
+    std::int32_t previous = -1;
     for (std::uint32_t i = 0; i < count; ++i) {
       std::int32_t id = 0;
       std::uint32_t width = 0;
       read(&id, sizeof(id));
       read(&width, sizeof(width));
-      if (width > (1u << 20)) {
-        throw std::runtime_error(
-            "resume: residual row width " + std::to_string(width) +
-            " is implausible (snapshot RESD section corrupted)");
+      if (id < 0 || id >= matrix->rows()) {
+        reject(index, "row id " + std::to_string(id) + " outside [0, " +
+                          std::to_string(matrix->rows()) + ")");
       }
+      if (id <= previous) {
+        reject(index, "row id " + std::to_string(id) +
+                          " is not greater than the previous id " +
+                          std::to_string(previous));
+      }
+      if (width != static_cast<std::uint32_t>(matrix->width())) {
+        reject(index, "row " + std::to_string(id) + " has width " +
+                          std::to_string(width) + ", the matrix " +
+                          std::to_string(matrix->width()));
+      }
+      previous = id;
       std::vector<float> values(width);
       read(values.data(), width * sizeof(float));
       map.emplace(id, std::move(values));

@@ -46,7 +46,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "kge/embedding.hpp"
@@ -183,20 +182,20 @@ void write_snapshot_bytes(const std::string& sealed, const std::string& path,
 // Residual blobs (the RESD section payload, shared by the distributed and
 // federated trainers).
 
-/// A gradient-selection / error-feedback residual map: row id -> parked
-/// row values.
-using ResidualMap = std::unordered_map<std::int32_t, std::vector<float>>;
-
 /// Pack residual maps into one opaque blob: each map as a u32 row count
 /// followed by (i32 id, u32 width, float values) entries in ascending id
 /// order, so identical state always produces identical bytes.
 std::string encode_residual_maps(
     std::initializer_list<const ResidualMap*> maps);
 
-/// Unpack a blob produced by encode_residual_maps into exactly `num_maps`
-/// maps; throws std::runtime_error on truncation, trailing bytes, or an
-/// implausible row width.
-std::vector<ResidualMap> decode_residual_maps(const std::string& blob,
-                                              std::size_t num_maps);
+/// Unpack a blob produced by encode_residual_maps into one map per entry
+/// of `matrices`, each map's rows checked against its matrix's shape.
+/// Throws std::runtime_error naming the RESD section on truncation,
+/// trailing bytes, an id not greater than the one before it (so a
+/// repeated id), an id outside [0, rows) or a width other than the
+/// matrix's.
+std::vector<ResidualMap> decode_residual_maps(
+    const std::string& blob,
+    std::initializer_list<const EmbeddingMatrix*> matrices);
 
 }  // namespace dynkge::kge

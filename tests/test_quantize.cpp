@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "util/span_math.hpp"
@@ -262,20 +264,40 @@ TEST(RowCodec, EncodeRejectsWrongWidth) {
   EXPECT_THROW(codec.encode(0, row, buffer, rng), std::invalid_argument);
 }
 
-TEST(RowCodec, QuantizedValuesMatchesEncodeDecode) {
-  const RowCodec codec(QuantMode::kOneBit, OneBitScale::kMax, 8);
-  const auto row = test_row();
-  util::Rng rng(1);
-  std::vector<float> via_helper(8);
-  std::vector<std::byte> scratch;
-  codec.quantized_values(row, via_helper, scratch, rng);
-  std::vector<std::byte> buffer;
-  util::Rng rng2(1);
-  codec.encode(0, row, buffer, rng2);
-  std::vector<float> via_wire(8);
-  codec.decode(buffer, via_wire);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_FLOAT_EQ(via_helper[i], via_wire[i]);
+TEST(RowCodec, FeedbackParksTheErrorOfTheCodeSent) {
+  // With a residual map, encode_grad folds each row's parked residual in
+  // and parks exactly the folded row minus the code it wrote, as decode()
+  // reads it back.
+  for (const QuantMode mode : {QuantMode::kOneBit, QuantMode::kTwoBit}) {
+    const RowCodec codec(mode, OneBitScale::kMax, 8);
+    const auto row = test_row();
+    kge::SparseGrad grad(8);
+    for (const std::int32_t id : {3, 9}) {
+      std::ranges::copy(row, grad.accumulate(id).begin());
+    }
+    kge::ResidualMap residual;
+    residual[3].assign(8, 0.25f);   // parked by an earlier step
+    residual[50].assign(8, 1.0f);   // row absent this step: stays parked
+    util::Rng rng(7);
+    std::vector<std::byte> wire;
+    codec.encode_grad(grad, wire, rng, &residual);
+    ASSERT_EQ(wire.size(), 2 * codec.bytes_per_row());
+
+    std::vector<float> sent(8);
+    for (std::size_t r = 0; r < 2; ++r) {
+      const std::int32_t id = codec.decode(
+          std::span(wire).subspan(r * codec.bytes_per_row(),
+                                  codec.bytes_per_row()),
+          sent);
+      const float carried = id == 3 ? 0.25f : 0.0f;
+      const auto folded = grad.row(id);
+      for (std::size_t i = 0; i < 8; ++i) {
+        EXPECT_EQ(folded[i], row[i] + carried) << "row " << id;
+        EXPECT_EQ(residual.at(id)[i], folded[i] - sent[i]) << "row " << id;
+      }
+    }
+    EXPECT_EQ(residual.size(), 3u);
+    EXPECT_EQ(residual.at(50), std::vector<float>(8, 1.0f));
   }
 }
 
