@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the gradient row codecs: encode
-// and decode throughput per quantization mode and row width.
+// and decode throughput per quantization mode and row width, and the
+// exchange merge that decodes every rank's payload into one gradient.
 #include <benchmark/benchmark.h>
 
 #include "harness/micro_main.hpp"
@@ -86,6 +87,44 @@ void BM_EncodeGrad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_EncodeGrad)->Arg(100)->Arg(1000);
+
+void BM_DecodeAccumulate(benchmark::State& state) {
+  // train_combined's merge: 4 ranks' payloads of 1 000 rows each, width
+  // 64, ids drawn from fb15k_mini's 2 000 entities so the ranks' rows
+  // overlap. Items are rows decoded.
+  const auto mode = static_cast<QuantMode>(state.range(0));
+  constexpr std::int32_t kWidth = 64;
+  constexpr std::int32_t kRanks = 4;
+  constexpr std::size_t kRows = 1000;
+  constexpr std::uint64_t kEntities = 2000;
+  const RowCodec codec(mode, OneBitScale::kMax, kWidth);
+  std::vector<std::vector<std::byte>> payloads(kRanks);
+  Rng rng(5);
+  for (std::vector<std::byte>& payload : payloads) {
+    dynkge::kge::SparseGrad grad(kWidth);
+    while (grad.num_rows() < kRows) {
+      auto row = grad.accumulate(
+          static_cast<std::int32_t>(rng.next_below(kEntities)));
+      for (auto& v : row) v = static_cast<float>(rng.next_double(-1, 1));
+    }
+    codec.encode_grad(grad, payload, rng);
+  }
+  dynkge::kge::SparseGrad merged(kWidth);
+  for (auto _ : state) {
+    merged.clear();
+    for (const std::vector<std::byte>& payload : payloads) {
+      codec.decode_accumulate(payload, merged);
+    }
+    benchmark::DoNotOptimize(merged.num_rows());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRanks *
+                          static_cast<std::int64_t>(kRows));
+}
+BENCHMARK(BM_DecodeAccumulate)
+    ->Arg(static_cast<int>(QuantMode::kNone))
+    ->Arg(static_cast<int>(QuantMode::kOneBit))
+    ->Arg(static_cast<int>(QuantMode::kTwoBit));
 
 }  // namespace
 

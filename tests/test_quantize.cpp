@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
+#include "golden_digest.hpp"
 #include "util/span_math.hpp"
 
 namespace dynkge::core {
@@ -71,8 +75,12 @@ TEST(RowCodec, OneBitMaxDecodesToSignTimesMax) {
   EXPECT_EQ(codec.decode(buffer, decoded), 7);
   for (std::size_t i = 0; i < row.size(); ++i) {
     EXPECT_FLOAT_EQ(std::fabs(decoded[i]), 3.5f);
-    if (row[i] > 0.0f) EXPECT_GT(decoded[i], 0.0f);
-    if (row[i] < 0.0f) EXPECT_LT(decoded[i], 0.0f);
+    if (row[i] > 0.0f) {
+      EXPECT_GT(decoded[i], 0.0f);
+    }
+    if (row[i] < 0.0f) {
+      EXPECT_LT(decoded[i], 0.0f);
+    }
   }
 }
 
@@ -313,7 +321,97 @@ TEST(RowCodec, WidePayloadRoundTrip) {
   std::vector<float> decoded(200);
   EXPECT_EQ(codec.decode(buffer, decoded), 123);
   for (std::size_t i = 0; i < 200; ++i) {
-    if (row[i] != 0.0f) EXPECT_GT(decoded[i] * row[i], 0.0f);
+    if (row[i] != 0.0f) {
+      EXPECT_GT(decoded[i] * row[i], 0.0f);
+    }
+  }
+}
+
+/// FNV-1a over what decode() and decode_accumulate() read from wire rows
+/// built byte by byte. Every width on and around a code-byte or vector
+/// boundary; every scale whose bit pattern arithmetic would mangle (+-0, a
+/// denormal, +-inf, NaNs, a negative value); row r's code byte j is
+/// (r + 37j) mod 256, so every byte position, the partial last one and
+/// its padding bits included, takes every value 0-255 (2-bit code 3 too).
+/// The merge adds into rows that start at -0.0f, so a +0.0f zero code
+/// shows.
+///
+/// Under a NaN scale no id repeats: which of two NaNs an x86 add returns
+/// depends on the operand order the compiler picks, which C++ leaves open.
+std::uint64_t reader_digest(QuantMode mode) {
+  constexpr std::uint32_t kScaleBits[] = {
+      0x00000000u,  // +0
+      0x80000000u,  // -0
+      0x00000001u,  // the smallest denormal
+      0x803ff00fu,  // a negative denormal
+      0x7f800000u,  // +inf
+      0xff800000u,  // -inf
+      0x7fc00000u,  // the default quiet NaN
+      0xffc00123u,  // a negative NaN with a payload
+      0xbfc00000u,  // -1.5
+      0x3e800000u,  // 0.25
+  };
+  constexpr std::int32_t kRows = 256;
+  std::uint64_t hash = util::kFnv1aOffset;
+  for (const std::int32_t width : {1, 7, 8, 9, 63, 64, 65, 200}) {
+    const RowCodec codec(mode, OneBitScale::kMax, width);
+    const std::size_t row_bytes = codec.bytes_per_row();
+    const std::size_t header = sizeof(std::int32_t) + sizeof(float);
+    for (const std::uint32_t scale : kScaleBits) {
+      // Ids repeat once, half a buffer apart, unless the scale is a NaN.
+      const bool nan = std::isnan(std::bit_cast<float>(scale));
+      std::vector<std::byte> wire(kRows * row_bytes);
+      for (std::int32_t r = 0; r < kRows; ++r) {
+        std::byte* row = wire.data() + static_cast<std::size_t>(r) * row_bytes;
+        const std::int32_t id = nan ? r : r % (kRows / 2);
+        std::memcpy(row, &id, sizeof(id));
+        std::memcpy(row + sizeof(id), &scale, sizeof(scale));
+        for (std::size_t j = 0; j < row_bytes - header; ++j) {
+          row[header + j] = static_cast<std::byte>((r + 37 * j) % 256);
+        }
+      }
+      std::vector<float> values(static_cast<std::size_t>(width));
+      for (std::size_t at = 0; at < wire.size(); at += row_bytes) {
+        const std::int32_t id =
+            codec.decode(std::span(wire).subspan(at, row_bytes), values);
+        hash = testing_util::fnv1a_value(id, hash);
+        hash = util::fnv1a(values.data(), values.size() * sizeof(float), hash);
+      }
+      // Even ids below kRows / 2 start as -0.0f rows; the merge creates
+      // the rest. Each half adds one value per element, and both sums are
+      // digested.
+      kge::SparseGrad merged(width);
+      for (std::int32_t id = 0; id < kRows / 2; id += 2) {
+        std::ranges::fill(merged.accumulate(id), -0.0f);
+      }
+      const std::size_t half = wire.size() / 2;
+      for (const std::span<const std::byte> part :
+           {std::span<const std::byte>(wire).first(half),
+            std::span<const std::byte>(wire).subspan(half)}) {
+        codec.decode_accumulate(part, merged);
+        for (const kge::SparseGrad::SlotRef& slot : merged.sorted_slots()) {
+          const auto row = merged.row_at(slot.offset);
+          hash = testing_util::fnv1a_value(slot.id, hash);
+          hash = util::fnv1a(row.data(), row.size_bytes(), hash);
+        }
+      }
+    }
+  }
+  return hash;
+}
+
+TEST(RowCodec, ReaderBytesMatchGolden) {
+  struct Case {
+    QuantMode mode;
+    std::uint64_t golden;
+  };
+  for (const Case& c : {Case{QuantMode::kOneBit, 0x8ba4814ad4015d25ULL},
+                        Case{QuantMode::kTwoBit, 0x3127642bc1508b0dULL}}) {
+    const std::uint64_t digest = reader_digest(c.mode);
+    EXPECT_EQ(digest, c.golden)
+        << "mode " << static_cast<int>(c.mode) << ": golden "
+        << testing_util::hex64(c.golden) << ", got "
+        << testing_util::hex64(digest);
   }
 }
 

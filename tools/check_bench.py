@@ -185,6 +185,7 @@ FIG8_GATES = [gate
                         "rs_1bit_rp_ss")
               for gate in training_run_gates(f"n{n}.{m}",
                                              with_tca=False)] + [
+    g("mrr_gain_pct"),
     f("combined_saves_time"),
 ]
 
@@ -196,6 +197,7 @@ FIG9_GATES = [gate
                                              with_tca=False)] + [
     g("drs_allreduce_fraction"),
     g("drs_1bit_allreduce_fraction"),
+    g("mrr_gain_pct"),
     f("combined_saves_time"),
 ]
 
