@@ -16,7 +16,10 @@
 // Each mode has one row writer and one row reader. Every entry point goes
 // through them: encode/encode_grad write, decode/decode_accumulate read,
 // and error feedback reads back the code it just wrote, so the parked
-// residual is the error of the code that was sent.
+// residual is the error of the code that was sent. The 1-bit and 2-bit
+// readers decode a code byte at a time from constant 256-entry mask tables
+// applied to the scale's bit pattern, so every value is exactly scale,
+// -scale or +0.0f for every scale, infinities and NaNs included.
 //
 // The 1-bit scheme cuts the per-value payload 32x, which is what shifts
 // the all-reduce/all-gather crossover and lets the dynamic selector pick
@@ -71,8 +74,9 @@ class RowCodec {
   /// The writer: bytes_per_row() bytes of `row`'s code at `out`.
   void write_row(std::int32_t id, std::span<const float> row,
                  std::byte* out, util::Rng& rng) const;
-  /// The reader: sink(i, value) for each element of the row at `in`, in
-  /// element order.
+  /// The reader: sink(i, values) for the row at `in`, in element order,
+  /// where `values` (a span) are elements i, i + 1, ...: one code byte's
+  /// eight or four (fewer for the last byte), or one raw float.
   template <typename Sink>
   void read_row(const std::byte* in, Sink&& sink) const;
 
