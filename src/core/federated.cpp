@@ -127,14 +127,10 @@ class ClientProgram {
   GradSelector relation_selector_;
 
   kge::ModelGrads step_grads_;
+  /// The round's update. Local training records each touched row here; the
+  /// exchange sets each to local - global.
   kge::ModelGrads delta_;
   kge::ModelGrads merged_;
-  /// Rows the local epochs touched, in first-touch order, and the marks
-  /// that keep each listed once.
-  std::vector<std::int32_t> touched_entities_;
-  std::vector<std::int32_t> touched_relations_;
-  std::vector<std::uint8_t> entity_touched_;
-  std::vector<std::uint8_t> relation_touched_;
 };
 
 }  // namespace
@@ -276,38 +272,30 @@ FederatedReport FederatedTrainer::run_attempt(
 
 namespace {
 
-/// Append the rows of `grad` not yet marked in `seen` to `order`.
-void mark_touched(const kge::SparseGrad& grad, std::vector<std::uint8_t>& seen,
-                  std::vector<std::int32_t>& order) {
-  for (const std::int32_t id : grad.sorted_ids()) {
-    if (!seen[static_cast<std::size_t>(id)]) {
-      seen[static_cast<std::size_t>(id)] = 1;
-      order.push_back(id);
-    }
+/// A row in `delta` for every row of `step`.
+void record_touched(const kge::SparseGrad& step, kge::SparseGrad& delta) {
+  for (const kge::SparseGrad::SlotRef& slot : step.sorted_slots()) {
+    delta.accumulate_offset(slot.id);
   }
 }
 
-/// delta row = local row - global row for every touched row, in touch
-/// order, clearing the touch marks for the next round.
+/// delta row = local row - global row for every touched row.
 void fill_delta(const kge::EmbeddingMatrix& local,
-                const kge::EmbeddingMatrix& global,
-                const std::vector<std::int32_t>& touched,
-                std::vector<std::uint8_t>& seen, kge::SparseGrad& delta) {
-  for (const std::int32_t id : touched) {
-    auto out = delta.accumulate(id);
-    const auto local_row = local.row(id);
-    const auto global_row = global.row(id);
+                const kge::EmbeddingMatrix& global, kge::SparseGrad& delta) {
+  for (const kge::SparseGrad::SlotRef& slot : delta.sorted_slots()) {
+    const auto out = delta.row_at(slot.offset);
+    const auto local_row = local.row(slot.id);
+    const auto global_row = global.row(slot.id);
     for (std::size_t i = 0; i < out.size(); ++i) {
       out[i] = local_row[i] - global_row[i];
     }
-    seen[static_cast<std::size_t>(id)] = 0;
   }
 }
 
 void apply_delta(const kge::SparseGrad& delta, kge::EmbeddingMatrix& matrix) {
-  for (const std::int32_t id : delta.sorted_ids()) {
-    auto row = matrix.row(id);
-    const auto d = delta.row(id);
+  for (const kge::SparseGrad::SlotRef& slot : delta.sorted_slots()) {
+    auto row = matrix.row(slot.id);
+    const auto d = delta.row_at(slot.offset);
     for (std::size_t i = 0; i < row.size(); ++i) row[i] += d[i];
   }
 }
@@ -330,19 +318,17 @@ ClientProgram::ClientProgram(const Attempt& attempt, Communicator& comm)
       scheduler_(config_.lr, static_cast<int>(attempt.active.size())),
       sampler_(attempt.dataset),
       evaluator_(attempt.dataset),
-      entity_selector_(config_.strategy.selection,
+      entity_selector_(model_->entities().width(),
+                       config_.strategy.selection,
                        config_.strategy.selection_residual,
                        static_cast<std::size_t>(config_.strategy.topk_k)),
-      relation_selector_(config_.strategy.selection,
+      relation_selector_(model_->relations().width(),
+                         config_.strategy.selection,
                          config_.strategy.selection_residual,
                          static_cast<std::size_t>(config_.strategy.topk_k)),
       step_grads_(model_->make_grads()),
       delta_(model_->make_grads()),
-      merged_(model_->make_grads()),
-      entity_touched_(
-          static_cast<std::size_t>(attempt.dataset.num_entities()), 0),
-      relation_touched_(
-          static_cast<std::size_t>(attempt.dataset.num_relations()), 0) {}
+      merged_(model_->make_grads()) {}
 
 void ClientProgram::run() {
   if (attempt_.resume != nullptr) restore(*attempt_.resume);
@@ -402,8 +388,7 @@ void ClientProgram::train_locally(int round, RoundTally& tally) {
                     local_model_->entities().flat().begin());
   std::ranges::copy(model_->relations().flat(),
                     local_model_->relations().flat().begin());
-  touched_entities_.clear();
-  touched_relations_.clear();
+  delta_.clear();
 
   const auto learning_rate = static_cast<float>(tally.lr);
   const auto decay = static_cast<float>(config_.weight_decay);
@@ -426,13 +411,13 @@ void ClientProgram::train_locally(int round, RoundTally& tally) {
                 static_cast<std::size_t>(config_.policy.local_epochs);
 }
 
-/// sgd_step on the local model, remembering the rows it touched.
+/// sgd_step on the local model, recording the rows it touched in delta_.
 double ClientProgram::local_step(const Triple& triple, int label,
                                  float learning_rate, float decay) {
   const double loss = sgd_step(*local_model_, triple, label, learning_rate,
                                decay, step_grads_);
-  mark_touched(step_grads_.entity, entity_touched_, touched_entities_);
-  mark_touched(step_grads_.relation, relation_touched_, touched_relations_);
+  record_touched(step_grads_.entity, delta_.entity);
+  record_touched(step_grads_.relation, delta_.relation);
   return loss;
 }
 
@@ -442,11 +427,8 @@ double ClientProgram::local_step(const Triple& triple, int label,
 /// every client (FedAvg with equal client weights; the uniform partition
 /// keeps shards near-equal).
 void ClientProgram::exchange_delta(int round, RoundTally& tally) {
-  delta_.clear();
-  fill_delta(local_model_->entities(), model_->entities(), touched_entities_,
-             entity_touched_, delta_.entity);
-  fill_delta(local_model_->relations(), model_->relations(),
-             touched_relations_, relation_touched_, delta_.relation);
+  fill_delta(local_model_->entities(), model_->entities(), delta_.entity);
+  fill_delta(local_model_->relations(), model_->relations(), delta_.relation);
 
   tally.rows_before = delta_.entity.num_rows() + delta_.relation.num_rows();
   Rng select_rng(util::derive_seed(config_.seed, client_, round, 0x5E1u));
@@ -539,7 +521,7 @@ void ClientProgram::close_round(int round, const RoundTally& tally) {
   report.total_sim_seconds += stats.sim_seconds;
 }
 
-/// Collective, charge-free: the round snapshot. Residual maps are
+/// Collective, charge-free: the round snapshot. Residual stores are
 /// client-private, so every client's blob is gathered and a survivor of
 /// the NEXT round's crash can restore its own. Built every round
 /// regardless of elastic mode: the collective count stays uniform and the

@@ -96,7 +96,7 @@ struct FederatedSnapshot {
   std::vector<float> relation_params;
   PlateauScheduler::State scheduler;
   /// The roster the snapshot was taken with (original client ids,
-  /// ascending) and each client's residual blob (4 maps, encoded by
+  /// ascending) and each client's residual blob (4 stores, encoded by
   /// kge::encode_residual_maps), parallel to `clients`.
   std::vector<int> clients;
   std::vector<std::string> client_residuals;

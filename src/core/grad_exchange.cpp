@@ -26,11 +26,13 @@ GradExchange::GradExchange(comm::Communicator& comm,
                           sizeof(float)),
       relation_dense_bytes_(static_cast<std::size_t>(num_relations) *
                             static_cast<std::size_t>(relation_width) *
-                            sizeof(float)) {}
+                            sizeof(float)),
+      entity_residual_(entity_width),
+      relation_residual_(relation_width) {}
 
 std::size_t GradExchange::exchange_matrix(
     kge::SparseGrad& local, kge::SparseGrad& merged, const RowCodec& codec,
-    Transport transport, std::size_t dense_bytes, kge::ResidualMap* residual,
+    Transport transport, std::size_t dense_bytes, kge::SparseGrad* residual,
     util::Rng& rng) {
   // Error feedback applies to quantized codes only: all-reduce epochs
   // send raw floats, which leave no error to park.

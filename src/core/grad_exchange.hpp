@@ -26,7 +26,8 @@
 // is encoded, and the error of the code actually sent (the row minus what
 // the receivers decode) is parked for the row's next appearance. Both
 // happen inside RowCodec::encode_grad, in the one write of the wire
-// buffer.
+// buffer. The parked rows live in two stores of their own (entity and
+// relation), apart from the row selector's.
 #pragma once
 
 #include <cstdint>
@@ -69,13 +70,14 @@ class GradExchange {
   ExchangeResult exchange(kge::ModelGrads& local, kge::ModelGrads& merged,
                           const ExchangePlan& plan, util::Rng& rng);
 
-  /// Checkpoint access to the error-feedback residuals (quantization error
-  /// parked for the next step — training state, like optimizer moments).
-  const kge::ResidualMap& entity_residuals() const { return entity_residual_; }
-  const kge::ResidualMap& relation_residuals() const {
+  /// Checkpoint access to the error-feedback residual stores (quantization
+  /// error parked for the next step — training state, like optimizer
+  /// moments).
+  const kge::SparseGrad& entity_residuals() const { return entity_residual_; }
+  const kge::SparseGrad& relation_residuals() const {
     return relation_residual_;
   }
-  void restore_residuals(kge::ResidualMap entity, kge::ResidualMap relation) {
+  void restore_residuals(kge::SparseGrad entity, kge::SparseGrad relation) {
     entity_residual_ = std::move(entity);
     relation_residual_ = std::move(relation);
   }
@@ -85,7 +87,7 @@ class GradExchange {
   std::size_t exchange_matrix(kge::SparseGrad& local, kge::SparseGrad& merged,
                               const RowCodec& codec, Transport transport,
                               std::size_t dense_bytes,
-                              kge::ResidualMap* residual, util::Rng& rng);
+                              kge::SparseGrad* residual, util::Rng& rng);
 
   comm::Communicator& comm_;
   StrategyConfig strategy_;
@@ -97,8 +99,8 @@ class GradExchange {
   RowCodec raw_relation_codec_;
   std::size_t entity_dense_bytes_;
   std::size_t relation_dense_bytes_;
-  kge::ResidualMap entity_residual_;
-  kge::ResidualMap relation_residual_;
+  kge::SparseGrad entity_residual_;
+  kge::SparseGrad relation_residual_;
   /// This rank's wire buffer, reused across calls.
   std::vector<std::byte> encode_scratch_;
 };

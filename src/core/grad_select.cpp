@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "util/span_math.hpp"
@@ -9,25 +10,27 @@
 namespace dynkge::core {
 namespace {
 
+using Slots = std::vector<kge::SparseGrad::SlotRef>;
+
 // Decide keep/drop for every row. Returns the kept count and fills `keep`
-// (1 = keep). `ids` must be ascending (SparseGrad::sorted_ids guarantees
-// it), which makes the Top-K tie-break — equal norms go to the smaller
-// entity id — independent of hash-map iteration order and therefore
-// byte-stable across ranks and host-pool sizes.
-std::size_t mark_kept_rows(const std::vector<std::int32_t>& ids,
+// (1 = keep). `slots` must be ascending (SparseGrad::sorted_slots
+// guarantees it), which makes the Top-K tie-break — equal norms go to the
+// smaller entity id — and the Bernoulli draw order independent of arena
+// order and therefore byte-stable across ranks and host-pool sizes.
+std::size_t mark_kept_rows(const Slots& slots,
                            const std::vector<double>& norms,
                            SelectionMode mode, std::size_t topk_k,
                            util::Rng& rng, std::vector<char>& keep) {
-  keep.assign(ids.size(), 1);
-  if (mode == SelectionMode::kNone) return ids.size();
+  keep.assign(slots.size(), 1);
+  if (mode == SelectionMode::kNone) return slots.size();
 
   if (mode == SelectionMode::kTopK) {
-    if (topk_k >= ids.size()) return ids.size();
-    std::vector<std::size_t> order(ids.size());
+    if (topk_k >= slots.size()) return slots.size();
+    std::vector<std::size_t> order(slots.size());
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       if (norms[a] != norms[b]) return norms[a] > norms[b];
-      return ids[a] < ids[b];
+      return slots[a].id < slots[b].id;
     });
     std::fill(keep.begin(), keep.end(), 0);
     for (std::size_t i = 0; i < topk_k; ++i) keep[order[i]] = 1;
@@ -36,11 +39,11 @@ std::size_t mark_kept_rows(const std::vector<std::int32_t>& ids,
 
   double mean_norm = 0.0;
   for (const double norm : norms) mean_norm += norm;
-  mean_norm /= static_cast<double>(ids.size());
-  if (mean_norm <= 0.0) return ids.size();  // all-zero gradient: keep all
+  mean_norm /= static_cast<double>(slots.size());
+  if (mean_norm <= 0.0) return slots.size();  // all-zero gradient: keep all
 
   std::size_t kept = 0;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
+  for (std::size_t i = 0; i < slots.size(); ++i) {
     bool keep_row = true;
     switch (mode) {
       case SelectionMode::kAverageThreshold:
@@ -62,39 +65,39 @@ std::size_t mark_kept_rows(const std::vector<std::int32_t>& ids,
   return kept;
 }
 
-std::vector<double> row_norms(const kge::SparseGrad& grad,
-                              const std::vector<std::int32_t>& ids) {
-  std::vector<double> norms(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    norms[i] = util::nrm2(grad.row(ids[i]));
-  }
-  return norms;
-}
-
 }  // namespace
 
 SelectionStats select_gradient_rows(kge::SparseGrad& grad, SelectionMode mode,
                                     util::Rng& rng, std::size_t topk_k,
-                                    kge::ResidualMap* parked) {
+                                    kge::SparseGrad* parked) {
+  if (parked != nullptr && parked->width() != grad.width()) {
+    throw std::invalid_argument(
+        "select_gradient_rows: parked store width differs from the "
+        "gradient's");
+  }
   SelectionStats stats;
   stats.rows_before = grad.num_rows();
   stats.rows_after = stats.rows_before;
   if (mode == SelectionMode::kNone || grad.empty()) return stats;
 
-  // Snapshot ids first: erasing while iterating sorted_ids() would
-  // invalidate the cached id list.
-  const std::vector<std::int32_t> ids = grad.sorted_ids();
-  const std::vector<double> norms = row_norms(grad, ids);
+  // Snapshot the slots first: erasing while iterating sorted_slots() would
+  // invalidate the cached list. An erase moves no row and nothing is
+  // created here, so every snapshot offset stays valid throughout.
+  const Slots slots = grad.sorted_slots();
+  std::vector<double> norms(slots.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    norms[i] = util::nrm2(grad.row_at(slots[i].offset));
+  }
 
   std::vector<char> keep;
-  stats.rows_after = mark_kept_rows(ids, norms, mode, topk_k, rng, keep);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
+  stats.rows_after = mark_kept_rows(slots, norms, mode, topk_k, rng, keep);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
     if (keep[i]) continue;
     if (parked != nullptr) {
-      const auto row = grad.row(ids[i]);
-      (*parked)[ids[i]].assign(row.begin(), row.end());
+      std::ranges::copy(grad.row_at(slots[i].offset),
+                        parked->accumulate(slots[i].id).begin());
     }
-    grad.erase(ids[i]);
+    grad.erase(slots[i].id);
   }
   return stats;
 }
@@ -104,16 +107,20 @@ SelectionStats GradSelector::apply(kge::SparseGrad& grad, util::Rng& rng,
   if (!accumulate_residuals_) {
     return select_gradient_rows(grad, mode, rng, topk_k_);
   }
+  if (grad.width() != residual_.width()) {
+    throw std::invalid_argument(
+        "GradSelector: gradient width differs from the residual store's");
+  }
   // Fold parked residuals into the rows present this step, so selection
   // sees the residual-augmented norms. Rows whose residual is parked but
   // which are absent from this step's gradient stay parked (they flow in
   // whenever the row is next touched).
   for (const kge::SparseGrad::SlotRef& slot : grad.sorted_slots()) {
-    const auto it = residual_.find(slot.id);
-    if (it == residual_.end()) continue;
+    if (!residual_.has(slot.id)) continue;
     const std::span<float> row = grad.row_at(slot.offset);
-    for (std::size_t i = 0; i < row.size(); ++i) row[i] += it->second[i];
-    residual_.erase(it);
+    const std::span<const float> parked = residual_.row(slot.id);
+    for (std::size_t i = 0; i < row.size(); ++i) row[i] += parked[i];
+    residual_.erase(slot.id);
   }
   return select_gradient_rows(grad, mode, rng, topk_k_, &residual_);
 }

@@ -274,8 +274,9 @@ std::int32_t RowCodec::decode(std::span<const std::byte> in,
 }
 
 void RowCodec::encode_grad(kge::SparseGrad& grad, std::vector<std::byte>& out,
-                           util::Rng& rng, kge::ResidualMap* residual) const {
-  if (grad.width() != width_) {
+                           util::Rng& rng, kge::SparseGrad* residual) const {
+  if (grad.width() != width_ ||
+      (residual != nullptr && residual->width() != width_)) {
     throw std::invalid_argument("RowCodec::encode_grad: width mismatch");
   }
   // Rows are resolved through sorted_slots() (one arena access each, no
@@ -290,10 +291,10 @@ void RowCodec::encode_grad(kge::SparseGrad& grad, std::vector<std::byte>& out,
       write_row(slot.id, row, at, rng);
     } else {
       // A residual parked for a row absent this step stays put and flows
-      // in whenever the row next appears.
-      const auto [it, fresh] =
-          residual->try_emplace(slot.id, static_cast<std::size_t>(width_));
-      std::vector<float>& parked = it->second;
+      // in whenever the row next appears. A fresh parked row is zero and
+      // is not added: x + 0.0f would turn a -0.0f element into +0.0f.
+      const bool fresh = !residual->has(slot.id);
+      const std::span<float> parked = residual->accumulate(slot.id);
       if (!fresh) {
         for (std::int32_t i = 0; i < width_; ++i) row[i] += parked[i];
       }

@@ -59,11 +59,12 @@ class RowCodec {
 
   /// Serialize a whole gradient into `out`, sized once, rows in ascending
   /// id order (which is also the 2-bit mode's RNG draw order). With
-  /// `residual` (error feedback), each row first gets its parked residual
-  /// added in `grad`, and the row minus its code, as decode() would read
-  /// it back, is parked in its place.
+  /// `residual` (error feedback: a store of width() that lives across
+  /// steps), each row first gets its parked residual added in `grad`, and
+  /// the row minus its code, as decode() would read it back, is parked in
+  /// its place.
   void encode_grad(kge::SparseGrad& grad, std::vector<std::byte>& out,
-                   util::Rng& rng, kge::ResidualMap* residual = nullptr) const;
+                   util::Rng& rng, kge::SparseGrad* residual = nullptr) const;
 
   /// Parse a buffer of serialized rows, *adding* each row's values into
   /// the accumulator (the merge step of the sparse exchange).

@@ -87,9 +87,9 @@ double sgd_step(kge::KgeModel& model, const kge::Triple& triple, int label,
   for (const auto& [grad, matrix] :
        {std::pair{&grads.entity, &model.entities()},
         std::pair{&grads.relation, &model.relations()}}) {
-    for (const std::int32_t id : grad->sorted_ids()) {
-      auto row = matrix->row(id);
-      const auto g = grad->row(id);
+    for (const kge::SparseGrad::SlotRef& slot : grad->sorted_slots()) {
+      auto row = matrix->row(slot.id);
+      const auto g = grad->row_at(slot.offset);
       for (std::size_t i = 0; i < row.size(); ++i) {
         row[i] -= learning_rate * (g[i] + decay * row[i]);
       }

@@ -42,7 +42,7 @@ using util::Rng;
 using util::ThreadCpuTimer;
 
 // Residual blobs (the RESD section payload) are encoded by
-// kge::encode_residual_maps: this trainer packs 4 maps per rank (entity
+// kge::encode_residual_maps: this trainer packs 4 stores per rank (entity
 // selector, relation selector, exchange entity, exchange relation).
 using kge::decode_residual_maps;
 using kge::encode_residual_maps;
@@ -505,9 +505,11 @@ RankProgram::RankProgram(const Attempt& attempt, Communicator& comm)
       sampler_(attempt.dataset),
       evaluator_(attempt.dataset),
       shard_(attempt.shards[rank_]),
-      entity_selector_(strategy_.selection, strategy_.selection_residual,
+      entity_selector_(model_->entities().width(), strategy_.selection,
+                       strategy_.selection_residual,
                        static_cast<std::size_t>(strategy_.topk_k)),
-      relation_selector_(strategy_.selection, strategy_.selection_residual,
+      relation_selector_(model_->relations().width(), strategy_.selection,
+                         strategy_.selection_residual,
                          static_cast<std::size_t>(strategy_.topk_k)),
       local_(model_->make_grads()),
       merged_(model_->make_grads()),
@@ -626,7 +628,7 @@ kge::TrainingSnapshot RankProgram::build_snapshot(int epoch) const {
 }
 
 /// Collective (every rank): the rank-private parts of a snapshot — each
-/// rank's encoded residual maps (one RESD blob per rank) and, under
+/// rank's encoded residual stores (one RESD blob per rank) and, under
 /// relation partition, each owner's relation rows and Adam moments (rank
 /// 0's copies of relations it does not own are stale). Rank 0 reads them
 /// from the slots straight into `snap`; the other ranks pass null and

@@ -9,12 +9,12 @@
 //
 // Determinism contract (DESIGN.md "Blocked training kernels"): rows are
 // visited in ascending id order — exactly the order of calling update_row
-// for each of sorted_ids() — and the per-element arithmetic is copied
-// verbatim from update_row, so parameters, moments, and their bytes are
-// identical between the two forms. The only differences are mechanical:
-// sorted_slots() hands over each row's arena offset, saving the index read
-// of sorted_ids() + row(id), and the step-state checks and config loads
-// are hoisted out of the row loop.
+// for the id of each of sorted_slots() — and the per-element arithmetic is
+// copied verbatim from update_row, so parameters, moments, and their bytes
+// are identical between the two forms. The only differences are
+// mechanical: each slot's arena offset is read directly, saving the index
+// read of row(id), and the step-state checks and config loads are hoisted
+// out of the row loop.
 
 #include <cmath>
 #include <stdexcept>

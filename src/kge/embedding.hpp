@@ -1,10 +1,11 @@
-// Embedding storage and sparse gradient accumulation.
+// Embedding storage and sparse row storage.
 //
 // An EmbeddingMatrix is a dense row-major [rows x width] float matrix: one
 // row per entity or relation. A SparseGrad holds the gradient rows touched
 // by one batch — for KGE training only a tiny fraction of rows is non-zero
 // per step, which is precisely the structure the paper's communication
-// strategies exploit.
+// strategies exploit — and, living across steps, the rows parked for later
+// ones (selection and error-feedback residuals).
 #pragma once
 
 #include <algorithm>
@@ -13,7 +14,6 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -68,16 +68,19 @@ class EmbeddingMatrix {
   std::vector<float> data_;
 };
 
-/// Accumulates gradient rows for one optimizer step. Rows are created
-/// zero-filled on first touch and live in one arena in first-touch order.
-/// A dense id -> arena-row index, grown to the largest id touched, finds a
-/// row with one array read (ids are bounded by the embedding table, so no
-/// hashing is needed), and a three-level occupancy bitmap yields ascending
-/// ids instead of a sort. A walk descends only into words that got a bit,
-/// so it costs about one word per level per row when a few rows are
-/// spread over a large table (the per-triple SGD step) and stays a linear
-/// scan when rows are dense. clear() resets only what was touched since
-/// the last clear, so index, bitmaps and arena are reused across batches.
+/// Sparse rows of one width, keyed by id: an optimizer step's gradient
+/// rows, or rows parked across steps (selection and error-feedback
+/// residuals). Rows are created zero-filled on first touch and live in one
+/// arena. A dense id -> arena-row index, grown to the largest id touched,
+/// finds a row with one array read (ids are bounded by the embedding table,
+/// so no hashing is needed), and a three-level occupancy bitmap yields
+/// ascending ids instead of a sort. A walk descends only into words that
+/// got a bit, so it costs about one word per level per row when a few rows
+/// are spread over a large table (the per-triple SGD step) and stays a
+/// linear scan when rows are dense. erase() hands its arena row to the next
+/// creation, so a store that parks and releases rows for a whole run stays
+/// at its peak row count. clear() resets only what was touched since the
+/// last clear, so index, bitmaps and arena are reused across batches.
 class SparseGrad {
  public:
   SparseGrad() = default;
@@ -99,11 +102,12 @@ class SparseGrad {
     return row_at(accumulate_offset(id));
   }
 
-  /// Arena offset of the row for `id`, created zero-filled on first touch.
-  /// Offsets — unlike the spans accumulate() returns — stay valid across
-  /// later row creations, so the blocked gradient path records offsets
-  /// while the arena is still growing and resolves pointers once per
-  /// batch afterwards.
+  /// Arena offset of the row for `id`, created zero-filled on first touch
+  /// (at the most recently erased row's offset if there is one, else at
+  /// the next arena row). Offsets of live rows — unlike the spans
+  /// accumulate() returns — stay valid across later row creations, so the
+  /// blocked gradient path records offsets while the arena is still
+  /// growing and resolves pointers once per batch afterwards.
   std::size_t accumulate_offset(std::int32_t id) {
     std::uint32_t row = find(id);
     if (row == kAbsent) row = create(id);
@@ -125,8 +129,8 @@ class SparseGrad {
   };
 
   /// Rows in ascending id order with their arena offsets (cached;
-  /// invalidated by new rows and erases). The blocked kernels iterate this
-  /// instead of sorted_ids() + row(id), one direct arena access per row.
+  /// invalidated by new rows and erases): the one ordered walk, one direct
+  /// arena access per row.
   const std::vector<SlotRef>& sorted_slots() const {
     if (slots_stale_) {
       sorted_slots_.clear();
@@ -150,17 +154,6 @@ class SparseGrad {
     return {arena_.data() + offset, static_cast<std::size_t>(width_)};
   }
 
-  /// Row ids in ascending order (cached; invalidated by new rows).
-  const std::vector<std::int32_t>& sorted_ids() const {
-    if (ids_stale_) {
-      sorted_ids_.clear();
-      sorted_ids_.reserve(num_rows_);
-      for (const SlotRef& slot : sorted_slots()) sorted_ids_.push_back(slot.id);
-      ids_stale_ = false;
-    }
-    return sorted_ids_;
-  }
-
   /// Drop all rows but keep allocations for reuse across batches. Only the
   /// index entries and bitmap words touched since the last clear are reset.
   void clear() {
@@ -169,24 +162,22 @@ class SparseGrad {
     top_end_ = 0;
     arena_.clear();
     arena_rows_ = 0;
+    free_rows_.clear();
     num_rows_ = 0;
-    sorted_ids_.clear();
     sorted_slots_.clear();
-    ids_stale_ = false;
     slots_stale_ = false;
   }
 
-  /// Remove a row (used by the random-selection strategy when a gradient
-  /// vector is dropped from communication).
+  /// Remove a row (a row dropped from communication, or a parked residual
+  /// folded back in). Its arena row goes to the next creation; the row
+  /// count and iteration exclude it immediately.
   void erase(std::int32_t id) {
     if (!has(id)) return;
-    // The arena slot is abandoned, not compacted; clear() reclaims it. The
-    // row count and iteration exclude it immediately.
     const auto slot = static_cast<std::size_t>(id);
+    free_rows_.push_back(index_[slot]);
     index_[slot] = kAbsent;
     levels_[0][slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
     --num_rows_;
-    ids_stale_ = true;
     slots_stale_ = true;
   }
 
@@ -249,12 +240,13 @@ class SparseGrad {
   }
 
   /// Slow path of accumulate_offset(): index `id` (growing the index to
-  /// it) at the next arena row.
+  /// it) at the most recently freed arena row, zero-filled, or else at the
+  /// next one.
   std::uint32_t create(std::int32_t id) {
     if (id < 0) {
       throw std::out_of_range("SparseGrad: negative row id");
     }
-    if (arena_rows_ == kAbsent) {
+    if (free_rows_.empty() && arena_rows_ == kAbsent) {
       throw std::length_error("SparseGrad: arena row count overflow");
     }
     const auto slot = static_cast<std::size_t>(id);
@@ -266,7 +258,17 @@ class SparseGrad {
         level.resize(words + 1, 0);
       }
     }
-    const std::uint32_t row = arena_rows_++;
+    std::uint32_t row = 0;
+    if (free_rows_.empty()) {
+      row = arena_rows_++;
+      arena_.resize(arena_.size() + static_cast<std::size_t>(width_), 0.0f);
+    } else {
+      row = free_rows_.back();
+      free_rows_.pop_back();
+      std::ranges::fill(row_at(static_cast<std::size_t>(row) *
+                               static_cast<std::size_t>(width_)),
+                        0.0f);
+    }
     index_[slot] = row;
     std::size_t bit = slot;  // at level k: the index of the level-k bit
     for (auto& level : levels_) {
@@ -275,9 +277,7 @@ class SparseGrad {
     }
     top_begin_ = std::min(top_begin_, bit);
     top_end_ = std::max(top_end_, bit + 1);
-    arena_.resize(arena_.size() + static_cast<std::size_t>(width_), 0.0f);
     ++num_rows_;
-    ids_stale_ = true;
     slots_stale_ = true;
     return row;
   }
@@ -295,16 +295,12 @@ class SparseGrad {
   std::size_t top_begin_ = kNoWord;
   std::size_t top_end_ = 0;
   std::vector<float> arena_;
-  std::uint32_t arena_rows_ = 0;  ///< rows created, abandoned ones included
+  std::uint32_t arena_rows_ = 0;  ///< arena rows, free ones included
+  /// Arena rows released by erase(), the most recent last.
+  std::vector<std::uint32_t> free_rows_;
   std::size_t num_rows_ = 0;      ///< live rows
-  mutable std::vector<std::int32_t> sorted_ids_;
   mutable std::vector<SlotRef> sorted_slots_;
-  mutable bool ids_stale_ = false;
   mutable bool slots_stale_ = false;
 };
-
-/// Gradient rows parked for a later step (selection and error-feedback
-/// residuals): row id -> the row's values, one full matrix row each.
-using ResidualMap = std::unordered_map<std::int32_t, std::vector<float>>;
 
 }  // namespace dynkge::kge

@@ -618,33 +618,30 @@ TrainingSnapshot load_snapshot(const std::string& path) {
 }
 
 std::string encode_residual_maps(
-    std::initializer_list<const ResidualMap*> maps) {
+    std::initializer_list<const SparseGrad*> stores) {
   const auto append = [](std::string& blob, const auto& value) {
     blob.append(reinterpret_cast<const char*>(&value), sizeof(value));
   };
   std::string blob;
-  for (const ResidualMap* map : maps) {
-    std::vector<std::int32_t> ids;
-    ids.reserve(map->size());
-    for (const auto& [id, values] : *map) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    append(blob, static_cast<std::uint32_t>(ids.size()));
-    for (const std::int32_t id : ids) {
-      const std::vector<float>& values = map->at(id);
-      append(blob, id);
+  for (const SparseGrad* store : stores) {
+    const std::vector<SparseGrad::SlotRef>& slots = store->sorted_slots();
+    append(blob, static_cast<std::uint32_t>(slots.size()));
+    for (const SparseGrad::SlotRef& slot : slots) {
+      const std::span<const float> values = store->row_at(slot.offset);
+      append(blob, slot.id);
       append(blob, static_cast<std::uint32_t>(values.size()));
       blob.append(reinterpret_cast<const char*>(values.data()),
-                  values.size() * sizeof(float));
+                  values.size_bytes());
     }
   }
   return blob;
 }
 
-std::vector<ResidualMap> decode_residual_maps(
+std::vector<SparseGrad> decode_residual_maps(
     const std::string& blob,
     std::initializer_list<const EmbeddingMatrix*> matrices) {
-  std::vector<ResidualMap> maps;
-  maps.reserve(matrices.size());
+  std::vector<SparseGrad> stores;
+  stores.reserve(matrices.size());
   std::size_t pos = 0;
   const auto read = [&](void* out, std::size_t size) {
     if (size > blob.size() - pos) {
@@ -659,8 +656,8 @@ std::vector<ResidualMap> decode_residual_maps(
                              ": " + what + " (snapshot RESD section)");
   };
   for (const EmbeddingMatrix* matrix : matrices) {
-    const std::size_t index = maps.size();
-    ResidualMap& map = maps.emplace_back();
+    const std::size_t index = stores.size();
+    SparseGrad& store = stores.emplace_back(matrix->width());
     std::uint32_t count = 0;
     read(&count, sizeof(count));
     std::int32_t previous = -1;
@@ -684,16 +681,14 @@ std::vector<ResidualMap> decode_residual_maps(
                           std::to_string(matrix->width()));
       }
       previous = id;
-      std::vector<float> values(width);
-      read(values.data(), width * sizeof(float));
-      map.emplace(id, std::move(values));
+      read(store.accumulate(id).data(), width * sizeof(float));
     }
   }
   if (pos != blob.size()) {
     throw std::runtime_error(
         "resume: residual blob has trailing bytes (snapshot RESD section)");
   }
-  return maps;
+  return stores;
 }
 
 }  // namespace dynkge::kge

@@ -110,7 +110,7 @@ struct TrainerSnapshot {
 
 /// Everything `dynkge train --resume` needs for a bit-identical
 /// continuation. `rank_residuals[r]` is an opaque blob owned by the
-/// trainer (rank r's gradient-selection + error-feedback residual maps);
+/// trainer (rank r's gradient-selection + error-feedback residual stores);
 /// `rank_rng_seeds[r]` is the derived seed of rank r's next-epoch RNG
 /// stream, stored so resume can verify the stream derivation contract.
 struct TrainingSnapshot {
@@ -182,19 +182,20 @@ void write_snapshot_bytes(const std::string& sealed, const std::string& path,
 // Residual blobs (the RESD section payload, shared by the distributed and
 // federated trainers).
 
-/// Pack residual maps into one opaque blob: each map as a u32 row count
-/// followed by (i32 id, u32 width, float values) entries in ascending id
-/// order, so identical state always produces identical bytes.
+/// Pack residual stores into one opaque blob: each store as a u32 row
+/// count followed by (i32 id, u32 width, float values) entries in the
+/// store's ascending id walk, so identical state always produces identical
+/// bytes.
 std::string encode_residual_maps(
-    std::initializer_list<const ResidualMap*> maps);
+    std::initializer_list<const SparseGrad*> stores);
 
-/// Unpack a blob produced by encode_residual_maps into one map per entry
-/// of `matrices`, each map's rows checked against its matrix's shape.
-/// Throws std::runtime_error naming the RESD section on truncation,
-/// trailing bytes, an id not greater than the one before it (so a
-/// repeated id), an id outside [0, rows) or a width other than the
-/// matrix's.
-std::vector<ResidualMap> decode_residual_maps(
+/// Unpack a blob produced by encode_residual_maps into one store per entry
+/// of `matrices`, at the matrix's width, each row checked against the
+/// matrix's shape before it is read into the store. Throws
+/// std::runtime_error naming the RESD section on truncation, trailing
+/// bytes, an id not greater than the one before it (so a repeated id), an
+/// id outside [0, rows) or a width other than the matrix's.
+std::vector<SparseGrad> decode_residual_maps(
     const std::string& blob,
     std::initializer_list<const EmbeddingMatrix*> matrices);
 

@@ -9,8 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "row_ids.hpp"
+
 namespace dynkge::kge {
 namespace {
+
+using testing_util::row_ids;
 
 TEST(EmbeddingMatrix, ShapeAndZeroInit) {
   EmbeddingMatrix m(5, 4);
@@ -80,7 +84,7 @@ TEST(SparseGrad, AccumulateReturnsSameRow) {
 TEST(SparseGrad, SortedIdsAscending) {
   SparseGrad g(1);
   for (const int id : {42, 7, 100, 3}) g.accumulate(id);
-  const auto& ids = g.sorted_ids();
+  const auto ids = row_ids(g);
   ASSERT_EQ(ids.size(), 4u);
   EXPECT_EQ(ids[0], 3);
   EXPECT_EQ(ids[1], 7);
@@ -91,9 +95,9 @@ TEST(SparseGrad, SortedIdsAscending) {
 TEST(SparseGrad, SortedIdsRefreshAfterNewRows) {
   SparseGrad g(1);
   g.accumulate(5);
-  EXPECT_EQ(g.sorted_ids().size(), 1u);
+  EXPECT_EQ(row_ids(g).size(), 1u);
   g.accumulate(2);
-  const auto& ids = g.sorted_ids();
+  const auto ids = row_ids(g);
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], 2);
 }
@@ -106,10 +110,20 @@ TEST(SparseGrad, EraseRemovesRow) {
   EXPECT_FALSE(g.has(1));
   EXPECT_TRUE(g.has(2));
   EXPECT_EQ(g.num_rows(), 1u);
-  EXPECT_EQ(g.sorted_ids().size(), 1u);
+  EXPECT_EQ(row_ids(g).size(), 1u);
   EXPECT_THROW(g.row(1), std::out_of_range);
   g.erase(99);  // erasing an absent row is a no-op
   EXPECT_EQ(g.num_rows(), 1u);
+}
+
+TEST(SparseGrad, EraseHandsItsRowToTheNextCreate) {
+  SparseGrad g(2);
+  for (const int id : {1, 2, 3}) g.accumulate(id)[0] = 5.0f;
+  const std::size_t freed = g.accumulate_offset(2);
+  g.erase(2);
+  EXPECT_EQ(g.accumulate_offset(40), freed);
+  EXPECT_EQ(g.row(40)[0], 0.0f);  // zero-filled, not row 2's values
+  EXPECT_EQ(g.accumulate_offset(41), 3 * 2u);  // then the next arena row
 }
 
 TEST(SparseGrad, ClearResets) {
@@ -117,7 +131,7 @@ TEST(SparseGrad, ClearResets) {
   g.accumulate(1);
   g.clear();
   EXPECT_TRUE(g.empty());
-  EXPECT_EQ(g.sorted_ids().size(), 0u);
+  EXPECT_EQ(row_ids(g).size(), 0u);
   // Reusable after clear.
   g.accumulate(9)[1] = 4.0f;
   EXPECT_FLOAT_EQ(g.row(9)[1], 4.0f);
@@ -154,13 +168,13 @@ TEST(SparseGrad, NegativeIdIsAbsentAndCannotBeCreated) {
   EXPECT_THROW(g.row(-1), std::out_of_range);
   g.erase(-1);  // absent, so a no-op
   EXPECT_TRUE(g.empty());
-  EXPECT_TRUE(g.sorted_ids().empty());
+  EXPECT_TRUE(row_ids(g).empty());
 }
 
-/// The semantics SparseGrad must keep, stated on a std::map: rows are
-/// created zero-filled at the next arena row in first-touch order, an
-/// erased row's arena slot is abandoned until clear(), and iteration is
-/// by ascending id.
+/// The semantics SparseGrad must keep, stated on a std::map: a row is
+/// created zero-filled at the offset most recently freed by an erase, or
+/// else at the next arena row; clear() forgets both the rows and the freed
+/// offsets; iteration is by ascending id.
 struct ReferenceGrad {
   struct Row {
     std::size_t offset;
@@ -168,13 +182,33 @@ struct ReferenceGrad {
   };
   std::map<std::int32_t, Row> rows;
   std::size_t arena_rows = 0;
+  std::vector<std::size_t> freed;  ///< offsets, the most recent last
 
   Row& accumulate(std::int32_t id, std::int32_t width) {
     const auto it = rows.find(id);
     if (it != rows.end()) return it->second;
-    Row row{arena_rows++ * static_cast<std::size_t>(width),
-            std::vector<float>(static_cast<std::size_t>(width), 0.0f)};
+    std::size_t offset = arena_rows * static_cast<std::size_t>(width);
+    if (freed.empty()) {
+      ++arena_rows;
+    } else {
+      offset = freed.back();
+      freed.pop_back();
+    }
+    Row row{offset, std::vector<float>(static_cast<std::size_t>(width), 0.0f)};
     return rows.emplace(id, std::move(row)).first->second;
+  }
+
+  void erase(std::int32_t id) {
+    const auto it = rows.find(id);
+    if (it == rows.end()) return;
+    freed.push_back(it->second.offset);
+    rows.erase(it);
+  }
+
+  void clear() {
+    rows.clear();
+    arena_rows = 0;
+    freed.clear();
   }
 };
 
@@ -184,9 +218,7 @@ void expect_matches(const SparseGrad& g, const ReferenceGrad& ref,
   SCOPED_TRACE(where);
   ASSERT_EQ(g.num_rows(), ref.rows.size());
   ASSERT_EQ(g.empty(), ref.rows.empty());
-  std::vector<std::int32_t> ids;
   for (const auto& [id, row] : ref.rows) {
-    ids.push_back(id);
     ASSERT_TRUE(g.has(id)) << "id " << id;
     const auto got = g.row(id);
     ASSERT_EQ(got.size(), row.values.size());
@@ -194,13 +226,12 @@ void expect_matches(const SparseGrad& g, const ReferenceGrad& ref,
               0)
         << "row bytes of id " << id;
   }
-  ASSERT_EQ(g.sorted_ids(), ids);
   const auto& slots = g.sorted_slots();
   ASSERT_EQ(slots.size(), ref.rows.size());
   std::size_t i = 0;
   for (const auto& [id, row] : ref.rows) {
     ASSERT_EQ(slots[i].id, id);
-    ASSERT_EQ(slots[i].offset, row.offset) << "first-touch offset of " << id;
+    ASSERT_EQ(slots[i].offset, row.offset) << "arena offset of " << id;
     ASSERT_EQ(g.row_at(slots[i].offset).data(), g.row(id).data());
     ++i;
   }
@@ -244,16 +275,15 @@ TEST(SparseGrad, MatchesReferenceMap) {
       if (pick == 0) {
         op = "clear";
         g.clear();
-        ref.rows.clear();
-        ref.arena_rows = 0;
+        ref.clear();
       } else if (pick < 9) {
         op = "erase";
         g.erase(id);
-        ref.rows.erase(id);
+        ref.erase(id);
       } else if (pick < 15) {
         op = "erase then re-accumulate";
         g.erase(id);
-        ref.rows.erase(id);
+        ref.erase(id);
         auto row = g.accumulate(id);
         auto& expected = ref.accumulate(id, width).values;
         row[0] += value;

@@ -2,16 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
 #include "golden_digest.hpp"
+#include "row_ids.hpp"
 
 namespace dynkge::core {
 namespace {
+
+using testing_util::row_ids;
 
 constexpr std::int32_t kEntities = 100;
 constexpr std::int32_t kRelations = 20;
@@ -87,8 +88,8 @@ TEST_P(GradExchangeP, AllReduceAndAllGatherAgreeNumerically) {
     gather_plan.transport = Transport::kAllGather;
     exchange.exchange(local_b, merged_b, gather_plan, rng);
 
-    ASSERT_EQ(merged_a.entity.sorted_ids(), merged_b.entity.sorted_ids());
-    for (const std::int32_t id : merged_a.entity.sorted_ids()) {
+    ASSERT_EQ(row_ids(merged_a.entity), row_ids(merged_b.entity));
+    for (const std::int32_t id : row_ids(merged_a.entity)) {
       const auto a = merged_a.entity.row(id);
       const auto b = merged_b.entity.row(id);
       for (std::size_t i = 0; i < a.size(); ++i) {
@@ -221,8 +222,8 @@ TEST_P(GradExchangeP, ParameterServerAgreesWithAllReduceNumerically) {
     reduce_plan.transport = Transport::kAllReduce;
     exchange.exchange(local_b, merged_b, reduce_plan, rng);
 
-    ASSERT_EQ(merged_a.entity.sorted_ids(), merged_b.entity.sorted_ids());
-    for (const std::int32_t id : merged_a.entity.sorted_ids()) {
+    ASSERT_EQ(row_ids(merged_a.entity), row_ids(merged_b.entity));
+    for (const std::int32_t id : row_ids(merged_a.entity)) {
       const auto a = merged_a.entity.row(id);
       const auto b = merged_b.entity.row(id);
       for (std::size_t i = 0; i < a.size(); ++i) EXPECT_FLOAT_EQ(a[i], b[i]);
@@ -356,7 +357,7 @@ TEST_P(ErrorFeedbackConservationP, SentPlusParkedEqualsGradientSum) {
       const auto out = merged.entity.row(7);
       for (std::int32_t i = 0; i < kRowWidth; ++i) sent[i] += out[i];
     }
-    const std::vector<float>& parked = exchange.entity_residuals().at(7);
+    const auto parked = exchange.entity_residuals().row(7);
     for (std::int32_t i = 0; i < kRowWidth; ++i) {
       EXPECT_NEAR(fed[i], sent[i] + parked[i], 1e-5) << "component " << i;
     }
@@ -382,17 +383,12 @@ kge::ModelGrads random_grads(int rank, int step) {
   return grads;
 }
 
-/// Ids, then row bytes, in ascending id order.
-std::uint64_t residual_digest(
-    const std::unordered_map<std::int32_t, std::vector<float>>& residual,
-    std::uint64_t hash) {
-  std::vector<std::int32_t> ids;
-  for (const auto& [id, values] : residual) ids.push_back(id);
-  std::ranges::sort(ids);
-  for (const std::int32_t id : ids) {
-    const std::vector<float>& values = residual.at(id);
-    hash = testing_util::fnv1a_value(id, hash);
-    hash = util::fnv1a(values.data(), values.size() * sizeof(float), hash);
+/// Each row's id, then its bytes, in the store's ascending walk.
+std::uint64_t rows_digest(const kge::SparseGrad& rows, std::uint64_t hash) {
+  for (const kge::SparseGrad::SlotRef& slot : rows.sorted_slots()) {
+    const auto row = rows.row_at(slot.offset);
+    hash = testing_util::fnv1a_value(slot.id, hash);
+    hash = util::fnv1a(row.data(), row.size_bytes(), hash);
   }
   return hash;
 }
@@ -400,7 +396,7 @@ std::uint64_t residual_digest(
 TEST(GradExchange, ErrorFeedbackBytesMatchGolden) {
   // Two ranks, 1-bit codes with error feedback, six exchanges (the fourth
   // on all-reduce, where no code is sent and the residuals must wait).
-  // Each rank digests the merged rows and its own residual maps after
+  // Each rank digests the merged rows and its own residual stores after
   // every exchange; the golden covers both ranks.
   struct Case {
     OneBitScale scale;
@@ -426,15 +422,10 @@ TEST(GradExchange, ErrorFeedbackBytesMatchGolden) {
         plan.transport =
             step == 3 ? Transport::kAllReduce : Transport::kAllGather;
         exchange.exchange(local, merged, plan, rng);
-        for (const kge::SparseGrad* grad : {&merged.entity, &merged.relation}) {
-          for (const kge::SparseGrad::SlotRef& slot : grad->sorted_slots()) {
-            const auto row = grad->row_at(slot.offset);
-            hash = testing_util::fnv1a_value(slot.id, hash);
-            hash = util::fnv1a(row.data(), row.size_bytes(), hash);
-          }
-        }
-        hash = residual_digest(exchange.entity_residuals(), hash);
-        hash = residual_digest(exchange.relation_residuals(), hash);
+        hash = rows_digest(merged.entity, hash);
+        hash = rows_digest(merged.relation, hash);
+        hash = rows_digest(exchange.entity_residuals(), hash);
+        hash = rows_digest(exchange.relation_residuals(), hash);
       }
       digests[static_cast<std::size_t>(comm.rank())] = hash;
     });

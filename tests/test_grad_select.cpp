@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "row_ids.hpp"
+
 namespace dynkge::core {
 namespace {
+
+using testing_util::row_ids;
 
 /// Build a gradient with rows of controlled 2-norms.
 kge::SparseGrad make_grad(const std::vector<float>& norms) {
@@ -124,17 +128,17 @@ TEST(GradSelector, WithoutResidualsMatchesFreeFunction) {
   auto a = make_grad({1.0f, 1.0f, 10.0f});
   auto b = make_grad({1.0f, 1.0f, 10.0f});
   util::Rng ra(5), rb(5);
-  GradSelector selector(SelectionMode::kAverageThreshold, false);
+  GradSelector selector(4, SelectionMode::kAverageThreshold, false);
   const auto sa = selector.apply(a, ra);
   const auto sb =
       select_gradient_rows(b, SelectionMode::kAverageThreshold, rb);
   EXPECT_EQ(sa.rows_after, sb.rows_after);
-  EXPECT_EQ(a.sorted_ids(), b.sorted_ids());
+  EXPECT_EQ(row_ids(a), row_ids(b));
   EXPECT_EQ(selector.pending_rows(), 0u);
 }
 
 TEST(GradSelector, ParksDroppedRowsAsResiduals) {
-  GradSelector selector(SelectionMode::kAverageThreshold, true);
+  GradSelector selector(4, SelectionMode::kAverageThreshold, true);
   auto grad = make_grad({1.0f, 1.0f, 10.0f});
   util::Rng rng(1);
   selector.apply(grad, rng);
@@ -143,7 +147,7 @@ TEST(GradSelector, ParksDroppedRowsAsResiduals) {
 }
 
 TEST(GradSelector, ResidualRedeliveredOnNextAppearance) {
-  GradSelector selector(SelectionMode::kAverageThreshold, true);
+  GradSelector selector(4, SelectionMode::kAverageThreshold, true);
   util::Rng rng(1);
   // Step 1: row 0 (norm 1) dropped against row 2 (norm 10); parked.
   auto step1 = make_grad({1.0f, 0.0f, 10.0f});
@@ -165,7 +169,7 @@ TEST(GradSelector, AccumulatedDeliveryApproachesTruth) {
   // A persistently weak row under Bernoulli selection: with residuals the
   // delivered total tracks the true total; without, a fraction is lost.
   const auto delivered_total = [](bool residuals) {
-    GradSelector selector(SelectionMode::kBernoulli, residuals);
+    GradSelector selector(4, SelectionMode::kBernoulli, residuals);
     util::Rng rng(33);
     double delivered = 0.0;
     for (int step = 0; step < 400; ++step) {
@@ -190,7 +194,7 @@ TEST(GradSelect, DeterministicGivenSeed) {
   util::Rng ra(99), rb(99);
   select_gradient_rows(a, SelectionMode::kBernoulli, ra);
   select_gradient_rows(b, SelectionMode::kBernoulli, rb);
-  EXPECT_EQ(a.sorted_ids(), b.sorted_ids());
+  EXPECT_EQ(row_ids(a), row_ids(b));
 }
 
 // ---- Top-K ----------------------------------------------------------------
@@ -213,7 +217,7 @@ TEST(GradSelect, TopKTieBreaksTowardSmallerIds) {
   auto grad = make_grad({2.0f, 2.0f, 2.0f, 2.0f, 2.0f});
   util::Rng rng(7);
   select_gradient_rows(grad, SelectionMode::kTopK, rng, /*topk_k=*/3);
-  EXPECT_EQ(grad.sorted_ids(), (std::vector<std::int32_t>{0, 1, 2}));
+  EXPECT_EQ(row_ids(grad), (std::vector<std::int32_t>{0, 1, 2}));
 }
 
 TEST(GradSelect, TopKKeepsAllWhenKExceedsRows) {
@@ -233,7 +237,7 @@ TEST(GradSelect, TopKWorksOnAllZeroGradient) {
   const auto stats =
       select_gradient_rows(grad, SelectionMode::kTopK, rng, /*topk_k=*/2);
   EXPECT_EQ(stats.rows_after, 2u);
-  EXPECT_EQ(grad.sorted_ids(), (std::vector<std::int32_t>{1, 4}));
+  EXPECT_EQ(row_ids(grad), (std::vector<std::int32_t>{1, 4}));
 }
 
 TEST(GradSelect, TopKDeterministicAcrossRuns) {
@@ -248,7 +252,7 @@ TEST(GradSelect, TopKDeterministicAcrossRuns) {
     util::Rng ra(5), rb(99);  // Top-K must not consume randomness
     select_gradient_rows(a, SelectionMode::kTopK, ra, 7);
     select_gradient_rows(b, SelectionMode::kTopK, rb, 7);
-    EXPECT_EQ(a.sorted_ids(), b.sorted_ids()) << "trial " << trial;
+    EXPECT_EQ(row_ids(a), row_ids(b)) << "trial " << trial;
   }
 }
 
@@ -262,19 +266,16 @@ using ShadowResiduals =
 
 /// Conservation invariant, checked exactly (no tolerance): after apply(),
 /// every id delivers its folded value either through the gradient (kept)
-/// or the residual map (dropped) — never both, never a third value.
+/// or the residual store (dropped) — never both, never a third value.
 void check_conservation(const kge::SparseGrad& grad,
                         const GradSelector& selector,
                         const ShadowResiduals& expected_folded) {
   for (const auto& [id, folded] : expected_folded) {
     const bool kept = grad.has(id);
-    const auto it = selector.residuals().find(id);
-    const bool parked = it != selector.residuals().end();
+    const bool parked = selector.residuals().has(id);
     ASSERT_NE(kept, parked) << "id " << id
                             << " must be delivered XOR parked";
-    const auto actual =
-        kept ? grad.row(id)
-             : std::span<const float>(it->second.data(), it->second.size());
+    const auto actual = kept ? grad.row(id) : selector.residuals().row(id);
     ASSERT_EQ(actual.size(), folded.size());
     for (std::size_t i = 0; i < folded.size(); ++i) {
       // Exact: promoted to double, no rounding slack.
@@ -295,7 +296,8 @@ TEST(GradSelector, ResidualConservationFuzzAllModes) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     util::Rng gen(0xF022u + seed);
     const auto topk_k = static_cast<std::size_t>(1 + gen.next_below(8));
-    GradSelector selector(SelectionMode::kTopK, /*residuals=*/true, topk_k);
+    GradSelector selector(kWidth, SelectionMode::kTopK, /*residuals=*/true,
+                          topk_k);
     ShadowResiduals shadow;  // what we expect parked between steps
     util::Rng select_rng(0x5EEDu + seed);
 
@@ -319,7 +321,7 @@ TEST(GradSelector, ResidualConservationFuzzAllModes) {
       // Predict the folded values with the same float ops the selector
       // performs, then let it select.
       ShadowResiduals folded;
-      for (const std::int32_t id : grad.sorted_ids()) {
+      for (const std::int32_t id : row_ids(grad)) {
         const auto row = grad.row(id);
         std::vector<float> value(row.begin(), row.end());
         const auto it = shadow.find(id);
@@ -351,7 +353,7 @@ TEST(GradSelector, ResidualConservationFuzzAllModes) {
 TEST(GradSelector, ModeSwitchSharesOneResidualMap) {
   // The dynamic Top-K arm switches selection per epoch on ONE selector;
   // mass parked by one mode must be redelivered by the next.
-  GradSelector selector(SelectionMode::kTopK, /*residuals=*/true,
+  GradSelector selector(4, SelectionMode::kTopK, /*residuals=*/true,
                         /*topk_k=*/1);
   util::Rng rng(3);
   auto step1 = make_grad({1.0f, 5.0f});
@@ -367,10 +369,54 @@ TEST(GradSelector, ModeSwitchSharesOneResidualMap) {
   EXPECT_EQ(selector.pending_rows(), 0u);
 }
 
+TEST(GradSelector, RejectsGradientOfAnotherWidth) {
+  // Folding or parking a row of another width would read or write past
+  // the end of the shorter row.
+  GradSelector selector(3, SelectionMode::kTopK, /*residuals=*/true,
+                        /*topk_k=*/1);
+  auto grad = make_grad({1.0f, 2.0f});  // width 4
+  util::Rng rng(1);
+  EXPECT_THROW(selector.apply(grad, rng), std::invalid_argument);
+  kge::SparseGrad parked(3);
+  EXPECT_THROW(select_gradient_rows(grad, SelectionMode::kTopK, rng,
+                                    /*topk_k=*/1, &parked),
+               std::invalid_argument);
+}
+
+TEST(GradSelector, ParkedRowsReuseFreedArenaRows) {
+  // Each step folds parked rows back in (freeing their arena rows) and
+  // parks the rows Top-K drops. Freed rows are reused, so over 50 ids the
+  // store never holds an arena row past the 50th.
+  constexpr std::int32_t kWidth = 3;
+  constexpr std::int32_t kIds = 50;
+  GradSelector selector(kWidth, SelectionMode::kTopK, /*residuals=*/true,
+                        /*topk_k=*/5);
+  util::Rng gen(0xA2E7Au);
+  util::Rng rng(1);
+  std::size_t peak = 0;
+  for (int step = 0; step < 5000; ++step) {
+    kge::SparseGrad grad(kWidth);
+    const std::size_t rows = 1 + gen.next_below(kIds);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const auto id = static_cast<std::int32_t>(gen.next_below(kIds));
+      for (float& v : grad.accumulate(id)) {
+        v = static_cast<float>(gen.next_double(-1.0, 1.0));
+      }
+    }
+    selector.apply(grad, rng);
+    for (const auto& slot : selector.residuals().sorted_slots()) {
+      ASSERT_LT(slot.offset, static_cast<std::size_t>(kIds * kWidth))
+          << "step " << step << ", id " << slot.id;
+    }
+    peak = std::max(peak, selector.pending_rows());
+  }
+  EXPECT_GT(peak, 5u) << "the run parked too few rows to test reuse";
+}
+
 TEST(GradSelector, TopKResidualsRotateStarvedRows) {
   // All-equal fresh gradients with k=1: error feedback grows the parked
   // rows' norms until each one wins in turn — no row is starved forever.
-  GradSelector selector(SelectionMode::kTopK, /*residuals=*/true,
+  GradSelector selector(4, SelectionMode::kTopK, /*residuals=*/true,
                         /*topk_k=*/1);
   util::Rng rng(4);
   std::vector<bool> delivered(3, false);

@@ -273,7 +273,7 @@ TEST(RowCodec, EncodeRejectsWrongWidth) {
 }
 
 TEST(RowCodec, FeedbackParksTheErrorOfTheCodeSent) {
-  // With a residual map, encode_grad folds each row's parked residual in
+  // With a residual store, encode_grad folds each row's parked residual in
   // and parks exactly the folded row minus the code it wrote, as decode()
   // reads it back.
   for (const QuantMode mode : {QuantMode::kOneBit, QuantMode::kTwoBit}) {
@@ -283,9 +283,9 @@ TEST(RowCodec, FeedbackParksTheErrorOfTheCodeSent) {
     for (const std::int32_t id : {3, 9}) {
       std::ranges::copy(row, grad.accumulate(id).begin());
     }
-    kge::ResidualMap residual;
-    residual[3].assign(8, 0.25f);   // parked by an earlier step
-    residual[50].assign(8, 1.0f);   // row absent this step: stays parked
+    kge::SparseGrad residual(8);
+    std::ranges::fill(residual.accumulate(3), 0.25f);  // parked earlier
+    std::ranges::fill(residual.accumulate(50), 1.0f);  // absent: stays
     util::Rng rng(7);
     std::vector<std::byte> wire;
     codec.encode_grad(grad, wire, rng, &residual);
@@ -301,11 +301,11 @@ TEST(RowCodec, FeedbackParksTheErrorOfTheCodeSent) {
       const auto folded = grad.row(id);
       for (std::size_t i = 0; i < 8; ++i) {
         EXPECT_EQ(folded[i], row[i] + carried) << "row " << id;
-        EXPECT_EQ(residual.at(id)[i], folded[i] - sent[i]) << "row " << id;
+        EXPECT_EQ(residual.row(id)[i], folded[i] - sent[i]) << "row " << id;
       }
     }
-    EXPECT_EQ(residual.size(), 3u);
-    EXPECT_EQ(residual.at(50), std::vector<float>(8, 1.0f));
+    EXPECT_EQ(residual.num_rows(), 3u);
+    for (const float v : residual.row(50)) EXPECT_EQ(v, 1.0f);
   }
 }
 

@@ -9,8 +9,12 @@
 #include "core/quantize.hpp"
 #include "util/span_math.hpp"
 
+#include "row_ids.hpp"
+
 namespace dynkge::core {
 namespace {
+
+using testing_util::row_ids;
 
 using Param = std::tuple<QuantMode, OneBitScale, int>;
 
@@ -112,10 +116,10 @@ TEST_P(CodecPropertyP, GradEncodeDecodeAccumulateConsistent) {
   kge::SparseGrad merged(width);
   codec.decode_accumulate(wire, merged);
 
-  ASSERT_EQ(merged.sorted_ids(), grad.sorted_ids());
+  ASSERT_EQ(row_ids(merged), row_ids(grad));
   std::vector<float> reference(width);
   std::size_t offset = 0;
-  for (const std::int32_t id : grad.sorted_ids()) {
+  for (const std::int32_t id : row_ids(grad)) {
     std::vector<std::byte> single;
     codec.encode(id, grad.row(id), single, rng_b);
     codec.decode(single, reference);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -375,30 +376,65 @@ std::string residual_map_bytes(
   return blob;
 }
 
-TEST(ResidualBlob, FourMapsRoundTrip) {
-  const EmbeddingMatrix entities(50, 4);
-  const EmbeddingMatrix relations(6, 2);
-  const std::array<const EmbeddingMatrix*, 4> shapes = {
-      &entities, &relations, &entities, &relations};
-  std::array<ResidualMap, 4> maps;
-  util::Rng rng(3);
-  for (std::size_t m = 0; m < maps.size(); ++m) {
-    if (m == 1) continue;  // an empty map round-trips too
-    for (int r = 0; r < 5; ++r) {
-      std::vector<float>& values = maps[m][static_cast<std::int32_t>(
-          rng.next_below(static_cast<std::uint64_t>(shapes[m]->rows())))];
-      values.resize(static_cast<std::size_t>(shapes[m]->width()));
-      for (float& v : values) v = rng.next_float() - 0.5f;
+/// Four stores over a 50 x 4 entity and a 6 x 2 relation matrix, five
+/// random rows each except the empty second, as a trainer packs them.
+struct FourStores {
+  EmbeddingMatrix entities{50, 4};
+  EmbeddingMatrix relations{6, 2};
+  std::array<SparseGrad, 4> stores{SparseGrad(4), SparseGrad(2),
+                                   SparseGrad(4), SparseGrad(2)};
+
+  FourStores() {
+    util::Rng rng(3);
+    for (std::size_t m = 0; m < stores.size(); ++m) {
+      if (m == 1) continue;  // an empty store round-trips too
+      for (int r = 0; r < 5; ++r) {
+        const auto rows = static_cast<std::uint64_t>(matrix(m).rows());
+        for (float& v : stores[m].accumulate(
+                 static_cast<std::int32_t>(rng.next_below(rows)))) {
+          v = rng.next_float() - 0.5f;
+        }
+      }
     }
   }
-  const std::string blob =
-      encode_residual_maps({&maps[0], &maps[1], &maps[2], &maps[3]});
-  const std::vector<ResidualMap> decoded = decode_residual_maps(
-      blob, {&entities, &relations, &entities, &relations});
-  ASSERT_EQ(decoded.size(), maps.size());
-  for (std::size_t m = 0; m < maps.size(); ++m) {
-    EXPECT_EQ(decoded[m], maps[m]) << "map " << m;
+
+  const EmbeddingMatrix& matrix(std::size_t m) const {
+    return m % 2 == 0 ? entities : relations;
   }
+  std::string encode() const {
+    return encode_residual_maps(
+        {&stores[0], &stores[1], &stores[2], &stores[3]});
+  }
+  std::vector<SparseGrad> decode(const std::string& blob) const {
+    return decode_residual_maps(
+        blob, {&entities, &relations, &entities, &relations});
+  }
+};
+
+/// Each row's id and bytes, in the store's ascending walk.
+std::vector<std::pair<std::int32_t, std::vector<float>>> rows_of(
+    const SparseGrad& store) {
+  std::vector<std::pair<std::int32_t, std::vector<float>>> rows;
+  for (const SparseGrad::SlotRef& slot : store.sorted_slots()) {
+    const auto row = store.row_at(slot.offset);
+    rows.emplace_back(slot.id, std::vector<float>(row.begin(), row.end()));
+  }
+  return rows;
+}
+
+TEST(ResidualBlob, FourMapsRoundTrip) {
+  const FourStores four;
+  const std::string blob = four.encode();
+  const std::vector<SparseGrad> decoded = four.decode(blob);
+  ASSERT_EQ(decoded.size(), four.stores.size());
+  for (std::size_t m = 0; m < four.stores.size(); ++m) {
+    EXPECT_EQ(decoded[m].width(), four.stores[m].width()) << "store " << m;
+    EXPECT_EQ(rows_of(decoded[m]), rows_of(four.stores[m])) << "store " << m;
+  }
+  // Decoded stores re-encode to the same bytes.
+  EXPECT_EQ(encode_residual_maps(
+                {&decoded[0], &decoded[1], &decoded[2], &decoded[3]}),
+            blob);
 }
 
 /// Decoding `blob` as two maps over a 10 x 2 matrix must throw an error
@@ -438,6 +474,98 @@ TEST(ResidualBlob, RejectsWidthOtherThanTheMatrix) {
                   "row 4 has width 1, the matrix 2");
   expect_rejected(residual_map_bytes({}) + residual_map_bytes({{4, {1, 2, 3}}}),
                   "row 4 has width 3, the matrix 2");
+}
+
+/// Decoding `blob` over FourStores' matrices either yields stores whose
+/// ids ascend within [0, rows) at the matrix's width, or throws a
+/// std::runtime_error naming the RESD section (any other exception fails
+/// the test). Returns whether the blob decoded.
+bool decodes_or_names_resd(const FourStores& four, const std::string& blob,
+                           const std::string& what) {
+  std::vector<SparseGrad> decoded;
+  try {
+    decoded = four.decode(blob);
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("RESD"), std::string::npos)
+        << what << ": " << error.what();
+    return false;
+  }
+  EXPECT_EQ(decoded.size(), four.stores.size()) << what;
+  for (std::size_t m = 0; m < decoded.size(); ++m) {
+    const EmbeddingMatrix& matrix = four.matrix(m);
+    EXPECT_EQ(decoded[m].width(), matrix.width()) << what << ", store " << m;
+    std::int32_t previous = -1;
+    for (const SparseGrad::SlotRef& slot : decoded[m].sorted_slots()) {
+      EXPECT_GT(slot.id, previous) << what << ", store " << m;
+      EXPECT_LT(slot.id, matrix.rows()) << what << ", store " << m;
+      previous = slot.id;
+    }
+  }
+  return true;
+}
+
+TEST(ResidualBlob, MutationFuzzDecodesOrNamesResd) {
+  // The decoder writes straight into arena rows, so every mutation of a
+  // valid blob must decode to well-formed stores or be rejected by name.
+  const FourStores four;
+  const std::string valid = four.encode();
+  ASSERT_TRUE(decodes_or_names_resd(four, valid, "the valid blob"));
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto check = [&](const std::string& blob, const std::string& what) {
+    if (decodes_or_names_resd(four, blob, what)) {
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  };
+
+  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+    check(valid.substr(0, cut), "truncated to " + std::to_string(cut));
+  }
+  for (std::size_t byte = 0; byte < valid.size(); ++byte) {
+    std::string blob = valid;
+    blob[byte] = static_cast<char>(blob[byte] ^ 0xFF);
+    check(blob, "byte " + std::to_string(byte) + " xor 0xFF");
+  }
+  util::Rng rng(0x4E5Du);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string blob = valid;
+    const std::size_t at = rng.next_below(blob.size());
+    const std::size_t length =
+        1 + rng.next_below(std::min<std::size_t>(8, blob.size() - at));
+    for (std::size_t i = at; i < at + length; ++i) {
+      blob[i] = static_cast<char>(rng.next_below(256));
+    }
+    check(blob, "overwrite of " + std::to_string(length) + " bytes at " +
+                    std::to_string(at) + " (trial " +
+                    std::to_string(trial) + ")");
+  }
+
+  // Every row count and row width field, set to 0 and to UINT32_MAX.
+  std::vector<std::size_t> fields;
+  std::size_t pos = 0;
+  for (const SparseGrad& store : four.stores) {
+    fields.push_back(pos);
+    pos += sizeof(std::uint32_t);
+    for (std::size_t r = 0; r < store.num_rows(); ++r) {
+      fields.push_back(pos + sizeof(std::int32_t));
+      pos += sizeof(std::int32_t) + sizeof(std::uint32_t) +
+             static_cast<std::size_t>(store.width()) * sizeof(float);
+    }
+  }
+  ASSERT_EQ(pos, valid.size());
+  for (const std::size_t field : fields) {
+    for (const std::uint32_t value : {0u, UINT32_MAX}) {
+      std::string blob = valid;
+      std::memcpy(blob.data() + field, &value, sizeof(value));
+      check(blob, "field at " + std::to_string(field) + " set to " +
+                      std::to_string(value));
+    }
+  }
+  // Both outcomes occur, so the property is tested on each side.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace
