@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
       comm_time[idx] = comm / report.epochs;
       ++idx;
     }
-    const std::string key = "n" + std::to_string(nodes);
+    std::string key = "n";
+    key += std::to_string(nodes);
     const char* transports[] = {"param_server", "allreduce", "allgather"};
     for (int t = 0; t < 3; ++t) {
       reporter.set(key + "." + transports[t] + ".epoch_seconds",

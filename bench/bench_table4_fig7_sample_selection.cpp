@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
     config.strategy = core::StrategyConfig::rs_1bit(row.sampled);
     config.strategy.negatives_used = row.used;
     const auto report = bench::run_experiment(dataset, config);
-    const std::string key = "r" + std::to_string(row.used) + "_of_" +
-                            std::to_string(row.sampled);
+    std::string key = "r";
+    key += std::to_string(row.used) + "_of_" + std::to_string(row.sampled);
     reporter.set(key + ".tt_sim_seconds", report.total_sim_seconds);
     reporter.count(key + ".epochs",
                    static_cast<std::uint64_t>(report.epochs));

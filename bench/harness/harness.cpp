@@ -229,8 +229,8 @@ std::vector<core::TrainReport> run_baseline_table(
               : core::StrategyConfig::baseline_allreduce(
                     options.baseline_negatives);
       const auto& report = reports.emplace_back(run_experiment(dataset, config));
-      const std::string key = "n" + std::to_string(nodes) + "." +
-                              (allgather ? "allgather" : "allreduce");
+      std::string key = "n";
+      key += std::to_string(nodes) + (allgather ? ".allgather" : ".allreduce");
       reporter.set(key + ".tt_sim_seconds", report.total_sim_seconds);
       reporter.count(key + ".epochs",
                      static_cast<std::uint64_t>(report.epochs));
@@ -284,7 +284,8 @@ std::vector<core::TrainReport> run_combined_figure(
       tt.add(report.total_sim_seconds, 3);
       epochs.add(static_cast<std::int64_t>(report.epochs));
       mrr.add(report.ranking.mrr, 3);
-      const std::string key = "n" + std::to_string(nodes) + "." + method.key;
+      std::string key = "n";
+      key += std::to_string(nodes) + "." + method.key;
       reporter.set(key + ".tt_sim_seconds", report.total_sim_seconds);
       reporter.count(key + ".epochs",
                      static_cast<std::uint64_t>(report.epochs));

@@ -17,16 +17,6 @@
 
 namespace dynkge::core {
 
-/// Append to `out` the `used` hardest of `sampled` uniform corruptions of
-/// `positive`. When used >= sampled, all corruptions are appended without
-/// any scoring pass (baseline behaviour, zero overhead).
-/// Returns the number of forward-pass scores computed (0 or `sampled`),
-/// which the trainer charges to the simulated compute clock.
-int select_hard_negatives(const kge::KgeModel& model,
-                          const kge::NegativeSampler& sampler,
-                          const kge::Triple& positive, int sampled, int used,
-                          util::Rng& rng, kge::TripleList& out);
-
 /// Reusable buffers for select_hard_negatives_block (one per rank; reused
 /// across steps so the hot path allocates only while a batch grows past
 /// every previous batch).
@@ -36,14 +26,17 @@ struct HardNegativeScratch {
   std::vector<std::pair<double, kge::Triple>> scored;
 };
 
-/// Blocked form of select_hard_negatives over a whole batch of positives:
-/// per positive the same corruption draws in the same RNG order, but the
-/// forward passes for all candidates of the batch run through one
-/// score_triples_block call. Appends the selected negatives to `out` and
-/// pushes each positive's end offset into `offsets` (whose existing
-/// contents are kept, matching the trainer's `negative_offsets` shape).
-/// Byte-identical selection to calling select_hard_negatives per positive.
-/// Returns the total number of forward-pass scores computed.
+/// For each positive in order, append to `out` the `used` hardest of
+/// `sampled` uniform corruptions of it, and push its end offset into
+/// `offsets` (whose existing contents are kept, matching the trainer's
+/// `negative_offsets` shape). Every positive's corruptions are drawn
+/// first, in the order a per-positive draw-then-score loop would draw
+/// them, and then scored in one score_triples_block call; the selection
+/// is the one that loop makes (test_hard_negatives keeps it as the
+/// oracle). When used >= sampled, all corruptions are appended without
+/// any scoring pass (baseline behaviour, zero overhead). Returns the
+/// number of forward-pass scores computed (0 or positives x `sampled`),
+/// which the trainer charges to the simulated compute clock.
 std::size_t select_hard_negatives_block(
     const kge::KgeModel& model, const kge::NegativeSampler& sampler,
     std::span<const kge::Triple> positives, int sampled, int used,

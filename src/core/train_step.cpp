@@ -57,10 +57,10 @@ void forward_backward(const kge::KgeModel& model,
     }
   }
 
-  // Create every gradient row in accumulate_gradients' creation order
-  // (h, t, r per item), recording arena offsets — offsets, unlike spans,
-  // survive arena growth — then resolve stable row pointers and run the
-  // block kernel over the batch.
+  // Create every gradient row in per-triple order (h, t, r per item, as
+  // KgeModel::accumulate_gradients creates them), recording arena offsets
+  // — offsets, unlike spans, survive arena growth — then resolve stable
+  // row pointers and run the block kernel over the batch.
   scratch.offsets.resize(scratch.work.size());
   for (std::size_t w = 0; w < scratch.work.size(); ++w) {
     const kge::GradWork& item = scratch.work[w];
@@ -74,7 +74,7 @@ void forward_backward(const kge::KgeModel& model,
     item.gt = grads.entity.row_at(scratch.offsets[w][1]).data();
     item.gr = grads.relation.row_at(scratch.offsets[w][2]).data();
   }
-  model.accumulate_gradients_block(scratch.work, grads);
+  model.accumulate_gradients_block(scratch.work);
 }
 
 double sgd_step(kge::KgeModel& model, const kge::Triple& triple, int label,

@@ -1,6 +1,8 @@
 // The two training steps every trainer takes: forward_backward, the
-// forward/backward half of one synchronous step over a batch on the
-// blocked kernels, and sgd_step, one plain-SGD update per example.
+// forward/backward half of one synchronous step over a batch, and
+// sgd_step, one plain-SGD update per example. Both run the model's one
+// set of kernels (kge/block_kernels.cpp): forward_backward hands them the
+// whole batch, sgd_step one triple.
 //
 // Every training path that takes a step over a batch — the distributed
 // trainer's ranks and the streaming refresh — composes it the same way:
@@ -9,14 +11,15 @@
 // the logistic loss and accumulates the gradients into a ModelGrads, and
 // finally the caller updates the touched rows (RowAdam::update_rows).
 //
-// Determinism: the result is byte-identical to the per-triple reference
+// Determinism: the result is byte-identical to the per-triple
 // composition — for each positive i in order, score -> logistic_loss ->
 // accumulate_gradients for the positive and then for each of its
-// negatives — because the blocked kernels keep each item's arithmetic and
-// each memory location's accumulation order (kge/model.hpp), the loss sum
-// is accumulated in that same order, and gradient rows are created in the
-// order accumulate_gradients would create them (h, t, r per item).
-// test_block_kernels checks this against a test-local composition.
+// negatives — because a score's bytes do not depend on its block, work
+// items retire in order with each memory location's accumulation order
+// kept (kge/model.hpp), the loss sum is accumulated in that same order,
+// and gradient rows are created in per-triple order (h, t, r per item).
+// test_block_kernels checks this against a test-local composition over a
+// per-triple reference of each model.
 #pragma once
 
 #include <array>
@@ -63,8 +66,9 @@ void forward_backward(const kge::KgeModel& model,
                       StepScratch& scratch);
 
 /// One plain-SGD update on a single example — the step of federated local
-/// epochs and Hogwild: score -> logistic loss -> the score gradient into
-/// `grads` (cleared first; afterwards it holds exactly the rows this
+/// epochs and Hogwild, which stay per example because batching would
+/// change what they compute: score -> logistic loss -> the score gradient
+/// into `grads` (cleared first; afterwards it holds exactly the rows this
 /// example touched) -> row -= learning_rate * (g + decay * row) for every
 /// touched entity row, then every touched relation row. Returns the
 /// example's loss.

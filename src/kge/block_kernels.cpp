@@ -1,27 +1,32 @@
-// Blocked training kernels for the four built-in KGE models.
+// Score and gradient kernels for the four built-in KGE models: each
+// model's per-element score term and gradient update, written once.
+//
+// Every path that scores a triple for training or evaluation or takes a
+// gradient runs these kernels: the blocked step (core::forward_backward),
+// hard-negative selection, the evaluator's triple classification, and the
+// one-triple entry points KgeModel::score / accumulate_gradients behind
+// federated and Hogwild SGD. Only the serving scans in *_model.cpp score
+// another way (they compose h∘r once per scan).
 //
 // This translation unit is compiled with -fno-math-errno (value-safe: IEEE
 // results are unchanged, only the errno side effect of libm calls is
 // dropped), which is what lets GCC vectorize loops containing std::sqrt.
-// The per-triple kernels in *_model.cpp keep the default flags; they are
-// the oracles test_block_kernels compares these kernels against.
 //
 // Determinism contract (DESIGN.md "Blocked training kernels"):
 //
-//  * Scoring: a model's term kernel writes each triple's per-element
-//    terms, each one score()'s per-element expression verbatim, loading
-//    every row contiguously and vectorizing along the element index. One
-//    shared kernel then adds eight triples' terms in eight independent
-//    left-to-right chains from 0.0. No term is split and no chain is
-//    reordered, so every score is bit-identical to the scalar path.
+//  * Scoring: a model's term is its per-element expression, and a
+//    triple's score is the left-to-right double sum of its terms from
+//    0.0. sum_terms adds full groups of eight triples in eight independent
+//    chains, and each triple left over (all of a one-triple call) in one
+//    chain of its own. No term is split and no chain is reordered, so a
+//    score's bytes do not depend on the block the triple is scored in.
 //
 //  * Gradients: work items are processed strictly in order. For h != t
 //    the three gradient rows are distinct memory, so each element is
 //    accumulated exactly once per item and the __restrict kernels below
-//    are free to vectorize; the arithmetic per element is copied verbatim
-//    from accumulate_gradients. For h == t (gh aliases gt) the scalar
-//    statement interleaving is load-bearing, so those items fall back to
-//    the virtual scalar path.
+//    are free to vectorize. For h == t (gh aliases gt) the same
+//    per-element body runs without __restrict, so every element's
+//    statements run in order and gt's add lands after gh's.
 //
 //  * RotatE: cos/sin of the relation phases are computed once per unique
 //    relation per block (same input -> same libm value, so caching is
@@ -41,7 +46,7 @@
 namespace dynkge::kge {
 namespace {
 
-// ---- scoring: per-element terms, summed in eight chains ----------------
+// ---- scoring: per-element terms, summed in chains ----------------------
 
 /// Triples summed side by side. One chain waits on its own previous add;
 /// eight independent chains keep the adders busy meanwhile.
@@ -50,58 +55,92 @@ constexpr std::size_t kChains = 8;
 /// any rank fits in kChains x kChunk doubles (4 KiB).
 constexpr std::int32_t kChunk = 64;
 
-/// out[j] = the left-to-right double sum, from 0.0, of triple j's k terms,
-/// for j in [0, count). `terms(j, begin, n, dst)` writes triple j's terms
-/// for elements [begin, begin + n) to dst. Inlined into each model's
-/// cloned kernel, so the term loops compile per ISA.
-template <typename Terms>
+/// out[j] = the left-to-right double sum, from 0.0, of term_of(j)(i) over
+/// i in [0, k), for j in [0, count). term_of(j) returns triple j's term:
+/// an object whose call operator gives element i's term. Inlined into
+/// each model's cloned kernel, so the term loops compile per ISA.
+template <typename TermOf>
 [[gnu::always_inline]] inline void sum_terms(std::size_t count,
                                              std::int32_t k,
-                                             const Terms& terms,
+                                             const TermOf& term_of,
                                              double* out) {
-  double chunk[kChains][kChunk] = {};
-  for (std::size_t j = 0; j < count; j += kChains) {
-    const std::size_t group = std::min(kChains, count - j);
+  using Term = decltype(term_of(std::size_t{0}));
+  std::size_t j = 0;
+  for (; j + kChains <= count; j += kChains) {
+    Term group[kChains];
+    for (std::size_t q = 0; q < kChains; ++q) group[q] = term_of(j + q);
+    // Not zeroed: each chunk pass writes every element it then reads.
+    double chunk[kChains][kChunk];
     double acc[kChains] = {};
     for (std::int32_t begin = 0; begin < k; begin += kChunk) {
       const std::int32_t n = std::min(kChunk, k - begin);
       for (std::size_t q = 0; q < kChains; ++q) {
-        if (q < group) {
-          terms(j + q, begin, n, chunk[q]);
-        } else {
-          std::fill_n(chunk[q], n, 0.0);  // an idle chain adds zeros
+        for (std::int32_t i = 0; i < n; ++i) {
+          chunk[q][i] = group[q](begin + i);
         }
       }
       for (std::int32_t i = 0; i < n; ++i) {
         for (std::size_t q = 0; q < kChains; ++q) acc[q] += chunk[q][i];
       }
     }
-    std::copy_n(acc, group, out + j);
+    std::copy_n(acc, kChains, out + j);
+  }
+  // Too few left for a group: one chain each, adding every term as it is
+  // computed, with no chunk in between.
+  for (; j < count; ++j) {
+    const Term term = term_of(j);
+    double acc = 0.0;
+    for (std::int32_t i = 0; i < k; ++i) acc += term(i);
+    out[j] = acc;
   }
 }
 
 // ---- ComplEx ---------------------------------------------------------
+
+/// Re(h_i r_i conj(t_i)); rows hold [re_0..re_{k-1}, im_0..im_{k-1}].
+struct ComplExTerm {
+  const float* eh;
+  const float* er;
+  const float* et;
+  std::int32_t k;
+
+  [[gnu::always_inline]] double operator()(std::int32_t i) const {
+    const double h_re = eh[i], h_im = eh[k + i];
+    const double r_re = er[i], r_im = er[k + i];
+    const double t_re = et[i], t_im = et[k + i];
+    return h_re * r_re * t_re + h_im * r_re * t_im + h_re * r_im * t_im -
+           h_im * r_im * t_re;
+  }
+};
 
 DYNKGE_KERNEL_CLONES
 void complex_scores(const EmbeddingMatrix& entities,
                     const EmbeddingMatrix& relations,
                     std::span<const Triple> triples, std::int32_t k,
                     double* out) {
-  const auto terms = [&](std::size_t j, std::int32_t begin, std::int32_t n,
-                         double* __restrict dst)
-      __attribute__((always_inline)) {
-    const float* eh = entities.row(triples[j].head).data() + begin;
-    const float* er = relations.row(triples[j].relation).data() + begin;
-    const float* et = entities.row(triples[j].tail).data() + begin;
-    for (std::int32_t i = 0; i < n; ++i) {
-      const double h_re = eh[i], h_im = eh[k + i];
-      const double r_re = er[i], r_im = er[k + i];
-      const double t_re = et[i], t_im = et[k + i];
-      dst[i] = h_re * r_re * t_re + h_im * r_re * t_im + h_re * r_im * t_im -
-               h_im * r_im * t_re;
-    }
+  const auto term_of = [&](std::size_t j) __attribute__((always_inline)) {
+    return ComplExTerm{entities.row(triples[j].head).data(),
+                       relations.row(triples[j].relation).data(),
+                       entities.row(triples[j].tail).data(), k};
   };
-  sum_terms(triples.size(), k, terms, out);
+  sum_terms(triples.size(), k, term_of, out);
+}
+
+[[gnu::always_inline]] inline void complex_grad_element(
+    const float* eh, const float* er, const float* et, float* gh, float* gr,
+    float* gt, float c, std::int32_t k, std::int32_t i) {
+  const float h_re = eh[i], h_im = eh[k + i];
+  const float r_re = er[i], r_im = er[k + i];
+  const float t_re = et[i], t_im = et[k + i];
+
+  gh[i] += c * (r_re * t_re + r_im * t_im);
+  gh[k + i] += c * (r_re * t_im - r_im * t_re);
+
+  gr[i] += c * (h_re * t_re + h_im * t_im);
+  gr[k + i] += c * (h_re * t_im - h_im * t_re);
+
+  gt[i] += c * (h_re * r_re - h_im * r_im);
+  gt[k + i] += c * (h_im * r_re + h_re * r_im);
 }
 
 DYNKGE_KERNEL_CLONES
@@ -110,37 +149,46 @@ void complex_grad(const float* __restrict eh, const float* __restrict er,
                   float* __restrict gr, float* __restrict gt, float c,
                   std::int32_t k) {
   for (std::int32_t i = 0; i < k; ++i) {
-    const float h_re = eh[i], h_im = eh[k + i];
-    const float r_re = er[i], r_im = er[k + i];
-    const float t_re = et[i], t_im = et[k + i];
-    gh[i] += c * (r_re * t_re + r_im * t_im);
-    gh[k + i] += c * (r_re * t_im - r_im * t_re);
-    gr[i] += c * (h_re * t_re + h_im * t_im);
-    gr[k + i] += c * (h_re * t_im - h_im * t_re);
-    gt[i] += c * (h_re * r_re - h_im * r_im);
-    gt[k + i] += c * (h_im * r_re + h_re * r_im);
+    complex_grad_element(eh, er, et, gh, gr, gt, c, k, i);
   }
 }
 
 // ---- TransE ----------------------------------------------------------
 
-/// The L1 distance sum_i |h + r - t|; TransE scores gamma minus it.
+/// |h_i + r_i - t_i|, an element of the L1 distance TransE subtracts from
+/// gamma.
+struct TransETerm {
+  const float* eh;
+  const float* er;
+  const float* et;
+
+  [[gnu::always_inline]] double operator()(std::int32_t i) const {
+    return std::fabs(static_cast<double>(eh[i]) + er[i] - et[i]);
+  }
+};
+
 DYNKGE_KERNEL_CLONES
 void transe_distances(const EmbeddingMatrix& entities,
                       const EmbeddingMatrix& relations,
                       std::span<const Triple> triples, std::int32_t k,
                       double* out) {
-  const auto terms = [&](std::size_t j, std::int32_t begin, std::int32_t n,
-                         double* __restrict dst)
-      __attribute__((always_inline)) {
-    const float* eh = entities.row(triples[j].head).data() + begin;
-    const float* er = relations.row(triples[j].relation).data() + begin;
-    const float* et = entities.row(triples[j].tail).data() + begin;
-    for (std::int32_t i = 0; i < n; ++i) {
-      dst[i] = std::fabs(static_cast<double>(eh[i]) + er[i] - et[i]);
-    }
+  const auto term_of = [&](std::size_t j) __attribute__((always_inline)) {
+    return TransETerm{entities.row(triples[j].head).data(),
+                      relations.row(triples[j].relation).data(),
+                      entities.row(triples[j].tail).data()};
   };
-  sum_terms(triples.size(), k, terms, out);
+  sum_terms(triples.size(), k, term_of, out);
+}
+
+[[gnu::always_inline]] inline void transe_grad_element(
+    const float* eh, const float* er, const float* et, float* gh, float* gr,
+    float* gt, float coeff, std::int32_t i) {
+  const float d = eh[i] + er[i] - et[i];
+  // d phi / d d_i = -sign(d_i); sign(0) treated as 0 (subgradient).
+  const float s = d > 0.0f ? 1.0f : (d < 0.0f ? -1.0f : 0.0f);
+  gh[i] += coeff * -s;
+  gr[i] += coeff * -s;
+  gt[i] += coeff * s;
 }
 
 DYNKGE_KERNEL_CLONES
@@ -149,32 +197,41 @@ void transe_grad(const float* __restrict eh, const float* __restrict er,
                  float* __restrict gr, float* __restrict gt, float coeff,
                  std::int32_t k) {
   for (std::int32_t i = 0; i < k; ++i) {
-    const float d = eh[i] + er[i] - et[i];
-    const float s = d > 0.0f ? 1.0f : (d < 0.0f ? -1.0f : 0.0f);
-    gh[i] += coeff * -s;
-    gr[i] += coeff * -s;
-    gt[i] += coeff * s;
+    transe_grad_element(eh, er, et, gh, gr, gt, coeff, i);
   }
 }
 
 // ---- DistMult --------------------------------------------------------
+
+struct DistMultTerm {
+  const float* eh;
+  const float* er;
+  const float* et;
+
+  [[gnu::always_inline]] double operator()(std::int32_t i) const {
+    return static_cast<double>(eh[i]) * er[i] * et[i];
+  }
+};
 
 DYNKGE_KERNEL_CLONES
 void distmult_scores(const EmbeddingMatrix& entities,
                      const EmbeddingMatrix& relations,
                      std::span<const Triple> triples, std::int32_t k,
                      double* out) {
-  const auto terms = [&](std::size_t j, std::int32_t begin, std::int32_t n,
-                         double* __restrict dst)
-      __attribute__((always_inline)) {
-    const float* eh = entities.row(triples[j].head).data() + begin;
-    const float* er = relations.row(triples[j].relation).data() + begin;
-    const float* et = entities.row(triples[j].tail).data() + begin;
-    for (std::int32_t i = 0; i < n; ++i) {
-      dst[i] = static_cast<double>(eh[i]) * er[i] * et[i];
-    }
+  const auto term_of = [&](std::size_t j) __attribute__((always_inline)) {
+    return DistMultTerm{entities.row(triples[j].head).data(),
+                        relations.row(triples[j].relation).data(),
+                        entities.row(triples[j].tail).data()};
   };
-  sum_terms(triples.size(), k, terms, out);
+  sum_terms(triples.size(), k, term_of, out);
+}
+
+[[gnu::always_inline]] inline void distmult_grad_element(
+    const float* eh, const float* er, const float* et, float* gh, float* gr,
+    float* gt, float coeff, std::int32_t i) {
+  gh[i] += coeff * er[i] * et[i];
+  gr[i] += coeff * eh[i] * et[i];
+  gt[i] += coeff * eh[i] * er[i];
 }
 
 DYNKGE_KERNEL_CLONES
@@ -183,17 +240,15 @@ void distmult_grad(const float* __restrict eh, const float* __restrict er,
                    float* __restrict gr, float* __restrict gt, float coeff,
                    std::int32_t k) {
   for (std::int32_t i = 0; i < k; ++i) {
-    gh[i] += coeff * er[i] * et[i];
-    gr[i] += coeff * eh[i] * et[i];
-    gt[i] += coeff * eh[i] * er[i];
+    distmult_grad_element(eh, er, et, gh, gr, gt, coeff, i);
   }
 }
 
 // ---- RotatE ----------------------------------------------------------
 
 /// cos/sin of each relation's phase row, computed once per unique relation
-/// per block. Doubles, matching the scalar path's
-/// `const double c = std::cos(phases[i])` exactly.
+/// per block. Doubles holding the float libm values, as
+/// `const double c = std::cos(phase)` would.
 class RotatePhaseCache {
  public:
   RotatePhaseCache(std::int32_t k, std::size_t max_relations) : k_(k) {
@@ -221,31 +276,89 @@ class RotatePhaseCache {
   std::vector<double> data_;
 };
 
-/// The rotated distance sum_i |h_i e^{i theta_i} - t_i|; RotatE scores
-/// gamma minus it.
+/// |h_i e^{i theta_i} - t_i| for c = cos(theta_i), s = sin(theta_i): an
+/// element of the rotated distance RotatE subtracts from gamma.
+[[gnu::always_inline]] inline double rotate_modulus(const float* eh,
+                                                    const float* et, double c,
+                                                    double s, std::int32_t k,
+                                                    std::int32_t i) {
+  const double d_re = eh[i] * c - eh[k + i] * s - et[i];
+  const double d_im = eh[i] * s + eh[k + i] * c - et[k + i];
+  return std::sqrt(d_re * d_re + d_im * d_im + RotatEModel::kEpsilon);
+}
+
+/// The term with cos/sin read from a block's phase cache.
+struct RotatECachedTerm {
+  const float* eh;
+  const float* et;
+  const double* cs;
+  std::int32_t k;
+
+  [[gnu::always_inline]] double operator()(std::int32_t i) const {
+    return rotate_modulus(eh, et, cs[i], cs[k + i], k, i);
+  }
+};
+
+/// The term with cos/sin computed in place, for blocks too short to fill
+/// a group (a one-triple call builds no cache).
+struct RotatEPhaseTerm {
+  const float* eh;
+  const float* et;
+  const float* phases;
+  std::int32_t k;
+
+  [[gnu::always_inline]] double operator()(std::int32_t i) const {
+    return rotate_modulus(eh, et, std::cos(phases[i]), std::sin(phases[i]),
+                          k, i);
+  }
+};
+
 DYNKGE_KERNEL_CLONES
 void rotate_distances(const EmbeddingMatrix& entities,
                       const EmbeddingMatrix& relations,
-                      RotatePhaseCache& cache,
                       std::span<const Triple> triples, std::int32_t k,
                       double* out) {
-  const auto terms = [&](std::size_t j, std::int32_t begin, std::int32_t n,
-                         double* __restrict dst)
-      __attribute__((always_inline)) {
-    const Triple& triple = triples[j];
-    const float* eh = entities.row(triple.head).data() + begin;
-    const float* et = entities.row(triple.tail).data() + begin;
-    const double* cs =
-        cache.get(triple.relation, relations.row(triple.relation)) + begin;
-    for (std::int32_t i = 0; i < n; ++i) {
-      const double c = cs[i];
-      const double s = cs[k + i];
-      const double d_re = eh[i] * c - eh[k + i] * s - et[i];
-      const double d_im = eh[i] * s + eh[k + i] * c - et[k + i];
-      dst[i] = std::sqrt(d_re * d_re + d_im * d_im + RotatEModel::kEpsilon);
-    }
+  if (triples.size() < kChains) {
+    const auto term_of = [&](std::size_t j) __attribute__((always_inline)) {
+      return RotatEPhaseTerm{entities.row(triples[j].head).data(),
+                             entities.row(triples[j].tail).data(),
+                             relations.row(triples[j].relation).data(), k};
+    };
+    sum_terms(triples.size(), k, term_of, out);
+    return;
+  }
+  RotatePhaseCache cache(
+      k, std::min(triples.size(), static_cast<std::size_t>(relations.rows())));
+  const auto term_of = [&](std::size_t j) __attribute__((always_inline)) {
+    const RelationId r = triples[j].relation;
+    return RotatECachedTerm{entities.row(triples[j].head).data(),
+                            entities.row(triples[j].tail).data(),
+                            cache.get(r, relations.row(r)), k};
   };
-  sum_terms(triples.size(), k, terms, out);
+  sum_terms(triples.size(), k, term_of, out);
+}
+
+[[gnu::always_inline]] inline void rotate_grad_element(
+    const float* eh, const float* et, const double* cs, float* gh, float* gr,
+    float* gt, float coeff, std::int32_t k, std::int32_t i) {
+  const double c = cs[i];
+  const double s = cs[k + i];
+  const double h_re = eh[i], h_im = eh[k + i];
+  const double d_re = h_re * c - h_im * s - et[i];
+  const double d_im = h_re * s + h_im * c - et[k + i];
+  const double m =
+      std::sqrt(d_re * d_re + d_im * d_im + RotatEModel::kEpsilon);
+  // phi = gamma - sum m_i: d phi / d d = -d / m.
+  const double gd_re = -d_re / m * coeff;
+  const double gd_im = -d_im / m * coeff;
+
+  gh[i] += static_cast<float>(gd_re * c + gd_im * s);
+  gh[k + i] += static_cast<float>(-gd_re * s + gd_im * c);
+  gt[i] += static_cast<float>(-gd_re);
+  gt[k + i] += static_cast<float>(-gd_im);
+  // d d_re/d theta = -h_re s - h_im c;  d d_im/d theta = h_re c - h_im s.
+  gr[i] += static_cast<float>(gd_re * (-h_re * s - h_im * c) +
+                              gd_im * (h_re * c - h_im * s));
 }
 
 DYNKGE_KERNEL_CLONES
@@ -254,26 +367,15 @@ void rotate_grad(const float* __restrict eh, const float* __restrict et,
                  float* __restrict gr, float* __restrict gt, float coeff,
                  std::int32_t k) {
   for (std::int32_t i = 0; i < k; ++i) {
-    const double c = cs[i];
-    const double s = cs[k + i];
-    const double h_re = eh[i], h_im = eh[k + i];
-    const double d_re = h_re * c - h_im * s - et[i];
-    const double d_im = h_re * s + h_im * c - et[k + i];
-    const double m =
-        std::sqrt(d_re * d_re + d_im * d_im + RotatEModel::kEpsilon);
-    const double gd_re = -d_re / m * coeff;
-    const double gd_im = -d_im / m * coeff;
-
-    gh[i] += static_cast<float>(gd_re * c + gd_im * s);
-    gh[k + i] += static_cast<float>(-gd_re * s + gd_im * c);
-    gt[i] += static_cast<float>(-gd_re);
-    gt[k + i] += static_cast<float>(-gd_im);
-    gr[i] += static_cast<float>(gd_re * (-h_re * s - h_im * c) +
-                                gd_im * (h_re * c - h_im * s));
+    rotate_grad_element(eh, et, cs, gh, gr, gt, coeff, k, i);
   }
 }
 
 }  // namespace
+
+// The model entry points. A work item with h == t runs the model's element
+// body in a plain loop: gh and gt are one row, so it must not take the
+// __restrict kernel.
 
 // ---- ComplEx ---------------------------------------------------------
 
@@ -282,16 +384,20 @@ void ComplExModel::score_triples_block(std::span<const Triple> triples,
   complex_scores(entities_, relations_, triples, rank_, out.data());
 }
 
-void ComplExModel::accumulate_gradients_block(std::span<const GradWork> work,
-                                              ModelGrads& grads) const {
+void ComplExModel::accumulate_gradients_block(
+    std::span<const GradWork> work) const {
   const std::int32_t k = rank_;
   for (const GradWork& w : work) {
-    if (w.h == w.t) {
-      accumulate_gradients(w.h, w.r, w.t, w.coeff, grads);
+    const float* eh = entities_.row(w.h).data();
+    const float* er = relations_.row(w.r).data();
+    const float* et = entities_.row(w.t).data();
+    if (w.h != w.t) {
+      complex_grad(eh, er, et, w.gh, w.gr, w.gt, w.coeff, k);
       continue;
     }
-    complex_grad(entities_.row(w.h).data(), relations_.row(w.r).data(),
-                 entities_.row(w.t).data(), w.gh, w.gr, w.gt, w.coeff, k);
+    for (std::int32_t i = 0; i < k; ++i) {
+      complex_grad_element(eh, er, et, w.gh, w.gr, w.gt, w.coeff, k, i);
+    }
   }
 }
 
@@ -302,16 +408,20 @@ void DistMultModel::score_triples_block(std::span<const Triple> triples,
   distmult_scores(entities_, relations_, triples, rank_, out.data());
 }
 
-void DistMultModel::accumulate_gradients_block(std::span<const GradWork> work,
-                                               ModelGrads& grads) const {
+void DistMultModel::accumulate_gradients_block(
+    std::span<const GradWork> work) const {
   const std::int32_t k = rank_;
   for (const GradWork& w : work) {
-    if (w.h == w.t) {
-      accumulate_gradients(w.h, w.r, w.t, w.coeff, grads);
+    const float* eh = entities_.row(w.h).data();
+    const float* er = relations_.row(w.r).data();
+    const float* et = entities_.row(w.t).data();
+    if (w.h != w.t) {
+      distmult_grad(eh, er, et, w.gh, w.gr, w.gt, w.coeff, k);
       continue;
     }
-    distmult_grad(entities_.row(w.h).data(), relations_.row(w.r).data(),
-                  entities_.row(w.t).data(), w.gh, w.gr, w.gt, w.coeff, k);
+    for (std::int32_t i = 0; i < k; ++i) {
+      distmult_grad_element(eh, er, et, w.gh, w.gr, w.gt, w.coeff, i);
+    }
   }
 }
 
@@ -323,16 +433,20 @@ void TransEModel::score_triples_block(std::span<const Triple> triples,
   for (std::size_t j = 0; j < triples.size(); ++j) out[j] = gamma_ - out[j];
 }
 
-void TransEModel::accumulate_gradients_block(std::span<const GradWork> work,
-                                             ModelGrads& grads) const {
+void TransEModel::accumulate_gradients_block(
+    std::span<const GradWork> work) const {
   const std::int32_t k = rank_;
   for (const GradWork& w : work) {
-    if (w.h == w.t) {
-      accumulate_gradients(w.h, w.r, w.t, w.coeff, grads);
+    const float* eh = entities_.row(w.h).data();
+    const float* er = relations_.row(w.r).data();
+    const float* et = entities_.row(w.t).data();
+    if (w.h != w.t) {
+      transe_grad(eh, er, et, w.gh, w.gr, w.gt, w.coeff, k);
       continue;
     }
-    transe_grad(entities_.row(w.h).data(), relations_.row(w.r).data(),
-                entities_.row(w.t).data(), w.gh, w.gr, w.gt, w.coeff, k);
+    for (std::int32_t i = 0; i < k; ++i) {
+      transe_grad_element(eh, er, et, w.gh, w.gr, w.gt, w.coeff, i);
+    }
   }
 }
 
@@ -340,28 +454,26 @@ void TransEModel::accumulate_gradients_block(std::span<const GradWork> work,
 
 void RotatEModel::score_triples_block(std::span<const Triple> triples,
                                       std::span<double> out) const {
-  const std::size_t max_relations =
-      std::min(triples.size(), static_cast<std::size_t>(num_relations()));
-  RotatePhaseCache cache(rank_, max_relations);
-  rotate_distances(entities_, relations_, cache, triples, rank_, out.data());
+  rotate_distances(entities_, relations_, triples, rank_, out.data());
   for (std::size_t j = 0; j < triples.size(); ++j) out[j] = gamma_ - out[j];
 }
 
-void RotatEModel::accumulate_gradients_block(std::span<const GradWork> work,
-                                             ModelGrads& grads) const {
+void RotatEModel::accumulate_gradients_block(
+    std::span<const GradWork> work) const {
   const std::int32_t k = rank_;
-  const std::size_t max_relations =
-      std::min(work.size(), static_cast<std::size_t>(num_relations()));
-  RotatePhaseCache cache(k, max_relations);
+  RotatePhaseCache cache(
+      k, std::min(work.size(), static_cast<std::size_t>(num_relations())));
   for (const GradWork& w : work) {
-    if (w.h == w.t) {
-      // The scalar fallback recomputes cos/sin; same inputs, same values.
-      accumulate_gradients(w.h, w.r, w.t, w.coeff, grads);
+    const float* eh = entities_.row(w.h).data();
+    const float* et = entities_.row(w.t).data();
+    const double* cs = cache.get(w.r, relations_.row(w.r));
+    if (w.h != w.t) {
+      rotate_grad(eh, et, cs, w.gh, w.gr, w.gt, w.coeff, k);
       continue;
     }
-    const double* cs = cache.get(w.r, relations_.row(w.r));
-    rotate_grad(entities_.row(w.h).data(), entities_.row(w.t).data(), cs,
-                w.gh, w.gr, w.gt, w.coeff, k);
+    for (std::int32_t i = 0; i < k; ++i) {
+      rotate_grad_element(eh, et, cs, w.gh, w.gr, w.gt, w.coeff, k, i);
+    }
   }
 }
 

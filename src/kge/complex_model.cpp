@@ -13,55 +13,6 @@ void ComplExModel::init(util::Rng& rng) {
   relations_.init_uniform(rng, scale);
 }
 
-double ComplExModel::score(EntityId h, RelationId r, EntityId t) const {
-  const auto eh = entities_.row(h);
-  const auto er = relations_.row(r);
-  const auto et = entities_.row(t);
-  const std::int32_t k = rank_;
-  double acc = 0.0;
-  for (std::int32_t i = 0; i < k; ++i) {
-    const double h_re = eh[i], h_im = eh[k + i];
-    const double r_re = er[i], r_im = er[k + i];
-    const double t_re = et[i], t_im = et[k + i];
-    acc += h_re * r_re * t_re + h_im * r_re * t_im + h_re * r_im * t_im -
-           h_im * r_im * t_re;
-  }
-  return acc;
-}
-
-void ComplExModel::accumulate_gradients(EntityId h, RelationId r, EntityId t,
-                                        float coeff,
-                                        ModelGrads& grads) const {
-  const auto eh = entities_.row(h);
-  const auto er = relations_.row(r);
-  const auto et = entities_.row(t);
-  // Create all rows first: `accumulate` may grow the arena and invalidate
-  // previously returned spans, so fetch stable spans via row() afterwards.
-  grads.entity.accumulate(h);
-  grads.entity.accumulate(t);
-  grads.relation.accumulate(r);
-  const auto gh = grads.entity.row(h);
-  const auto gr = grads.relation.row(r);
-  const auto gt = grads.entity.row(t);
-
-  const std::int32_t k = rank_;
-  const float c = coeff;
-  for (std::int32_t i = 0; i < k; ++i) {
-    const float h_re = eh[i], h_im = eh[k + i];
-    const float r_re = er[i], r_im = er[k + i];
-    const float t_re = et[i], t_im = et[k + i];
-
-    gh[i] += c * (r_re * t_re + r_im * t_im);
-    gh[k + i] += c * (r_re * t_im - r_im * t_re);
-
-    gr[i] += c * (h_re * t_re + h_im * t_im);
-    gr[k + i] += c * (h_re * t_im - h_im * t_re);
-
-    gt[i] += c * (h_re * r_re - h_im * r_im);
-    gt[k + i] += c * (h_im * r_re + h_re * r_im);
-  }
-}
-
 void ComplExModel::score_tails_block(EntityId h, RelationId r, EntityId begin,
                                      std::span<double> out) const {
   const auto eh = entities_.row(h);

@@ -28,17 +28,11 @@ class ComplExModel final : public KgeModel {
 
   void init(util::Rng& rng) override;
 
-  double score(EntityId h, RelationId r, EntityId t) const override;
-
-  void accumulate_gradients(EntityId h, RelationId r, EntityId t, float coeff,
-                            ModelGrads& grads) const override;
-
-  // Blocked training kernels (src/kge/block_kernels.cpp): bit-identical
-  // to the per-triple kernels above, vectorizable loop shapes.
+  // Score and gradient kernels (src/kge/block_kernels.cpp).
   void score_triples_block(std::span<const Triple> triples,
                            std::span<double> out) const override;
-  void accumulate_gradients_block(std::span<const GradWork> work,
-                                  ModelGrads& grads) const override;
+  void accumulate_gradients_block(
+      std::span<const GradWork> work) const override;
 
   void score_tails_block(EntityId h, RelationId r, EntityId begin,
                          std::span<double> out) const override;

@@ -12,36 +12,6 @@ void DistMultModel::init(util::Rng& rng) {
   relations_.init_uniform(rng, scale);
 }
 
-double DistMultModel::score(EntityId h, RelationId r, EntityId t) const {
-  const auto eh = entities_.row(h);
-  const auto er = relations_.row(r);
-  const auto et = entities_.row(t);
-  double acc = 0.0;
-  for (std::int32_t i = 0; i < rank_; ++i) {
-    acc += static_cast<double>(eh[i]) * er[i] * et[i];
-  }
-  return acc;
-}
-
-void DistMultModel::accumulate_gradients(EntityId h, RelationId r, EntityId t,
-                                         float coeff,
-                                         ModelGrads& grads) const {
-  const auto eh = entities_.row(h);
-  const auto er = relations_.row(r);
-  const auto et = entities_.row(t);
-  grads.entity.accumulate(h);
-  grads.entity.accumulate(t);
-  grads.relation.accumulate(r);
-  const auto gh = grads.entity.row(h);
-  const auto gr = grads.relation.row(r);
-  const auto gt = grads.entity.row(t);
-  for (std::int32_t i = 0; i < rank_; ++i) {
-    gh[i] += coeff * er[i] * et[i];
-    gr[i] += coeff * eh[i] * et[i];
-    gt[i] += coeff * eh[i] * er[i];
-  }
-}
-
 void DistMultModel::score_tails_block(EntityId h, RelationId r, EntityId begin,
                                       std::span<double> out) const {
   const auto eh = entities_.row(h);

@@ -111,16 +111,33 @@ double Evaluator::classification_accuracy(const KgeModel& model,
   util::Rng fit_rng(util::derive_seed(seed, 0x7CA));
   util::Rng eval_rng(util::derive_seed(seed, 0x7CB));
 
+  // scores[2i] is positive i's score and scores[2i + 1] that of one fresh
+  // corruption of it. A split's corruptions are all drawn before any is
+  // scored (scoring consumes no RNG), then scored in one blocked call.
+  const auto score_pairs = [&](std::span<const Triple> split,
+                               util::Rng& rng) {
+    TripleList examples;
+    examples.reserve(2 * split.size());
+    for (const Triple& pos : split) {
+      examples.push_back(pos);
+      examples.push_back(sampler_.corrupt(pos, rng));
+    }
+    std::vector<double> scores(examples.size());
+    model.score_triples_block(examples, scores);
+    return scores;
+  };
+
   // Fit per-relation thresholds on the fit split.
+  const std::vector<double> fit_scores = score_pairs(fit_split, fit_rng);
   std::unordered_map<RelationId, std::vector<std::pair<double, bool>>>
       by_relation;
   std::vector<std::pair<double, bool>> all_pairs;
-  for (const Triple& pos : fit_split) {
-    const Triple neg = sampler_.corrupt(pos, fit_rng);
-    const double pos_score = model.score(pos.head, pos.relation, pos.tail);
-    const double neg_score = model.score(neg.head, neg.relation, neg.tail);
-    by_relation[pos.relation].emplace_back(pos_score, true);
-    by_relation[pos.relation].emplace_back(neg_score, false);
+  for (std::size_t i = 0; i < fit_split.size(); ++i) {
+    const double pos_score = fit_scores[2 * i];
+    const double neg_score = fit_scores[2 * i + 1];
+    auto& pairs = by_relation[fit_split[i].relation];
+    pairs.emplace_back(pos_score, true);
+    pairs.emplace_back(neg_score, false);
     all_pairs.emplace_back(pos_score, true);
     all_pairs.emplace_back(neg_score, false);
   }
@@ -132,17 +149,17 @@ double Evaluator::classification_accuracy(const KgeModel& model,
   const double global_threshold = fit_threshold(all_pairs);
 
   // Classify the eval split (positives + fresh negatives).
-  std::size_t correct = 0, total = 0;
-  for (const Triple& pos : eval_split) {
-    const Triple neg = sampler_.corrupt(pos, eval_rng);
-    const auto it = thresholds.find(pos.relation);
+  const std::vector<double> eval_scores = score_pairs(eval_split, eval_rng);
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < eval_split.size(); ++i) {
+    const auto it = thresholds.find(eval_split[i].relation);
     const double threshold =
         it != thresholds.end() ? it->second : global_threshold;
-    correct += model.score(pos.head, pos.relation, pos.tail) >= threshold;
-    correct += model.score(neg.head, neg.relation, neg.tail) < threshold;
-    total += 2;
+    correct += eval_scores[2 * i] >= threshold;
+    correct += eval_scores[2 * i + 1] < threshold;
   }
-  return 100.0 * static_cast<double>(correct) / static_cast<double>(total);
+  return 100.0 * static_cast<double>(correct) /
+         static_cast<double>(eval_scores.size());
 }
 
 namespace {

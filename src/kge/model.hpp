@@ -2,7 +2,10 @@
 //
 // A model owns two embedding matrices (entities, relations), defines the
 // triple scoring function phi(h, r, t), and knows how to accumulate the
-// analytic gradient of phi with respect to the three touched rows. Loss
+// analytic gradient of phi with respect to the three touched rows. Each
+// built-in model writes its score term and gradient update once, in the
+// kernels of block_kernels.cpp; the one-triple score() and
+// accumulate_gradients() run those same kernels on a block of one. Loss
 // composition (logistic loss over positive/negative labels) lives in
 // loss.hpp; optimization in adam.hpp; distribution in core/.
 #pragma once
@@ -34,9 +37,9 @@ struct ModelGrads {
 
 /// One gradient-accumulation work item of a blocked batch: the triple, the
 /// upstream loss derivative, and the three *pre-resolved* gradient rows
-/// (direct arena pointers, so the per-example hash lookups of the scalar
-/// path disappear). The rows must already exist and stay stable for the
-/// duration of the block call; gh and gt alias when h == t.
+/// (direct arena pointers, resolved once per block). The rows must already
+/// exist and stay stable for the duration of the block call; gh and gt
+/// alias when h == t.
 struct GradWork {
   EntityId h = 0;
   RelationId r = 0;
@@ -79,32 +82,31 @@ class KgeModel {
   /// Initialize both matrices from the given stream (deterministic).
   virtual void init(util::Rng& rng) = 0;
 
-  /// phi(h, r, t): higher means "more plausible".
-  virtual double score(EntityId h, RelationId r, EntityId t) const = 0;
+  /// phi(h, r, t): higher means "more plausible". A block of one through
+  /// score_triples_block.
+  double score(EntityId h, RelationId r, EntityId t) const;
 
-  /// grads += coeff * d phi / d {E[h], R[r], E[t]}.
-  /// `coeff` is the upstream derivative dLoss/dphi.
-  virtual void accumulate_gradients(EntityId h, RelationId r, EntityId t,
-                                    float coeff, ModelGrads& grads) const = 0;
+  /// grads += coeff * d phi / d {E[h], R[r], E[t]}, where `coeff` is the
+  /// upstream derivative dLoss/dphi. Creates the rows h, t, then r, as
+  /// core::forward_backward does, and runs accumulate_gradients_block on
+  /// the one item.
+  void accumulate_gradients(EntityId h, RelationId r, EntityId t, float coeff,
+                            ModelGrads& grads) const;
 
-  /// out[i] = phi(triples[i]) — the training-side blocked scoring kernel.
-  /// The default loops over score(); the built-in models override with
-  /// kernels that sum eight triples' terms in eight independent chains,
-  /// bit-identical per triple to score(). Scoring is side-effect free and
-  /// consumes no RNG, so callers may batch freely without changing the
-  /// determinism contract.
+  /// out[i] = phi(triples[i]). A score is the left-to-right double sum of
+  /// the model's per-element terms from 0.0, so its bytes do not depend on
+  /// the block it is scored in. Scoring is side-effect free and consumes
+  /// no RNG, so callers may batch freely without changing the determinism
+  /// contract.
   virtual void score_triples_block(std::span<const Triple> triples,
-                                   std::span<double> out) const;
+                                   std::span<double> out) const = 0;
 
   /// Accumulate gradients for a block of work items, processed strictly in
-  /// order (items may share rows). Overrides must keep each item's
-  /// per-element arithmetic and per-memory-location accumulation order
-  /// identical to accumulate_gradients; when w.gh == w.gt (h == t) the
-  /// scalar statement interleaving must be preserved exactly. `grads` is
-  /// the accumulator the work rows point into (used by the default, which
-  /// falls back to accumulate_gradients per item).
-  virtual void accumulate_gradients_block(std::span<const GradWork> work,
-                                          ModelGrads& grads) const;
+  /// order (items may share rows). Each item adds to each gradient element
+  /// in the statement order of the model's per-element update; when
+  /// w.gh == w.gt (h == t) that order is load-bearing.
+  virtual void accumulate_gradients_block(
+      std::span<const GradWork> work) const = 0;
 
   /// out[i] = phi(h, r, begin + i) for i in [0, out.size()); requires
   /// begin + out.size() <= num_entities(). The blocked form is the virtual

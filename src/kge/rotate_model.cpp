@@ -21,56 +21,6 @@ void RotatEModel::init(util::Rng& rng) {
   }
 }
 
-double RotatEModel::score(EntityId h, RelationId r, EntityId t) const {
-  const auto eh = entities_.row(h);
-  const auto phases = relations_.row(r);
-  const auto et = entities_.row(t);
-  const std::int32_t k = rank_;
-  double distance = 0.0;
-  for (std::int32_t i = 0; i < k; ++i) {
-    const double c = std::cos(phases[i]);
-    const double s = std::sin(phases[i]);
-    const double d_re = eh[i] * c - eh[k + i] * s - et[i];
-    const double d_im = eh[i] * s + eh[k + i] * c - et[k + i];
-    distance += std::sqrt(d_re * d_re + d_im * d_im + kEpsilon);
-  }
-  return gamma_ - distance;
-}
-
-void RotatEModel::accumulate_gradients(EntityId h, RelationId r, EntityId t,
-                                       float coeff, ModelGrads& grads) const {
-  const auto eh = entities_.row(h);
-  const auto phases = relations_.row(r);
-  const auto et = entities_.row(t);
-  grads.entity.accumulate(h);
-  grads.entity.accumulate(t);
-  grads.relation.accumulate(r);
-  const auto gh = grads.entity.row(h);
-  const auto gr = grads.relation.row(r);
-  const auto gt = grads.entity.row(t);
-
-  const std::int32_t k = rank_;
-  for (std::int32_t i = 0; i < k; ++i) {
-    const double c = std::cos(phases[i]);
-    const double s = std::sin(phases[i]);
-    const double h_re = eh[i], h_im = eh[k + i];
-    const double d_re = h_re * c - h_im * s - et[i];
-    const double d_im = h_re * s + h_im * c - et[k + i];
-    const double m = std::sqrt(d_re * d_re + d_im * d_im + kEpsilon);
-    // phi = gamma - sum m_i: d phi / d d = -d / m.
-    const double gd_re = -d_re / m * coeff;
-    const double gd_im = -d_im / m * coeff;
-
-    gh[i] += static_cast<float>(gd_re * c + gd_im * s);
-    gh[k + i] += static_cast<float>(-gd_re * s + gd_im * c);
-    gt[i] += static_cast<float>(-gd_re);
-    gt[k + i] += static_cast<float>(-gd_im);
-    // d d_re/d theta = -h_re s - h_im c;  d d_im/d theta = h_re c - h_im s.
-    gr[i] += static_cast<float>(gd_re * (-h_re * s - h_im * c) +
-                                gd_im * (h_re * c - h_im * s));
-  }
-}
-
 void RotatEModel::score_tails_block(EntityId h, RelationId r, EntityId begin,
                                     std::span<double> out) const {
   const auto eh = entities_.row(h);

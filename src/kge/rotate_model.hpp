@@ -26,24 +26,18 @@ class RotatEModel final : public KgeModel {
   ModelSpec spec() const override { return {"rotate", rank_, gamma_}; }
 
   /// Keeps the modulus gradient finite at zero distance. Shared by the
-  /// scalar path and the blocked kernels — the distance arithmetic must be
-  /// bit-identical between them.
+  /// training kernels and the serving scan.
   static constexpr double kEpsilon = 1e-12;
 
   void init(util::Rng& rng) override;
 
-  double score(EntityId h, RelationId r, EntityId t) const override;
-
-  void accumulate_gradients(EntityId h, RelationId r, EntityId t, float coeff,
-                            ModelGrads& grads) const override;
-
-  // Blocked training kernels (src/kge/block_kernels.cpp). Batching lets
+  // Score and gradient kernels (src/kge/block_kernels.cpp). Batching lets
   // the relation phases' cos/sin pairs be computed once per unique
   // relation per block instead of once per triple.
   void score_triples_block(std::span<const Triple> triples,
                            std::span<double> out) const override;
-  void accumulate_gradients_block(std::span<const GradWork> work,
-                                  ModelGrads& grads) const override;
+  void accumulate_gradients_block(
+      std::span<const GradWork> work) const override;
 
   void score_tails_block(EntityId h, RelationId r, EntityId begin,
                          std::span<double> out) const override;

@@ -10,36 +10,4 @@ void TransEModel::init(util::Rng& rng) {
   relations_.init_uniform(rng, scale);
 }
 
-double TransEModel::score(EntityId h, RelationId r, EntityId t) const {
-  const auto eh = entities_.row(h);
-  const auto er = relations_.row(r);
-  const auto et = entities_.row(t);
-  double l1 = 0.0;
-  for (std::int32_t i = 0; i < rank_; ++i) {
-    l1 += std::fabs(static_cast<double>(eh[i]) + er[i] - et[i]);
-  }
-  return gamma_ - l1;
-}
-
-void TransEModel::accumulate_gradients(EntityId h, RelationId r, EntityId t,
-                                       float coeff, ModelGrads& grads) const {
-  const auto eh = entities_.row(h);
-  const auto er = relations_.row(r);
-  const auto et = entities_.row(t);
-  grads.entity.accumulate(h);
-  grads.entity.accumulate(t);
-  grads.relation.accumulate(r);
-  const auto gh = grads.entity.row(h);
-  const auto gr = grads.relation.row(r);
-  const auto gt = grads.entity.row(t);
-  for (std::int32_t i = 0; i < rank_; ++i) {
-    const float d = eh[i] + er[i] - et[i];
-    // d phi / d d_i = -sign(d_i); sign(0) treated as 0 (subgradient).
-    const float s = d > 0.0f ? 1.0f : (d < 0.0f ? -1.0f : 0.0f);
-    gh[i] += coeff * -s;
-    gr[i] += coeff * -s;
-    gt[i] += coeff * s;
-  }
-}
-
 }  // namespace dynkge::kge

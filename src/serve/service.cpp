@@ -12,11 +12,11 @@ namespace dynkge::serve {
 
 std::string ServiceSnapshot::summary() const {
   const auto format = obs::LatencyHistogram::format_seconds;
-  std::string out = "v" + std::to_string(model_version) + "  queries " +
-                    std::to_string(queries) + "  mean " +
-                    format(mean_latency_seconds) + "  p50 " +
-                    format(p50_seconds) + "  p95 " + format(p95_seconds) +
-                    "  p99 " + format(p99_seconds);
+  std::string out = "v";
+  out += std::to_string(model_version) + "  queries " +
+         std::to_string(queries) + "  mean " + format(mean_latency_seconds) +
+         "  p50 " + format(p50_seconds) + "  p95 " + format(p95_seconds) +
+         "  p99 " + format(p99_seconds);
   out += "  cache " + std::to_string(cache.hits) + "/" +
          std::to_string(cache.hits + cache.misses) + " hits (" +
          std::to_string(static_cast<int>(100.0 * cache.hit_rate() + 0.5)) +

@@ -1,4 +1,6 @@
-// Small dense-vector kernels used throughout the KGE models and optimizers.
+// Small dense-vector kernels: the row norms and magnitudes the gradient
+// selectors and quantizers read, and the numerically stable logistic
+// functions behind the loss.
 //
 // Kernel design notes (see DESIGN.md "Blocked training kernels"):
 //
@@ -11,65 +13,29 @@
 //    units are compiled with -fno-math-errno (value-safe: IEEE results
 //    are unchanged) to lift that; see src/kge/CMakeLists.txt.
 //
-//  * Determinism contract. Reduction kernels (dot, nrm2, asum) accumulate
-//    in double along a single left-to-right chain and must never be
+//  * Determinism contract. Reduction kernels (nrm2, asum) accumulate in
+//    double along a single left-to-right chain and must never be
 //    reassociated: the trainer's byte-identity guarantees depend on every
-//    mode producing the same accumulation order. The blocked score kernels
+//    mode producing the same accumulation order. The score kernels
 //    (src/kge/block_kernels.cpp) get their throughput from many such
 //    chains side by side, never from splitting one.
 //
 //  * No FMA contraction. The build targets baseline x86-64 (no -mfma), so
-//    a*b+c compiles to mul+add and the blocked kernels stay bit-identical
-//    to the scalar reference path.
+//    a*b+c compiles to mul+add, rounded twice, on every host.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <span>
 
 namespace dynkge::util {
 
-/// sum_i x[i] * y[i]
-inline double dot(std::span<const float> x, std::span<const float> y) noexcept {
-  assert(x.size() == y.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  }
-  return acc;
-}
-
-/// y += a * x
-inline void axpy(float a, std::span<const float> x, std::span<float> y) noexcept {
-  assert(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += a * x[i];
-}
-
-/// x *= a
-inline void scale(float a, std::span<float> x) noexcept {
-  for (auto& v : x) v *= a;
-}
-
-/// y += x
-inline void add(std::span<const float> x, std::span<float> y) noexcept {
-  assert(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += x[i];
-}
-
 /// Euclidean norm.
 inline double nrm2(std::span<const float> x) noexcept {
   double acc = 0.0;
   for (const float v : x) acc += static_cast<double>(v) * v;
   return std::sqrt(acc);
-}
-
-/// Squared Euclidean norm (avoids the sqrt when comparing magnitudes).
-inline double nrm2_squared(std::span<const float> x) noexcept {
-  double acc = 0.0;
-  for (const float v : x) acc += static_cast<double>(v) * v;
-  return acc;
 }
 
 /// L1 norm.
@@ -90,17 +56,6 @@ inline float amax(std::span<const float> x) noexcept {
 inline float amean(std::span<const float> x) noexcept {
   if (x.empty()) return 0.0f;
   return static_cast<float>(asum(x) / static_cast<double>(x.size()));
-}
-
-/// y = x (sizes must match).
-inline void copy(std::span<const float> x, std::span<float> y) noexcept {
-  assert(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i];
-}
-
-/// x = 0
-inline void set_zero(std::span<float> x) noexcept {
-  for (auto& v : x) v = 0.0f;
 }
 
 /// Numerically stable log(1 + exp(z)) (softplus).

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kge/model_factory.hpp"
@@ -37,14 +39,25 @@ struct Fixture {
   kge::NegativeSampler sampler;
 };
 
+/// select_hard_negatives_block over the one positive; returns its count
+/// of forward-pass scores.
+std::size_t select_one(const Fixture& f, const kge::Triple& positive,
+                       int sampled, int used, util::Rng& rng,
+                       kge::TripleList& out) {
+  std::vector<std::size_t> offsets;
+  HardNegativeScratch scratch;
+  return select_hard_negatives_block(*f.model, f.sampler, {&positive, 1},
+                                     sampled, used, rng, out, offsets,
+                                     scratch);
+}
+
 TEST(HardNegatives, BaselinePathSkipsScoring) {
   Fixture f;
   util::Rng rng(1);
   kge::TripleList out;
-  const int scored = select_hard_negatives(*f.model, f.sampler,
-                                           f.dataset.train()[0], 5, 5, rng,
-                                           out);
-  EXPECT_EQ(scored, 0);
+  const std::size_t scored =
+      select_one(f, f.dataset.train()[0], 5, 5, rng, out);
+  EXPECT_EQ(scored, 0u);
   EXPECT_EQ(out.size(), 5u);
 }
 
@@ -52,10 +65,9 @@ TEST(HardNegatives, SelectionPathScoresAllCandidates) {
   Fixture f;
   util::Rng rng(1);
   kge::TripleList out;
-  const int scored = select_hard_negatives(*f.model, f.sampler,
-                                           f.dataset.train()[0], 10, 1, rng,
-                                           out);
-  EXPECT_EQ(scored, 10);
+  const std::size_t scored =
+      select_one(f, f.dataset.train()[0], 10, 1, rng, out);
+  EXPECT_EQ(scored, 10u);
   EXPECT_EQ(out.size(), 1u);
 }
 
@@ -66,8 +78,7 @@ TEST(HardNegatives, PicksTheHighestScoringCandidate) {
   // the selected one scores at least as high as every candidate.
   util::Rng selection_rng(42);
   kge::TripleList out;
-  select_hard_negatives(*f.model, f.sampler, positive, 8, 1, selection_rng,
-                        out);
+  select_one(f, positive, 8, 1, selection_rng, out);
   ASSERT_EQ(out.size(), 1u);
   const double chosen =
       f.model->score(out[0].head, out[0].relation, out[0].tail);
@@ -85,8 +96,7 @@ TEST(HardNegatives, MOutOfNReturnsSortedHardest) {
   Fixture f;
   util::Rng rng(9);
   kge::TripleList out;
-  select_hard_negatives(*f.model, f.sampler, f.dataset.train()[1], 12, 3, rng,
-                        out);
+  select_one(f, f.dataset.train()[1], 12, 3, rng, out);
   ASSERT_EQ(out.size(), 3u);
   const auto score = [&](const kge::Triple& t) {
     return f.model->score(t.head, t.relation, t.tail);
@@ -99,10 +109,8 @@ TEST(HardNegatives, AppendsWithoutClearing) {
   Fixture f;
   util::Rng rng(2);
   kge::TripleList out;
-  select_hard_negatives(*f.model, f.sampler, f.dataset.train()[0], 4, 1, rng,
-                        out);
-  select_hard_negatives(*f.model, f.sampler, f.dataset.train()[1], 4, 2, rng,
-                        out);
+  select_one(f, f.dataset.train()[0], 4, 1, rng, out);
+  select_one(f, f.dataset.train()[1], 4, 2, rng, out);
   EXPECT_EQ(out.size(), 3u);
 }
 
@@ -111,7 +119,7 @@ TEST(HardNegatives, AllNegativesShareTheRelation) {
   util::Rng rng(5);
   const kge::Triple positive = f.dataset.train()[2];
   kge::TripleList out;
-  select_hard_negatives(*f.model, f.sampler, positive, 10, 2, rng, out);
+  select_one(f, positive, 10, 2, rng, out);
   for (const kge::Triple& negative : out) {
     EXPECT_EQ(negative.relation, positive.relation);
     EXPECT_NE(negative, positive);
@@ -122,11 +130,9 @@ TEST(HardNegatives, RejectsBadCounts) {
   Fixture f;
   util::Rng rng(1);
   kge::TripleList out;
-  EXPECT_THROW(select_hard_negatives(*f.model, f.sampler, f.dataset.train()[0],
-                                     0, 1, rng, out),
+  EXPECT_THROW(select_one(f, f.dataset.train()[0], 0, 1, rng, out),
                std::invalid_argument);
-  EXPECT_THROW(select_hard_negatives(*f.model, f.sampler, f.dataset.train()[0],
-                                     5, 0, rng, out),
+  EXPECT_THROW(select_one(f, f.dataset.train()[0], 5, 0, rng, out),
                std::invalid_argument);
 }
 
@@ -134,15 +140,47 @@ TEST(HardNegatives, DeterministicGivenSeed) {
   Fixture f;
   util::Rng r1(11), r2(11);
   kge::TripleList a, b;
-  select_hard_negatives(*f.model, f.sampler, f.dataset.train()[3], 10, 2, r1,
-                        a);
-  select_hard_negatives(*f.model, f.sampler, f.dataset.train()[3], 10, 2, r2,
-                        b);
+  select_one(f, f.dataset.train()[3], 10, 2, r1, a);
+  select_one(f, f.dataset.train()[3], 10, 2, r2, b);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
 
 // ---- blocked selection vs the per-positive oracle ----------------------
+
+/// The per-positive selection the blocked form must reproduce: append to
+/// `out` the `used` hardest of `sampled` uniform corruptions of
+/// `positive`, each drawn and then scored in turn; all of them, unscored,
+/// when used >= sampled. Returns the number of scores computed.
+int select_hard_negatives(const kge::KgeModel& model,
+                          const kge::NegativeSampler& sampler,
+                          const kge::Triple& positive, int sampled, int used,
+                          util::Rng& rng, kge::TripleList& out) {
+  if (sampled < 1 || used < 1) {
+    throw std::invalid_argument("select_hard_negatives: counts must be >= 1");
+  }
+  if (used >= sampled) {
+    sampler.corrupt_n(positive, sampled, rng, out);
+    return 0;
+  }
+
+  std::vector<std::pair<double, kge::Triple>> scored;
+  scored.reserve(sampled);
+  for (int i = 0; i < sampled; ++i) {
+    const kge::Triple negative = sampler.corrupt(positive, rng);
+    scored.emplace_back(
+        model.score(negative.head, negative.relation, negative.tail),
+        negative);
+  }
+  // The hardest negatives are the highest scoring (the model is least sure
+  // they are false). partial_sort keeps this O(n log m).
+  std::partial_sort(scored.begin(), scored.begin() + used, scored.end(),
+                    [](const auto& a, const auto& b) {
+                      return a.first > b.first;
+                    });
+  for (int i = 0; i < used; ++i) out.push_back(scored[i].second);
+  return sampled;
+}
 
 /// What one selection run leaves behind: the appended negatives and
 /// offsets (after any prefilled contents), the scoring count, and the next

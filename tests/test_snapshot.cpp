@@ -184,7 +184,9 @@ void expect_equal(const TrainingSnapshot& a, const TrainingSnapshot& b) {
 TEST_F(SnapshotTest, RandomSnapshotsRoundTrip) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const TrainingSnapshot snap = random_snapshot(seed);
-    const std::string file = path("s" + std::to_string(seed) + ".dkgs");
+    std::string name = "s";
+    name += std::to_string(seed) + ".dkgs";
+    const std::string file = path(name);
     save_snapshot(snap, file);
     const TrainingSnapshot loaded = load_snapshot(file);
     expect_equal(snap, loaded);

@@ -8,37 +8,9 @@
 namespace dynkge::util {
 namespace {
 
-TEST(SpanMath, Dot) {
-  const std::vector<float> x{1.0f, 2.0f, 3.0f};
-  const std::vector<float> y{4.0f, -5.0f, 6.0f};
-  EXPECT_DOUBLE_EQ(dot(x, y), 4.0 - 10.0 + 18.0);
-}
-
-TEST(SpanMath, DotEmpty) {
-  const std::vector<float> x, y;
-  EXPECT_DOUBLE_EQ(dot(x, y), 0.0);
-}
-
-TEST(SpanMath, Axpy) {
-  const std::vector<float> x{1.0f, 2.0f};
-  std::vector<float> y{10.0f, 20.0f};
-  axpy(2.0f, x, y);
-  EXPECT_FLOAT_EQ(y[0], 12.0f);
-  EXPECT_FLOAT_EQ(y[1], 24.0f);
-}
-
-TEST(SpanMath, Scale) {
-  std::vector<float> x{1.0f, -2.0f, 4.0f};
-  scale(0.5f, x);
-  EXPECT_FLOAT_EQ(x[0], 0.5f);
-  EXPECT_FLOAT_EQ(x[1], -1.0f);
-  EXPECT_FLOAT_EQ(x[2], 2.0f);
-}
-
 TEST(SpanMath, Nrm2) {
   const std::vector<float> x{3.0f, 4.0f};
   EXPECT_DOUBLE_EQ(nrm2(x), 5.0);
-  EXPECT_DOUBLE_EQ(nrm2_squared(x), 25.0);
 }
 
 TEST(SpanMath, Nrm2Empty) {
@@ -61,15 +33,6 @@ TEST(SpanMath, AmaxEmpty) {
   const std::vector<float> x;
   EXPECT_FLOAT_EQ(amax(x), 0.0f);
   EXPECT_FLOAT_EQ(amean(x), 0.0f);
-}
-
-TEST(SpanMath, CopyAndZero) {
-  const std::vector<float> x{1.0f, 2.0f, 3.0f};
-  std::vector<float> y(3, 0.0f);
-  copy(x, y);
-  EXPECT_EQ(y, x);
-  set_zero(y);
-  for (const float v : y) EXPECT_FLOAT_EQ(v, 0.0f);
 }
 
 TEST(SpanMath, SoftplusAccuracy) {
