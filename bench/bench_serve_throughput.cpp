@@ -1,6 +1,7 @@
-// Micro-benchmarks (google-benchmark) for the serving layer: single-query
-// full-scan baseline vs TopKScorer (serial / parallel) vs the full
-// InferenceService batch path with cold and warm caches.
+// Micro-benchmarks (google-benchmark) for the serving layer: the entity
+// scan alone at 1, 4 and 32 queries, single-query full-scan baseline vs
+// TopKScorer (serial / parallel) vs the full InferenceService batch path
+// with cold and warm caches.
 #include <benchmark/benchmark.h>
 
 #include "harness/micro_main.hpp"
@@ -16,6 +17,7 @@
 namespace {
 
 using dynkge::kge::EntityId;
+using dynkge::kge::EntityQuery;
 using dynkge::kge::KgeModel;
 using dynkge::kge::RelationId;
 using dynkge::serve::Direction;
@@ -58,6 +60,34 @@ std::vector<TopKQuery> make_stream(std::size_t count,
   for (auto& q : stream) q = pool[skew.sample(rng)];
   return stream;
 }
+
+/// The entity scan alone, driven as TopKScorer drives it: every query of
+/// the pass over each 1024-entity block. Items are (query, candidate)
+/// pairs, so one query (candidates side by side), a short tile (4) and
+/// whole tiles (32) compare per pair.
+void BM_EntityScan(benchmark::State& state) {
+  const KgeModel& model = *shared_model();
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<EntityQuery> queries;
+  for (const TopKQuery& q : make_stream(n, n)) {
+    queries.push_back({q.direction, q.entity, q.relation});
+  }
+  constexpr std::size_t kBlock = 1024;
+  std::vector<double> scores(n * kBlock);
+  for (auto _ : state) {
+    for (EntityId begin = 0; begin < kEntities;
+         begin += static_cast<EntityId>(kBlock)) {
+      const auto count = std::min(
+          kBlock, static_cast<std::size_t>(kEntities - begin));
+      model.score_entities_block(queries, begin, count, scores);
+      benchmark::DoNotOptimize(scores.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n) * kEntities);
+}
+BENCHMARK(BM_EntityScan)->ArgName("queries")->Arg(1)->Arg(4)->Arg(32);
 
 /// The pre-serve inference path: full scan into a dense score vector,
 /// then partial_sort. One query per iteration.

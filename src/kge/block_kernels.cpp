@@ -1,12 +1,14 @@
-// Score and gradient kernels for the four built-in KGE models: each
-// model's per-element score term and gradient update, written once.
+// Score, gradient and entity-scan kernels for the four built-in KGE
+// models: each model's per-element score term, gradient update and
+// per-candidate scan term, written once.
 //
-// Every path that scores a triple for training or evaluation or takes a
-// gradient runs these kernels: the blocked step (core::forward_backward),
-// hard-negative selection, the evaluator's triple classification, and the
-// one-triple entry points KgeModel::score / accumulate_gradients behind
-// federated and Hogwild SGD. Only the serving scans in *_model.cpp score
-// another way (they compose h∘r once per scan).
+// Every path that scores a triple or takes a gradient runs these kernels:
+// the blocked step (core::forward_backward), hard-negative selection, the
+// evaluator's triple classification, and the one-triple entry points
+// KgeModel::score / accumulate_gradients behind federated and Hogwild
+// SGD. Every path that scores a query against the entity table runs the
+// entity scan below: serving (serve::TopKScorer), the evaluator's link
+// prediction and the one-query KgeModel::score_*_block / score_all_*.
 //
 // This translation unit is compiled with -fno-math-errno (value-safe: IEEE
 // results are unchanged, only the errno side effect of libm calls is
@@ -31,6 +33,18 @@
 //  * RotatE: cos/sin of the relation phases are computed once per unique
 //    relation per block (same input -> same libm value, so caching is
 //    byte-safe) instead of once per triple.
+//
+//  * Entity scans: each query is composed into a row once per call
+//    (ComplEx and DistMult compose h∘r, or r∘t for a head query, in
+//    float, as their serial scans did; RotatE rotates the head in float;
+//    TransE and RotatE's head side keep the triple term's double
+//    operations), and a (query, candidate) score is the left-to-right
+//    double sum from 0.0 of the candidate's terms against that row.
+//    Queries sit side by side in tiles of kScanTile, one chain each; a
+//    tile of one or two queries scores each query's candidates side by
+//    side in sum_terms's chains instead. Neither shape splits a term or
+//    reorders a chain, so a score's bytes depend neither on the range nor
+//    on the other queries of the call.
 
 #include <algorithm>
 #include <cmath>
@@ -155,15 +169,19 @@ void complex_grad(const float* __restrict eh, const float* __restrict er,
 
 // ---- TransE ----------------------------------------------------------
 
-/// |h_i + r_i - t_i|, an element of the L1 distance TransE subtracts from
-/// gamma.
+/// |(h_i + r_i) - t_i| for hr = h_i + r_i, an element of the L1 distance
+/// TransE subtracts from gamma.
+[[gnu::always_inline]] inline double transe_modulus(double hr, double t) {
+  return std::fabs(hr - t);
+}
+
 struct TransETerm {
   const float* eh;
   const float* er;
   const float* et;
 
   [[gnu::always_inline]] double operator()(std::int32_t i) const {
-    return std::fabs(static_cast<double>(eh[i]) + er[i] - et[i]);
+    return transe_modulus(static_cast<double>(eh[i]) + er[i], et[i]);
   }
 };
 
@@ -184,8 +202,10 @@ void transe_distances(const EmbeddingMatrix& entities,
     const float* eh, const float* er, const float* et, float* gh, float* gr,
     float* gt, float coeff, std::int32_t i) {
   const float d = eh[i] + er[i] - et[i];
-  // d phi / d d_i = -sign(d_i); sign(0) treated as 0 (subgradient).
-  const float s = d > 0.0f ? 1.0f : (d < 0.0f ? -1.0f : 0.0f);
+  // d phi / d d_i = -sign(d_i); sign(0) treated as 0 (subgradient). A
+  // difference of the two comparisons, so it compiles to packed code: +1,
+  // -1, and +0.0f for zero and NaN, as coeff * -s needs for its zeros.
+  const float s = static_cast<float>(d > 0.0f) - static_cast<float>(d < 0.0f);
   gh[i] += coeff * -s;
   gr[i] += coeff * -s;
   gt[i] += coeff * s;
@@ -276,14 +296,14 @@ class RotatePhaseCache {
   std::vector<double> data_;
 };
 
-/// |h_i e^{i theta_i} - t_i| for c = cos(theta_i), s = sin(theta_i): an
-/// element of the rotated distance RotatE subtracts from gamma.
-[[gnu::always_inline]] inline double rotate_modulus(const float* eh,
-                                                    const float* et, double c,
-                                                    double s, std::int32_t k,
-                                                    std::int32_t i) {
-  const double d_re = eh[i] * c - eh[k + i] * s - et[i];
-  const double d_im = eh[i] * s + eh[k + i] * c - et[k + i];
+/// |h e^{i theta} - t| for c = cos(theta), s = sin(theta): an element of
+/// the rotated distance RotatE subtracts from gamma.
+[[gnu::always_inline]] inline double rotate_modulus(double h_re, double h_im,
+                                                    double c, double s,
+                                                    double t_re,
+                                                    double t_im) {
+  const double d_re = h_re * c - h_im * s - t_re;
+  const double d_im = h_re * s + h_im * c - t_im;
   return std::sqrt(d_re * d_re + d_im * d_im + RotatEModel::kEpsilon);
 }
 
@@ -295,7 +315,8 @@ struct RotatECachedTerm {
   std::int32_t k;
 
   [[gnu::always_inline]] double operator()(std::int32_t i) const {
-    return rotate_modulus(eh, et, cs[i], cs[k + i], k, i);
+    return rotate_modulus(eh[i], eh[k + i], cs[i], cs[k + i], et[i],
+                          et[k + i]);
   }
 };
 
@@ -308,8 +329,8 @@ struct RotatEPhaseTerm {
   std::int32_t k;
 
   [[gnu::always_inline]] double operator()(std::int32_t i) const {
-    return rotate_modulus(eh, et, std::cos(phases[i]), std::sin(phases[i]),
-                          k, i);
+    return rotate_modulus(eh[i], eh[k + i], std::cos(phases[i]),
+                          std::sin(phases[i]), et[i], et[k + i]);
   }
 };
 
@@ -371,6 +392,247 @@ void rotate_grad(const float* __restrict eh, const float* __restrict et,
   }
 }
 
+// ---- entity scans: queries x candidates --------------------------------
+
+/// Fewest queries a tile scores side by side. A tile costs about as much
+/// per candidate at any lane count, about three one-query passes, so a
+/// tile of one or two queries scores each query alone.
+constexpr std::size_t kMinLanes = 3;
+
+/// What a model's scan reads.
+struct ScanTables {
+  const EmbeddingMatrix& entities;
+  const EmbeddingMatrix& relations;
+  std::int32_t k;
+};
+
+/// One candidate's term against a query row composed with stride 1.
+template <typename Scan>
+struct CandidateTerm {
+  const Scan* scan = nullptr;
+  const double* row = nullptr;
+  const float* candidate = nullptr;
+
+  [[gnu::always_inline]] double operator()(std::int32_t i) const {
+    return scan->term(row, 1, candidate, i);
+  }
+};
+
+/// out[q * count + j] = the sum of the terms of queries[q] with candidate
+/// begin + j, for every query `scan` handles. A Scan composes a query
+/// into a row of Scan::kParts parts of k elements (element i of part p at
+/// row[(p * k + i) * stride] when `stride` rows interleave) and gives a
+/// candidate's element term against a row.
+///
+/// Handled queries are taken kScanTile at a time, in order. A tile of at
+/// least kMinLanes interleaves their rows, so lane q of a candidate's
+/// pass adds query q's term and each candidate row is read once per
+/// tile; a short tile's last lanes hold zeros or an earlier tile's rows,
+/// and their sums are dropped. A smaller tile scores each query alone,
+/// its candidates side by side in sum_terms's chains.
+template <typename Scan>
+[[gnu::always_inline]] inline void scan_entities(
+    const Scan& scan, std::span<const EntityQuery> queries, EntityId begin,
+    std::size_t count, double* out) {
+  const std::int32_t k = scan.k;
+  const auto candidate = [&](std::size_t j) __attribute__((always_inline)) {
+    return scan.entities.row(begin + static_cast<EntityId>(j)).data();
+  };
+  std::vector<double> rows(static_cast<std::size_t>(Scan::kParts * k) *
+                           kScanTile);
+  const EntityQuery* tile[kScanTile];
+  double* tile_out[kScanTile];
+  std::size_t next = 0;
+  while (true) {
+    std::size_t lanes = 0;
+    for (; next < queries.size() && lanes < kScanTile; ++next) {
+      if (!scan.handles(queries[next])) continue;
+      tile[lanes] = &queries[next];
+      tile_out[lanes++] = out + next * count;
+    }
+    if (lanes == 0) return;
+    if (lanes < kMinLanes) {
+      const auto term_of = [&](std::size_t j) __attribute__((always_inline)) {
+        return CandidateTerm<Scan>{&scan, rows.data(), candidate(j)};
+      };
+      for (std::size_t q = 0; q < lanes; ++q) {
+        scan.compose(*tile[q], rows.data(), 1);
+        sum_terms(count, k, term_of, tile_out[q]);
+      }
+      continue;
+    }
+    // One copy of the lane loop serves every lane count: a copy for
+    // full tiles alone, where GCC knew the count, kept the lanes as
+    // scalars.
+    for (std::size_t q = 0; q < lanes; ++q) {
+      scan.compose(*tile[q], rows.data() + q, kScanTile);
+    }
+    for (std::size_t j = 0; j < count; ++j) {
+      const float* e = candidate(j);
+      double acc[kScanTile] = {};
+      for (std::int32_t i = 0; i < k; ++i) {
+        for (std::size_t q = 0; q < kScanTile; ++q) {
+          acc[q] += scan.term(rows.data() + q, kScanTile, e, i);
+        }
+      }
+      for (std::size_t q = 0; q < lanes; ++q) tile_out[q][j] = acc[q];
+    }
+  }
+}
+
+/// ComplEx: a tail query composes h∘r and a head query conj(r)∘t in
+/// float; a candidate's term is the real dot product of that row with
+/// the candidate's row.
+struct ComplExScan : ScanTables {
+  static constexpr std::int32_t kParts = 2;
+
+  static bool handles(const EntityQuery&) { return true; }
+
+  void compose(const EntityQuery& q, double* row, std::size_t stride) const {
+    const float* e = entities.row(q.entity).data();
+    const float* r = relations.row(q.relation).data();
+    const bool tail = q.direction == Direction::kTail;
+    for (std::int32_t i = 0; i < k; ++i) {
+      row[i * stride] = tail ? e[i] * r[i] - e[k + i] * r[k + i]
+                             : r[i] * e[i] + r[k + i] * e[k + i];
+      row[(k + i) * stride] = tail ? e[k + i] * r[i] + e[i] * r[k + i]
+                                   : r[i] * e[k + i] - r[k + i] * e[i];
+    }
+  }
+
+  [[gnu::always_inline]] double term(const double* row, std::size_t stride,
+                                     const float* e, std::int32_t i) const {
+    return row[i * stride] * e[i] + row[(k + i) * stride] * e[k + i];
+  }
+};
+
+/// DistMult: either query composes e∘r in float.
+struct DistMultScan : ScanTables {
+  static constexpr std::int32_t kParts = 1;
+
+  static bool handles(const EntityQuery&) { return true; }
+
+  void compose(const EntityQuery& q, double* row, std::size_t stride) const {
+    const float* e = entities.row(q.entity).data();
+    const float* r = relations.row(q.relation).data();
+    for (std::int32_t i = 0; i < k; ++i) row[i * stride] = e[i] * r[i];
+  }
+
+  [[gnu::always_inline]] double term(const double* row, std::size_t stride,
+                                     const float* e, std::int32_t i) const {
+    return row[i * stride] * e[i];
+  }
+};
+
+/// TransE, one side per scan. A tail query's row is h + r in double, as
+/// the triple term adds it; for a head query the candidate is the first
+/// addend, so the row keeps r and t.
+template <Direction kSide>
+struct TransEScan : ScanTables {
+  static constexpr bool kTail = kSide == Direction::kTail;
+  static constexpr std::int32_t kParts = kTail ? 1 : 2;
+
+  static bool handles(const EntityQuery& q) { return q.direction == kSide; }
+
+  void compose(const EntityQuery& q, double* row, std::size_t stride) const {
+    const float* e = entities.row(q.entity).data();
+    const float* r = relations.row(q.relation).data();
+    for (std::int32_t i = 0; i < k; ++i) {
+      if constexpr (kTail) {
+        row[i * stride] = static_cast<double>(e[i]) + r[i];
+      } else {
+        row[i * stride] = r[i];
+        row[(k + i) * stride] = e[i];
+      }
+    }
+  }
+
+  [[gnu::always_inline]] double term(const double* row, std::size_t stride,
+                                     const float* e, std::int32_t i) const {
+    if constexpr (kTail) return transe_modulus(row[i * stride], e[i]);
+    return transe_modulus(e[i] + row[i * stride], row[(k + i) * stride]);
+  }
+};
+
+/// RotatE, one side per scan. A tail query's row is h e^{i theta},
+/// rotated in float (each value held exactly as a double), and a
+/// candidate's term is the modulus of the float differences. For a head
+/// query the candidate is rotated, so the row keeps cos and sin of the
+/// phases and t, and the term is the triple term's modulus.
+template <Direction kSide>
+struct RotatEScan : ScanTables {
+  static constexpr bool kTail = kSide == Direction::kTail;
+  static constexpr std::int32_t kParts = kTail ? 2 : 4;
+
+  static bool handles(const EntityQuery& q) { return q.direction == kSide; }
+
+  void compose(const EntityQuery& q, double* row, std::size_t stride) const {
+    const float* e = entities.row(q.entity).data();
+    const float* phases = relations.row(q.relation).data();
+    for (std::int32_t i = 0; i < k; ++i) {
+      const float c = std::cos(phases[i]);
+      const float s = std::sin(phases[i]);
+      if constexpr (kTail) {
+        row[i * stride] = e[i] * c - e[k + i] * s;
+        row[(k + i) * stride] = e[i] * s + e[k + i] * c;
+      } else {
+        row[i * stride] = c;
+        row[(k + i) * stride] = s;
+        row[(2 * k + i) * stride] = e[i];
+        row[(3 * k + i) * stride] = e[k + i];
+      }
+    }
+  }
+
+  [[gnu::always_inline]] double term(const double* row, std::size_t stride,
+                                     const float* e, std::int32_t i) const {
+    if constexpr (kTail) {
+      const double d_re = static_cast<float>(row[i * stride]) - e[i];
+      const double d_im = static_cast<float>(row[(k + i) * stride]) - e[k + i];
+      return std::sqrt(d_re * d_re + d_im * d_im + RotatEModel::kEpsilon);
+    }
+    return rotate_modulus(e[i], e[k + i], row[i * stride],
+                          row[(k + i) * stride], row[(2 * k + i) * stride],
+                          row[(3 * k + i) * stride]);
+  }
+};
+
+DYNKGE_KERNEL_CLONES
+void complex_scan(const ScanTables& tables,
+                  std::span<const EntityQuery> queries, EntityId begin,
+                  std::size_t count, double* out) {
+  scan_entities(ComplExScan{tables}, queries, begin, count, out);
+}
+
+DYNKGE_KERNEL_CLONES
+void distmult_scan(const ScanTables& tables,
+                   std::span<const EntityQuery> queries, EntityId begin,
+                   std::size_t count, double* out) {
+  scan_entities(DistMultScan{tables}, queries, begin, count, out);
+}
+
+/// Distances: the caller subtracts them from gamma.
+DYNKGE_KERNEL_CLONES
+void transe_scan(const ScanTables& tables,
+                 std::span<const EntityQuery> queries, EntityId begin,
+                 std::size_t count, double* out) {
+  scan_entities(TransEScan<Direction::kTail>{tables}, queries, begin, count,
+                out);
+  scan_entities(TransEScan<Direction::kHead>{tables}, queries, begin, count,
+                out);
+}
+
+/// Distances: the caller subtracts them from gamma.
+DYNKGE_KERNEL_CLONES
+void rotate_scan(const ScanTables& tables,
+                 std::span<const EntityQuery> queries, EntityId begin,
+                 std::size_t count, double* out) {
+  scan_entities(RotatEScan<Direction::kTail>{tables}, queries, begin, count,
+                out);
+  scan_entities(RotatEScan<Direction::kHead>{tables}, queries, begin, count,
+                out);
+}
+
 }  // namespace
 
 // The model entry points. A work item with h == t runs the model's element
@@ -382,6 +644,13 @@ void rotate_grad(const float* __restrict eh, const float* __restrict et,
 void ComplExModel::score_triples_block(std::span<const Triple> triples,
                                        std::span<double> out) const {
   complex_scores(entities_, relations_, triples, rank_, out.data());
+}
+
+void ComplExModel::score_entities_block(std::span<const EntityQuery> queries,
+                                        EntityId begin, std::size_t count,
+                                        std::span<double> out) const {
+  complex_scan({entities_, relations_, rank_}, queries, begin, count,
+               out.data());
 }
 
 void ComplExModel::accumulate_gradients_block(
@@ -406,6 +675,13 @@ void ComplExModel::accumulate_gradients_block(
 void DistMultModel::score_triples_block(std::span<const Triple> triples,
                                         std::span<double> out) const {
   distmult_scores(entities_, relations_, triples, rank_, out.data());
+}
+
+void DistMultModel::score_entities_block(std::span<const EntityQuery> queries,
+                                         EntityId begin, std::size_t count,
+                                         std::span<double> out) const {
+  distmult_scan({entities_, relations_, rank_}, queries, begin, count,
+                out.data());
 }
 
 void DistMultModel::accumulate_gradients_block(
@@ -433,6 +709,16 @@ void TransEModel::score_triples_block(std::span<const Triple> triples,
   for (std::size_t j = 0; j < triples.size(); ++j) out[j] = gamma_ - out[j];
 }
 
+void TransEModel::score_entities_block(std::span<const EntityQuery> queries,
+                                       EntityId begin, std::size_t count,
+                                       std::span<double> out) const {
+  transe_scan({entities_, relations_, rank_}, queries, begin, count,
+              out.data());
+  for (double& score : out.first(queries.size() * count)) {
+    score = gamma_ - score;
+  }
+}
+
 void TransEModel::accumulate_gradients_block(
     std::span<const GradWork> work) const {
   const std::int32_t k = rank_;
@@ -456,6 +742,16 @@ void RotatEModel::score_triples_block(std::span<const Triple> triples,
                                       std::span<double> out) const {
   rotate_distances(entities_, relations_, triples, rank_, out.data());
   for (std::size_t j = 0; j < triples.size(); ++j) out[j] = gamma_ - out[j];
+}
+
+void RotatEModel::score_entities_block(std::span<const EntityQuery> queries,
+                                       EntityId begin, std::size_t count,
+                                       std::span<double> out) const {
+  rotate_scan({entities_, relations_, rank_}, queries, begin, count,
+              out.data());
+  for (double& score : out.first(queries.size() * count)) {
+    score = gamma_ - score;
+  }
 }
 
 void RotatEModel::accumulate_gradients_block(

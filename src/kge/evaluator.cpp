@@ -50,22 +50,24 @@ RankingMetrics Evaluator::link_prediction(const KgeModel& model,
           ? (triples.size() + options.max_triples - 1) / options.max_triples
           : 1;
 
-  std::vector<double> scores(model.num_entities());
+  // Ranks are taken tile by tile: the head and tail queries of up to
+  // kScanTile / 2 triples are scored in one entity scan, then ranked in
+  // the order of the triples, head side first.
+  const auto num_entities = static_cast<std::size_t>(model.num_entities());
+  std::vector<double> scores(kScanTile * num_entities);
+  std::vector<EntityQuery> queries;
+  std::vector<const Triple*> tile;
   double mrr_sum = 0.0, rank_sum = 0.0;
   double mrr_head_sum = 0.0, mrr_tail_sum = 0.0;
   std::size_t hits1 = 0, hits3 = 0, hits10 = 0, evaluated = 0;
 
-  const auto rank_side = [&](const Triple& t, bool corrupt_head) {
-    if (corrupt_head) {
-      model.score_all_heads(t.relation, t.tail, scores);
-    } else {
-      model.score_all_tails(t.head, t.relation, scores);
-    }
+  const auto rank_side = [&](const Triple& t, bool corrupt_head,
+                             const double* side_scores) {
     const EntityId true_entity = corrupt_head ? t.head : t.tail;
-    const double true_score = scores[true_entity];
+    const double true_score = side_scores[true_entity];
     std::size_t rank = 1;
     for (EntityId e = 0; e < model.num_entities(); ++e) {
-      if (e == true_entity || scores[e] <= true_score) continue;
+      if (e == true_entity || side_scores[e] <= true_score) continue;
       if (options.filtered) {
         const bool known = corrupt_head
                                ? dataset_->contains(e, t.relation, t.tail)
@@ -84,10 +86,24 @@ RankingMetrics Evaluator::link_prediction(const KgeModel& model,
     ++evaluated;
   };
 
+  const auto rank_tile = [&] {
+    model.score_entities_block(queries, 0, num_entities, scores);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      rank_side(*tile[q / 2], queries[q].direction == Direction::kHead,
+                scores.data() + q * num_entities);
+    }
+    queries.clear();
+    tile.clear();
+  };
+
   for (std::size_t i = 0; i < triples.size(); i += stride) {
-    rank_side(triples[i], /*corrupt_head=*/true);
-    rank_side(triples[i], /*corrupt_head=*/false);
+    const Triple& t = triples[i];
+    queries.push_back({Direction::kHead, t.tail, t.relation});
+    queries.push_back({Direction::kTail, t.head, t.relation});
+    tile.push_back(&t);
+    if (queries.size() == kScanTile) rank_tile();
   }
+  if (!queries.empty()) rank_tile();
 
   if (evaluated != 0) {
     metrics.mrr = mrr_sum / static_cast<double>(evaluated);

@@ -26,18 +26,4 @@ void KgeModel::accumulate_gradients(EntityId h, RelationId r, EntityId t,
   accumulate_gradients_block({&work, 1});
 }
 
-void KgeModel::score_tails_block(EntityId h, RelationId r, EntityId begin,
-                                 std::span<double> out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = score(h, r, begin + static_cast<EntityId>(i));
-  }
-}
-
-void KgeModel::score_heads_block(RelationId r, EntityId t, EntityId begin,
-                                 std::span<double> out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = score(begin + static_cast<EntityId>(i), r, t);
-  }
-}
-
 }  // namespace dynkge::kge

@@ -3,11 +3,12 @@
 // A model owns two embedding matrices (entities, relations), defines the
 // triple scoring function phi(h, r, t), and knows how to accumulate the
 // analytic gradient of phi with respect to the three touched rows. Each
-// built-in model writes its score term and gradient update once, in the
-// kernels of block_kernels.cpp; the one-triple score() and
-// accumulate_gradients() run those same kernels on a block of one. Loss
-// composition (logistic loss over positive/negative labels) lives in
-// loss.hpp; optimization in adam.hpp; distribution in core/.
+// built-in model writes its score term, gradient update and entity-scan
+// term once, in the kernels of block_kernels.cpp; the one-triple score()
+// and accumulate_gradients() run those kernels on a block of one, and the
+// one-query score_*_block / score_all_* run the entity scan on a query of
+// one. Loss composition (logistic loss over positive/negative labels)
+// lives in loss.hpp; optimization in adam.hpp; distribution in core/.
 #pragma once
 
 #include <memory>
@@ -49,6 +50,23 @@ struct GradWork {
   float* gr = nullptr;
   float* gt = nullptr;
 };
+
+/// The open side of an entity-scan query: the side each candidate fills.
+enum class Direction : std::uint8_t {
+  kTail,  ///< (h, r, ?) — the query's entity is the head
+  kHead,  ///< (?, r, t) — the query's entity is the tail
+};
+
+/// One query of an entity scan: the fixed entity and the relation.
+struct EntityQuery {
+  Direction direction = Direction::kTail;
+  EntityId entity = 0;
+  RelationId relation = 0;
+};
+
+/// Queries an entity scan scores side by side, each candidate row read
+/// once for all of them; callers that batch queries fill whole tiles.
+inline constexpr std::size_t kScanTile = 8;
 
 /// Score margin TransE and RotatE use unless told otherwise.
 inline constexpr float kDefaultMargin = 12.0f;
@@ -108,18 +126,35 @@ class KgeModel {
   virtual void accumulate_gradients_block(
       std::span<const GradWork> work) const = 0;
 
-  /// out[i] = phi(h, r, begin + i) for i in [0, out.size()); requires
-  /// begin + out.size() <= num_entities(). The blocked form is the virtual
-  /// hook so implementations can precompose h*r once per call (making the
-  /// per-candidate cost one dot product) while callers choose the range —
-  /// ranking evaluation scans all entities, the serving layer hands
-  /// disjoint blocks to worker threads.
-  virtual void score_tails_block(EntityId h, RelationId r, EntityId begin,
-                                 std::span<double> out) const;
+  /// The entity scan: out[q * count + j] = phi of queries[q] with
+  /// candidate entity begin + j on its open side, for j in [0, count);
+  /// requires begin + count <= num_entities() and out.size() >=
+  /// queries.size() * count. The model composes each query (h∘r, or r∘t
+  /// for a head query) once per call, so a candidate costs one pass over
+  /// its row, and the call reads each candidate row once per kScanTile
+  /// queries. A score is the left-to-right double sum of the model's
+  /// per-candidate terms from 0.0, so its bytes depend neither on the
+  /// range nor on the other queries of the call. Callers choose the
+  /// range: ranking evaluation scans all entities for a tile of queries,
+  /// the serving layer hands disjoint blocks to worker threads.
+  virtual void score_entities_block(std::span<const EntityQuery> queries,
+                                    EntityId begin, std::size_t count,
+                                    std::span<double> out) const = 0;
+
+  /// out[i] = phi(h, r, begin + i) for i in [0, out.size()): the entity
+  /// scan of one tail query.
+  void score_tails_block(EntityId h, RelationId r, EntityId begin,
+                         std::span<double> out) const {
+    const EntityQuery query{Direction::kTail, h, r};
+    score_entities_block({&query, 1}, begin, out.size(), out);
+  }
 
   /// out[i] = phi(begin + i, r, t) for i in [0, out.size()).
-  virtual void score_heads_block(RelationId r, EntityId t, EntityId begin,
-                                 std::span<double> out) const;
+  void score_heads_block(RelationId r, EntityId t, EntityId begin,
+                         std::span<double> out) const {
+    const EntityQuery query{Direction::kHead, t, r};
+    score_entities_block({&query, 1}, begin, out.size(), out);
+  }
 
   /// out[e] = phi(h, r, e) for every entity e.
   void score_all_tails(EntityId h, RelationId r, std::span<double> out) const {

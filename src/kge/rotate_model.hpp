@@ -26,21 +26,21 @@ class RotatEModel final : public KgeModel {
   ModelSpec spec() const override { return {"rotate", rank_, gamma_}; }
 
   /// Keeps the modulus gradient finite at zero distance. Shared by the
-  /// training kernels and the serving scan.
+  /// triple and entity-scan kernels.
   static constexpr double kEpsilon = 1e-12;
 
   void init(util::Rng& rng) override;
 
-  // Score and gradient kernels (src/kge/block_kernels.cpp). Batching lets
-  // the relation phases' cos/sin pairs be computed once per unique
-  // relation per block instead of once per triple.
+  // Score, gradient and entity-scan kernels (src/kge/block_kernels.cpp).
+  // Batching lets the relation phases' cos/sin pairs be computed once per
+  // unique relation per block instead of once per triple.
   void score_triples_block(std::span<const Triple> triples,
                            std::span<double> out) const override;
   void accumulate_gradients_block(
       std::span<const GradWork> work) const override;
-
-  void score_tails_block(EntityId h, RelationId r, EntityId begin,
-                         std::span<double> out) const override;
+  void score_entities_block(std::span<const EntityQuery> queries,
+                            EntityId begin, std::size_t count,
+                            std::span<double> out) const override;
 
  private:
   std::int32_t rank_;

@@ -26,11 +26,15 @@ class TransEModel final : public KgeModel {
 
   void init(util::Rng& rng) override;
 
-  // Score and gradient kernels (src/kge/block_kernels.cpp).
+  // Score, gradient and entity-scan kernels
+  // (src/kge/block_kernels.cpp).
   void score_triples_block(std::span<const Triple> triples,
                            std::span<double> out) const override;
   void accumulate_gradients_block(
       std::span<const GradWork> work) const override;
+  void score_entities_block(std::span<const EntityQuery> queries,
+                            EntityId begin, std::size_t count,
+                            std::span<double> out) const override;
 
  private:
   std::int32_t rank_;

@@ -5,6 +5,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dynkge::serve {
@@ -25,6 +26,10 @@ bool stronger(const ScoredEntity& a, const ScoredEntity& b) {
   return weaker(b, a);
 }
 
+/// Entities per entity-scan call: each block's scores of every query of
+/// a pass are taken into the heaps before the next block is scored.
+constexpr std::size_t kBlock = 1024;
+
 }  // namespace
 
 void validate_query(const TopKQuery& query, const kge::KgeModel& model) {
@@ -39,56 +44,60 @@ void validate_query(const TopKQuery& query, const kge::KgeModel& model) {
   }
 }
 
-void TopKScorer::scan_range(const TopKQuery& query, const kge::KgeModel& model,
-                            kge::EntityId begin, kge::EntityId end,
-                            TopKResult& out) const {
+void TopKScorer::scan_range(std::span<const TopKQuery> queries,
+                            const kge::KgeModel& model, kge::EntityId begin,
+                            kge::EntityId end,
+                            std::vector<TopKResult>& out) const {
   if (begin >= end) return;
-  const bool filter =
-      query.filter_known && dataset_ != nullptr;
-  const auto k = static_cast<std::size_t>(query.k);
+  const std::size_t n = queries.size();
+  const auto length = static_cast<std::size_t>(end - begin);
+  std::vector<kge::EntityQuery> scan(n);
+  // heaps[q] holds query q's best <= k candidates so far, weakest at
+  // front.
+  std::vector<TopKResult> heaps(n);
+  for (std::size_t q = 0; q < n; ++q) {
+    scan[q] = {queries[q].direction, queries[q].entity, queries[q].relation};
+    heaps[q].reserve(
+        std::min(static_cast<std::size_t>(queries[q].k), length) + 1);
+  }
 
-  // `heap` holds the best <= k candidates seen so far, weakest at front.
-  TopKResult heap;
-  heap.reserve(k + 1);
-  const auto gt_weakest = [&](const ScoredEntity& c) {
-    return heap.size() < k || weaker(heap.front(), c);
-  };
-
-  std::vector<double> scores(block_size_);
+  std::vector<double> scores(n * std::min(kBlock, length));
   for (kge::EntityId block = begin; block < end;
-       block += static_cast<kge::EntityId>(block_size_)) {
-    const auto count = static_cast<std::size_t>(
-        std::min<std::int64_t>(static_cast<std::int64_t>(block_size_),
-                               end - block));
-    const std::span<double> block_scores(scores.data(), count);
-    if (query.direction == Direction::kTail) {
-      model.score_tails_block(query.entity, query.relation, block,
-                              block_scores);
-    } else {
-      model.score_heads_block(query.relation, query.entity, block,
-                              block_scores);
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto candidate =
-          static_cast<kge::EntityId>(block + static_cast<kge::EntityId>(i));
-      const ScoredEntity scored{candidate, block_scores[i]};
-      if (!gt_weakest(scored)) continue;
-      if (filter) {
-        const bool known =
-            query.direction == Direction::kTail
-                ? dataset_->contains(query.entity, query.relation, candidate)
-                : dataset_->contains(candidate, query.relation, query.entity);
-        if (known) continue;
-      }
-      heap.push_back(scored);
-      std::push_heap(heap.begin(), heap.end(), stronger);
-      if (heap.size() > k) {
-        std::pop_heap(heap.begin(), heap.end(), stronger);
-        heap.pop_back();
+       block += static_cast<kge::EntityId>(kBlock)) {
+    const std::size_t count =
+        std::min(kBlock, static_cast<std::size_t>(end - block));
+    model.score_entities_block(scan, block, count, scores);
+    for (std::size_t q = 0; q < n; ++q) {
+      const TopKQuery& query = queries[q];
+      const bool filter = query.filter_known && dataset_ != nullptr;
+      const auto k = static_cast<std::size_t>(query.k);
+      TopKResult& heap = heaps[q];
+      const double* block_scores = scores.data() + q * count;
+      for (std::size_t i = 0; i < count; ++i) {
+        const ScoredEntity scored{block + static_cast<kge::EntityId>(i),
+                                  block_scores[i]};
+        if (heap.size() == k && !weaker(heap.front(), scored)) continue;
+        if (filter) {
+          const bool known =
+              query.direction == Direction::kTail
+                  ? dataset_->contains(query.entity, query.relation,
+                                       scored.entity)
+                  : dataset_->contains(scored.entity, query.relation,
+                                       query.entity);
+          if (known) continue;
+        }
+        heap.push_back(scored);
+        std::push_heap(heap.begin(), heap.end(), stronger);
+        if (heap.size() > k) {
+          std::pop_heap(heap.begin(), heap.end(), stronger);
+          heap.pop_back();
+        }
       }
     }
   }
-  out.insert(out.end(), heap.begin(), heap.end());
+  for (std::size_t q = 0; q < n; ++q) {
+    out[q].insert(out[q].end(), heaps[q].begin(), heaps[q].end());
+  }
 }
 
 void TopKScorer::finalize(TopKResult& candidates, std::int32_t k) {
@@ -104,27 +113,39 @@ void TopKScorer::finalize(TopKResult& candidates, std::int32_t k) {
 TopKResult TopKScorer::topk(const TopKQuery& query,
                             const kge::KgeModel& model) const {
   validate_query(query, model);
-  TopKResult result;
-  scan_range(query, model, 0, model.num_entities(), result);
-  finalize(result, query.k);
-  return result;
+  std::vector<TopKResult> result(1);
+  scan_range({&query, 1}, model, 0, model.num_entities(), result);
+  finalize(result[0], query.k);
+  return std::move(result[0]);
 }
 
 TopKResult TopKScorer::topk(const TopKQuery& query, const kge::KgeModel& model,
                             util::ThreadPool& pool) const {
-  validate_query(query, model);
-  TopKResult merged;
+  return std::move(topk_batch({&query, 1}, model, pool)[0]);
+}
+
+std::vector<TopKResult> TopKScorer::topk_batch(
+    std::span<const TopKQuery> queries, const kge::KgeModel& model,
+    util::ThreadPool& pool) const {
+  for (const TopKQuery& query : queries) validate_query(query, model);
+  std::vector<TopKResult> merged(queries.size());
+  if (queries.empty()) return merged;
   std::mutex merge_mutex;
   pool.parallel_for(
       static_cast<std::size_t>(model.num_entities()),
       [&](std::size_t begin, std::size_t end) {
-        TopKResult local;
-        scan_range(query, model, static_cast<kge::EntityId>(begin),
+        std::vector<TopKResult> local(queries.size());
+        scan_range(queries, model, static_cast<kge::EntityId>(begin),
                    static_cast<kge::EntityId>(end), local);
         std::lock_guard<std::mutex> lock(merge_mutex);
-        merged.insert(merged.end(), local.begin(), local.end());
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          merged[q].insert(merged[q].end(), local[q].begin(),
+                           local[q].end());
+        }
       });
-  finalize(merged, query.k);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    finalize(merged[q], queries[q].k);
+  }
   return merged;
 }
 

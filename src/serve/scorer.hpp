@@ -3,11 +3,13 @@
 // A query fixes one side of a triple and a relation — (h, r, ?) for tail
 // prediction or (?, r, t) for head prediction — and asks for the k
 // highest-scoring entities on the open side. The scorer scans the entity
-// table in contiguous blocks (via KgeModel::score_{tails,heads}_block, so
-// each model's h∘r precomposition is reused within a block) keeping a
-// bounded size-k min-heap per block range; block results are merged at the
-// end. Blocks are independent, so a thread pool turns one query into an
-// embarrassingly parallel scan.
+// table in contiguous blocks through KgeModel::score_entities_block, which
+// composes each query once per block and, for several queries, reads each
+// candidate row once for a whole tile of them. Each query keeps a bounded
+// size-k min-heap per scanned range; range results are merged at the end.
+// Ranges are independent, so a thread pool splits the table across its
+// workers, and a batch of queries is answered in one pass over the table:
+// every worker scores every query of the batch in each of its blocks.
 //
 // The scorer holds no model: the model to score against is a per-call
 // argument, because under streaming updates the serving layer answers
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "kge/dataset.hpp"
@@ -32,11 +35,9 @@
 
 namespace dynkge::serve {
 
-/// Which side of the triple is open.
-enum class Direction : std::uint8_t {
-  kTail,  ///< (h, r, ?) — `entity` is the head
-  kHead,  ///< (?, r, t) — `entity` is the tail
-};
+/// Which side of the triple is open (kTail: `entity` is the head; kHead:
+/// `entity` is the tail).
+using kge::Direction;
 
 /// Largest k a query may ask for: the 16 bits of k a cache key keeps
 /// (serve/query_cache.hpp pack_query).
@@ -73,30 +74,37 @@ class TopKScorer {
   /// `dataset` supplies the known-triple filter; nullptr disables
   /// `filter_known` (queries then return unfiltered results). The dataset
   /// must outlive the scorer.
-  explicit TopKScorer(const kge::Dataset* dataset = nullptr,
-                      std::size_t block_size = 4096)
-      : dataset_(dataset), block_size_(block_size) {}
+  explicit TopKScorer(const kge::Dataset* dataset = nullptr)
+      : dataset_(dataset) {}
 
-  /// Serial scan of `model`: one thread, still blocked for precomposition
-  /// reuse.
+  /// Serial scan of `model`: one thread, one query.
   TopKResult topk(const TopKQuery& query, const kge::KgeModel& model) const;
 
-  /// Parallel scan: entity blocks fan out across `pool`, partial top-k
+  /// Parallel scan: entity ranges fan out across `pool`, partial top-k
   /// heaps merge at the end. Identical results to the serial overload.
   TopKResult topk(const TopKQuery& query, const kge::KgeModel& model,
                   util::ThreadPool& pool) const;
 
+  /// Every query in one parallel pass: the entity table is split across
+  /// `pool`, and each task scores all the queries over each block of its
+  /// range, keeping one heap per query. results[i] answers queries[i],
+  /// identical to topk(queries[i], model). Every query is validated first;
+  /// one refused query throws for the whole batch.
+  std::vector<TopKResult> topk_batch(std::span<const TopKQuery> queries,
+                                     const kge::KgeModel& model,
+                                     util::ThreadPool& pool) const;
+
  private:
-  /// Top-k over entities [begin, end), appended to `out` (unsorted).
-  void scan_range(const TopKQuery& query, const kge::KgeModel& model,
-                  kge::EntityId begin, kge::EntityId end,
-                  TopKResult& out) const;
+  /// Top-k of each query over entities [begin, end), appended to out[q]
+  /// (unsorted).
+  void scan_range(std::span<const TopKQuery> queries,
+                  const kge::KgeModel& model, kge::EntityId begin,
+                  kge::EntityId end, std::vector<TopKResult>& out) const;
 
   /// Sort candidates by (score desc, id asc) and truncate to k.
   static void finalize(TopKResult& candidates, std::int32_t k);
 
   const kge::Dataset* dataset_;
-  std::size_t block_size_;
 };
 
 }  // namespace dynkge::serve

@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <future>
 #include <unordered_map>
 #include <utility>
 
@@ -88,16 +87,6 @@ std::uint64_t InferenceService::reload_checkpoint(const std::string& path) {
   return swap_model(kge::load_model(path));
 }
 
-QueryCache::ResultPtr InferenceService::scored_or_cached(
-    const TopKQuery& query, const stream::PinnedModel& pin, bool parallel) {
-  if (auto cached = cache_.get(query, pin.version)) return cached;
-  auto result = std::make_shared<const TopKResult>(
-      parallel ? scorer_.topk(query, *pin.model, pool_)
-               : scorer_.topk(query, *pin.model));
-  cache_.put(query, result, pin.version);
-  return result;
-}
-
 QueryCache::ResultPtr InferenceService::topk(const TopKQuery& query) {
   const stream::ReadTicket ticket(&admission_, 1);
   if (!ticket.admitted()) {
@@ -107,7 +96,12 @@ QueryCache::ResultPtr InferenceService::topk(const TopKQuery& query) {
   const util::Stopwatch clock;
   const stream::PinnedModel pin = store_.acquire();
   validate_query(query, *pin.model);
-  auto result = scored_or_cached(query, pin, /*parallel=*/true);
+  auto result = cache_.get(query, pin.version);
+  if (!result) {
+    result = std::make_shared<const TopKResult>(
+        scorer_.topk(query, *pin.model, pool_));
+    cache_.put(query, result, pin.version);
+  }
   record_latency(clock.seconds(), 1);
   return result;
 }
@@ -142,18 +136,25 @@ std::vector<QueryCache::ResultPtr> InferenceService::topk_batch(
     slot_of.push_back(it->second);
   }
 
-  // One pool task per distinct query; each task does a serial blocked
-  // scan. With many in-flight queries, across-query parallelism beats
-  // splitting each query across the pool (no merge step, no idle tails).
+  // Each distinct query is looked up once; the misses are then scored
+  // together in one pass over the entity table, split across the pool.
   std::vector<QueryCache::ResultPtr> answers(distinct.size());
-  std::vector<std::future<void>> pending;
-  pending.reserve(distinct.size());
+  std::vector<TopKQuery> misses;
+  std::vector<std::size_t> miss_slots;
   for (std::size_t i = 0; i < distinct.size(); ++i) {
-    pending.push_back(pool_.submit([this, &answers, &distinct, &pin, i] {
-      answers[i] = scored_or_cached(distinct[i], pin, /*parallel=*/false);
-    }));
+    answers[i] = cache_.get(distinct[i], pin.version);
+    if (!answers[i]) {
+      misses.push_back(distinct[i]);
+      miss_slots.push_back(i);
+    }
   }
-  for (auto& future : pending) future.get();
+  std::vector<TopKResult> scored =
+      scorer_.topk_batch(misses, *pin.model, pool_);
+  for (std::size_t m = 0; m < misses.size(); ++m) {
+    auto result = std::make_shared<const TopKResult>(std::move(scored[m]));
+    cache_.put(misses[m], result, pin.version);
+    answers[miss_slots[m]] = std::move(result);
+  }
 
   std::vector<QueryCache::ResultPtr> results;
   results.reserve(queries.size());

@@ -7,10 +7,12 @@
 //                          blocked scan across the whole pool on a miss.
 //   * topk_batch(batch)  — micro-batching: deduplicates identical queries
 //                          inside the batch (skewed traffic makes this
-//                          common), answers the distinct misses by fanning
-//                          them out across the pool one query per task
-//                          (better throughput than sequentially
-//                          parallelizing each), then fills every slot.
+//                          common), looks each distinct query up in the
+//                          cache, scores all the misses in one pass over
+//                          the entity table split across the pool (each
+//                          candidate row is read once per tile of
+//                          queries, not once per query), then fills every
+//                          slot.
 //
 // Streaming updates. The model lives in a stream::SnapshotStore: every
 // query (or batch) pins the current version, scores entirely against that
@@ -152,9 +154,6 @@ class InferenceService {
   int num_threads() const { return static_cast<int>(pool_.size()); }
 
  private:
-  QueryCache::ResultPtr scored_or_cached(const TopKQuery& query,
-                                         const stream::PinnedModel& pin,
-                                         bool parallel);
   void on_publish(std::uint64_t version,
                   const std::vector<kge::EntityId>& touched);
   void record_latency(double seconds, std::size_t queries);

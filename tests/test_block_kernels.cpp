@@ -13,8 +13,10 @@
 // check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <span>
@@ -348,62 +350,115 @@ void expect_same_grads(const kge::SparseGrad& expected,
   }
 }
 
+/// Accumulates coeffs[i] * the gradient of triples[i], in order, through
+/// the per-triple reference, the one-triple entry point and one
+/// accumulate_gradients_block call, and expects the same bytes from all
+/// three.
+void expect_grads_match_reference(const KgeModel& model,
+                                  std::span<const Triple> triples,
+                                  std::span<const float> coeffs,
+                                  const std::string& what) {
+  const PerTripleReference reference(model);
+
+  // Reference and one-triple entry point: one call per work item, in
+  // order.
+  ModelGrads scalar_grads = model.make_grads();
+  ModelGrads one_grads = model.make_grads();
+  for (std::size_t i = 0; i < triples.size(); ++i) {
+    const Triple& triple = triples[i];
+    reference.accumulate_gradients(triple.head, triple.relation, triple.tail,
+                                   coeffs[i], scalar_grads);
+    model.accumulate_gradients(triple.head, triple.relation, triple.tail,
+                               coeffs[i], one_grads);
+  }
+
+  // Blocked path: create rows first (the offsets survive arena growth),
+  // resolve pointers once, then hand the whole block to the model.
+  ModelGrads blocked_grads = model.make_grads();
+  std::vector<GradWork> work;
+  std::vector<std::array<std::size_t, 3>> offsets;
+  for (std::size_t i = 0; i < triples.size(); ++i) {
+    const Triple& triple = triples[i];
+    work.push_back({triple.head, triple.relation, triple.tail, coeffs[i]});
+    offsets.push_back(
+        {blocked_grads.entity.accumulate_offset(triple.head),
+         blocked_grads.entity.accumulate_offset(triple.tail),
+         blocked_grads.relation.accumulate_offset(triple.relation)});
+  }
+  for (std::size_t w = 0; w < work.size(); ++w) {
+    work[w].gh = blocked_grads.entity.row_at(offsets[w][0]).data();
+    work[w].gt = blocked_grads.entity.row_at(offsets[w][1]).data();
+    work[w].gr = blocked_grads.relation.row_at(offsets[w][2]).data();
+  }
+  model.accumulate_gradients_block(work);
+
+  expect_same_grads(scalar_grads.entity, blocked_grads.entity,
+                    what + " blocked entity");
+  expect_same_grads(scalar_grads.relation, blocked_grads.relation,
+                    what + " blocked relation");
+  expect_same_grads(scalar_grads.entity, one_grads.entity,
+                    what + " one-triple entity");
+  expect_same_grads(scalar_grads.relation, one_grads.relation,
+                    what + " one-triple relation");
+}
+
 TEST(BlockKernels, GradBlockBitIdenticalToScalar) {
   const auto triples = adversarial_triples();
+  std::vector<float> coeffs;
+  float coeff = 0.05f;
+  for (std::size_t i = 0; i < triples.size(); ++i) {
+    coeffs.push_back(coeff);
+    coeff = -coeff * 0.9f;  // vary magnitude and sign across items
+  }
   for (const std::int32_t rank : {12, 5, 70}) {
     for (const char* name : kModels) {
-      const std::string what =
-          std::string(name) + " rank " + std::to_string(rank);
       auto model = kge::make_model(name, 60, 12, rank);
       util::Rng rng(7);
       model->init(rng);
-      const PerTripleReference reference(*model);
-
-      // Reference and one-triple entry point: one call per work item, in
-      // order.
-      ModelGrads scalar_grads = model->make_grads();
-      ModelGrads one_grads = model->make_grads();
-      float coeff = 0.05f;
-      for (const Triple& triple : triples) {
-        reference.accumulate_gradients(triple.head, triple.relation,
-                                       triple.tail, coeff, scalar_grads);
-        model->accumulate_gradients(triple.head, triple.relation, triple.tail,
-                                    coeff, one_grads);
-        coeff = -coeff * 0.9f;  // vary magnitude and sign across items
-      }
-
-      // Blocked path: create rows first (the offsets survive arena
-      // growth), resolve pointers once, then hand the whole block to the
-      // model.
-      ModelGrads blocked_grads = model->make_grads();
-      std::vector<GradWork> work;
-      std::vector<std::array<std::size_t, 3>> offsets;
-      coeff = 0.05f;
-      for (const Triple& triple : triples) {
-        work.push_back({triple.head, triple.relation, triple.tail, coeff});
-        offsets.push_back(
-            {blocked_grads.entity.accumulate_offset(triple.head),
-             blocked_grads.entity.accumulate_offset(triple.tail),
-             blocked_grads.relation.accumulate_offset(triple.relation)});
-        coeff = -coeff * 0.9f;
-      }
-      for (std::size_t w = 0; w < work.size(); ++w) {
-        work[w].gh = blocked_grads.entity.row_at(offsets[w][0]).data();
-        work[w].gt = blocked_grads.entity.row_at(offsets[w][1]).data();
-        work[w].gr = blocked_grads.relation.row_at(offsets[w][2]).data();
-      }
-      model->accumulate_gradients_block(work);
-
-      expect_same_grads(scalar_grads.entity, blocked_grads.entity,
-                        what + " blocked entity");
-      expect_same_grads(scalar_grads.relation, blocked_grads.relation,
-                        what + " blocked relation");
-      expect_same_grads(scalar_grads.entity, one_grads.entity,
-                        what + " one-triple entity");
-      expect_same_grads(scalar_grads.relation, one_grads.relation,
-                        what + " one-triple relation");
+      expect_grads_match_reference(
+          *model, triples, coeffs,
+          std::string(name) + " rank " + std::to_string(rank));
     }
   }
+}
+
+TEST(BlockKernels, TransEGradSignKeepsReferenceZeros) {
+  // TransE takes the sign of d = h + r - t without a branch. At d = +-0
+  // and NaN it must be +0, as the reference's comparisons give, so that
+  // coeff * -s adds the same signed zeros; +-inf and subnormal
+  // differences take the sign of d.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kValues[] = {0.0f,  -0.0f,  kNaN,    -kNaN, kInf,
+                               -kInf, 1e-40f, -1e-40f, 0.5f,  -0.5f};
+  constexpr EntityId kRows = 10;
+  auto model = kge::make_model("transe", kRows, 3, 12);
+  for (EntityId row = 0; row < kRows; ++row) {
+    const auto values = model->entities().row(row);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      values[i] = kValues[(i + static_cast<std::size_t>(row)) % kRows];
+    }
+  }
+  std::ranges::fill(model->relations().row(0), 0.0f);
+  std::ranges::fill(model->relations().row(1), -0.0f);
+  const auto shifted = model->relations().row(2);
+  for (std::size_t i = 0; i < shifted.size(); ++i) {
+    shifted[i] = kValues[i % kRows];
+  }
+  // Every (h, r, t) over those rows, h == t included, with coefficients
+  // of both signs and signed zeros.
+  constexpr float kCoeffs[] = {0.5f, -0.5f, 0.0f, -0.0f};
+  std::vector<Triple> triples;
+  std::vector<float> coeffs;
+  for (EntityId h = 0; h < kRows; ++h) {
+    for (RelationId r = 0; r < 3; ++r) {
+      for (EntityId t = 0; t < kRows; ++t) {
+        triples.push_back({h, r, t});
+        coeffs.push_back(kCoeffs[triples.size() % 4]);
+      }
+    }
+  }
+  expect_grads_match_reference(*model, triples, coeffs, "transe");
 }
 
 /// Arena offset of row `id` (its creation rank times the row width).

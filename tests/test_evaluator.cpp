@@ -12,15 +12,40 @@
 namespace dynkge::kge {
 namespace {
 
+/// A test model scored through score_triples_block alone: its entity scan
+/// scores each (query, candidate) triple, and it takes no gradients.
+class TripleScoredModel : public KgeModel {
+ public:
+  TripleScoredModel(std::int32_t num_entities, std::int32_t num_relations)
+      : KgeModel(num_entities, num_relations, 1, 1) {}
+
+  void init(util::Rng&) override {}
+  void accumulate_gradients_block(std::span<const GradWork>) const override {}
+
+  void score_entities_block(std::span<const EntityQuery> queries,
+                            EntityId begin, std::size_t count,
+                            std::span<double> out) const override {
+    TripleList triples;
+    for (const EntityQuery& q : queries) {
+      for (std::size_t j = 0; j < count; ++j) {
+        const EntityId e = begin + static_cast<EntityId>(j);
+        triples.push_back(q.direction == Direction::kTail
+                              ? Triple{q.entity, q.relation, e}
+                              : Triple{e, q.relation, q.entity});
+      }
+    }
+    score_triples_block(triples, out.first(triples.size()));
+  }
+};
+
 /// A stub model whose scores are read from a lookup we control exactly.
-class StubModel final : public KgeModel {
+class StubModel final : public TripleScoredModel {
  public:
   StubModel(std::int32_t num_entities, std::int32_t num_relations)
-      : KgeModel(num_entities, num_relations, 1, 1) {}
+      : TripleScoredModel(num_entities, num_relations) {}
 
   std::string name() const override { return "Stub"; }
   ModelSpec spec() const override { return {"stub", 1, 0.0f}; }
-  void init(util::Rng&) override {}
 
   void set_score(EntityId h, RelationId r, EntityId t, double s) {
     scores_[pack_triple(h, r, t)] = s;
@@ -34,29 +59,24 @@ class StubModel final : public KgeModel {
     }
   }
 
-  void accumulate_gradients_block(std::span<const GradWork>) const override {}
-
  private:
   std::unordered_map<std::uint64_t, double> scores_;
 };
 
 /// Scores every triple 0 and keeps each score_triples_block call's block.
-class RecordingModel final : public KgeModel {
+class RecordingModel final : public TripleScoredModel {
  public:
   RecordingModel(std::int32_t num_entities, std::int32_t num_relations)
-      : KgeModel(num_entities, num_relations, 1, 1) {}
+      : TripleScoredModel(num_entities, num_relations) {}
 
   std::string name() const override { return "Recording"; }
   ModelSpec spec() const override { return {"recording", 1, 0.0f}; }
-  void init(util::Rng&) override {}
 
   void score_triples_block(std::span<const Triple> triples,
                            std::span<double> out) const override {
     blocks_.emplace_back(triples.begin(), triples.end());
     std::fill(out.begin(), out.end(), 0.0);
   }
-
-  void accumulate_gradients_block(std::span<const GradWork>) const override {}
 
   const std::vector<TripleList>& blocks() const { return blocks_; }
 
@@ -67,15 +87,14 @@ class RecordingModel final : public KgeModel {
 /// Scores 10 * relation, plus 1 for a triple the dataset knows and minus 1
 /// for any other: each relation's positives and negatives separate, but
 /// no single threshold separates those of every relation.
-class RelationShiftedModel final : public KgeModel {
+class RelationShiftedModel final : public TripleScoredModel {
  public:
   explicit RelationShiftedModel(const Dataset& dataset)
-      : KgeModel(dataset.num_entities(), dataset.num_relations(), 1, 1),
+      : TripleScoredModel(dataset.num_entities(), dataset.num_relations()),
         dataset_(&dataset) {}
 
   std::string name() const override { return "RelationShifted"; }
   ModelSpec spec() const override { return {"relation_shifted", 1, 0.0f}; }
-  void init(util::Rng&) override {}
 
   void score_triples_block(std::span<const Triple> triples,
                            std::span<double> out) const override {
@@ -84,8 +103,6 @@ class RelationShiftedModel final : public KgeModel {
                (dataset_->contains(triples[i]) ? 1.0 : -1.0);
     }
   }
-
-  void accumulate_gradients_block(std::span<const GradWork>) const override {}
 
  private:
   const Dataset* dataset_;

@@ -184,6 +184,54 @@ TEST_F(InferenceServiceTest, BatchMatchesSingleQueries) {
   EXPECT_EQ(service.snapshot().queries, batch.size());
 }
 
+TEST_F(InferenceServiceTest, BatchStreamCountsEachDistinctQueryOnce) {
+  const auto model = make_initialized("complex");
+  const Dataset dataset = make_dataset();
+  const TopKScorer reference(&dataset);
+  InferenceService service(model, &dataset, ServiceConfig{2, 1024});
+
+  // A fixed stream: 12 batches of 10 drawn from 16 queries, so batches
+  // repeat queries within and across themselves.
+  std::vector<TopKQuery> identities;
+  for (EntityId e = 0; e < 16; ++e) {
+    identities.push_back({e % 3 == 0 ? Direction::kHead : Direction::kTail,
+                          (e * 5) % kEntities,
+                          static_cast<RelationId>(e % kRelations), 4,
+                          e % 2 == 0});
+  }
+  util::Rng rng(41);
+  std::uint64_t hits = 0, misses = 0;
+  std::vector<bool> cached(identities.size(), false);
+  for (int round = 0; round < 12; ++round) {
+    std::vector<TopKQuery> batch;
+    std::vector<std::size_t> ids;
+    for (int i = 0; i < 10; ++i) {
+      ids.push_back(rng.next_below(identities.size()));
+      batch.push_back(identities[ids.back()]);
+    }
+    const auto results = service.topk_batch(batch);
+    ASSERT_EQ(results.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_NE(results[i], nullptr);
+      EXPECT_EQ(*results[i], reference.topk(batch[i], *model))
+          << "round " << round << " slot " << i;
+    }
+    // Each distinct query of a batch is one lookup: a hit if an earlier
+    // batch scored it (the cache holds them all), else a miss.
+    std::vector<bool> seen(identities.size(), false);
+    for (const std::size_t id : ids) {
+      if (seen[id]) continue;
+      seen[id] = true;
+      (cached[id] ? hits : misses) += 1;
+      cached[id] = true;
+    }
+  }
+  const CacheStats stats = service.snapshot().cache;
+  EXPECT_EQ(stats.hits, hits);
+  EXPECT_EQ(stats.misses, misses);
+  EXPECT_EQ(stats.entries, misses);
+}
+
 TEST_F(InferenceServiceTest, ConcurrentClientsGetConsistentAnswers) {
   const auto model = make_initialized("complex");
   InferenceService service(model, nullptr, ServiceConfig{2, 64});

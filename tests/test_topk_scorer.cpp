@@ -104,14 +104,43 @@ TEST(TopKScorer, ScoresAreModelScores) {
 
 TEST(TopKScorer, ParallelMatchesSerial) {
   const auto model = make_trained_like_model();
-  // Tiny blocks force many chunks; results must not depend on the split.
-  const TopKScorer scorer(nullptr, /*block_size=*/7);
+  // Results must not depend on how the pool splits the table.
+  const TopKScorer scorer;
   for (const std::size_t threads : {1u, 2u, 5u}) {
     util::ThreadPool pool(threads);
     for (EntityId e = 0; e < 8; ++e) {
       const TopKQuery q{Direction::kTail, e, e % kRelations, 12, false};
       EXPECT_EQ(scorer.topk(q, *model, pool), scorer.topk(q, *model))
           << "threads " << threads;
+    }
+  }
+}
+
+TEST(TopKScorer, BatchMatchesPerQueryTopk) {
+  const auto model = make_trained_like_model();
+  const Dataset dataset = make_dataset();
+  const TopKScorer scorer(&dataset);
+  // 19 queries: two whole scan tiles and a short one, directions,
+  // relations, filtering and k mixed; k = kEntities and 1000 keep every
+  // candidate that passes the filter.
+  std::vector<TopKQuery> queries;
+  for (EntityId e = 0; e < 19; ++e) {
+    const std::int32_t k = e % 4 == 0   ? kEntities
+                           : e % 4 == 1 ? 1000
+                                        : 1 + e % 7;
+    queries.push_back({e % 3 == 0 ? Direction::kHead : Direction::kTail,
+                       (e * 7) % kEntities, e % kRelations, k, e % 2 == 0});
+  }
+  for (const std::size_t threads : {1u, 2u, 3u}) {
+    util::ThreadPool pool(threads);
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 9u, 19u}) {
+      const std::span<const TopKQuery> batch(queries.data(), n);
+      const auto results = scorer.topk_batch(batch, *model, pool);
+      ASSERT_EQ(results.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(results[i], scorer.topk(batch[i], *model))
+            << "threads " << threads << " batch " << n << " query " << i;
+      }
     }
   }
 }
@@ -216,6 +245,9 @@ TEST(TopKScorer, RejectsBadQueries) {
   util::ThreadPool pool(2);
   EXPECT_THROW(scorer.topk({Direction::kTail, -1, 0, 5, false}, *model, pool),
                std::out_of_range);
+  const TopKQuery batch[] = {{Direction::kTail, 0, 0, 5, false},
+                             {Direction::kHead, 0, 0, 0, false}};
+  EXPECT_THROW(scorer.topk_batch(batch, *model, pool), std::invalid_argument);
 }
 
 }  // namespace
