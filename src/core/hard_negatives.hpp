@@ -8,7 +8,6 @@
 #pragma once
 
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/strategy_config.hpp"
@@ -23,7 +22,7 @@ namespace dynkge::core {
 struct HardNegativeScratch {
   kge::TripleList candidates;
   std::vector<double> scores;
-  std::vector<std::pair<double, kge::Triple>> scored;
+  std::vector<int> ranked;  ///< one positive's candidate indices
 };
 
 /// For each positive in order, append to `out` the `used` hardest of

@@ -13,8 +13,9 @@
 // copied verbatim from update_row, so parameters, moments, and their bytes
 // are identical between the two forms. The only differences are
 // mechanical: each slot's arena offset is read directly, saving the index
-// read of row(id), and the step-state checks and config loads are hoisted
-// out of the row loop.
+// read of row(id), the step-state checks and config loads are hoisted out
+// of the row loop, and the first moment's bias division is skipped where
+// it divides by exactly 1.0.
 
 #include <cmath>
 #include <stdexcept>
@@ -34,7 +35,9 @@ void adam_row(const float* __restrict g, float* __restrict p,
     const float gi = g[i] + wd * p[i];
     m[i] = b1 * m[i] + (1.0f - b1) * gi;
     v[i] = b2 * v[i] + (1.0f - b2) * gi * gi;
-    const double m_hat = m[i] / bias1;
+    // x / 1.0 == x for every double, and 1 - beta1^t rounds to 1.0 once
+    // beta1^t < 2^-54 (t >= 356 at beta1 = 0.9): those steps skip a divide.
+    const double m_hat = bias1 == 1.0 ? m[i] : m[i] / bias1;
     const double v_hat = v[i] / bias2;
     p[i] -= static_cast<float>(lr * m_hat / (std::sqrt(v_hat) + epsilon));
   }

@@ -7,7 +7,7 @@
 // adam.hpp), which is the sparse-update equivalent of the dense penalty.
 #pragma once
 
-#include "util/span_math.hpp"
+#include <cmath>
 
 namespace dynkge::kge {
 
@@ -16,13 +16,23 @@ struct LossGrad {
   double dscore = 0.0;  ///< d loss / d phi = -y * sigmoid(-y * phi)
 };
 
-/// Logistic loss of one scored triple with label y in {+1, -1}.
+/// Logistic loss of one scored triple with label y in {+1, -1}. With
+/// z = -y * phi, the loss is softplus(z) = log(1 + exp(z)) (z itself above
+/// 30, exp(z) below -30) and dscore is -y * sigmoid(z), computed without
+/// overflow: 1 / (1 + exp(-z)) for z >= 0, else e / (1 + e) for
+/// e = exp(z), which the loss reads too. NaN takes the second branch.
 inline LossGrad logistic_loss(double score, int label) noexcept {
   const double y = static_cast<double>(label);
   const double z = -y * score;
   LossGrad out;
-  out.loss = util::softplus(z);
-  out.dscore = -y * util::sigmoid(z);
+  if (z >= 0.0) {
+    out.loss = z > 30.0 ? z : std::log1p(std::exp(z));
+    out.dscore = -y * (1.0 / (1.0 + std::exp(-z)));
+    return out;
+  }
+  const double e = std::exp(z);
+  out.loss = z < -30.0 ? e : std::log1p(e);
+  out.dscore = -y * (e / (1.0 + e));
   return out;
 }
 

@@ -21,13 +21,35 @@ class NegativeSampler {
       : dataset_(&dataset), filter_known_(filter_known) {}
 
   /// One corrupted copy of `positive` (head or tail replaced, 50/50).
-  Triple corrupt(const Triple& positive, util::Rng& rng) const;
-
-  /// Append `n` corrupted copies of `positive` to `out`.
-  void corrupt_n(const Triple& positive, int n, util::Rng& rng,
-                 TripleList& out) const;
+  /// Defined here so a caller's draw loop inlines it; only the fallback
+  /// after kMaxDraws rejected draws is a call.
+  Triple corrupt(const Triple& positive, util::Rng& rng) const {
+    const auto num_entities =
+        static_cast<std::uint64_t>(dataset_->num_entities());
+    for (int attempt = 0; attempt < kMaxDraws; ++attempt) {
+      Triple candidate = positive;
+      const auto replacement =
+          static_cast<EntityId>(rng.next_below(num_entities));
+      if (rng.next_bernoulli(0.5)) {
+        candidate.head = replacement;
+      } else {
+        candidate.tail = replacement;
+      }
+      if (candidate == positive) continue;
+      if (filter_known_ && dataset_->contains(candidate)) continue;
+      return candidate;
+    }
+    return fallback(positive, rng);
+  }
 
  private:
+  /// Bounded retries: on a pathological graph where nearly every
+  /// corruption is a true triple, corrupt() falls back to one unfiltered
+  /// tail draw rather than looping forever.
+  static constexpr int kMaxDraws = 16;
+
+  Triple fallback(const Triple& positive, util::Rng& rng) const;
+
   const Dataset* dataset_;
   bool filter_known_;
 };

@@ -1,6 +1,5 @@
 // Small dense-vector kernels: the row norms and magnitudes the gradient
-// selectors and quantizers read, and the numerically stable logistic
-// functions behind the loss.
+// selectors and quantizers read.
 //
 // Kernel design notes (see DESIGN.md "Blocked training kernels"):
 //
@@ -56,23 +55,6 @@ inline float amax(std::span<const float> x) noexcept {
 inline float amean(std::span<const float> x) noexcept {
   if (x.empty()) return 0.0f;
   return static_cast<float>(asum(x) / static_cast<double>(x.size()));
-}
-
-/// Numerically stable log(1 + exp(z)) (softplus).
-inline double softplus(double z) noexcept {
-  if (z > 30.0) return z;
-  if (z < -30.0) return std::exp(z);
-  return std::log1p(std::exp(z));
-}
-
-/// Logistic sigmoid 1 / (1 + exp(-z)) without overflow.
-inline double sigmoid(double z) noexcept {
-  if (z >= 0.0) {
-    const double e = std::exp(-z);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(z);
-  return e / (1.0 + e);
 }
 
 }  // namespace dynkge::util

@@ -160,7 +160,9 @@ int select_hard_negatives(const kge::KgeModel& model,
     throw std::invalid_argument("select_hard_negatives: counts must be >= 1");
   }
   if (used >= sampled) {
-    sampler.corrupt_n(positive, sampled, rng, out);
+    for (int i = 0; i < sampled; ++i) {
+      out.push_back(sampler.corrupt(positive, rng));
+    }
     return 0;
   }
 
@@ -256,13 +258,43 @@ TEST_P(HardNegativesBlock, MatchesPerPositiveOnTiedScores) {
   // DistMult they all score exactly 0), so most positives see a run of
   // tied candidates that straddles the `used` boundary: only an identical
   // candidate sequence and an identical sort call pick the same ones in
-  // the same order.
+  // the same order. At used = 1 (the benchmark's 8:1 shape) the first of
+  // the tied maxima must win.
   for (kge::EntityId e = 0; e < f.model->num_entities(); e += 2) {
     std::ranges::fill(f.model->entities().row(e), 0.0f);
   }
   const auto positives = batch_of(f, 24);
-  expect_same_selection(per_positive(*f.model, f.sampler, positives, 8, 3, {}),
-                        blocked(*f.model, f.sampler, positives, 8, 3, {}));
+  for (const int used : {1, 3}) {
+    expect_same_selection(
+        per_positive(*f.model, f.sampler, positives, 8, used, {}),
+        blocked(*f.model, f.sampler, positives, 8, used, {}));
+  }
+}
+
+TEST_P(HardNegativesBlock, MatchesPerPositiveWhenEveryCorruptionIsKnown) {
+  // Every (h, 0, t) is a training triple, so each draw is rejected 16 times
+  // and the sampler's fallback supplies every candidate; its draws must
+  // leave the RNG where the oracle's do.
+  constexpr std::int32_t kEntities = 5;
+  kge::TripleList all;
+  for (kge::EntityId h = 0; h < kEntities; ++h) {
+    for (kge::EntityId t = 0; t < kEntities; ++t) all.push_back({h, 0, t});
+  }
+  const kge::Dataset complete(kEntities, 1, all, {}, {});
+  const kge::NegativeSampler sampler(complete);
+  const auto model = kge::make_model(GetParam(), kEntities, 1, 8);
+  util::Rng init(5);
+  model->init(init);
+  const std::span<const kge::Triple> positives = complete.train();
+  for (const int used : {1, 4}) {
+    const Selection expected =
+        per_positive(*model, sampler, positives, 4, used, {});
+    for (const kge::Triple& negative : expected.out) {
+      EXPECT_TRUE(complete.contains(negative));
+    }
+    expect_same_selection(expected,
+                          blocked(*model, sampler, positives, 4, used, {}));
+  }
 }
 
 TEST_P(HardNegativesBlock, UsingEverySampleSkipsScoring) {

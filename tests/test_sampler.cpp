@@ -79,16 +79,6 @@ TEST(NegativeSampler, BothSidesGetCorrupted) {
   EXPECT_GT(tails, 50);
 }
 
-TEST(NegativeSampler, CorruptNAppends) {
-  const Dataset ds = tiny_dataset();
-  const NegativeSampler sampler(ds);
-  util::Rng rng(6);
-  TripleList out;
-  sampler.corrupt_n(ds.train()[0], 5, rng, out);
-  sampler.corrupt_n(ds.train()[1], 3, rng, out);
-  EXPECT_EQ(out.size(), 8u);
-}
-
 TEST(NegativeSampler, DeterministicGivenSeed) {
   const Dataset ds = tiny_dataset();
   const NegativeSampler sampler(ds);
