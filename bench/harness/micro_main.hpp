@@ -3,9 +3,10 @@
 // BENCHMARK_MAIN() cannot carry the harness-wide --bench-json flag, so the
 // micro binaries call run_micro_bench() instead: it strips --bench-json
 // from argv before benchmark::Initialize sees it (google-benchmark rejects
-// unknown flags), runs the registered benchmarks through a console
-// reporter that mirrors every finished run into a BenchReporter, and
-// writes the same uniform JSON block every other bench emits. Per-run
+// unknown flags), runs the registered benchmarks through a reporter that
+// mirrors every finished run into a BenchReporter (and prints in the
+// --benchmark_format the command line asks for), and writes the same
+// uniform JSON block every other bench emits. Per-run
 // metric names are the google-benchmark names verbatim
 // ("BM_AllReduceSum/2/1024"), with ".real_seconds_per_iter",
 // ".cpu_seconds_per_iter", and any user counters appended.
@@ -20,9 +21,17 @@
 
 namespace dynkge::bench {
 
-class MicroJsonReporter : public benchmark::ConsoleReporter {
+/// Mirrors every finished run into a BenchReporter, and forwards every
+/// call to the display reporter google-benchmark would have picked, so
+/// --benchmark_format=console|json|csv still chooses what is printed.
+class MicroJsonReporter : public benchmark::BenchmarkReporter {
  public:
-  explicit MicroJsonReporter(obs::BenchReporter& sink) : sink_(sink) {}
+  explicit MicroJsonReporter(obs::BenchReporter& sink)
+      : sink_(sink), display_(*benchmark::CreateDefaultDisplayReporter()) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_.ReportContext(context);
+  }
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
@@ -38,11 +47,15 @@ class MicroJsonReporter : public benchmark::ConsoleReporter {
         sink_.set(name + "." + counter_name, counter.value);
       }
     }
-    ConsoleReporter::ReportRuns(runs);
+    display_.ReportRuns(runs);
   }
+
+  void Finalize() override { display_.Finalize(); }
 
  private:
   obs::BenchReporter& sink_;
+  /// Owned by google-benchmark (a function-local static there).
+  benchmark::BenchmarkReporter& display_;
 };
 
 inline int run_micro_bench(const std::string& bench_name, int argc,

@@ -126,7 +126,6 @@ FaultInjector::FaultInjector(std::vector<FaultEvent> schedule,
   std::size_t slot = 0;
   for (auto& [address, scheduled] : events_) scheduled.slot = slot++;
   for (auto& [address, scheduled] : epoch_events_) scheduled.slot = slot++;
-  num_events_ = slot;
   fired_ = std::make_unique<std::atomic<bool>[]>(slot > 0 ? slot : 1);
 }
 

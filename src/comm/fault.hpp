@@ -219,7 +219,6 @@ class FaultInjector {
   const RetryPolicy& policy() const { return policy_; }
   double collective_deadline() const { return collective_deadline_; }
   FaultCounters counters() const;
-  std::size_t scheduled_events() const { return num_events_; }
 
   // --- wire-integrity accounting -------------------------------------
   // Called by the Communicator's checksum loop, on the corrupting rank
@@ -258,7 +257,6 @@ class FaultInjector {
   std::unordered_map<std::uint64_t, Scheduled> events_;        // by index
   std::unordered_map<std::uint64_t, Scheduled> epoch_events_;  // by epoch
   std::unique_ptr<std::atomic<bool>[]> fired_;
-  std::size_t num_events_ = 0;
 
   std::atomic<std::uint64_t> crashes_{0};
   std::atomic<std::uint64_t> transients_{0};

@@ -199,7 +199,7 @@ FederatedReport FederatedTrainer::train() {
     active.resize(static_cast<std::size_t>(config_.policy.num_clients));
     std::iota(active.begin(), active.end(), 0);
   }
-  const auto pool = host_pool(config_.host_pool, config_.host_threads);
+  util::ThreadPool pool = host_pool(config_.host_threads);
 
   // A client death shrinks the roster to the survivors — original client
   // ids, since shard ownership and RNG streams follow the id, not the rank
@@ -212,7 +212,7 @@ FederatedReport FederatedTrainer::train() {
       config_.telemetry,
       [&](int) {
         newest = nullptr;
-        report = run_attempt(active, resume.get(), *pool, newest);
+        report = run_attempt(active, resume.get(), pool, newest);
       },
       [&](const comm::RecoveryPlan& plan) {
         if (newest != nullptr) resume = newest;
@@ -222,6 +222,11 @@ FederatedReport FederatedTrainer::train() {
   report.client_failures = tally.failures;
   report.recoveries = tally.recoveries;
   report.recovery_seconds = tally.recovery_seconds;
+  if (config_.compute_final_metrics) {
+    final_metrics(*report.model, dataset_, config_.seed,
+                  config_.eval_max_triples, &pool, report.tca,
+                  report.ranking);
+  }
   report.wall_seconds = wall.seconds();
   return report;
 }
@@ -307,8 +312,7 @@ ClientProgram::ClientProgram(const Attempt& attempt, Communicator& comm)
       rank_(comm.rank()),
       client_(attempt.active[static_cast<std::size_t>(comm.rank())]),
       model_(init_model(config_.model_name, attempt.dataset,
-                        config_.embedding_rank, config_.init_scale,
-                        config_.seed)),
+                        config_.embedding_rank, config_.seed)),
       local_model_(kge::make_model(
           config_.model_name, attempt.dataset.num_entities(),
           attempt.dataset.num_relations(), config_.embedding_rank)),
@@ -567,10 +571,6 @@ void ClientProgram::finish() {
   if (rank_ != 0) return;
   FederatedReport& report = attempt_.report;
   report.replicas_consistent = consistent;
-  if (config_.compute_final_metrics) {
-    final_metrics(evaluator_, *model_, attempt_.dataset, config_.seed,
-                  config_.eval_max_triples, report.tca, report.ranking);
-  }
   report.model = std::move(model_);
 }
 

@@ -105,7 +105,6 @@ struct FederatedSnapshot {
 struct FederatedConfig {
   std::string model_name = "complex";
   std::int32_t embedding_rank = 32;
-  float init_scale = 0.1f;
 
   int negatives = 1;           ///< uniform corruptions per positive
   double weight_decay = 1e-6;
@@ -121,7 +120,6 @@ struct FederatedConfig {
   FederatedPolicy policy;  ///< clients / local epochs / rounds / elastic
 
   int host_threads = 0;
-  std::shared_ptr<util::ThreadPool> host_pool;
 
   comm::FaultInjector* fault_injector = nullptr;
   obs::TelemetrySinks telemetry;

@@ -33,8 +33,7 @@ HogwildReport HogwildTrainer::train() {
   const util::Stopwatch wall;
 
   auto model = init_model(config_.model_name, dataset_,
-                          config_.embedding_rank, config_.init_scale,
-                          config_.seed);
+                          config_.embedding_rank, config_.seed);
 
   // Scheduler follows the same capped linear-scaling rule as the
   // distributed trainer: more threads, larger effective throughput.
@@ -121,8 +120,8 @@ HogwildReport HogwildTrainer::train() {
   }
 
   if (config_.compute_final_metrics) {
-    final_metrics(evaluator, *model, dataset_, config_.seed,
-                  config_.eval_max_triples, report.tca, report.ranking);
+    final_metrics(*model, dataset_, config_.seed, config_.eval_max_triples,
+                  /*pool=*/nullptr, report.tca, report.ranking);
   }
   report.model = std::move(model);
   report.wall_seconds = wall.seconds();

@@ -28,7 +28,6 @@ namespace dynkge::core {
 struct HogwildConfig {
   std::string model_name = "complex";
   std::int32_t embedding_rank = 32;
-  float init_scale = 0.1f;
 
   int num_threads = 4;
   int negatives = 1;            ///< uniform corruptions per positive

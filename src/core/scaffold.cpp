@@ -17,22 +17,19 @@ kge::TripleList shuffled_train_triples(const kge::Dataset& dataset,
 std::unique_ptr<kge::KgeModel> init_model(const std::string& name,
                                           const kge::Dataset& dataset,
                                           std::int32_t embedding_rank,
-                                          float init_scale,
                                           std::uint64_t seed) {
   util::Rng rng(util::derive_seed(seed, 0x1417u));
   auto model = kge::make_model(name, dataset.num_entities(),
                                dataset.num_relations(), embedding_rank);
-  model->set_init_scale(init_scale);
+  model->set_init_scale(0.1f);
   model->init(rng);
   return model;
 }
 
-std::shared_ptr<util::ThreadPool> host_pool(
-    std::shared_ptr<util::ThreadPool> shared, int threads) {
-  if (shared != nullptr) return shared;
-  return std::make_shared<util::ThreadPool>(
-      threads > 0 ? static_cast<std::size_t>(threads)
-                  : util::ThreadPool::hardware_threads());
+util::ThreadPool host_pool(int threads) {
+  return util::ThreadPool(threads > 0
+                              ? static_cast<std::size_t>(threads)
+                              : util::ThreadPool::hardware_threads());
 }
 
 void run_cluster(int world, const comm::CostModelParams& network,
@@ -62,15 +59,16 @@ bool replicas_consistent(comm::Communicator& comm,
   return lo == hi;
 }
 
-void final_metrics(const kge::Evaluator& evaluator,
-                   const kge::KgeModel& model, const kge::Dataset& dataset,
-                   std::uint64_t seed, std::size_t max_triples, double& tca,
+void final_metrics(const kge::KgeModel& model, const kge::Dataset& dataset,
+                   std::uint64_t seed, std::size_t max_triples,
+                   util::ThreadPool* pool, double& tca,
                    kge::RankingMetrics& ranking) {
+  const kge::Evaluator evaluator(dataset);
   tca = evaluator.triple_classification_accuracy(
       model, util::derive_seed(seed, 0x7CAu));
   kge::EvalOptions options;
   options.max_triples = max_triples;
-  ranking = evaluator.link_prediction(model, dataset.test(), options);
+  ranking = evaluator.link_prediction(model, dataset.test(), options, pool);
 }
 
 }  // namespace dynkge::core

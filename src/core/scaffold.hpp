@@ -23,18 +23,18 @@ namespace dynkge::core {
 kge::TripleList shuffled_train_triples(const kge::Dataset& dataset,
                                        std::uint64_t seed);
 
-/// A model initialized from derive_seed(seed, 0x1417): identical on every
-/// replica, client and thread of one seed.
+/// A model initialized from derive_seed(seed, 0x1417) at a tenth of the
+/// model's default scale (scores start near zero, which stabilizes
+/// hard-negative mining): identical on every replica, client and thread of
+/// one seed.
 std::unique_ptr<kge::KgeModel> init_model(const std::string& name,
                                           const kge::Dataset& dataset,
                                           std::int32_t embedding_rank,
-                                          float init_scale,
                                           std::uint64_t seed);
 
-/// The pool rank programs run on: `shared` when set, otherwise a new pool
-/// of `threads` workers (0 = hardware concurrency).
-std::shared_ptr<util::ThreadPool> host_pool(
-    std::shared_ptr<util::ThreadPool> shared, int threads);
+/// The pool rank programs and the final ranking run on: `threads` workers
+/// (0 = hardware concurrency).
+util::ThreadPool host_pool(int threads);
 
 /// Run `program` on every rank of a fresh `world`-rank cluster, with the
 /// fault injector (may be null) attached and mirroring into `metrics`.
@@ -49,12 +49,13 @@ void run_cluster(int world, const comm::CostModelParams& network,
 bool replicas_consistent(comm::Communicator& comm,
                          const kge::KgeModel& model, bool with_relations);
 
-/// Every trainer's final numbers: triple-classification accuracy and
-/// filtered link-prediction metrics on the test split, at most
-/// `max_triples` test triples.
-void final_metrics(const kge::Evaluator& evaluator,
-                   const kge::KgeModel& model, const kge::Dataset& dataset,
-                   std::uint64_t seed, std::size_t max_triples, double& tca,
+/// Every trainer's final numbers, taken once per train() on the host:
+/// triple-classification accuracy and filtered link-prediction metrics on
+/// the test split, at most `max_triples` test triples, ranked on `pool`
+/// when given (the same bytes as without).
+void final_metrics(const kge::KgeModel& model, const kge::Dataset& dataset,
+                   std::uint64_t seed, std::size_t max_triples,
+                   util::ThreadPool* pool, double& tca,
                    kge::RankingMetrics& ranking);
 
 }  // namespace dynkge::core

@@ -298,10 +298,10 @@ TrainReport DistributedTrainer::train() {
     }
   }
 
-  // The rank programs run on one host pool (shared across train() calls
-  // when the config provides one) for every attempt below. Wall time
-  // scales with min(num_nodes, cores); the simulated clock is unaffected.
-  const auto pool = host_pool(config_.host_pool, config_.host_threads);
+  // The rank programs run on one host pool for every attempt below, and
+  // the final ranking after them. Wall time scales with min(num_nodes,
+  // cores); the simulated clock is unaffected.
+  util::ThreadPool pool = host_pool(config_.host_threads);
 
   // A permanent rank failure shrinks the world to the survivors, rolls
   // state back to the newest in-run snapshot (per-epoch, in memory — no
@@ -316,7 +316,7 @@ TrainReport DistributedTrainer::train() {
       config_.num_nodes, policy, tel,
       [&](int world) {
         live_snapshot.clear();
-        report = run_attempt(world, resume_state.get(), *pool,
+        report = run_attempt(world, resume_state.get(), pool,
                              policy.enabled ? &live_snapshot : nullptr);
       },
       [&](const comm::RecoveryPlan&) {
@@ -339,6 +339,11 @@ TrainReport DistributedTrainer::train() {
   report.rank_failures = tally.failures;
   report.recoveries = tally.recoveries;
   report.recovery_seconds = tally.recovery_seconds;
+  if (config_.compute_final_metrics) {
+    final_metrics(*report.model, dataset_, config_.seed,
+                  config_.eval_max_triples, &pool, report.tca,
+                  report.ranking);
+  }
   report.wall_seconds = wall.seconds();
   return report;
 }
@@ -465,7 +470,7 @@ namespace {
 std::unique_ptr<kge::KgeModel> make_replica(const TrainConfig& config,
                                             const kge::Dataset& dataset) {
   auto model = init_model(config.model_name, dataset, config.embedding_rank,
-                          config.init_scale, config.seed);
+                          config.seed);
   if (config.warm_start != nullptr) {
     const auto& source = *config.warm_start;
     if (source.entities().rows() != model->entities().rows() ||
@@ -1088,10 +1093,6 @@ void RankProgram::finish() {
   if (rank_ != 0) return;
   report.allreduce_fraction = selector_.allreduce_fraction();
   report.comm_stats = comm_.stats();
-  if (config_.compute_final_metrics) {
-    final_metrics(evaluator_, *model_, attempt_.dataset, config_.seed,
-                  config_.eval_max_triples, report.tca, report.ranking);
-  }
   report.model = std::move(model_);
 }
 

@@ -57,24 +57,18 @@ namespace dynkge::core {
 struct TrainConfig {
   std::string model_name = "complex";  ///< complex | distmult | transe
   std::int32_t embedding_rank = 32;    ///< complex components per embedding
-  float init_scale = 0.1f;  ///< multiplier on the model's default init
-                            ///< scale; small values start scores near zero,
-                            ///< which stabilizes hard-negative mining
 
   int num_nodes = 1;
   std::size_t batch_size = 1000;  ///< positives per rank per step
 
-  /// Host threads the simulated cluster's rank programs run on. 0 means
-  /// hardware concurrency. Purely a wall-time knob: results are
-  /// bit-identical for every value (rank-ordered reductions, per-rank
-  /// RNGs), and sim_seconds/comm_seconds are unaffected. When
+  /// Host threads the simulated cluster's rank programs, and then the
+  /// final ranking, run on. 0 means hardware concurrency. Purely a
+  /// wall-time knob: results are bit-identical for every value
+  /// (rank-ordered reductions, per-rank RNGs, per-query rank slots), and
+  /// sim_seconds/comm_seconds are unaffected. When
   /// host_threads < num_nodes the pool co-schedules the excess ranks on
   /// transient overflow threads (barrier programs need all P ranks live).
   int host_threads = 0;
-
-  /// Optional externally owned pool to run on (e.g. one pool shared by
-  /// several train() calls). When set, host_threads is ignored.
-  std::shared_ptr<util::ThreadPool> host_pool;
 
   PlateauConfig lr;            ///< plateau schedule (paper defaults inside)
   double weight_decay = 1e-6;  ///< 2*lambda of the L2 penalty

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dynkge::kge {
 namespace {
@@ -43,26 +44,22 @@ double fit_threshold(std::vector<std::pair<double, bool>>& pairs) {
 
 RankingMetrics Evaluator::link_prediction(const KgeModel& model,
                                           std::span<const Triple> triples,
-                                          const EvalOptions& options) const {
-  RankingMetrics metrics;
+                                          const EvalOptions& options,
+                                          util::ThreadPool* pool) const {
   const std::size_t stride =
       (options.max_triples != 0 && triples.size() > options.max_triples)
           ? (triples.size() + options.max_triples - 1) / options.max_triples
           : 1;
-
-  // Ranks are taken tile by tile: the head and tail queries of up to
-  // kScanTile / 2 triples are scored in one entity scan, then ranked in
-  // the order of the triples, head side first.
+  // The ranked triples are triples[i * stride]; query 2i replaces the
+  // head of triple i, query 2i + 1 its tail.
+  const std::size_t count = (triples.size() + stride - 1) / stride;
   const auto num_entities = static_cast<std::size_t>(model.num_entities());
-  std::vector<double> scores(kScanTile * num_entities);
-  std::vector<EntityQuery> queries;
-  std::vector<const Triple*> tile;
-  double mrr_sum = 0.0, rank_sum = 0.0;
-  double mrr_head_sum = 0.0, mrr_tail_sum = 0.0;
-  std::size_t hits1 = 0, hits3 = 0, hits10 = 0, evaluated = 0;
+  constexpr std::size_t kTriplesPerTile = kScanTile / 2;
+  const std::size_t num_tiles =
+      (count + kTriplesPerTile - 1) / kTriplesPerTile;
 
-  const auto rank_side = [&](const Triple& t, bool corrupt_head,
-                             const double* side_scores) {
+  const auto rank_of = [&](const Triple& t, bool corrupt_head,
+                           const double* side_scores) {
     const EntityId true_entity = corrupt_head ? t.head : t.tail;
     const double true_score = side_scores[true_entity];
     std::size_t rank = 1;
@@ -76,35 +73,57 @@ RankingMetrics Evaluator::link_prediction(const KgeModel& model,
       }
       ++rank;
     }
+    return rank;
+  };
+
+  // Ranks are taken tile by tile: the head and tail queries of up to
+  // kScanTile / 2 triples are scored in one entity scan. Each chunk of
+  // tiles owns a score buffer and writes only its queries' rank slots,
+  // so the ranks do not depend on how the tiles are split.
+  std::vector<std::size_t> ranks(2 * count);
+  const auto rank_tiles = [&](std::size_t first_tile, std::size_t end_tile) {
+    std::vector<double> scores(kScanTile * num_entities);
+    std::vector<EntityQuery> queries;
+    for (std::size_t tile = first_tile; tile < end_tile; ++tile) {
+      const std::size_t first = tile * kTriplesPerTile;
+      const std::size_t end = std::min(count, first + kTriplesPerTile);
+      queries.clear();
+      for (std::size_t i = first; i < end; ++i) {
+        const Triple& t = triples[i * stride];
+        queries.push_back({Direction::kHead, t.tail, t.relation});
+        queries.push_back({Direction::kTail, t.head, t.relation});
+      }
+      model.score_entities_block(queries, 0, num_entities, scores);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        ranks[2 * first + q] =
+            rank_of(triples[(first + q / 2) * stride], q % 2 == 0,
+                    scores.data() + q * num_entities);
+      }
+    }
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(num_tiles, rank_tiles);
+  } else {
+    rank_tiles(0, num_tiles);
+  }
+
+  // The sums run in query order whatever the split.
+  double mrr_sum = 0.0, rank_sum = 0.0;
+  double mrr_head_sum = 0.0, mrr_tail_sum = 0.0;
+  std::size_t hits1 = 0, hits3 = 0, hits10 = 0;
+  for (std::size_t q = 0; q < ranks.size(); ++q) {
+    const std::size_t rank = ranks[q];
     const double reciprocal = 1.0 / static_cast<double>(rank);
     mrr_sum += reciprocal;
-    (corrupt_head ? mrr_head_sum : mrr_tail_sum) += reciprocal;
+    (q % 2 == 0 ? mrr_head_sum : mrr_tail_sum) += reciprocal;
     rank_sum += static_cast<double>(rank);
     hits1 += rank <= 1;
     hits3 += rank <= 3;
     hits10 += rank <= 10;
-    ++evaluated;
-  };
-
-  const auto rank_tile = [&] {
-    model.score_entities_block(queries, 0, num_entities, scores);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      rank_side(*tile[q / 2], queries[q].direction == Direction::kHead,
-                scores.data() + q * num_entities);
-    }
-    queries.clear();
-    tile.clear();
-  };
-
-  for (std::size_t i = 0; i < triples.size(); i += stride) {
-    const Triple& t = triples[i];
-    queries.push_back({Direction::kHead, t.tail, t.relation});
-    queries.push_back({Direction::kTail, t.head, t.relation});
-    tile.push_back(&t);
-    if (queries.size() == kScanTile) rank_tile();
   }
-  if (!queries.empty()) rank_tile();
 
+  RankingMetrics metrics;
+  const std::size_t evaluated = ranks.size();
   if (evaluated != 0) {
     metrics.mrr = mrr_sum / static_cast<double>(evaluated);
     metrics.mean_rank = rank_sum / static_cast<double>(evaluated);

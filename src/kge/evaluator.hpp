@@ -18,6 +18,10 @@
 #include "kge/model.hpp"
 #include "kge/negative_sampler.hpp"
 
+namespace dynkge::util {
+class ThreadPool;  // util/thread_pool.hpp
+}  // namespace dynkge::util
+
 namespace dynkge::kge {
 
 struct EvalOptions {
@@ -46,10 +50,15 @@ class Evaluator {
   explicit Evaluator(const Dataset& dataset)
       : dataset_(&dataset), sampler_(dataset, /*filter_known=*/true) {}
 
-  /// Rank-based metrics over `triples` (usually dataset.test()).
+  /// Rank-based metrics over `triples` (usually dataset.test()). With a
+  /// `pool`, the entity-scan tiles are split across its workers; the
+  /// metrics are byte-identical to the serial call for any pool size (each
+  /// query's rank lands in its own slot, and the sums run in query order).
+  /// Must not be called from a worker of `pool`.
   RankingMetrics link_prediction(const KgeModel& model,
                                  std::span<const Triple> triples,
-                                 const EvalOptions& options = {}) const;
+                                 const EvalOptions& options = {},
+                                 util::ThreadPool* pool = nullptr) const;
 
   /// TCA in percent: thresholds fitted on valid, measured on test.
   /// `max_triples` != 0 caps both splits (prefix subsample) for speed.

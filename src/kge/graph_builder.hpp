@@ -6,13 +6,11 @@
 // from "my domain facts" to "trainable KG".
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "kge/dataset.hpp"
-#include "util/rng.hpp"
 
 namespace dynkge::kge {
 
@@ -51,13 +49,6 @@ class GraphBuilder {
   /// Build a Dataset whose test (and, reused, validation) split is the
   /// last `holdout` recorded facts. Throws if holdout >= facts.
   Dataset dataset_with_tail_holdout(std::size_t holdout) const;
-
-  /// Build a Dataset with a seeded random split by fractions. Facts whose
-  /// entities/relations would otherwise be absent from train are forced
-  /// into train.
-  Dataset dataset_with_random_split(double valid_fraction,
-                                    double test_fraction,
-                                    std::uint64_t seed) const;
 
  private:
   std::map<std::string, EntityId> entity_ids_;

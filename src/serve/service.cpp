@@ -83,10 +83,6 @@ std::uint64_t InferenceService::swap_model(
   return store_.publish(std::move(model));
 }
 
-std::uint64_t InferenceService::reload_checkpoint(const std::string& path) {
-  return swap_model(kge::load_model(path));
-}
-
 QueryCache::ResultPtr InferenceService::topk(const TopKQuery& query) {
   const stream::ReadTicket ticket(&admission_, 1);
   if (!ticket.admitted()) {

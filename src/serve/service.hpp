@@ -17,8 +17,8 @@
 // Streaming updates. The model lives in a stream::SnapshotStore: every
 // query (or batch) pins the current version, scores entirely against that
 // immutable snapshot, and tags its cache entries with the version. The
-// ONLY mutation routes are swap_model() / reload_checkpoint() (full swap)
-// and a stream::DeltaIngestor publishing into store() (delta refresh) —
+// ONLY mutation routes are swap_model() (full swap) and a
+// stream::DeltaIngestor publishing into store() (delta refresh) —
 // both go through SnapshotStore::publish, so a swap can never race
 // in-flight scoring: readers finish on the version they pinned. A publish
 // observer registered here invalidates the cache (full clear for a swap,
@@ -131,9 +131,6 @@ class InferenceService {
   /// finish on the version they pinned). Clears the query cache via the
   /// publish observer. Returns the new version number.
   std::uint64_t swap_model(std::shared_ptr<const kge::KgeModel> model);
-
-  /// swap_model() from a checkpoint written by kge::save_model.
-  std::uint64_t reload_checkpoint(const std::string& path);
 
   /// Version currently being served.
   std::uint64_t current_version() const { return store_.current_version(); }

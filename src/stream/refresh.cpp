@@ -71,11 +71,16 @@ RefreshResult incremental_refresh(kge::KgeModel& model,
   kge::RowAdam entity_opt(static_cast<std::int32_t>(touched.size()),
                           model.entities().width(), adam);
 
-  const bool hard_mining = dataset != nullptr &&
-                           params.negatives_used < params.negatives_sampled &&
+  // With a dataset, corruptions are filtered draws: the hardest `kept` of
+  // `sampled` (strategy-5 reuse, core/hard_negatives.hpp), or all of them.
+  const bool hard_mining = params.negatives_used < params.negatives_sampled &&
                            params.negatives_used > 0;
+  const int kept =
+      hard_mining ? params.negatives_used : params.negatives_sampled;
   std::optional<kge::NegativeSampler> sampler;
-  if (dataset != nullptr) sampler.emplace(*dataset, true);
+  if (dataset != nullptr && params.negatives_sampled > 0) {
+    sampler.emplace(*dataset, true);
+  }
   kge::ModelGrads grads = model.make_grads();
   kge::TripleList negatives;
   std::vector<std::size_t> negative_offsets;
@@ -86,20 +91,16 @@ RefreshResult incremental_refresh(kge::KgeModel& model,
     grads.clear();
     negatives.clear();
     negative_offsets.assign(1, 0);
-    if (hard_mining) {
-      // Strategy-5 reuse: score `sampled` corruptions, train on the
-      // hardest `used` (core/hard_negatives.hpp).
-      core::select_hard_negatives_block(
-          model, *sampler, deltas, params.negatives_sampled,
-          params.negatives_used, rng, negatives, negative_offsets,
-          hn_scratch);
+    if (sampler.has_value()) {
+      core::select_hard_negatives_block(model, *sampler, deltas,
+                                        params.negatives_sampled, kept, rng,
+                                        negatives, negative_offsets,
+                                        hn_scratch);
     } else {
       for (const kge::Triple& positive : deltas) {
         for (int i = 0; i < params.negatives_sampled; ++i) {
           negatives.push_back(
-              sampler.has_value()
-                  ? sampler->corrupt(positive, rng)
-                  : corrupt_uniform(positive, model.num_entities(), rng));
+              corrupt_uniform(positive, model.num_entities(), rng));
         }
         negative_offsets.push_back(negatives.size());
       }

@@ -1,6 +1,5 @@
 #include "util/argparse.hpp"
 
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -37,27 +36,64 @@ std::string ArgParser::get_string(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// `parse(token, &used)` when it reads all of `token`; otherwise an error
+/// naming the flag and the token ("--nodes: expected an integer, got
+/// '2x'").
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& token,
+                 const char* expected, Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto value = parse(token, &used);
+    if (used == token.size()) return value;
+  } catch (const std::logic_error&) {
+    // std::invalid_argument or std::out_of_range: reported below.
+  }
+  throw std::invalid_argument("--" + name + ": expected " + expected +
+                              ", got '" + token + "'");
+}
+
+std::int64_t parse_int(const std::string& name, const std::string& token) {
+  return parse_whole(name, token, "an integer",
+                     [](const std::string& s, std::size_t* used) {
+                       return static_cast<std::int64_t>(std::stoll(s, used));
+                     });
+}
+
+}  // namespace
+
 std::int64_t ArgParser::get_int(const std::string& name,
                                 std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end() || it->second.empty()) return fallback;
-  return std::stoll(it->second);
+  return parse_int(name, it->second);
 }
 
 double ArgParser::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end() || it->second.empty()) return fallback;
-  return std::stod(it->second);
+  return parse_whole(name, it->second, "a number",
+                     [](const std::string& s, std::size_t* used) {
+                       return std::stod(s, used);
+                     });
 }
 
 bool ArgParser::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  if (it->second.empty() || it->second == "1" || it->second == "true" ||
-      it->second == "yes" || it->second == "on") {
+  const std::string& value = it->second;
+  if (value.empty() || value == "1" || value == "true" || value == "yes" ||
+      value == "on") {
     return true;
   }
-  return false;
+  if (value == "0" || value == "false" || value == "no" || value == "off") {
+    return false;
+  }
+  throw std::invalid_argument("--" + name +
+                              ": expected true/false, yes/no, on/off or "
+                              "1/0, got '" + value + "'");
 }
 
 std::vector<std::int64_t> ArgParser::get_int_list(
@@ -68,7 +104,7 @@ std::vector<std::int64_t> ArgParser::get_int_list(
   std::stringstream ss(it->second);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::stoll(tok));
+    if (!tok.empty()) out.push_back(parse_int(name, tok));
   }
   return out;
 }

@@ -8,7 +8,9 @@
 //
 // Flags are written as `--name value` or `--name=value`; boolean flags as
 // bare `--name`. Unknown positional arguments are rejected so typos fail
-// loudly instead of silently running the default experiment.
+// loudly instead of silently running the default experiment, and so is a
+// numeric or boolean value that does not parse in full: the typed getters
+// throw std::invalid_argument naming the flag and the token.
 #pragma once
 
 #include <cstdint>

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "comm/fault.hpp"
 #include "core/federated.hpp"
@@ -201,6 +203,54 @@ TEST(FlagValidation, FederatedPolicyRejectedByFlagName) {
   expect_message_names_flag(
       [&] { core::validate_federated_policy(policy); },
       "--max-rank-failures");
+}
+
+// ---- values that do not parse in full ----------------------------------
+//
+// A typed getter takes the whole token or throws naming the flag and the
+// token: `--nodes 2x` must not train on 2 nodes, nor `--seed 3.7` seed 3.
+
+void expect_rejected(const std::function<void()>& get, const std::string& flag,
+                     const std::string& token) {
+  expect_message_names_flag(get, flag);
+  expect_message_names_flag(get, "'" + token + "'");
+}
+
+TEST(ArgParser, IntRejectsPartialAndNonNumericValues) {
+  const auto args = make({"--nodes", "2x", "--seed", "3.7", "--rank",
+                          "two", "--batch", "99999999999999999999"});
+  expect_rejected([&] { args.get_int("nodes", 1); }, "--nodes", "2x");
+  expect_rejected([&] { args.get_int("seed", 1); }, "--seed", "3.7");
+  expect_rejected([&] { args.get_int("rank", 1); }, "--rank", "two");
+  expect_rejected([&] { args.get_int("batch", 1); }, "--batch",
+                  "99999999999999999999");
+}
+
+TEST(ArgParser, DoubleRejectsPartialAndNonNumericValues) {
+  const auto args = make({"--lr", "0.01x", "--collective-deadline", "five",
+                          "--refresh-lr=1e-3"});
+  expect_rejected([&] { args.get_double("lr", 0.0); }, "--lr", "0.01x");
+  expect_rejected([&] { args.get_double("collective-deadline", 0.0); },
+                  "--collective-deadline", "five");
+  EXPECT_DOUBLE_EQ(args.get_double("refresh-lr", 0.0), 1e-3);
+}
+
+TEST(ArgParser, IntListRejectsABadElement) {
+  const auto args = make({"--nodes", "1,2x,4", "--ranks", "1,,3"});
+  expect_rejected([&] { args.get_int_list("nodes", {}); }, "--nodes", "2x");
+  // Empty elements are skipped, as before.
+  EXPECT_EQ(args.get_int_list("ranks", {}),
+            (std::vector<std::int64_t>{1, 3}));
+}
+
+TEST(ArgParser, BoolRejectsUnknownWords) {
+  const auto args = make({"--elastic=maybe", "--resume=no", "--json=0",
+                          "--filter=yes"});
+  expect_rejected([&] { args.get_bool("elastic", false); }, "--elastic",
+                  "maybe");
+  EXPECT_FALSE(args.get_bool("resume", true));
+  EXPECT_FALSE(args.get_bool("json", true));
+  EXPECT_TRUE(args.get_bool("filter", false));
 }
 
 }  // namespace

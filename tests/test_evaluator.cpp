@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "kge/complex_model.hpp"
 #include "kge/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dynkge::kge {
 namespace {
@@ -238,6 +242,99 @@ TEST(Evaluator, SideBreakdownSeparatesAsymmetricDifficulty) {
   // candidates tie at 5.0 -> strict-greater ranking gives rank 1 too,
   // but filtered=false keeps the 8 known true tails as competitors.
   EXPECT_GE(metrics.mrr_head_side, metrics.mrr_tail_side);
+}
+
+/// Field by field, byte for byte.
+::testing::AssertionResult same_bytes(const RankingMetrics& a,
+                                      const RankingMetrics& b) {
+  std::string differing;
+  const auto check = [&](const char* name, const auto& x, const auto& y) {
+    if (std::memcmp(&x, &y, sizeof x) != 0) {
+      differing += ' ';
+      differing += name;
+    }
+  };
+  check("mrr", a.mrr, b.mrr);
+  check("mean_rank", a.mean_rank, b.mean_rank);
+  check("hits1", a.hits1, b.hits1);
+  check("hits3", a.hits3, b.hits3);
+  check("hits10", a.hits10, b.hits10);
+  check("evaluated", a.evaluated, b.evaluated);
+  check("mrr_head_side", a.mrr_head_side, b.mrr_head_side);
+  check("mrr_tail_side", a.mrr_tail_side, b.mrr_tail_side);
+  if (differing.empty()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "differing:" << differing;
+}
+
+const Dataset& pool_dataset() {
+  static const Dataset dataset = generate_synthetic([] {
+    SyntheticSpec spec;
+    spec.num_entities = 150;
+    spec.num_relations = 8;
+    spec.num_triples = 2400;
+    spec.num_latent_types = 4;
+    spec.test_fraction = 0.1;
+    spec.seed = 41;
+    return spec;
+  }());
+  return dataset;
+}
+
+/// Ranks a span with no pool and on a pool of GetParam() workers: one
+/// worker, a few, and more workers than some spans have scan tiles.
+class EvaluatorPoolP : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  EvaluatorPoolP()
+      : model_(pool_dataset().num_entities(), pool_dataset().num_relations(),
+               8) {
+    util::Rng rng(9);
+    model_.init(rng);
+  }
+
+  /// Filtered and raw, the pool must return the serial call's bytes.
+  void expect_serial_bytes(std::span<const Triple> triples,
+                           std::size_t max_triples, const char* what) {
+    const Evaluator eval(pool_dataset());
+    for (const bool filtered : {true, false}) {
+      EvalOptions options;
+      options.filtered = filtered;
+      options.max_triples = max_triples;
+      const RankingMetrics serial =
+          eval.link_prediction(model_, triples, options);
+      EXPECT_TRUE(same_bytes(
+          serial, eval.link_prediction(model_, triples, options, &pool_)))
+          << what << (filtered ? ", filtered" : ", raw") << ", "
+          << pool_.size() << " workers";
+    }
+  }
+
+  ComplExModel model_;
+  util::ThreadPool pool_{GetParam()};
+};
+
+INSTANTIATE_TEST_SUITE_P(Workers, EvaluatorPoolP,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{3}, std::size_t{8}),
+                         ::testing::PrintToStringParamName());
+
+TEST_P(EvaluatorPoolP, FullSplitMatchesSerialBytes) {
+  ASSERT_GT(pool_dataset().test().size(), 100u);
+  expect_serial_bytes(pool_dataset().test(), 0, "full test split");
+}
+
+TEST_P(EvaluatorPoolP, SubsampleMatchesSerialBytes) {
+  expect_serial_bytes(pool_dataset().test(), 37, "max_triples subsample");
+}
+
+TEST_P(EvaluatorPoolP, EdgeSpansMatchSerialBytes) {
+  const auto test = pool_dataset().test();
+  expect_serial_bytes({}, 0, "empty span");
+  expect_serial_bytes(test.first(13), 0, "odd count, partial last tile");
+  expect_serial_bytes(test.first(3), 0, "fewer triples than workers");
+  const Evaluator eval(pool_dataset());
+  const RankingMetrics empty = eval.link_prediction(model_, {}, {}, &pool_);
+  EXPECT_EQ(empty.evaluated, 0u);
+  EXPECT_EQ(empty.mrr, 0.0);
 }
 
 TEST(Evaluator, PerfectClassifierScoresNearHundred) {

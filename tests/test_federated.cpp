@@ -14,6 +14,7 @@
 
 #include "comm/fault.hpp"
 #include "golden_digest.hpp"
+#include "kge/evaluator.hpp"
 #include "kge/synthetic.hpp"
 #include "util/thread_pool.hpp"
 
@@ -87,6 +88,7 @@ class FederatedDeterminism : public testing::TestWithParam<DeterminismCase> {
 TEST_P(FederatedDeterminism, ByteIdenticalAcrossHostPoolSizes) {
   const DeterminismCase& param = GetParam();
   FederatedConfig config = base_config(param.clients, param.selection);
+  config.compute_final_metrics = true;
   config.host_threads = 1;
   const auto serial = FederatedTrainer(tiny_dataset(), config).train();
   config.host_threads = 4;
@@ -97,6 +99,12 @@ TEST_P(FederatedDeterminism, ByteIdenticalAcrossHostPoolSizes) {
   EXPECT_TRUE(pooled.replicas_consistent);
   EXPECT_EQ(serial.final_val_accuracy, pooled.final_val_accuracy);
   expect_identical_models(serial, pooled);
+  // The final ranking runs on the host pool: the same numbers either way.
+  EXPECT_GT(serial.ranking.evaluated, 0u);
+  EXPECT_EQ(serial.tca, pooled.tca);
+  EXPECT_EQ(serial.ranking.mrr, pooled.ranking.mrr);
+  EXPECT_EQ(serial.ranking.mean_rank, pooled.ranking.mean_rank);
+  EXPECT_EQ(serial.ranking.hits10, pooled.ranking.hits10);
 }
 
 TEST_P(FederatedDeterminism, RoundLogRecordsSelection) {
@@ -201,6 +209,33 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.model) +
              (info.param.selection == SelectionMode::kTopK ? "_topk" : "_rs");
     });
+
+// ---- final metrics ----------------------------------------------------
+
+TEST(Federated, FinalMetricsRankTheReturnedModel) {
+  // The final ranking runs once, on the host, over the global model
+  // train() returns: a serial evaluation of that model gives the same
+  // bytes.
+  FederatedConfig config = base_config(3, SelectionMode::kNone);
+  config.compute_final_metrics = true;
+  config.host_threads = 2;
+  const auto report = FederatedTrainer(tiny_dataset(), config).train();
+  ASSERT_NE(report.model, nullptr);
+  EXPECT_GT(report.tca, 0.0);
+  kge::EvalOptions options;
+  options.max_triples = config.eval_max_triples;
+  const kge::RankingMetrics serial =
+      kge::Evaluator(tiny_dataset())
+          .link_prediction(*report.model, tiny_dataset().test(), options);
+  EXPECT_GT(serial.evaluated, 0u);
+  EXPECT_EQ(report.ranking.evaluated, serial.evaluated);
+  EXPECT_EQ(report.ranking.mrr, serial.mrr);
+  EXPECT_EQ(report.ranking.mean_rank, serial.mean_rank);
+  EXPECT_EQ(report.ranking.hits1, serial.hits1);
+  EXPECT_EQ(report.ranking.hits10, serial.hits10);
+  EXPECT_EQ(report.ranking.mrr_head_side, serial.mrr_head_side);
+  EXPECT_EQ(report.ranking.mrr_tail_side, serial.mrr_tail_side);
+}
 
 // ---- snapshot/resume --------------------------------------------------
 

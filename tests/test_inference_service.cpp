@@ -103,29 +103,6 @@ TEST_F(InferenceServiceTest, SwapInvalidatesCacheAndBumpsVersion) {
   EXPECT_EQ(snapshot.cache.invalidated_entries, 1u);
 }
 
-TEST_F(InferenceServiceTest, ReloadCheckpointSwapsServedWeights) {
-  const auto a = make_initialized("complex");
-  auto b = make_initialized("complex");
-  {
-    // Perturb one embedding row so the two checkpoints rank differently.
-    util::Rng rng(99);
-    b->init(rng);
-  }
-  const std::string file_b = path("b.dkge");
-  kge::save_model(*b, file_b);
-
-  InferenceService service(kge::clone_model(*a), nullptr);
-  const TopKQuery q{Direction::kTail, 3, 1, 8, false};
-  const TopKScorer reference;
-  ASSERT_NE(service.topk(q), nullptr);
-  EXPECT_EQ(*service.topk(q), reference.topk(q, *a));
-
-  EXPECT_EQ(service.reload_checkpoint(file_b), 2u);
-  const auto after = service.topk(q);
-  ASSERT_NE(after, nullptr);
-  EXPECT_EQ(*after, reference.topk(q, *b));
-}
-
 TEST_F(InferenceServiceTest, AdmissionShedsBeyondInflightLimit) {
   const auto model = make_initialized("complex");
   ServiceConfig config;

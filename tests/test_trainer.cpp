@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "core/scaffold.hpp"
+#include "kge/evaluator.hpp"
 #include "kge/synthetic.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dynkge::core {
 namespace {
@@ -328,11 +328,13 @@ bool same_floats(std::span<const float> a, std::span<const float> b) {
 }
 
 TEST(Trainer, HostThreadCountIsBitDeterministic) {
-  // The simulated cluster must produce byte-identical models and epoch
-  // logs no matter how many host threads co-schedule the ranks: fewer
-  // workers than ranks, matching, and more than ranks.
+  // The simulated cluster must produce byte-identical models, epoch logs
+  // and final metrics no matter how many host threads co-schedule the
+  // ranks and rank the test split: fewer workers than ranks, matching,
+  // and more than ranks.
   TrainConfig config = fast_config(4);
   config.strategy = StrategyConfig::rs_1bit(2);
+  config.compute_final_metrics = true;
   std::vector<TrainReport> reports;
   for (const int host_threads : {1, 2, 8}) {
     config.host_threads = host_threads;
@@ -341,6 +343,7 @@ TEST(Trainer, HostThreadCountIsBitDeterministic) {
   }
   const TrainReport& base = reports.front();
   ASSERT_NE(base.model, nullptr);
+  EXPECT_GT(base.ranking.evaluated, 0u);
   for (std::size_t i = 1; i < reports.size(); ++i) {
     const TrainReport& other = reports[i];
     EXPECT_TRUE(other.replicas_consistent);
@@ -364,6 +367,10 @@ TEST(Trainer, HostThreadCountIsBitDeterministic) {
     EXPECT_TRUE(same_floats(base.model->relations().flat(),
                             other.model->relations().flat()))
         << "relation embeddings diverged at host_threads run " << i;
+    EXPECT_EQ(base.tca, other.tca);
+    EXPECT_EQ(base.ranking.mrr, other.ranking.mrr);
+    EXPECT_EQ(base.ranking.mean_rank, other.ranking.mean_rank);
+    EXPECT_EQ(base.ranking.hits10, other.ranking.hits10);
   }
 }
 
@@ -378,27 +385,30 @@ TEST(Trainer, HostTelemetryFilled) {
   EXPECT_GT(report.host_speedup(), 0.0);
 }
 
-TEST(Trainer, SharedHostPoolMatchesPrivatePool) {
-  // A caller-owned pool (e.g. one shared with the serving layer) must not
-  // change the trajectory, and must be reusable across trainings.
+TEST(Trainer, FinalMetricsRankTheReturnedModel) {
+  // The final ranking runs once, on the host, over the model train()
+  // returns: a serial evaluation of that model gives the same bytes.
   TrainConfig config = fast_config(2);
-  config.max_epochs = 5;
-  config.strategy = StrategyConfig::rs(2);
-  const auto solo = DistributedTrainer(tiny_dataset(), config).train();
-
-  auto pool = std::make_shared<util::ThreadPool>(2);
-  config.host_pool = pool;
-  const auto first = DistributedTrainer(tiny_dataset(), config).train();
-  const auto second = DistributedTrainer(tiny_dataset(), config).train();
-  EXPECT_EQ(first.host_threads, 2);
-  ASSERT_EQ(solo.epochs, first.epochs);
-  ASSERT_EQ(solo.epochs, second.epochs);
-  for (int e = 0; e < solo.epochs; ++e) {
-    EXPECT_DOUBLE_EQ(solo.epoch_log[e].mean_loss,
-                     first.epoch_log[e].mean_loss);
-    EXPECT_DOUBLE_EQ(solo.epoch_log[e].mean_loss,
-                     second.epoch_log[e].mean_loss);
-  }
+  config.max_epochs = 3;
+  config.host_threads = 2;
+  config.strategy = StrategyConfig::rs_1bit(2);
+  config.compute_final_metrics = true;
+  const auto report = DistributedTrainer(tiny_dataset(), config).train();
+  ASSERT_NE(report.model, nullptr);
+  EXPECT_GT(report.tca, 0.0);
+  kge::EvalOptions options;
+  options.max_triples = config.eval_max_triples;
+  const kge::RankingMetrics serial =
+      kge::Evaluator(tiny_dataset())
+          .link_prediction(*report.model, tiny_dataset().test(), options);
+  EXPECT_GT(serial.evaluated, 0u);
+  EXPECT_EQ(report.ranking.evaluated, serial.evaluated);
+  EXPECT_EQ(report.ranking.mrr, serial.mrr);
+  EXPECT_EQ(report.ranking.mean_rank, serial.mean_rank);
+  EXPECT_EQ(report.ranking.hits1, serial.hits1);
+  EXPECT_EQ(report.ranking.hits10, serial.hits10);
+  EXPECT_EQ(report.ranking.mrr_head_side, serial.mrr_head_side);
+  EXPECT_EQ(report.ranking.mrr_tail_side, serial.mrr_tail_side);
 }
 
 TEST(Trainer, SelectionIntroducesSparsity) {
@@ -419,7 +429,7 @@ std::vector<char> replica_verdicts(bool with_relations, int entity,
                                    int relation) {
   std::vector<char> verdicts(2, 0);
   comm::Cluster(2).run([&](comm::Communicator& comm) {
-    auto model = init_model("complex", tiny_dataset(), 8, 0.1f, 4242);
+    auto model = init_model("complex", tiny_dataset(), 8, 4242);
     if (comm.rank() == 1) {
       if (entity >= 0) model->entities().row(entity)[0] += 1.0f;
       if (relation >= 0) model->relations().row(relation)[0] += 1.0f;

@@ -161,7 +161,6 @@
 #include "stream/delta_ingestor.hpp"
 
 #include "comm/fault.hpp"
-#include "core/distributed_eval.hpp"
 #include "obs/analysis.hpp"
 #include "obs/bench_reporter.hpp"
 #include "obs/events.hpp"
@@ -180,6 +179,7 @@
 #include "util/argparse.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace dynkge;
 
@@ -683,15 +683,10 @@ int cmd_eval(const util::ArgParser& args) {
   kge::EvalOptions options;
   options.max_triples =
       static_cast<std::size_t>(args.get_int("max-triples", 0));
-  // --nodes > 1 shards the ranking across a simulated cluster (identical
-  // numbers, parallel wall time on multi-core hosts).
-  const int nodes = static_cast<int>(args.get_int("nodes", 1));
+  // Ranks on every core; the numbers are those of a serial ranking.
+  util::ThreadPool pool(util::ThreadPool::hardware_threads());
   const auto metrics =
-      nodes > 1 ? core::distributed_link_prediction(*model, dataset,
-                                                    dataset.test(), nodes,
-                                                    options)
-                      .metrics
-                : evaluator.link_prediction(*model, dataset.test(), options);
+      evaluator.link_prediction(*model, dataset.test(), options, &pool);
   std::cout << "model: " << model->name() << "\n"
             << "filtered MRR: " << metrics.mrr
             << "  mean rank: " << metrics.mean_rank
