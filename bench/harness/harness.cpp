@@ -208,34 +208,34 @@ util::Table tca_curve(std::vector<std::string> header,
   return curve;
 }
 
-std::vector<core::TrainReport> run_baseline_table(
-    const HarnessOptions& options, const kge::Dataset& dataset,
-    std::span<const paper::BaselineRow> reference,
-    obs::BenchReporter& reporter, const std::string& caption) {
+namespace {
+
+/// "; its allreduce and allgather columns are Figure <panel>", or "".
+std::string figure1_note(const char* panel) {
+  return *panel == '\0' ? std::string()
+                         : std::string("; its allreduce and allgather "
+                                       "columns are Figure ") +
+                               panel;
+}
+
+/// The paper's baseline table from the all-reduce and all-gather runs
+/// (methods 0 and 1 of each node count's `methods_per_count` reports),
+/// each beside the paper's row for its node count.
+void emit_baseline_table(const HarnessOptions& options,
+                         const std::vector<core::TrainReport>& reports,
+                         std::size_t methods_per_count,
+                         const paper::CombinedFigure& paper) {
   util::Table table({"nodes", "method", "TT(sim s)", "N", "TCA", "MRR",
                      "paper TT(h)", "paper N", "paper TCA", "paper MRR"});
-  std::vector<core::TrainReport> reports;
-  for (const std::int64_t nodes : options.nodes) {
+  for (std::size_t n = 0; n < options.nodes.size(); ++n) {
+    const std::int64_t nodes = options.nodes[n];
     const paper::BaselineRow* row = nullptr;
-    for (const auto& candidate : reference) {
+    for (const auto& candidate : paper.table_rows) {
       if (candidate.nodes == nodes) row = &candidate;
     }
     for (const bool allgather : {false, true}) {
-      core::TrainConfig config = make_config(options, static_cast<int>(nodes));
-      config.strategy =
-          allgather
-              ? core::StrategyConfig::baseline_allgather(
-                    options.baseline_negatives)
-              : core::StrategyConfig::baseline_allreduce(
-                    options.baseline_negatives);
-      const auto& report = reports.emplace_back(run_experiment(dataset, config));
-      std::string key = "n";
-      key += std::to_string(nodes) + (allgather ? ".allgather" : ".allreduce");
-      reporter.set(key + ".tt_sim_seconds", report.total_sim_seconds);
-      reporter.count(key + ".epochs",
-                     static_cast<std::uint64_t>(report.epochs));
-      reporter.set(key + ".tca", report.tca);
-      reporter.set(key + ".mrr", report.ranking.mrr);
+      const core::TrainReport& report =
+          reports[n * methods_per_count + (allgather ? 1 : 0)];
       table.begin_row()
           .add(nodes)
           .add(report.strategy_label)
@@ -255,15 +255,18 @@ std::vector<core::TrainReport> run_baseline_table(
       }
     }
   }
-  emit(table, caption, options.csv);
-  return reports;
+  emit(table,
+       std::string(paper.table) + " (reproduced): the baseline runs of "
+           "Figure " + paper.figure,
+       options.csv);
 }
+
+}  // namespace
 
 std::vector<core::TrainReport> run_combined_figure(
     const HarnessOptions& options, const kge::Dataset& dataset,
     const std::vector<Method>& methods, obs::BenchReporter& reporter,
-    const std::string& figure, double paper_time_reduction_pct,
-    double paper_mrr_gain_pct) {
+    const paper::CombinedFigure& paper) {
   std::vector<std::string> header{"nodes"};
   for (const Method& method : methods) header.emplace_back(method.name);
   util::Table tt(header);
@@ -289,6 +292,7 @@ std::vector<core::TrainReport> run_combined_figure(
       reporter.set(key + ".tt_sim_seconds", report.total_sim_seconds);
       reporter.count(key + ".epochs",
                      static_cast<std::uint64_t>(report.epochs));
+      reporter.set(key + ".tca", report.tca);
       reporter.set(key + ".mrr", report.ranking.mrr);
       if (&method == &methods.front()) {
         allreduce_tt_sum += report.total_sim_seconds;
@@ -301,11 +305,17 @@ std::vector<core::TrainReport> run_combined_figure(
     }
   }
 
-  const std::string prefix = "Figure " + figure;
-  emit(tt, prefix + "a (reproduced): total training time (sim s)",
+  const std::string prefix = std::string("Figure ") + paper.figure;
+  emit(tt,
+       prefix + "a (reproduced): total training time (sim s)" +
+           figure1_note(paper.tt_panel),
        options.csv);
-  emit(epochs, prefix + "b (reproduced): epochs to convergence", options.csv);
+  emit(epochs,
+       prefix + "b (reproduced): epochs to convergence" +
+           figure1_note(paper.epochs_panel),
+       options.csv);
   emit(mrr, prefix + "c (reproduced): MRR", options.csv);
+  emit_baseline_table(options, reports, methods.size(), paper);
 
   const double time_reduction =
       100.0 * (1.0 - combined_tt_sum / allreduce_tt_sum);
@@ -313,9 +323,9 @@ std::vector<core::TrainReport> run_combined_figure(
       100.0 * (combined_mrr_sum / allreduce_mrr_sum - 1.0);
   std::cout << "Summary vs all-reduce baseline (averaged over node counts):\n"
             << "  training-time reduction: " << time_reduction
-            << "%  (paper: " << paper_time_reduction_pct << "%)\n"
+            << "%  (paper: " << paper.time_reduction_pct << "%)\n"
             << "  MRR change: " << mrr_gain << "%  (paper: +"
-            << paper_mrr_gain_pct << "%)\n";
+            << paper.mrr_gain_pct << "%)\n";
   reporter.set("time_reduction_pct", time_reduction);
   reporter.set("mrr_gain_pct", mrr_gain);
   reporter.flag("combined_saves_time", time_reduction > 0.0);

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -94,15 +93,6 @@ void emit(const util::Table& table, const std::string& caption, bool csv);
 util::Table tca_curve(std::vector<std::string> header,
                       const std::vector<const core::TrainReport*>& runs);
 
-/// Tables 1 and 2: an all-reduce and an all-gather baseline run at every
-/// node count, tabulated under `caption` beside the paper's row for that
-/// count and reported as n<nodes>.<allreduce|allgather>.*. Returns the
-/// reports in that order (per node count, all-reduce first).
-std::vector<core::TrainReport> run_baseline_table(
-    const HarnessOptions& options, const kge::Dataset& dataset,
-    std::span<const paper::BaselineRow> reference,
-    obs::BenchReporter& reporter, const std::string& caption);
-
 /// One method of a combined-methods figure.
 struct Method {
   const char* name;  ///< legend name
@@ -112,13 +102,15 @@ struct Method {
 
 /// Figures 8 and 9: every method at every node count, as "Figure
 /// <figure>{a,b,c}" tables of training time, epochs and MRR, reported as
-/// n<nodes>.<key>.*; then the last method's (the combined stack) average
-/// time reduction and MRR gain over the first (all-reduce) next to the
-/// paper's. Returns the reports per node count, in method order.
+/// n<nodes>.<key>.{tt_sim_seconds,epochs,tca,mrr}. The first two methods
+/// must be all-reduce and all-gather: their runs are printed again as the
+/// paper's baseline table beside its rows. Last comes the last method's
+/// (the combined stack's) average time reduction and MRR gain over the
+/// first, next to the paper's. Returns the reports per node count, in
+/// method order.
 std::vector<core::TrainReport> run_combined_figure(
     const HarnessOptions& options, const kge::Dataset& dataset,
     const std::vector<Method>& methods, obs::BenchReporter& reporter,
-    const std::string& figure, double paper_time_reduction_pct,
-    double paper_mrr_gain_pct);
+    const paper::CombinedFigure& paper);
 
 }  // namespace dynkge::bench

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 namespace dynkge::bench::paper {
 
@@ -58,11 +59,25 @@ inline constexpr SampleSelectionRow kTable4[] = {
     {"10 out of 10", 10, 10, 2.10, 344, 0.592, 90.5},
 };
 
-// Section 5.3 summary claims.
-inline constexpr double kFb250kTimeReductionPct = 44.95;
-inline constexpr double kFb250kMrrGainPct = 17.5;
-inline constexpr double kFb15kTimeReductionPct = 65.2;
-inline constexpr double kFb15kMrrGainPct = 17.7;
+/// A combined-methods figure (8 or 9). Its first two methods, all-reduce
+/// and all-gather, are the paper's baseline runs: those of `table`, and of
+/// Figure 1 in the time and epoch panels.
+struct CombinedFigure {
+  const char* figure;  ///< "8" captions "Figure 8a", "Figure 8b", ...
+  const char* table;   ///< "Table 1"
+  std::span<const BaselineRow> table_rows;  ///< that table's paper rows
+  const char* tt_panel;      ///< Figure 1 panel of the baseline TT columns
+  const char* epochs_panel;  ///< ... of the baseline epoch columns, or ""
+  // Section 5.3: the combined stack's mean time reduction and MRR gain.
+  double time_reduction_pct;
+  double mrr_gain_pct;
+};
+
+inline constexpr CombinedFigure kFigure8{
+    "8", "Table 1", kTable1Fb15k, "1a", "", 65.2, 17.7};
+inline constexpr CombinedFigure kFigure9{
+    "9", "Table 2", kTable2Fb250k, "1b", "1c", 44.95, 17.5};
+
 // Section 4.3: all-reduce epochs drop ~60% once quantization is on.
 inline constexpr double kAllReduceReductionPct = 60.0;
 

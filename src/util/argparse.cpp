@@ -26,14 +26,30 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
   }
 }
 
+const std::string* ArgParser::find(const std::string& name) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return nullptr;
+  read_.insert(name);
+  return &it->second;
+}
+
 bool ArgParser::has_flag(const std::string& name) const {
-  return values_.count(name) != 0;
+  return find(name) != nullptr;
 }
 
 std::string ArgParser::get_string(const std::string& name,
                                   const std::string& fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
+}
+
+void ArgParser::reject_unread() const {
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) {
+      throw UnreadFlagError("unknown flag --" + name +
+                            " (this command does not read it)");
+    }
+  }
 }
 
 namespace {
@@ -66,24 +82,24 @@ std::int64_t parse_int(const std::string& name, const std::string& token) {
 
 std::int64_t ArgParser::get_int(const std::string& name,
                                 std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  return parse_int(name, it->second);
+  const std::string* value = find(name);
+  if (value == nullptr || value->empty()) return fallback;
+  return parse_int(name, *value);
 }
 
 double ArgParser::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  return parse_whole(name, it->second, "a number",
+  const std::string* value = find(name);
+  if (value == nullptr || value->empty()) return fallback;
+  return parse_whole(name, *value, "a number",
                      [](const std::string& s, std::size_t* used) {
                        return std::stod(s, used);
                      });
 }
 
 bool ArgParser::get_bool(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& value = it->second;
+  const std::string* found = find(name);
+  if (found == nullptr) return fallback;
+  const std::string& value = *found;
   if (value.empty() || value == "1" || value == "true" || value == "yes" ||
       value == "on") {
     return true;
@@ -98,10 +114,10 @@ bool ArgParser::get_bool(const std::string& name, bool fallback) const {
 
 std::vector<std::int64_t> ArgParser::get_int_list(
     const std::string& name, const std::vector<std::int64_t>& fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
+  const std::string* value = find(name);
+  if (value == nullptr || value->empty()) return fallback;
   std::vector<std::int64_t> out;
-  std::stringstream ss(it->second);
+  std::stringstream ss(*value);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
     if (!tok.empty()) out.push_back(parse_int(name, tok));

@@ -10,15 +10,25 @@
 // bare `--name`. Unknown positional arguments are rejected so typos fail
 // loudly instead of silently running the default experiment, and so is a
 // numeric or boolean value that does not parse in full: the typed getters
-// throw std::invalid_argument naming the flag and the token.
+// throw std::invalid_argument naming the flag and the token. The parser
+// records which flags a getter or has_flag() asked for; a program that has
+// read every flag it takes calls reject_unread(), so a misspelt or foreign
+// flag fails too.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace dynkge::util {
+
+/// A flag on the command line that the program never read.
+struct UnreadFlagError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
 
 class ArgParser {
  public:
@@ -37,8 +47,16 @@ class ArgParser {
   std::vector<std::int64_t> get_int_list(
       const std::string& name, const std::vector<std::int64_t>& fallback) const;
 
+  /// Throws UnreadFlagError naming the first flag, in name order, that no
+  /// getter and no has_flag() has asked for.
+  void reject_unread() const;
+
  private:
+  /// The value given for --name, or null; marks the flag read.
+  const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace dynkge::util

@@ -87,6 +87,26 @@ TEST(ArgParser, NegativeNumbersAsValues) {
   EXPECT_EQ(args.get_int("offset", 0), -3);
 }
 
+TEST(ArgParser, RejectsFlagsNoGetterRead) {
+  const auto args = make({"--nodes", "2", "--verbose", "--max-epoch", "1",
+                          "--zeta=3"});
+  EXPECT_EQ(args.get_int("nodes", 0), 2);
+  EXPECT_TRUE(args.has_flag("verbose"));
+  EXPECT_EQ(args.get_int("max-epochs", 7), 7);  // asked for, never given
+  try {
+    args.reject_unread();
+    FAIL() << "--max-epoch was never read";
+  } catch (const UnreadFlagError& error) {
+    EXPECT_NE(std::string(error.what()).find("--max-epoch "),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(args.get_string("max-epoch", ""), "1");
+  EXPECT_THROW(args.reject_unread(), UnreadFlagError);  // --zeta
+  EXPECT_EQ(args.get_int("zeta", 0), 3);
+  EXPECT_NO_THROW(args.reject_unread());
+}
+
 // ---- selection / federated flag surface ------------------------------
 //
 // The CLI forwards these straight into TrainConfig / FederatedPolicy, so

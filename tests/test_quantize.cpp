@@ -96,6 +96,51 @@ TEST(RowCodec, OneBitMeanUsesMeanAbs) {
   EXPECT_FLOAT_EQ(decoded[1], -2.0f);
 }
 
+/// One 1-bit encode/decode of a Gaussian row of `width`: the relative L2
+/// error ||v - q(v)|| / ||v|| and the cosine between v and q(v).
+struct OneBitFidelity {
+  double relative_error;
+  double cosine;
+};
+
+OneBitFidelity one_bit_fidelity(OneBitScale scale, std::size_t width,
+                                std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> row(width);
+  for (auto& v : row) v = static_cast<float>(rng.next_normal());
+  const RowCodec codec(QuantMode::kOneBit, scale, width);
+  std::vector<std::byte> buffer;
+  codec.encode(0, row, buffer, rng);
+  std::vector<float> decoded(width);
+  codec.decode(buffer, decoded);
+  double error_sq = 0.0, dot = 0.0;
+  for (std::size_t i = 0; i < width; ++i) {
+    const double e = static_cast<double>(decoded[i]) - row[i];
+    error_sq += e * e;
+    dot += static_cast<double>(row[i]) * decoded[i];
+  }
+  const double norm = util::nrm2(row);
+  return {std::sqrt(error_sq) / norm, dot / (norm * util::nrm2(decoded))};
+}
+
+TEST(RowCodec, OneBitMaxScaleIsNotAContraction) {
+  // The paper's 1-bit scale inflates every component to max|v|, so on a
+  // Gaussian row the error exceeds the signal: error feedback cannot
+  // converge with it. It stays directionally faithful (signs are kept).
+  const OneBitFidelity fidelity = one_bit_fidelity(OneBitScale::kMax, 128, 5);
+  EXPECT_GT(fidelity.relative_error, 1.0);
+  EXPECT_GT(fidelity.cosine, 0.5);
+}
+
+TEST(RowCodec, OneBitMeanScaleIsAContraction) {
+  EXPECT_LT(one_bit_fidelity(OneBitScale::kMean, 128, 7).relative_error, 1.0);
+}
+
+TEST(RowCodec, OneBitMeanScaleErrsLessThanMaxScale) {
+  EXPECT_LT(one_bit_fidelity(OneBitScale::kMean, 200, 11).relative_error,
+            one_bit_fidelity(OneBitScale::kMax, 200, 11).relative_error);
+}
+
 TEST(RowCodec, OneSidedScaleVariants) {
   const std::vector<float> row{1.0f, -4.0f, 2.0f, -1.0f};
   util::Rng rng(1);

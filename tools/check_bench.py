@@ -78,15 +78,13 @@ def f(name):
     return (f"flags.{name}", "exact", None)
 
 
-def training_run_gates(key, with_tca=True, with_mrr=True, with_tt=True):
+def training_run_gates(key, with_tca=True):
     """Standard gate block for one seeded training run under `key`."""
-    gates = [c(f"{key}.epochs", "near", EPOCH_TOL)]
-    if with_tt:
-        gates.append(g(f"{key}.tt_sim_seconds", "lower", TIMING_TOL))
+    gates = [c(f"{key}.epochs", "near", EPOCH_TOL),
+             g(f"{key}.tt_sim_seconds", "lower", TIMING_TOL)]
     if with_tca:
         gates.append(g(f"{key}.tca"))
-    if with_mrr:
-        gates.append(g(f"{key}.mrr"))
+    gates.append(g(f"{key}.mrr"))
     return gates
 
 
@@ -113,25 +111,6 @@ TRAIN_GATES = [gate
                for key in ("baseline", "combined")
                for gate in (c(f"{key}.epochs"),
                             g(f"{key}.positives_per_cpu_s", "higher", 0.90))]
-
-TABLE1_GATES = [f"n{n}.{m}"
-                for n in (1, 2, 4, 8) for m in ("allreduce", "allgather")]
-TABLE1_GATES = [gate for key in TABLE1_GATES
-                for gate in training_run_gates(key)]
-
-TABLE2_GATES = [gate
-                for n in (1, 2, 4, 8, 16) for m in ("allreduce", "allgather")
-                for gate in training_run_gates(f"n{n}.{m}")] + [
-    f("allgather_wins_at_2_nodes"),
-    f("allreduce_wins_at_max_nodes"),
-]
-
-FIG1_GATES = [gate
-              for ds, counts in (("fb15k", (1, 2, 4, 8)),
-                                 ("fb250k", (1, 2, 4, 8, 16)))
-              for n in counts for m in ("allreduce", "allgather")
-              for gate in training_run_gates(f"{ds}.n{n}.{m}",
-                                             with_tca=False, with_mrr=False)]
 
 FIG2_GATES = [
     c("epochs", "near", EPOCH_TOL),
@@ -179,12 +158,14 @@ TABLE4_GATES = [gate
     f("mrr_rises_with_pool"),
 ]
 
+# The all-reduce and all-gather columns are the paper's baseline runs
+# (Table 1 here, Table 2 in fig9), so they gate TCA as well.
 FIG8_GATES = [gate
               for n in (1, 2, 4, 8)
               for m in ("allreduce", "allgather", "rs", "rs_1bit",
                         "rs_1bit_rp_ss")
-              for gate in training_run_gates(f"n{n}.{m}",
-                                             with_tca=False)] + [
+              for gate in training_run_gates(
+                  f"n{n}.{m}", with_tca=m in ("allreduce", "allgather"))] + [
     g("mrr_gain_pct"),
     f("combined_saves_time"),
 ]
@@ -193,8 +174,8 @@ FIG9_GATES = [gate
               for n in (1, 2, 4, 8, 16)
               for m in ("allreduce", "allgather", "drs", "drs_1bit",
                         "drs_1bit_rp_ss")
-              for gate in training_run_gates(f"n{n}.{m}",
-                                             with_tca=False)] + [
+              for gate in training_run_gates(
+                  f"n{n}.{m}", with_tca=m in ("allreduce", "allgather"))] + [
     g("drs_allreduce_fraction"),
     g("drs_1bit_allreduce_fraction"),
     g("mrr_gain_pct"),
@@ -268,9 +249,6 @@ OBS_OVERHEAD_GATES = [
 GATE_SETS = {
     "serve": SERVE_GATES,
     "train": TRAIN_GATES,
-    "table1_baseline_fb15k": TABLE1_GATES,
-    "table2_baseline_fb250k": TABLE2_GATES,
-    "fig1_baseline_curves": FIG1_GATES,
     "fig2_nonzero_rows": FIG2_GATES,
     "fig3_selection_thresholds": FIG3_GATES,
     "fig4_2bit_random_selection": FIG4_GATES,

@@ -8,6 +8,10 @@
 //                    drs1bit|full] [--nodes N] [--rank N] [--batch N]
 //                   [--lr X] [--tolerance N] [--max-epochs N] [--seed N]
 //                   [--model complex|distmult|transe]
+//                   [--negatives N]     negatives per positive (default 4)
+//                   [--ss-sampled N]    negatives --strategy full samples
+//                                       per positive to keep the hardest
+//                                       one (default 8)
 //                   [--host-threads N]  host threads the simulated ranks
 //                                       run on (0 = all cores; results are
 //                                       bit-identical for every value)
@@ -113,7 +117,9 @@
 //                                                          contradicts the
 //                                                          measurements)
 //   dynkge eval     --data <dir> --model-file <file>       evaluate a saved
-//                                                          model
+//                   [--max-triples N]                      model (on the
+//                                                          first N test
+//                                                          triples; 0 = all)
 //   dynkge predict  --data <dir> --model-file <file>       top-k entities
 //                   --head H | --tail T  --relation R      for a query,
 //                   [--topk K] [--threads N] [--filter]    served by
@@ -126,17 +132,20 @@
 //                   [--topk K] [--seed N]                  against versioned
 //                   [--delta-batch N] [--refresh-steps N]  snapshots, deltas
 //                   [--refresh-lr X] [--max-inflight N]    batched through
-//                   [--max-version-lag N]                  DeltaIngestor and
-//                   [--metrics-out f] [--trace-out f]      hot-swapped with
-//                   [--events-out f.jsonl]                 zero downtime
+//                   [--refresh-negatives N]                DeltaIngestor and
+//                   [--max-version-lag N]                  hot-swapped with
+//                   [--metrics-out f] [--trace-out f]      zero downtime
+//                   [--events-out f.jsonl]
 //   dynkge serve-bench --data <dir> | --preset <name>      replay a skewed
 //                   [--model-file f] [--queries N]         synthetic query
 //                   [--distinct N] [--topk K]              stream through
 //                   [--threads N] [--cache N] [--batch N]  InferenceService;
 //                   [--seed N] [--metrics-out f]           report p50/p95/p99
-//                   [--mixed-updates N] [--delta-batch N]  latency, QPS, and
-//                   [--refresh-steps N]                    speedup over the
-//                   [--bench-json f]                       single-query scan;
+//                   [--baseline-queries N]                 latency, QPS, and
+//                   [--mixed-updates N] [--delta-batch N]  speedup over the
+//                   [--refresh-steps N] [--refresh-lr X]   single-query scan
+//                   [--refresh-negatives N]                (timed on the
+//                   [--bench-json f]                       first N queries);
 //                                                          --mixed-updates
 //                                                          adds a churn phase
 //                                                          (reads racing delta
@@ -145,9 +154,13 @@
 //                                                          machine-readable
 //                                                          results for
 //                                                          tools/check_bench.py
+//
+// Every command reads all the flags it takes before it starts work; a flag
+// it does not take is a usage error (exit 2) naming the flag.
 #include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -202,11 +215,16 @@ kge::SyntheticSpec preset_by_name(const std::string& name) {
                               "fb250k_mini|fb250k_full)");
 }
 
-kge::Dataset dataset_from_flags(const util::ArgParser& args) {
-  const std::string data_dir = args.get_string("data", "");
-  if (!data_dir.empty()) return kge::load_dataset(data_dir);
-  return kge::generate_synthetic(
-      preset_by_name(args.get_string("preset", "fb15k_mini")));
+using DatasetLoader = std::function<kge::Dataset()>;
+
+/// Reads --data <dir> and --preset <name>; the loader reads the OpenKE
+/// directory when one was given, else generates the preset.
+DatasetLoader dataset_from_flags(const util::ArgParser& args) {
+  return [dir = args.get_string("data", ""),
+          preset = args.get_string("preset", "fb15k_mini")] {
+    return dir.empty() ? kge::generate_synthetic(preset_by_name(preset))
+                       : kge::load_dataset(dir);
+  };
 }
 
 core::StrategyConfig strategy_by_name(const std::string& name,
@@ -255,14 +273,17 @@ void apply_selection_flags(const util::ArgParser& args,
   if (args.get_bool("drs-topk-arm", false)) strategy.dynamic_topk_arm = true;
 }
 
-/// The --metrics-out / --trace-out / --events-out sinks. Each exists only
-/// when its flag asks for it, so a default run pays nothing; write() saves
+/// The --metrics-out / --trace-out / --events-out sinks. open() creates
+/// each one its flag asks for, so a default run pays nothing; write() saves
 /// them after the run and says where they went.
 struct TelemetryFiles {
   explicit TelemetryFiles(const util::ArgParser& args)
       : metrics_path(args.get_string("metrics-out", "")),
         trace_path(args.get_string("trace-out", "")),
-        events_path(args.get_string("events-out", "")) {
+        events_path(args.get_string("events-out", "")) {}
+
+  /// Creates the sinks (the events file is opened here).
+  obs::TelemetrySinks open() {
     if (!metrics_path.empty()) {
       metrics = std::make_unique<obs::MetricsRegistry>();
     }
@@ -270,7 +291,7 @@ struct TelemetryFiles {
     if (!events_path.empty()) {
       events = std::make_unique<obs::EventLog>(events_path);
     }
-    sinks = {metrics.get(), trace.get(), events.get()};
+    return {metrics.get(), trace.get(), events.get()};
   }
 
   void write() const {
@@ -294,7 +315,6 @@ struct TelemetryFiles {
   std::unique_ptr<obs::MetricsRegistry> metrics;
   std::unique_ptr<obs::TraceWriter> trace;
   std::unique_ptr<obs::EventLog> events;
-  obs::TelemetrySinks sinks;
 };
 
 /// The injector the fault flags ask for, or null: --fault-spec schedules
@@ -331,14 +351,15 @@ void apply_model_flags(const util::ArgParser& args, double lr,
 
 int cmd_generate(const util::ArgParser& args) {
   const std::string out = args.get_string("out", "");
-  if (out.empty()) {
-    std::cerr << "generate: --out <dir> is required\n";
-    return 2;
-  }
   kge::SyntheticSpec spec =
       preset_by_name(args.get_string("preset", "fb15k_mini"));
   spec.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<std::int64_t>(spec.seed)));
+  args.reject_unread();
+  if (out.empty()) {
+    std::cerr << "generate: --out <dir> is required\n";
+    return 2;
+  }
   const kge::Dataset dataset = kge::generate_synthetic(spec);
   kge::save_openke(dataset, out);
   std::cout << dataset.summary("generated") << "\nwritten to " << out
@@ -347,20 +368,25 @@ int cmd_generate(const util::ArgParser& args) {
 }
 
 int cmd_stats(const util::ArgParser& args) {
-  const kge::Dataset dataset = dataset_from_flags(args);
+  const DatasetLoader load_dataset = dataset_from_flags(args);
+  args.reject_unread();
+  const kge::Dataset dataset = load_dataset();
   std::cout << dataset.summary("dataset") << "\n"
             << kge::compute_statistics(dataset).summary() << "\n";
   return 0;
 }
 
 int cmd_train_hogwild(const util::ArgParser& args,
-                      const kge::Dataset& dataset) {
+                      const DatasetLoader& load_dataset) {
   core::HogwildConfig config;
   apply_model_flags(args, 0.05, config);
   config.num_threads = static_cast<int>(args.get_int("nodes", 4));
   config.negatives = static_cast<int>(args.get_int("negatives", 4));
   config.lr.max_scale = 1;
   config.max_epochs = static_cast<int>(args.get_int("max-epochs", 200));
+  const std::string model_path = args.get_string("save-model", "");
+  args.reject_unread();
+  const kge::Dataset dataset = load_dataset();
 
   std::cout << "training hogwild (" << config.model_name << ", rank "
             << config.embedding_rank << ") on " << config.num_threads
@@ -370,7 +396,6 @@ int cmd_train_hogwild(const util::ArgParser& args,
             << "  cpu: " << report.total_cpu_seconds << " s"
             << "  TCA: " << report.tca << " %"
             << "  MRR: " << report.ranking.mrr << "\n";
-  const std::string model_path = args.get_string("save-model", "");
   if (!model_path.empty()) {
     kge::save_model(*report.model, model_path);
     std::cout << "model written to " << model_path << "\n";
@@ -379,7 +404,7 @@ int cmd_train_hogwild(const util::ArgParser& args,
 }
 
 int cmd_train_federated(const util::ArgParser& args,
-                        const kge::Dataset& dataset) {
+                        const DatasetLoader& load_dataset) {
   core::FederatedConfig config;
   apply_model_flags(args, 0.05, config);
   config.negatives = static_cast<int>(args.get_int("negatives", 4));
@@ -398,8 +423,11 @@ int cmd_train_federated(const util::ArgParser& args,
 
   const auto faults = fault_injector_from_flags(args);
   config.fault_injector = faults.get();
-  const TelemetryFiles telemetry(args);
-  config.telemetry = telemetry.sinks;
+  TelemetryFiles telemetry(args);
+  const std::string model_path = args.get_string("save-model", "");
+  args.reject_unread();
+  const kge::Dataset dataset = load_dataset();
+  config.telemetry = telemetry.open();
 
   std::cout << "training federated " << config.strategy.label() << " ("
             << config.model_name << ", rank " << config.embedding_rank
@@ -428,7 +456,6 @@ int cmd_train_federated(const util::ArgParser& args,
             << "replicas consistent: "
             << (report.replicas_consistent ? "yes" : "NO") << "\n";
 
-  const std::string model_path = args.get_string("save-model", "");
   if (!model_path.empty()) {
     kge::save_model(*report.model, model_path);
     std::cout << "model written to " << model_path << "\n";
@@ -449,6 +476,9 @@ int cmd_train_help() {
       "                               drs1bit|full\n"
       "  --nodes N --rank N --batch N --lr X --tolerance N --max-epochs N\n"
       "  --seed N --model complex|distmult|transe --host-threads N\n"
+      "  --negatives N                negatives per positive (default 4)\n"
+      "  --ss-sampled N               negatives --strategy full samples per\n"
+      "                               positive to keep the hardest (8)\n"
       "  --select dense|rs|topk --topk-k N --drs-topk-arm\n"
       "  --trainer distributed|hogwild|federated\n"
       "\n"
@@ -492,22 +522,27 @@ int cmd_train_help() {
       "  --metrics-out F --trace-out F.json --events-out F.jsonl\n"
       "  --save-model F --report F.json\n"
       "\n"
-      "Exit codes: 0 success, 1 error, 2 usage, 3 rank failure beyond the\n"
-      "recovery budget, 4 (analyze) decision contradicts measurements.\n";
+      "Exit codes: 0 success, 1 error, 2 usage (also a flag the trainer does\n"
+      "not read), 3 rank failure beyond the recovery budget, 4 (analyze)\n"
+      "decision contradicts measurements.\n";
   return 0;
 }
 
 int cmd_train(const util::ArgParser& args) {
   if (args.has_flag("help")) return cmd_train_help();
-  const kge::Dataset dataset = dataset_from_flags(args);
-  std::cout << dataset.summary("dataset") << "\n";
+  // Each trainer loads the dataset once it has read its flags.
+  const DatasetLoader load_dataset = [load = dataset_from_flags(args)] {
+    kge::Dataset dataset = load();
+    std::cout << dataset.summary("dataset") << "\n";
+    return dataset;
+  };
 
   const std::string trainer = args.get_string("trainer", "distributed");
   if (trainer == "hogwild") {
-    return cmd_train_hogwild(args, dataset);
+    return cmd_train_hogwild(args, load_dataset);
   }
   if (trainer == "federated") {
-    return cmd_train_federated(args, dataset);
+    return cmd_train_federated(args, load_dataset);
   }
   if (trainer != "distributed") {
     throw std::invalid_argument(
@@ -556,8 +591,12 @@ int cmd_train(const util::ArgParser& args) {
       static_cast<int>(args.get_int("fault-retry-limit", 4));
   const auto faults = fault_injector_from_flags(args);
   config.fault_injector = faults.get();
-  const TelemetryFiles telemetry(args);
-  config.telemetry = telemetry.sinks;
+  TelemetryFiles telemetry(args);
+  const std::string model_path = args.get_string("save-model", "");
+  const std::string report_path = args.get_string("report", "");
+  args.reject_unread();
+  const kge::Dataset dataset = load_dataset();
+  config.telemetry = telemetry.open();
 
   std::cout << "training " << config.strategy.label() << " ("
             << config.model_name << ", rank " << config.embedding_rank
@@ -613,12 +652,10 @@ int cmd_train(const util::ArgParser& args) {
             << report.compute_cpu_seconds << " s rank compute ("
             << report.host_speedup() << "x vs serialized)\n";
 
-  const std::string model_path = args.get_string("save-model", "");
   if (!model_path.empty()) {
     kge::save_model(*report.model, model_path);
     std::cout << "model written to " << model_path << "\n";
   }
-  const std::string report_path = args.get_string("report", "");
   if (!report_path.empty()) {
     core::write_report_json(report, report_path, telemetry.metrics.get());
     std::cout << "report written to " << report_path << "\n";
@@ -637,6 +674,9 @@ int cmd_train(const util::ArgParser& args) {
 int cmd_analyze(const util::ArgParser& args) {
   const std::string trace_path = args.get_string("trace", "");
   const std::string events_path = args.get_string("events", "");
+  const bool json = args.get_bool("json", false);
+  const std::string out_path = args.get_string("out", "");
+  args.reject_unread();
   if (trace_path.empty() || events_path.empty()) {
     std::cerr << "analyze: --trace <file.json> and --events <file.jsonl> "
                  "are required\n";
@@ -649,9 +689,7 @@ int cmd_analyze(const util::ArgParser& args) {
   const obs::AnalysisReport report = obs::analyze(spans, events);
 
   const std::string text =
-      args.get_bool("json", false) ? report.to_json() + "\n"
-                                   : report.to_table();
-  const std::string out_path = args.get_string("out", "");
+      json ? report.to_json() + "\n" : report.to_table();
   if (out_path.empty()) {
     std::cout << text;
   } else {
@@ -673,16 +711,18 @@ int cmd_analyze(const util::ArgParser& args) {
 
 int cmd_eval(const util::ArgParser& args) {
   const std::string model_path = args.get_string("model-file", "");
+  const DatasetLoader load_dataset = dataset_from_flags(args);
+  kge::EvalOptions options;
+  options.max_triples =
+      static_cast<std::size_t>(args.get_int("max-triples", 0));
+  args.reject_unread();
   if (model_path.empty()) {
     std::cerr << "eval: --model-file <file> is required\n";
     return 2;
   }
-  const kge::Dataset dataset = dataset_from_flags(args);
+  const kge::Dataset dataset = load_dataset();
   const auto model = kge::load_model(model_path);
   const kge::Evaluator evaluator(dataset);
-  kge::EvalOptions options;
-  options.max_triples =
-      static_cast<std::size_t>(args.get_int("max-triples", 0));
   // Ranks on every core; the numbers are those of a serial ranking.
   util::ThreadPool pool(util::ThreadPool::hardware_threads());
   const auto metrics =
@@ -699,21 +739,12 @@ int cmd_eval(const util::ArgParser& args) {
 
 int cmd_predict(const util::ArgParser& args) {
   const std::string model_path = args.get_string("model-file", "");
-  if (model_path.empty()) {
-    std::cerr << "predict: --model-file <file> is required\n";
-    return 2;
-  }
-  const kge::Dataset dataset = dataset_from_flags(args);
-
+  const DatasetLoader load_dataset = dataset_from_flags(args);
   serve::TopKQuery query;
   // --head H predicts tails of (H, r, ?); --tail T predicts heads of
   // (?, r, T). Exactly one side may be given; --head 0 is the default.
   const auto head = args.get_int("head", -1);
   const auto tail = args.get_int("tail", -1);
-  if (head >= 0 && tail >= 0) {
-    std::cerr << "predict: give either --head or --tail, not both\n";
-    return 2;
-  }
   query.direction =
       tail >= 0 ? serve::Direction::kHead : serve::Direction::kTail;
   query.entity = static_cast<kge::EntityId>(tail >= 0 ? tail
@@ -721,18 +752,27 @@ int cmd_predict(const util::ArgParser& args) {
                                                         : 0);
   query.relation = static_cast<kge::RelationId>(args.get_int("relation", 0));
   query.filter_known = args.get_bool("filter", false);
-
+  const auto topk = static_cast<std::int32_t>(args.get_int("topk", 10));
   serve::ServiceConfig config;
   config.num_threads = static_cast<int>(args.get_int("threads", 4));
+  args.reject_unread();
+  if (model_path.empty()) {
+    std::cerr << "predict: --model-file <file> is required\n";
+    return 2;
+  }
+  if (head >= 0 && tail >= 0) {
+    std::cerr << "predict: give either --head or --tail, not both\n";
+    return 2;
+  }
+  const kge::Dataset dataset = load_dataset();
+
   serve::InferenceService live(kge::load_model(model_path), &dataset, config);
   if (query.entity >= dataset.num_entities() || query.relation < 0 ||
       query.relation >= dataset.num_relations()) {
     std::cerr << "predict: --head/--tail/--relation out of range\n";
     return 2;
   }
-  query.k = std::min<std::int32_t>(
-      static_cast<std::int32_t>(args.get_int("topk", 10)),
-      dataset.num_entities());
+  query.k = std::min<std::int32_t>(topk, dataset.num_entities());
 
   const auto result = live.topk(query);
   const bool tails = query.direction == serve::Direction::kTail;
@@ -754,20 +794,24 @@ int cmd_predict(const util::ArgParser& args) {
   return 0;
 }
 
-/// Model for the serving commands: a checkpoint when --model-file is
+/// Reads --model-file, --model, --rank and --seed; the loader builds the
+/// model for the serving commands: the checkpoint when --model-file is
 /// given, otherwise freshly initialized weights (they score garbage but
 /// cost exactly the same to serve — fine for throughput work).
-std::unique_ptr<kge::KgeModel> serving_model(const util::ArgParser& args,
-                                             const kge::Dataset& dataset) {
-  const std::string model_path = args.get_string("model-file", "");
-  if (!model_path.empty()) return kge::load_model(model_path);
-  auto model = kge::make_model(
-      args.get_string("model", "complex"), dataset.num_entities(),
-      dataset.num_relations(),
-      static_cast<std::int32_t>(args.get_int("rank", 32)));
-  util::Rng init_rng(static_cast<std::uint64_t>(args.get_int("seed", 42)));
-  model->init(init_rng);
-  return model;
+std::function<std::unique_ptr<kge::KgeModel>(const kge::Dataset&)>
+serving_model(const util::ArgParser& args) {
+  return [path = args.get_string("model-file", ""),
+          name = args.get_string("model", "complex"),
+          rank = static_cast<std::int32_t>(args.get_int("rank", 32)),
+          seed = static_cast<std::uint64_t>(args.get_int("seed", 42))](
+             const kge::Dataset& dataset) {
+    if (!path.empty()) return kge::load_model(path);
+    auto model = kge::make_model(name, dataset.num_entities(),
+                                 dataset.num_relations(), rank);
+    util::Rng init_rng(seed);
+    model->init(init_rng);
+    return model;
+  };
 }
 
 /// Zipf(1.0)-skewed query stream over `distinct` identities — the
@@ -811,8 +855,8 @@ kge::TripleList make_delta_stream(const kge::Dataset& dataset,
   return deltas;
 }
 
-stream::IngestConfig ingest_config_from_flags(const util::ArgParser& args,
-                                              const kge::Dataset& dataset) {
+/// The delta ingestion flags; the caller sets the dataset.
+stream::IngestConfig ingest_config_from_flags(const util::ArgParser& args) {
   stream::IngestConfig config;
   config.batch_size = std::max<std::size_t>(
       1, static_cast<std::size_t>(args.get_int("delta-batch", 64)));
@@ -824,7 +868,6 @@ stream::IngestConfig ingest_config_from_flags(const util::ArgParser& args,
   config.refresh.negatives_used = config.refresh.negatives_sampled;
   config.refresh.seed =
       static_cast<std::uint64_t>(args.get_int("seed", 42));
-  config.dataset = &dataset;
   return config;
 }
 
@@ -834,18 +877,38 @@ stream::IngestConfig ingest_config_from_flags(const util::ArgParser& args,
 // demo/operational counterpart of `serve-bench --mixed-updates`.
 int cmd_serve(const util::ArgParser& args) {
   const std::string updates = args.get_string("stream-updates", "");
+  const DatasetLoader load_dataset = dataset_from_flags(args);
+  const auto load_model = serving_model(args);
+  serve::ServiceConfig config;
+  config.num_threads = static_cast<int>(args.get_int("threads", 4));
+  config.cache_capacity =
+      static_cast<std::size_t>(args.get_int("cache", 1024));
+  config.max_inflight =
+      static_cast<std::size_t>(args.get_int("max-inflight", 0));
+  config.cache_max_version_lag =
+      static_cast<std::uint64_t>(args.get_int("max-version-lag", 8));
+  TelemetryFiles telemetry(args);
+  stream::IngestConfig ingest = ingest_config_from_flags(args);
+  const auto num_queries =
+      static_cast<std::size_t>(args.get_int("queries", 2000));
+  const auto distinct = std::max<std::size_t>(
+      1, static_cast<std::size_t>(args.get_int("distinct", 256)));
+  const auto topk = static_cast<std::int32_t>(args.get_int("topk", 10));
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const auto clients = std::max<std::size_t>(
+      1, static_cast<std::size_t>(args.get_int("clients", 2)));
+  args.reject_unread();
   if (updates.empty()) {
     std::cerr << "serve: --stream-updates <file> is required\n";
     return 2;
   }
-  if (!updates.empty() &&
-      updates.find_first_not_of("0123456789") == std::string::npos) {
+  if (updates.find_first_not_of("0123456789") == std::string::npos) {
     std::cerr << "serve: --stream-updates expects a delta file; listening "
                  "on a port is not supported in this build\n";
     return 2;
   }
 
-  const kge::Dataset dataset = dataset_from_flags(args);
+  const kge::Dataset dataset = load_dataset();
   const auto deltas = stream::load_delta_file(
       updates, dataset.num_entities(), dataset.num_relations());
   std::cout << "serve: " << deltas.triples.size() << " streamed deltas from "
@@ -855,39 +918,21 @@ int cmd_serve(const util::ArgParser& args) {
   }
   std::cout << "\n";
 
-  serve::ServiceConfig config;
-  config.num_threads = static_cast<int>(args.get_int("threads", 4));
-  config.cache_capacity =
-      static_cast<std::size_t>(args.get_int("cache", 1024));
-  config.max_inflight =
-      static_cast<std::size_t>(args.get_int("max-inflight", 0));
-  config.cache_max_version_lag =
-      static_cast<std::uint64_t>(args.get_int("max-version-lag", 8));
+  const obs::TelemetrySinks sinks = telemetry.open();
+  config.metrics = sinks.metrics;
+  config.trace = sinks.trace;
 
-  const TelemetryFiles telemetry(args);
-  config.metrics = telemetry.sinks.metrics;
-  config.trace = telemetry.sinks.trace;
+  serve::InferenceService service(load_model(dataset), &dataset, config);
+  service.store().set_telemetry(sinks);
 
-  serve::InferenceService service(serving_model(args, dataset), &dataset,
-                                  config);
-  service.store().set_telemetry(telemetry.sinks);
-
-  stream::IngestConfig ingest = ingest_config_from_flags(args, dataset);
+  ingest.dataset = &dataset;
   ingest.admission = &service.admission();
-  ingest.telemetry = telemetry.sinks;
+  ingest.telemetry = sinks;
   stream::DeltaIngestor ingestor(service.store(), ingest);
 
-  const auto num_queries =
-      static_cast<std::size_t>(args.get_int("queries", 2000));
-  const auto stream = make_query_stream(
-      dataset, num_queries,
-      std::max<std::size_t>(
-          1, static_cast<std::size_t>(args.get_int("distinct", 256))),
-      static_cast<std::int32_t>(args.get_int("topk", 10)),
-      static_cast<std::uint64_t>(args.get_int("seed", 42)));
+  const auto stream =
+      make_query_stream(dataset, num_queries, distinct, topk, seed);
 
-  const auto clients = std::max<std::size_t>(
-      1, static_cast<std::size_t>(args.get_int("clients", 2)));
   std::atomic<std::uint64_t> answered{0};
   std::atomic<std::uint64_t> shed{0};
   std::atomic<std::uint64_t> failed{0};
@@ -941,11 +986,8 @@ int cmd_serve(const util::ArgParser& args) {
 // compare against the pre-serve inference path: one query at a time, one
 // thread, full score_all_* scan + partial_sort, no cache.
 int cmd_serve_bench(const util::ArgParser& args) {
-  const kge::Dataset dataset = dataset_from_flags(args);
-
-  std::unique_ptr<kge::KgeModel> model = serving_model(args, dataset);
-  const kge::KgeModel& m = *model;
-
+  const DatasetLoader load_dataset = dataset_from_flags(args);
+  const auto load_model = serving_model(args);
   const auto num_queries =
       static_cast<std::size_t>(args.get_int("queries", 2000));
   const auto num_distinct = std::max<std::size_t>(
@@ -953,21 +995,31 @@ int cmd_serve_bench(const util::ArgParser& args) {
   const auto topk = static_cast<std::int32_t>(args.get_int("topk", 10));
   const auto batch = std::max<std::size_t>(
       1, static_cast<std::size_t>(args.get_int("batch", 32)));
-
   serve::ServiceConfig config;
   config.num_threads = static_cast<int>(args.get_int("threads", 4));
   config.cache_capacity =
       static_cast<std::size_t>(args.get_int("cache", 1024));
   const std::string metrics_path = args.get_string("metrics-out", "");
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const auto baseline_queries =
+      static_cast<std::size_t>(args.get_int("baseline-queries", 64));
+  const auto mixed_updates =
+      static_cast<std::size_t>(args.get_int("mixed-updates", 0));
+  stream::IngestConfig ingest = ingest_config_from_flags(args);
+  const std::string bench_json = args.get_string("bench-json", "");
+  args.reject_unread();
+
+  const kge::Dataset dataset = load_dataset();
+  std::unique_ptr<kge::KgeModel> model = load_model(dataset);
+  const kge::KgeModel& m = *model;
   std::unique_ptr<obs::MetricsRegistry> metrics;
   if (!metrics_path.empty()) {
     metrics = std::make_unique<obs::MetricsRegistry>();
     config.metrics = metrics.get();
   }
 
-  const auto stream = make_query_stream(
-      dataset, num_queries, num_distinct, topk,
-      static_cast<std::uint64_t>(args.get_int("seed", 42)));
+  const auto stream =
+      make_query_stream(dataset, num_queries, num_distinct, topk, seed);
 
   std::cout << "serve-bench: " << num_queries << " queries ("
             << num_distinct << " distinct, Zipf-skewed), top-" << topk
@@ -975,10 +1027,7 @@ int cmd_serve_bench(const util::ArgParser& args) {
             << " entities\n";
 
   // Baseline: the old `dynkge predict` path over a slice of the stream.
-  const auto baseline_n =
-      std::min<std::size_t>(stream.size(),
-                            static_cast<std::size_t>(
-                                args.get_int("baseline-queries", 64)));
+  const auto baseline_n = std::min(stream.size(), baseline_queries);
   std::vector<double> scores(static_cast<std::size_t>(m.num_entities()));
   std::vector<kge::EntityId> order(scores.size());
   util::Stopwatch baseline_clock;
@@ -1038,18 +1087,14 @@ int cmd_serve_bench(const util::ArgParser& args) {
   // synthetic deltas are refreshed and hot-swapped in from another thread.
   // The zero-downtime claim is checked directly: every read slot must come
   // back non-null (no request may fail because a publish was in flight).
-  const auto mixed_updates =
-      static_cast<std::size_t>(args.get_int("mixed-updates", 0));
   double churn_qps = 0.0;
   std::uint64_t churn_failed = 0;
   std::uint64_t churn_versions = 0;
   std::uint64_t churn_full_copies = 0;
   serve::ServiceSnapshot churn;
   if (mixed_updates > 0) {
-    const auto deltas = make_delta_stream(
-        dataset, mixed_updates,
-        static_cast<std::uint64_t>(args.get_int("seed", 42)));
-    stream::IngestConfig ingest = ingest_config_from_flags(args, dataset);
+    const auto deltas = make_delta_stream(dataset, mixed_updates, seed);
+    ingest.dataset = &dataset;
     ingest.admission = &service.admission();
     stream::DeltaIngestor ingestor(service.store(), ingest);
 
@@ -1085,7 +1130,7 @@ int cmd_serve_bench(const util::ArgParser& args) {
 
   // --bench-json: the block tools/check_bench.py gates (no file without
   // the flag).
-  obs::BenchReporter reporter("serve", args.get_string("bench-json", ""));
+  obs::BenchReporter reporter("serve", bench_json);
   reporter.context("queries", static_cast<std::int64_t>(stream.size()));
   reporter.context("distinct", static_cast<std::int64_t>(num_distinct));
   reporter.context("batch", static_cast<std::int64_t>(batch));
@@ -1134,6 +1179,9 @@ int main(int argc, char** argv) {
     if (command == "predict") return cmd_predict(args);
     if (command == "serve") return cmd_serve(args);
     if (command == "serve-bench") return cmd_serve_bench(args);
+  } catch (const util::UnreadFlagError& error) {
+    std::cerr << "dynkge " << command << ": " << error.what() << "\n";
+    return 2;
   } catch (const std::exception& error) {
     std::cerr << "dynkge " << command << ": " << error.what() << "\n";
     return 1;
