@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
   const bool csv = args.has_flag("csv");
   obs::BenchReporter reporter("ablation_cost_model",
                               args.get_string("bench-json", ""));
+  bench::reject_unread(args);
 
   // FB250K-like dense entity gradient matrix: 240K rows x 200 floats.
   const std::size_t dense = 240000ull * 200ull * 4ull;

@@ -11,8 +11,9 @@
 using namespace dynkge;
 
 int main(int argc, char** argv) {
-  const auto options =
-      bench::parse_options(argc, argv, "fb250k", {2, 4, 8, 16});
+  const util::ArgParser args(argc, argv);
+  const auto options = bench::parse_options(args, "fb250k", {2, 4, 8, 16});
+  bench::reject_unread(args);
   obs::BenchReporter reporter("ablation_parameter_server", options.bench_json);
   bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);

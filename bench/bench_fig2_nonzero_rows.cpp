@@ -11,7 +11,9 @@
 using namespace dynkge;
 
 int main(int argc, char** argv) {
-  auto options = bench::parse_options(argc, argv, "fb15k", {2});
+  const util::ArgParser args(argc, argv);
+  auto options = bench::parse_options(args, "fb15k", {2});
+  bench::reject_unread(args);
   obs::BenchReporter reporter("fig2_nonzero_rows", options.bench_json);
   bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);

@@ -13,11 +13,14 @@ using namespace dynkge;
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
-  obs::BenchReporter reporter("fig6_relation_partition",
-                              args.get_string("bench-json", ""));
+  const auto options_a = bench::parse_options(args, "fb15k", {2});
+  const auto options_b =
+      bench::parse_options(args, "fb250k", {1, 2, 4, 8, 16});
+  bench::reject_unread(args);
+  obs::BenchReporter reporter("fig6_relation_partition", options_a.bench_json);
   // (a) convergence on FB15K-like, 2 nodes.
   {
-    const auto options = bench::parse_options(argc, argv, "fb15k", {2});
+    const auto& options = options_a;
     const kge::Dataset dataset = bench::make_dataset(options);
     bench::print_banner(
         "Figure 6a: relation partition - convergence on FB15K-like",
@@ -55,8 +58,7 @@ int main(int argc, char** argv) {
 
   // (b) epoch time vs nodes on FB250K-like.
   {
-    const auto options =
-        bench::parse_options(argc, argv, "fb250k", {1, 2, 4, 8, 16});
+    const auto& options = options_b;
     const kge::Dataset dataset = bench::make_dataset(options);
     bench::print_banner(
         "Figure 6b: relation partition - epoch time on FB250K-like",

@@ -22,8 +22,9 @@ using namespace dynkge;
 namespace paper = dynkge::bench::paper;
 
 int main(int argc, char** argv) {
-  const auto options =
-      bench::parse_options(argc, argv, "fb250k", {1, 2, 4, 8, 16});
+  const util::ArgParser args(argc, argv);
+  const auto options = bench::parse_options(args, "fb250k", {1, 2, 4, 8, 16});
+  bench::reject_unread(args);
   obs::BenchReporter reporter("fig9_combined_fb250k", options.bench_json);
   bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);
@@ -47,19 +48,22 @@ int main(int argc, char** argv) {
        core::StrategyConfig::drs_1bit_rp_ss(options.ss_sampled,
                                             options.ss_used)},
   };
-  const auto reports = bench::run_combined_figure(options, dataset, methods,
-                                                 reporter, paper::kFigure9);
+  bench::Runs runs(options, dataset);
+  bench::run_combined_figure(runs, methods, reporter, "", paper::kFigure9);
+  // The figure's runs, by node count and method index.
+  const auto report = [&](std::int64_t nodes,
+                           std::size_t method) -> const core::TrainReport& {
+    return runs.get(nodes, methods[method].strategy);
+  };
 
   // Figure 1d and Table 2's crossover, from the baseline runs' mean epoch
   // seconds [2 nodes / most nodes][all-reduce / all-gather].
   util::Table epoch_time({"nodes", "allreduce s/epoch", "allgather s/epoch"});
   double crossover_check[2][2] = {{0, 0}, {0, 0}};
-  for (std::size_t n = 0; n < options.nodes.size(); ++n) {
-    const std::int64_t nodes = options.nodes[n];
+  for (const std::int64_t nodes : options.nodes) {
     epoch_time.begin_row().add(nodes);
     for (const int allgather : {0, 1}) {
-      const double seconds =
-          reports[n * methods.size() + allgather].mean_epoch_seconds();
+      const double seconds = report(nodes, allgather).mean_epoch_seconds();
       epoch_time.add(seconds, 4);
       if (nodes == 2) crossover_check[0][allgather] = seconds;
       if (nodes == options.nodes.back()) {
@@ -91,10 +95,10 @@ int main(int argc, char** argv) {
   // (method 3), averaged over the multi-node runs.
   double drs_frac = 0.0, quant_frac = 0.0;
   int fraction_samples = 0;
-  for (std::size_t n = 0; n < options.nodes.size(); ++n) {
-    if (options.nodes[n] <= 1) continue;
-    drs_frac += reports[n * methods.size() + 2].allreduce_fraction;
-    quant_frac += reports[n * methods.size() + 3].allreduce_fraction;
+  for (const std::int64_t nodes : options.nodes) {
+    if (nodes <= 1) continue;
+    drs_frac += report(nodes, 2).allreduce_fraction;
+    quant_frac += report(nodes, 3).allreduce_fraction;
     ++fraction_samples;
   }
   if (fraction_samples > 0) {
@@ -108,5 +112,24 @@ int main(int argc, char** argv) {
     reporter.set("drs_allreduce_fraction", drs_frac);
     reporter.set("drs_1bit_allreduce_fraction", quant_frac);
   }
+
+  // Section 5.3's MRR shape: plain DRS+1-bit (method 3) loses MRR as nodes
+  // are added, and RP+SS (method 4) recovers it at every node count.
+  const double fewest_mrr = report(options.nodes.front(), 3).ranking.mrr;
+  const double most_mrr = report(options.nodes.back(), 3).ranking.mrr;
+  bool recovers = true;
+  for (const std::int64_t nodes : options.nodes) {
+    recovers = recovers &&
+               report(nodes, 4).ranking.mrr > report(nodes, 3).ranking.mrr;
+  }
+  std::cout << "MRR shape: DRS+1-bit " << fewest_mrr << " at "
+            << options.nodes.front() << " node(s) -> " << most_mrr << " at "
+            << options.nodes.back() << " nodes"
+            << (most_mrr < fewest_mrr ? " (falls; paper agrees)\n"
+                                      : " (does not fall)\n")
+            << "  DRS+1-bit+RP+SS beats DRS+1-bit at every node count: "
+            << (recovers ? "yes (paper agrees)\n" : "no\n");
+  reporter.flag("drs_1bit_mrr_falls_with_nodes", most_mrr < fewest_mrr);
+  reporter.flag("rp_ss_recovers_mrr", recovers);
   return reporter.write() ? 0 : 1;
 }

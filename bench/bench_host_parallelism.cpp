@@ -18,7 +18,9 @@
 using namespace dynkge;
 
 int main(int argc, char** argv) {
-  const auto options = bench::parse_options(argc, argv, "fb15k", {8});
+  const util::ArgParser args(argc, argv);
+  const auto options = bench::parse_options(args, "fb15k", {8});
+  bench::reject_unread(args);
   obs::BenchReporter reporter("host_parallelism", options.bench_json);
   bench::context_from(reporter, options);
   const kge::Dataset dataset = bench::make_dataset(options);

@@ -25,14 +25,15 @@
 using namespace dynkge;
 
 int main(int argc, char** argv) {
-  auto options = bench::parse_options(argc, argv, "fb250k", {8});
-  const util::ArgParser extra(argc, argv);
+  const util::ArgParser args(argc, argv);
+  auto options = bench::parse_options(args, "fb250k", {8});
   // Fixed short runs: throughput needs identical work per run, not
   // convergence. Overridable the usual way (--max-epochs / --rank).
-  if (!extra.has_flag("max-epochs")) options.max_epochs = 4;
-  if (!extra.has_flag("rank")) options.rank = 32;
+  if (!args.has_flag("max-epochs")) options.max_epochs = 4;
+  if (!args.has_flag("rank")) options.rank = 32;
   // Default to the acceptance regime: fb250k_mini at 8 simulated ranks.
-  if (!extra.has_flag("scale")) options.scale = "mini";
+  if (!args.has_flag("scale")) options.scale = "mini";
+  bench::reject_unread(args);
 
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner("Training kernels: blocked training step throughput",

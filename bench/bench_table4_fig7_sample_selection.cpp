@@ -14,7 +14,9 @@ using namespace dynkge;
 namespace paper = dynkge::bench::paper;
 
 int main(int argc, char** argv) {
-  const auto options = bench::parse_options(argc, argv, "fb15k", {2});
+  const util::ArgParser args(argc, argv);
+  const auto options = bench::parse_options(args, "fb15k", {2});
+  bench::reject_unread(args);
   obs::BenchReporter reporter("table4_fig7_sample_selection",
                               options.bench_json);
   bench::context_from(reporter, options);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 
@@ -62,10 +63,9 @@ kge::SyntheticSpec spec_for(const std::string& dataset,
 
 }  // namespace
 
-HarnessOptions parse_options(int argc, const char* const* argv,
+HarnessOptions parse_options(const util::ArgParser& args,
                              const std::string& dataset,
                              std::vector<std::int64_t> default_nodes) {
-  const util::ArgParser args(argc, argv);
   HarnessOptions options;
   options.dataset = dataset;
   options.scale = args.get_string("scale", "bench");
@@ -116,6 +116,15 @@ HarnessOptions parse_options(int argc, const char* const* argv,
   return options;
 }
 
+void reject_unread(const util::ArgParser& args) {
+  try {
+    args.reject_unread();
+  } catch (const util::UnreadFlagError& error) {
+    std::cerr << "usage error: " << error.what() << "\n";
+    std::exit(2);
+  }
+}
+
 kge::Dataset make_dataset(const HarnessOptions& options) {
   if (!options.data_dir.empty()) {
     return kge::load_dataset(options.data_dir);
@@ -156,6 +165,18 @@ core::TrainReport run_experiment(const kge::Dataset& dataset,
                report.total_sim_seconds, report.ranking.mrr, report.tca,
                watch.seconds());
   return report;
+}
+
+const core::TrainReport& Runs::get(std::int64_t nodes,
+                                   const core::StrategyConfig& strategy) {
+  for (const Run& run : runs_) {
+    if (run.nodes == nodes && run.strategy == strategy) return run.report;
+  }
+  core::TrainConfig config = make_config(options_, static_cast<int>(nodes));
+  config.strategy = strategy;
+  return runs_
+      .emplace_back(Run{nodes, strategy, run_experiment(dataset_, config)})
+      .report;
 }
 
 void print_banner(const std::string& experiment_id,
@@ -219,23 +240,19 @@ std::string figure1_note(const char* panel) {
 }
 
 /// The paper's baseline table from the all-reduce and all-gather runs
-/// (methods 0 and 1 of each node count's `methods_per_count` reports),
-/// each beside the paper's row for its node count.
-void emit_baseline_table(const HarnessOptions& options,
-                         const std::vector<core::TrainReport>& reports,
-                         std::size_t methods_per_count,
+/// (methods 0 and 1), each beside the paper's row for its node count.
+void emit_baseline_table(Runs& runs, const std::vector<Method>& methods,
                          const paper::CombinedFigure& paper) {
   util::Table table({"nodes", "method", "TT(sim s)", "N", "TCA", "MRR",
                      "paper TT(h)", "paper N", "paper TCA", "paper MRR"});
-  for (std::size_t n = 0; n < options.nodes.size(); ++n) {
-    const std::int64_t nodes = options.nodes[n];
+  for (const std::int64_t nodes : runs.options().nodes) {
     const paper::BaselineRow* row = nullptr;
     for (const auto& candidate : paper.table_rows) {
       if (candidate.nodes == nodes) row = &candidate;
     }
     for (const bool allgather : {false, true}) {
       const core::TrainReport& report =
-          reports[n * methods_per_count + (allgather ? 1 : 0)];
+          runs.get(nodes, methods[allgather ? 1 : 0].strategy);
       table.begin_row()
           .add(nodes)
           .add(report.strategy_label)
@@ -258,22 +275,22 @@ void emit_baseline_table(const HarnessOptions& options,
   emit(table,
        std::string(paper.table) + " (reproduced): the baseline runs of "
            "Figure " + paper.figure,
-       options.csv);
+       runs.options().csv);
 }
 
 }  // namespace
 
-std::vector<core::TrainReport> run_combined_figure(
-    const HarnessOptions& options, const kge::Dataset& dataset,
-    const std::vector<Method>& methods, obs::BenchReporter& reporter,
-    const paper::CombinedFigure& paper) {
+void run_combined_figure(Runs& runs, const std::vector<Method>& methods,
+                         obs::BenchReporter& reporter,
+                         const std::string& key_prefix,
+                         const paper::CombinedFigure& paper) {
+  const HarnessOptions& options = runs.options();
   std::vector<std::string> header{"nodes"};
   for (const Method& method : methods) header.emplace_back(method.name);
   util::Table tt(header);
   util::Table epochs = tt;
   util::Table mrr = tt;
 
-  std::vector<core::TrainReport> reports;
   double combined_tt_sum = 0.0, allreduce_tt_sum = 0.0;
   double combined_mrr_sum = 0.0, allreduce_mrr_sum = 0.0;
   for (const std::int64_t nodes : options.nodes) {
@@ -281,14 +298,12 @@ std::vector<core::TrainReport> run_combined_figure(
     epochs.begin_row().add(nodes);
     mrr.begin_row().add(nodes);
     for (const Method& method : methods) {
-      core::TrainConfig config = make_config(options, static_cast<int>(nodes));
-      config.strategy = method.strategy;
-      const auto& report = reports.emplace_back(run_experiment(dataset, config));
+      const core::TrainReport& report = runs.get(nodes, method.strategy);
       tt.add(report.total_sim_seconds, 3);
       epochs.add(static_cast<std::int64_t>(report.epochs));
       mrr.add(report.ranking.mrr, 3);
-      std::string key = "n";
-      key += std::to_string(nodes) + "." + method.key;
+      const std::string key =
+          key_prefix + "n" + std::to_string(nodes) + "." + method.key;
       reporter.set(key + ".tt_sim_seconds", report.total_sim_seconds);
       reporter.count(key + ".epochs",
                      static_cast<std::uint64_t>(report.epochs));
@@ -315,7 +330,7 @@ std::vector<core::TrainReport> run_combined_figure(
            figure1_note(paper.epochs_panel),
        options.csv);
   emit(mrr, prefix + "c (reproduced): MRR", options.csv);
-  emit_baseline_table(options, reports, methods.size(), paper);
+  emit_baseline_table(runs, methods, paper);
 
   const double time_reduction =
       100.0 * (1.0 - combined_tt_sum / allreduce_tt_sum);
@@ -326,10 +341,9 @@ std::vector<core::TrainReport> run_combined_figure(
             << "%  (paper: " << paper.time_reduction_pct << "%)\n"
             << "  MRR change: " << mrr_gain << "%  (paper: +"
             << paper.mrr_gain_pct << "%)\n";
-  reporter.set("time_reduction_pct", time_reduction);
-  reporter.set("mrr_gain_pct", mrr_gain);
-  reporter.flag("combined_saves_time", time_reduction > 0.0);
-  return reports;
+  reporter.set(key_prefix + "time_reduction_pct", time_reduction);
+  reporter.set(key_prefix + "mrr_gain_pct", mrr_gain);
+  reporter.flag(key_prefix + "combined_saves_time", time_reduction > 0.0);
 }
 
 }  // namespace dynkge::bench

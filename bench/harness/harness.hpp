@@ -1,10 +1,11 @@
 // Shared experiment harness for the paper-reproduction benches.
 //
-// Every bench binary reproduces one table or figure of the paper. The
+// Every bench binary reproduces tables or figures of the paper. The
 // harness centralizes: dataset construction (synthetic FB15K/FB250K
 // stand-ins, or real data via --data), per-dataset training defaults,
-// CLI overrides, and result-row printing with the paper's reported value
-// alongside the measured one.
+// CLI overrides, the table of runs a binary's figures share, and
+// result-row printing with the paper's reported value alongside the
+// measured one.
 //
 // Common flags (all binaries):
 //   --scale bench|mini|full   workload size (default bench: seconds/run;
@@ -20,9 +21,11 @@
 //   --bench-json <file>       write the machine-checkable result block
 //                             (obs::BenchReporter; gated in CI by
 //                             tools/check_bench.py)
+// Any other flag the binary does not read is a usage error (exit 2).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -64,10 +67,15 @@ struct HarnessOptions {
 /// the reporter's workload-identity context.
 void context_from(obs::BenchReporter& reporter, const HarnessOptions& options);
 
-/// Parse shared flags. `dataset` fixes which stand-in the binary targets.
-HarnessOptions parse_options(int argc, const char* const* argv,
+/// Parse shared flags from `args`, the parser the binary reads its own
+/// flags from too. `dataset` fixes which stand-in the binary targets.
+HarnessOptions parse_options(const util::ArgParser& args,
                              const std::string& dataset,
                              std::vector<std::int64_t> default_nodes);
+
+/// Once every flag is read, before any work: a flag nothing read is a
+/// usage error, printed naming it, and the process exits 2.
+void reject_unread(const util::ArgParser& args);
 
 /// Build the experiment dataset (synthetic unless --data was given).
 kge::Dataset make_dataset(const HarnessOptions& options);
@@ -78,6 +86,33 @@ core::TrainConfig make_config(const HarnessOptions& options, int nodes);
 /// Run one configured training job, logging a one-line summary to stderr.
 core::TrainReport run_experiment(const kge::Dataset& dataset,
                                  core::TrainConfig config);
+
+/// The runs a binary's figures share: the first get() of a (nodes,
+/// strategy) pair trains it through run_experiment with make_config's
+/// settings, later ones return the stored report. References stay valid
+/// for the table's lifetime.
+class Runs {
+ public:
+  Runs(const HarnessOptions& options, const kge::Dataset& dataset)
+      : options_(options), dataset_(dataset) {}
+
+  const core::TrainReport& get(std::int64_t nodes,
+                               const core::StrategyConfig& strategy);
+
+  const HarnessOptions& options() const { return options_; }
+  const kge::Dataset& dataset() const { return dataset_; }
+
+ private:
+  struct Run {
+    std::int64_t nodes;
+    core::StrategyConfig strategy;
+    core::TrainReport report;
+  };
+
+  const HarnessOptions& options_;
+  const kge::Dataset& dataset_;
+  std::deque<Run> runs_;  ///< a deque: appending moves no report
+};
 
 /// Print the standard header naming the experiment and its substitutions.
 void print_banner(const std::string& experiment_id,
@@ -100,17 +135,17 @@ struct Method {
   core::StrategyConfig strategy;
 };
 
-/// Figures 8 and 9: every method at every node count, as "Figure
-/// <figure>{a,b,c}" tables of training time, epochs and MRR, reported as
-/// n<nodes>.<key>.{tt_sim_seconds,epochs,tca,mrr}. The first two methods
-/// must be all-reduce and all-gather: their runs are printed again as the
-/// paper's baseline table beside its rows. Last comes the last method's
-/// (the combined stack's) average time reduction and MRR gain over the
-/// first, next to the paper's. Returns the reports per node count, in
-/// method order.
-std::vector<core::TrainReport> run_combined_figure(
-    const HarnessOptions& options, const kge::Dataset& dataset,
-    const std::vector<Method>& methods, obs::BenchReporter& reporter,
-    const paper::CombinedFigure& paper);
+/// Figures 8 and 9: every method at every node count of the --nodes
+/// sweep, as "Figure <figure>{a,b,c}" tables of training time, epochs and
+/// MRR, reported as <key_prefix>n<nodes>.<key>.{tt_sim_seconds,epochs,
+/// tca,mrr}. The first two methods must be all-reduce and all-gather:
+/// their runs are printed again as the paper's baseline table beside its
+/// rows. Last comes the last method's (the combined stack's) average time
+/// reduction and MRR gain over the first, next to the paper's. The runs
+/// stay in `runs` for the caller.
+void run_combined_figure(Runs& runs, const std::vector<Method>& methods,
+                         obs::BenchReporter& reporter,
+                         const std::string& key_prefix,
+                         const paper::CombinedFigure& paper);
 
 }  // namespace dynkge::bench

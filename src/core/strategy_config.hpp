@@ -102,6 +102,8 @@ struct StrategyConfig {
     return negatives_used < negatives_sampled;
   }
 
+  bool operator==(const StrategyConfig&) const = default;
+
   /// Short label matching the paper's legends ("DRS+1-bit+RP+SS" etc).
   std::string label() const;
 

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Check that bench gate sets, baselines and CI's bench matrix agree.
+"""Check that bench gate sets, baselines, CI's bench matrix and CMake agree.
 
 Usage: tests/check_gate_sets.py
 
 A gate set in tools/check_bench.py gates something only if a committed
 bench/baselines/BENCH_<kind>.baseline.json holds its values and a row of
-the bench-suite matrix in .github/workflows/ci.yml runs its bench. Exits 1,
-naming each kind, when a non-empty gate set lacks either, or when a
-baseline has no gate set; 0 otherwise.
+the bench-suite matrix in .github/workflows/ci.yml runs its bench, and a
+paper bench runs in CI only if a row names its target. Exits 1, naming
+each, when a non-empty gate set lacks either, when a baseline has no gate
+set, when a `dynkge_add_bench` target in bench/CMakeLists.txt is the
+target of no row, or when a row's target is one CMake does not build;
+0 otherwise.
 """
 
 import re
@@ -22,7 +25,16 @@ from check_bench import BASELINE_DIR, GATE_SETS  # noqa: E402
 
 def main():
     workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    matrix_rows = set(re.findall(r"\{\s*bench:\s*([\w-]+)\s*,", workflow))
+    rows = re.findall(r"\{\s*bench:\s*([\w-]+)\s*,\s*target:\s*([\w-]+)\s*\}",
+                      workflow)
+    matrix_rows = {bench for bench, _ in rows}
+    bench_cmake = (REPO_ROOT / "bench" / "CMakeLists.txt").read_text()
+    paper_benches = set(re.findall(r"^dynkge_add_bench\((\w+)\)", bench_cmake,
+                                   re.MULTILINE))
+    built = paper_benches | set(re.findall(
+        r"^(?:dynkge_add_micro|add_executable)\((\w+)",
+        bench_cmake + (REPO_ROOT / "tools" / "CMakeLists.txt").read_text(),
+        re.MULTILINE))
     baselines = {path.name[len("BENCH_"):-len(".baseline.json")]
                  for path in BASELINE_DIR.glob("BENCH_*.baseline.json")}
 
@@ -37,13 +49,21 @@ def main():
                           f"ci.yml")
     for kind in sorted(baselines - GATE_SETS.keys()):
         errors.append(f"baseline BENCH_{kind}.baseline.json has no gate set")
+    for target in sorted(paper_benches - {target for _, target in rows}):
+        errors.append(f"bench target '{target}' is the target of no "
+                      f"bench-suite row in ci.yml")
+    for bench, target in rows:
+        if target not in built:
+            errors.append(f"bench-suite row '{bench}' names target "
+                          f"'{target}', which CMake does not build")
 
     for error in errors:
         print(f"check_gate_sets: {error}", file=sys.stderr)
     if errors:
         return 1
     print(f"check_gate_sets: {len(gated)} gate sets, each with a "
-          f"baseline and a bench-suite row")
+          f"baseline and a bench-suite row; {len(rows)} rows, each naming "
+          f"a target CMake builds")
     return 0
 
 

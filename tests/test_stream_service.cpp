@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -47,7 +48,9 @@ stream::DeltaIngestor make_ingestor(InferenceService& service,
 // The tentpole claim: no request fails while versions are hot-swapped at
 // full speed. Readers hammer topk()/topk_batch() with no admission limit
 // (so a null result can only mean a broken swap) while one thread streams
-// deltas through the ingestor and another does full model swaps.
+// deltas through the ingestor and another does full model swaps. The
+// writers start once every reader has had its first query answered, so
+// reads overlap the churn however the threads are scheduled.
 TEST(StreamService, ZeroFailedRequestsUnderContinuousChurn) {
   const auto base = make_model();
   InferenceService service(kge::clone_model(*base), nullptr);
@@ -57,11 +60,14 @@ TEST(StreamService, ZeroFailedRequestsUnderContinuousChurn) {
   std::atomic<std::uint64_t> answered{0};
   std::atomic<std::uint64_t> failed{0};
 
+  constexpr int kReaders = 3;
+  std::latch readers_started(kReaders);
   std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       util::Rng rng(1000 + static_cast<std::uint64_t>(t));
       std::vector<TopKQuery> batch(8);
+      bool first = true;
       while (!done.load(std::memory_order_acquire)) {
         const auto q = query(
             static_cast<EntityId>(rng.next_below(kEntities)),
@@ -70,6 +76,10 @@ TEST(StreamService, ZeroFailedRequestsUnderContinuousChurn) {
           answered.fetch_add(1, std::memory_order_relaxed);
         } else {
           failed.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (first) {
+          readers_started.count_down();
+          first = false;
         }
         for (auto& b : batch) {
           b = query(static_cast<EntityId>(rng.next_below(kEntities)));
@@ -85,6 +95,7 @@ TEST(StreamService, ZeroFailedRequestsUnderContinuousChurn) {
     });
   }
 
+  readers_started.wait();
   std::thread updater([&] {
     util::Rng rng(7);
     for (int i = 0; i < 120; ++i) {
