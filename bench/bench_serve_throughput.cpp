@@ -1,14 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the serving layer: the entity
-// scan alone at 1, 4 and 32 queries, single-query full-scan baseline vs
-// TopKScorer (serial / parallel) vs the full InferenceService batch path
-// with cold and warm caches.
+// scan alone (ComplEx at 1, 4, 8, 25 and 32 queries; DistMult, TransE and
+// RotatE at 25), single-query full-scan baseline vs TopKScorer (serial /
+// parallel) vs the full InferenceService batch path with cold and warm
+// caches.
 #include <benchmark/benchmark.h>
 
 #include "harness/micro_main.hpp"
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "kge/model_factory.hpp"
@@ -34,13 +37,16 @@ constexpr std::int32_t kRelations = 64;
 constexpr std::int32_t kRank = 32;
 constexpr std::int32_t kTopK = 10;
 
+std::shared_ptr<const KgeModel> make_shared_model(const char* name) {
+  auto m = dynkge::kge::make_model(name, kEntities, kRelations, kRank);
+  Rng rng(77);
+  m->init(rng);
+  return m;
+}
+
 const std::shared_ptr<const KgeModel>& shared_model() {
-  static const std::shared_ptr<const KgeModel> model = [] {
-    auto m = dynkge::kge::make_model("complex", kEntities, kRelations, kRank);
-    Rng rng(77);
-    m->init(rng);
-    return m;
-  }();
+  static const std::shared_ptr<const KgeModel> model =
+      make_shared_model("complex");
   return model;
 }
 
@@ -63,10 +69,10 @@ std::vector<TopKQuery> make_stream(std::size_t count,
 
 /// The entity scan alone, driven as TopKScorer drives it: every query of
 /// the pass over each 1024-entity block. Items are (query, candidate)
-/// pairs, so one query (candidates side by side), a short tile (4) and
-/// whole tiles (32) compare per pair.
-void BM_EntityScan(benchmark::State& state) {
-  const KgeModel& model = *shared_model();
+/// pairs, so one query (candidates side by side), a short tile (4), the
+/// evaluator's tile (8), serve_churn's misses (25: three tiles and a
+/// one-query pass) and whole tiles (32) compare per pair.
+void run_entity_scan(benchmark::State& state, const KgeModel& model) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<EntityQuery> queries;
   for (const TopKQuery& q : make_stream(n, n)) {
@@ -87,7 +93,35 @@ void BM_EntityScan(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) * kEntities);
 }
-BENCHMARK(BM_EntityScan)->ArgName("queries")->Arg(1)->Arg(4)->Arg(32);
+
+void BM_EntityScan(benchmark::State& state) {
+  run_entity_scan(state, *shared_model());
+}
+BENCHMARK(BM_EntityScan)
+    ->ArgName("queries")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(25)
+    ->Arg(32);
+
+/// The other models' scans at serve_churn's 25 misses. TransE and RotatE
+/// scan each direction apart, so the leftover tile is a short one.
+void BM_EntityScanModel(benchmark::State& state, const char* name) {
+  static std::map<std::string, std::shared_ptr<const KgeModel>> models;
+  std::shared_ptr<const KgeModel>& model = models[name];
+  if (model == nullptr) model = make_shared_model(name);
+  run_entity_scan(state, *model);
+}
+BENCHMARK_CAPTURE(BM_EntityScanModel, distmult, "distmult")
+    ->ArgName("queries")
+    ->Arg(25);
+BENCHMARK_CAPTURE(BM_EntityScanModel, transe, "transe")
+    ->ArgName("queries")
+    ->Arg(25);
+BENCHMARK_CAPTURE(BM_EntityScanModel, rotate, "rotate")
+    ->ArgName("queries")
+    ->Arg(25);
 
 /// The pre-serve inference path: full scan into a dense score vector,
 /// then partial_sort. One query per iteration.

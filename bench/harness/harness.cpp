@@ -61,11 +61,19 @@ kge::SyntheticSpec spec_for(const std::string& dataset,
   throw std::invalid_argument("unknown dataset preset: " + dataset);
 }
 
+/// A usage error exits 2 with its message, as in dynkge.
+[[noreturn]] void exit_usage(const std::exception& error) {
+  std::cerr << "usage error: " << error.what() << "\n";
+  std::exit(2);
+}
+
 }  // namespace
 
+// A flag value that does not parse in full ("--nodes 2x") is a usage
+// error, as an unread flag is.
 HarnessOptions parse_options(const util::ArgParser& args,
                              const std::string& dataset,
-                             std::vector<std::int64_t> default_nodes) {
+                             std::vector<std::int64_t> default_nodes) try {
   HarnessOptions options;
   options.dataset = dataset;
   options.scale = args.get_string("scale", "bench");
@@ -114,14 +122,15 @@ HarnessOptions parse_options(const util::ArgParser& args,
       static_cast<int>(args.get_int("ss-sampled", options.ss_sampled));
   options.ss_used = static_cast<int>(args.get_int("ss-used", options.ss_used));
   return options;
+} catch (const std::invalid_argument& error) {
+  exit_usage(error);
 }
 
 void reject_unread(const util::ArgParser& args) {
   try {
     args.reject_unread();
   } catch (const util::UnreadFlagError& error) {
-    std::cerr << "usage error: " << error.what() << "\n";
-    std::exit(2);
+    exit_usage(error);
   }
 }
 

@@ -68,7 +68,9 @@ struct HarnessOptions {
 void context_from(obs::BenchReporter& reporter, const HarnessOptions& options);
 
 /// Parse shared flags from `args`, the parser the binary reads its own
-/// flags from too. `dataset` fixes which stand-in the binary targets.
+/// flags from too. `dataset` fixes which stand-in the binary targets. A
+/// value that does not parse in full is a usage error, printed naming the
+/// flag, and the process exits 2.
 HarnessOptions parse_options(const util::ArgParser& args,
                              const std::string& dataset,
                              std::vector<std::int64_t> default_nodes);

@@ -109,6 +109,30 @@ std::string StrategyConfig::label() const {
   return out;
 }
 
+std::string StrategyConfig::spec() const {
+  std::string out;
+  const auto field = [&out](const char* name, const std::string& value) {
+    if (!out.empty()) out += ';';
+    out += name;
+    out += '=';
+    out += value;
+  };
+  const auto flag = [](bool on) { return std::string(on ? "1" : "0"); };
+  field("comm", to_string(comm));
+  field("dynamic_probe_interval", std::to_string(dynamic_probe_interval));
+  field("selection", to_string(selection));
+  field("selection_residual", flag(selection_residual));
+  field("topk_k", std::to_string(topk_k));
+  field("dynamic_topk_arm", flag(dynamic_topk_arm));
+  field("quant", to_string(quant));
+  field("one_bit_scale", to_string(one_bit_scale));
+  field("error_feedback", flag(error_feedback));
+  field("relation_partition", flag(relation_partition));
+  field("negatives_sampled", std::to_string(negatives_sampled));
+  field("negatives_used", std::to_string(negatives_used));
+  return out;
+}
+
 StrategyConfig StrategyConfig::baseline_allreduce(int negatives) {
   StrategyConfig config;
   config.comm = CommMode::kAllReduce;

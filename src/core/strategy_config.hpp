@@ -105,7 +105,14 @@ struct StrategyConfig {
   bool operator==(const StrategyConfig&) const = default;
 
   /// Short label matching the paper's legends ("DRS+1-bit+RP+SS" etc).
+  /// Configurations that differ only in a knob (probe interval, scale,
+  /// residuals, negatives) share a label.
   std::string label() const;
+
+  /// Every field as "name=value", in declaration order, joined by ';'
+  /// ("comm=dynamic;dynamic_probe_interval=10;...;negatives_used=1"). A
+  /// training snapshot stores it, and resuming compares it field by field.
+  std::string spec() const;
 
   /// When Top-K selection or the DRS Top-K arm is on, require 1 <= topk_k
   /// <= num_entities. The message starts with `owner` (the config being

@@ -12,6 +12,9 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "comm/recovery.hpp"
 #include "core/comm_selector.hpp"
@@ -55,6 +58,41 @@ void check_resume_field(const std::string& field, const std::string& expected,
         "different run (" +
         field + ": this run has '" + expected + "', snapshot has '" + found +
         "')");
+  }
+}
+
+/// The "name=value" fields of a StrategyConfig::spec().
+std::vector<std::pair<std::string, std::string>> spec_fields(
+    const std::string& spec) {
+  std::vector<std::pair<std::string, std::string>> fields;
+  std::size_t begin = 0;
+  while (begin <= spec.size()) {
+    const std::size_t end = std::min(spec.find(';', begin), spec.size());
+    const std::string field = spec.substr(begin, end - begin);
+    const std::size_t equals = field.find('=');
+    fields.emplace_back(field.substr(0, equals),
+                        equals == std::string::npos ? ""
+                                                    : field.substr(equals + 1));
+    begin = end + 1;
+  }
+  return fields;
+}
+
+/// Compares two StrategyConfig::spec() strings field by field and names
+/// the first field that differs ("strategy.negatives_sampled"); a spec of
+/// other fields is reported whole.
+void check_resume_strategy(const std::string& expected,
+                           const std::string& found) {
+  const auto ours = spec_fields(expected);
+  const auto theirs = spec_fields(found);
+  const bool same_fields =
+      ours.size() == theirs.size() &&
+      std::equal(ours.begin(), ours.end(), theirs.begin(),
+                 [](const auto& a, const auto& b) { return a.first == b.first; });
+  if (!same_fields) return check_resume_field("strategy", expected, found);
+  for (std::size_t i = 0; i < ours.size(); ++i) {
+    check_resume_field("strategy." + ours[i].first, ours[i].second,
+                       theirs[i].second);
   }
 }
 
@@ -352,7 +390,7 @@ void DistributedTrainer::validate_resume_snapshot(
     const kge::TrainingSnapshot& snapshot, int world_size) const {
   const kge::TrainerSnapshot& t = snapshot.trainer;
   check_resume_field("model", config_.model_name, t.model_name);
-  check_resume_field("strategy", config_.strategy.label(), t.strategy_label);
+  check_resume_strategy(config_.strategy.spec(), t.strategy);
   check_resume_field("embedding_rank",
                      std::to_string(config_.embedding_rank),
                      std::to_string(t.embedding_rank));
@@ -609,7 +647,7 @@ kge::TrainingSnapshot RankProgram::build_snapshot(int epoch) const {
   snap.trainer.seed = config_.seed;
   snap.trainer.model_name = config_.model_name;
   snap.trainer.embedding_rank = config_.embedding_rank;
-  snap.trainer.strategy_label = strategy_.label();
+  snap.trainer.strategy = strategy_.spec();
   snap.trainer.total_sim_seconds = attempt_.report.total_sim_seconds;
   snap.trainer.final_val_accuracy = attempt_.report.final_val_accuracy;
   snap.trainer.checkpoints_written = checkpoints_total_;

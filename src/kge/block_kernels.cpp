@@ -42,15 +42,22 @@
 //    TransE and RotatE's head side keep the triple term's double
 //    operations), and a (query, candidate) score is the left-to-right
 //    double sum from 0.0 of the candidate's terms against that row.
-//    Queries sit side by side in tiles of kScanTile, one chain each; a
-//    tile of fewer than the scan's kMinLanes queries scores each query's
-//    candidates side by side in sum_terms's chains instead. Neither shape
-//    splits a term or reorders a chain, so a score's bytes depend neither
-//    on the range nor on the other queries of the call.
+//    Queries sit side by side in tiles of kScanTile lanes, and each pass
+//    over a tile scores kPassCandidates candidates, one chain per (query,
+//    candidate) pair, reading each candidate element converted to double
+//    (exact). A tile of fewer than the scan's kMinLanes queries scores
+//    each query's candidates side by side in sum_terms's chains instead.
+//    Neither shape splits a term or reorders a chain, and lane arithmetic
+//    is one IEEE operation per lane, so a score's bytes depend neither on
+//    the range, nor on the other queries of the call, nor on the body's
+//    vector width.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -144,6 +151,72 @@ struct NextGroupRows {
   }
 };
 
+// ---- lanes: a scalar term, or one per query of a scan tile -----------
+
+/// kWidth query lanes of a tile in one register of the body's width
+/// (DYNKGE_KERNEL_BODIES): lane q holds query q's value. Packed IEEE
+/// arithmetic, so a lane's result is its scalar operation's bytes. GCC
+/// aligns the type to the register of the function it is used in, so
+/// lane vectors are only read from TileElement storage.
+template <std::size_t kWidth>
+struct LaneVector {
+  typedef double type __attribute__((vector_size(kWidth * sizeof(double))));
+};
+
+/// One element of a scan tile, aligned for the widest body's vector.
+struct alignas(kScanTile * sizeof(double)) TileElement {
+  double lane[kScanTile];
+};
+
+// The lane forms below are written so that they compile to packed code
+// without basic-block SLP, which this file is built without
+// (src/kge/CMakeLists.txt).
+
+/// |x| of a scalar term, or of each lane: the sign bit cleared, as
+/// std::fabs clears it.
+[[gnu::always_inline]] inline double fabs_lanes(double x) {
+  return std::fabs(x);
+}
+template <typename Lanes>
+[[gnu::always_inline]] inline Lanes fabs_lanes(Lanes x) {
+  typedef std::int64_t Bits __attribute__((vector_size(sizeof(Lanes))));
+  return std::bit_cast<Lanes>(std::bit_cast<Bits>(x) &
+                              std::numeric_limits<std::int64_t>::max());
+}
+
+/// sqrt(x) of a scalar term, or of each lane. The lane loop stays a loop
+/// until the loop vectorizer makes it one packed square root.
+[[gnu::always_inline]] inline double sqrt_lanes(double x) {
+  return std::sqrt(x);
+}
+template <typename Lanes>
+[[gnu::always_inline]] inline Lanes sqrt_lanes(Lanes x) {
+#pragma GCC unroll 1
+  for (std::size_t q = 0; q < sizeof(Lanes) / sizeof(double); ++q) {
+    x[q] = std::sqrt(x[q]);
+  }
+  return x;
+}
+
+/// float(a) - e for a double a holding a float and a float e: the float
+/// difference, held as a double.
+[[gnu::always_inline]] inline double float_difference(double a, float e) {
+  return static_cast<float>(a) - e;
+}
+/// The same per lane, for a candidate element converted to double: the
+/// double difference rounded to float. Both operands hold floats, so that
+/// is the float difference: rounding a sum to double and then to float
+/// gives the sum rounded to float whenever double carries at least
+/// 2 x 24 + 2 significand bits, and it carries 53. The rounding is a
+/// vector conversion: GCC 12 at -O2 folds `d[q] = (float)d[q]` over
+/// every lane of a vector into nothing.
+template <typename Lanes>
+[[gnu::always_inline]] inline Lanes float_difference(Lanes a, double e) {
+  typedef float Narrow __attribute__((vector_size(sizeof(Lanes) / 2)));
+  return __builtin_convertvector(__builtin_convertvector(a - e, Narrow),
+                                 Lanes);
+}
+
 // ---- ComplEx ---------------------------------------------------------
 
 /// Re(h_i r_i conj(t_i)); rows hold [re_0..re_{k-1}, im_0..im_{k-1}].
@@ -207,9 +280,10 @@ void complex_grad(const float* __restrict eh, const float* __restrict er,
 // ---- TransE ----------------------------------------------------------
 
 /// |(h_i + r_i) - t_i| for hr = h_i + r_i, an element of the L1 distance
-/// TransE subtracts from gamma.
-[[gnu::always_inline]] inline double transe_modulus(double hr, double t) {
-  return std::fabs(hr - t);
+/// TransE subtracts from gamma; per lane for the entity scan's tiles.
+template <typename V, typename T>
+[[gnu::always_inline]] inline V transe_modulus(V hr, T t) {
+  return fabs_lanes(hr - t);
 }
 
 struct TransETerm {
@@ -338,14 +412,15 @@ class RotatePhaseCache {
 };
 
 /// |h e^{i theta} - t| for c = cos(theta), s = sin(theta): an element of
-/// the rotated distance RotatE subtracts from gamma.
-[[gnu::always_inline]] inline double rotate_modulus(double h_re, double h_im,
-                                                    double c, double s,
-                                                    double t_re,
-                                                    double t_im) {
-  const double d_re = h_re * c - h_im * s - t_re;
-  const double d_im = h_re * s + h_im * c - t_im;
-  return std::sqrt(d_re * d_re + d_im * d_im + RotatEModel::kEpsilon);
+/// the rotated distance RotatE subtracts from gamma; per lane for the
+/// entity scan's tiles. A triple term names V = double, so float
+/// arguments are widened as they were to the double parameters.
+template <typename V>
+[[gnu::always_inline]] inline V rotate_modulus(double h_re, double h_im, V c,
+                                               V s, V t_re, V t_im) {
+  const V d_re = h_re * c - h_im * s - t_re;
+  const V d_im = h_re * s + h_im * c - t_im;
+  return sqrt_lanes(d_re * d_re + d_im * d_im + RotatEModel::kEpsilon);
 }
 
 /// The term with cos/sin read from a block's phase cache.
@@ -356,8 +431,8 @@ struct RotatECachedTerm {
   std::int32_t k;
 
   [[gnu::always_inline]] double operator()(std::int32_t i) const {
-    return rotate_modulus(eh[i], eh[k + i], cs[i], cs[k + i], et[i],
-                          et[k + i]);
+    return rotate_modulus<double>(eh[i], eh[k + i], cs[i], cs[k + i], et[i],
+                                  et[k + i]);
   }
 };
 
@@ -370,8 +445,8 @@ struct RotatEPhaseTerm {
   std::int32_t k;
 
   [[gnu::always_inline]] double operator()(std::int32_t i) const {
-    return rotate_modulus(eh[i], eh[k + i], std::cos(phases[i]),
-                          std::sin(phases[i]), et[i], et[k + i]);
+    return rotate_modulus<double>(eh[i], eh[k + i], std::cos(phases[i]),
+                                  std::sin(phases[i]), et[i], et[k + i]);
   }
 };
 
@@ -456,38 +531,93 @@ struct CandidateTerm {
   }
 };
 
+/// Candidates one pass over a tile scores, each with its own accumulators,
+/// so four add chains per lane are in flight where one candidate's chain
+/// waited on each of its adds. Two per pass scanned slower on both bodies;
+/// eight ran no faster on AVX-512F and slower for ComplEx on AVX2, whose
+/// sixteen ymm registers then hold nothing but accumulators (DESIGN.md
+/// §10). Where an element's row takes more than four vectors (RotatE
+/// heads below AVX-512F, whose rows have four parts) a pass takes two, so
+/// the row vectors and the accumulators stay in registers; the square
+/// roots bound that pass either way.
+template <typename Scan, std::size_t kWidth>
+constexpr std::size_t kPassCandidates =
+    Scan::kParts * (kScanTile / kWidth) > 4 ? 2 : 4;
+
+/// Scores candidates j .. j + kCandidates - 1, whose rows start at
+/// `rows`, against a tile of `lanes` queries interleaved in `tile`
+/// (element i of part p in tile[(p * k + i) * kVectors .. + kVectors]).
+/// The candidate rows are converted to double once, into `converted`
+/// (exact), so every lane reads a candidate element as a broadcast
+/// double. Each (query, candidate) pair sums its terms in element order
+/// from 0.0 in one chain.
+template <std::size_t kCandidates, std::size_t kWidth, typename Scan>
+[[gnu::always_inline]] inline void score_pass(
+    const Scan& scan, const typename LaneVector<kWidth>::type* tile,
+    const float* rows, double* converted, double* const* tile_out,
+    std::size_t lanes, std::size_t j) {
+  using Lanes = typename LaneVector<kWidth>::type;
+  constexpr std::size_t kVectors = kScanTile / kWidth;
+  const std::size_t width = static_cast<std::size_t>(scan.entities.width());
+  for (std::size_t x = 0; x < kCandidates * width; ++x) {
+    converted[x] = rows[x];
+  }
+  Lanes acc[kCandidates][kVectors] = {};
+  for (std::int32_t i = 0; i < scan.k; ++i) {
+    for (std::size_t c = 0; c < kCandidates; ++c) {
+      for (std::size_t v = 0; v < kVectors; ++v) {
+        acc[c][v] += scan.term(tile + v, kVectors, converted + c * width, i);
+      }
+    }
+  }
+  double sums[kCandidates][kScanTile];
+  std::memcpy(sums, acc, sizeof sums);
+  for (std::size_t c = 0; c < kCandidates; ++c) {
+    for (std::size_t q = 0; q < lanes; ++q) tile_out[q][j + c] = sums[c][q];
+  }
+}
+
 /// out[q * count + j] = the sum of the terms of queries[q] with candidate
 /// begin + j, for every query `scan` handles. A Scan composes a query
 /// into a row of Scan::kParts parts of k elements (element i of part p at
 /// row[(p * k + i) * stride] when `stride` rows interleave) and gives a
-/// candidate's element term against a row.
+/// candidate's element term against a row: a scalar term against a
+/// stride-1 row and a float candidate, or a lane vector of terms against
+/// a tile and a candidate converted to double.
 ///
 /// Handled queries are taken kScanTile at a time, in order. A tile of at
-/// least Scan::kMinLanes interleaves their rows, so lane q of a
-/// candidate's pass adds query q's term and each candidate row is read
-/// once per tile; a short tile's last lanes hold zeros or an earlier
-/// tile's rows, and their sums are dropped. A smaller tile scores each
-/// query alone, its candidates side by side in sum_terms's chains. A
-/// tile costs about as much per candidate at any lane count, so
-/// kMinLanes is the number of one-query passes it costs.
-template <typename Scan>
+/// least Scan::kMinLanes interleaves their rows in lane vectors of kWidth
+/// doubles; each pass over it scores kPassCandidates candidates, with the
+/// count % kPassCandidates left over scored one per pass, and reads each
+/// candidate row once per tile. A short tile's last lanes hold zeros or an
+/// earlier tile's rows, and their sums are dropped. A smaller tile scores
+/// each query alone, its candidates side by side in sum_terms's chains. A
+/// tile costs the same per candidate at any lane count, so kMinLanes is
+/// the lane count from which one tile costs less than that many one-query
+/// passes (DESIGN.md §10 has the timings).
+template <std::size_t kWidth, typename Scan>
 [[gnu::always_inline]] inline void scan_entities(
     const Scan& scan, std::span<const EntityQuery> queries, EntityId begin,
     std::size_t count, double* out) {
+  using Lanes = typename LaneVector<kWidth>::type;
   const std::int32_t k = scan.k;
   const auto candidate = [&](std::size_t j) __attribute__((always_inline)) {
     return scan.entities.row(begin + static_cast<EntityId>(j)).data();
   };
-  std::vector<double> rows(static_cast<std::size_t>(Scan::kParts * k) *
-                           kScanTile);
-  const EntityQuery* tile[kScanTile];
+  const std::size_t row_doubles =
+      static_cast<std::size_t>(Scan::kParts * k) * kScanTile;
+  std::vector<double> rows(row_doubles);
+  // Allocated by the first lane tile: a call of one-query passes has none.
+  std::vector<TileElement> tile;
+  std::vector<double> converted;
+  const EntityQuery* queued[kScanTile];
   double* tile_out[kScanTile];
   std::size_t next = 0;
   while (true) {
     std::size_t lanes = 0;
     for (; next < queries.size() && lanes < kScanTile; ++next) {
       if (!scan.handles(queries[next])) continue;
-      tile[lanes] = &queries[next];
+      queued[lanes] = &queries[next];
       tile_out[lanes++] = out + next * count;
     }
     if (lanes == 0) return;
@@ -496,26 +626,29 @@ template <typename Scan>
         return CandidateTerm<Scan>{&scan, rows.data(), candidate(j)};
       };
       for (std::size_t q = 0; q < lanes; ++q) {
-        scan.compose(*tile[q], rows.data(), 1);
+        scan.compose(*queued[q], rows.data(), 1);
         sum_terms(count, k, term_of, tile_out[q]);
       }
       continue;
     }
-    // One copy of the lane loop serves every lane count: a copy for
-    // full tiles alone, where GCC knew the count, kept the lanes as
-    // scalars.
     for (std::size_t q = 0; q < lanes; ++q) {
-      scan.compose(*tile[q], rows.data() + q, kScanTile);
+      scan.compose(*queued[q], rows.data() + q, kScanTile);
     }
-    for (std::size_t j = 0; j < count; ++j) {
-      const float* e = candidate(j);
-      double acc[kScanTile] = {};
-      for (std::int32_t i = 0; i < k; ++i) {
-        for (std::size_t q = 0; q < kScanTile; ++q) {
-          acc[q] += scan.term(rows.data() + q, kScanTile, e, i);
-        }
-      }
-      for (std::size_t q = 0; q < lanes; ++q) tile_out[q][j] = acc[q];
+    constexpr std::size_t kPass = kPassCandidates<Scan, kWidth>;
+    if (tile.empty()) {
+      tile.resize(row_doubles / kScanTile);
+      converted.resize(kPass * static_cast<std::size_t>(scan.entities.width()));
+    }
+    std::memcpy(tile.data(), rows.data(), row_doubles * sizeof(double));
+    const auto* lane_rows = reinterpret_cast<const Lanes*>(tile.data());
+    std::size_t j = 0;
+    for (; j + kPass <= count; j += kPass) {
+      score_pass<kPass, kWidth>(scan, lane_rows, candidate(j),
+                                converted.data(), tile_out, lanes, j);
+    }
+    for (; j < count; ++j) {
+      score_pass<1, kWidth>(scan, lane_rows, candidate(j), converted.data(),
+                            tile_out, lanes, j);
     }
   }
 }
@@ -541,8 +674,9 @@ struct ComplExScan : ScanTables {
     }
   }
 
-  [[gnu::always_inline]] double term(const double* row, std::size_t stride,
-                                     const float* e, std::int32_t i) const {
+  template <typename V, typename E>
+  [[gnu::always_inline]] V term(const V* row, std::size_t stride, const E* e,
+                                std::int32_t i) const {
     return row[i * stride] * e[i] + row[(k + i) * stride] * e[k + i];
   }
 };
@@ -550,7 +684,7 @@ struct ComplExScan : ScanTables {
 /// DistMult: either query composes e∘r in float.
 struct DistMultScan : ScanTables {
   static constexpr std::int32_t kParts = 1;
-  static constexpr std::size_t kMinLanes = 3;
+  static constexpr std::size_t kMinLanes = 2;
 
   static bool handles(const EntityQuery&) { return true; }
 
@@ -560,8 +694,9 @@ struct DistMultScan : ScanTables {
     for (std::int32_t i = 0; i < k; ++i) row[i * stride] = e[i] * r[i];
   }
 
-  [[gnu::always_inline]] double term(const double* row, std::size_t stride,
-                                     const float* e, std::int32_t i) const {
+  template <typename V, typename E>
+  [[gnu::always_inline]] V term(const V* row, std::size_t stride, const E* e,
+                                std::int32_t i) const {
     return row[i * stride] * e[i];
   }
 };
@@ -573,7 +708,7 @@ template <Direction kSide>
 struct TransEScan : ScanTables {
   static constexpr bool kTail = kSide == Direction::kTail;
   static constexpr std::int32_t kParts = kTail ? 1 : 2;
-  static constexpr std::size_t kMinLanes = 3;
+  static constexpr std::size_t kMinLanes = 2;
 
   static bool handles(const EntityQuery& q) { return q.direction == kSide; }
 
@@ -590,8 +725,9 @@ struct TransEScan : ScanTables {
     }
   }
 
-  [[gnu::always_inline]] double term(const double* row, std::size_t stride,
-                                     const float* e, std::int32_t i) const {
+  template <typename V, typename E>
+  [[gnu::always_inline]] V term(const V* row, std::size_t stride, const E* e,
+                                std::int32_t i) const {
     if constexpr (kTail) return transe_modulus(row[i * stride], e[i]);
     return transe_modulus(e[i] + row[i * stride], row[(k + i) * stride]);
   }
@@ -602,8 +738,8 @@ struct TransEScan : ScanTables {
 /// candidate's term is the modulus of the float differences. For a head
 /// query the candidate is rotated, so the row keeps cos and sin of the
 /// phases and t, and the term is the triple term's modulus. The lane
-/// loop is bound by packed square roots: a tile costs about seven
-/// one-query passes.
+/// loop is bound by packed square roots: a tile costs about six and a
+/// half one-query passes.
 template <Direction kSide>
 struct RotatEScan : ScanTables {
   static constexpr bool kTail = kSide == Direction::kTail;
@@ -630,12 +766,13 @@ struct RotatEScan : ScanTables {
     }
   }
 
-  [[gnu::always_inline]] double term(const double* row, std::size_t stride,
-                                     const float* e, std::int32_t i) const {
+  template <typename V, typename E>
+  [[gnu::always_inline]] V term(const V* row, std::size_t stride, const E* e,
+                                std::int32_t i) const {
     if constexpr (kTail) {
-      const double d_re = static_cast<float>(row[i * stride]) - e[i];
-      const double d_im = static_cast<float>(row[(k + i) * stride]) - e[k + i];
-      return std::sqrt(d_re * d_re + d_im * d_im + RotatEModel::kEpsilon);
+      const V d_re = float_difference(row[i * stride], e[i]);
+      const V d_im = float_difference(row[(k + i) * stride], e[k + i]);
+      return sqrt_lanes(d_re * d_re + d_im * d_im + RotatEModel::kEpsilon);
     }
     return rotate_modulus(e[i], e[k + i], row[i * stride],
                           row[(k + i) * stride], row[(2 * k + i) * stride],
@@ -643,41 +780,47 @@ struct RotatEScan : ScanTables {
   }
 };
 
-DYNKGE_KERNEL_CLONES
-void complex_scan(const ScanTables& tables,
-                  std::span<const EntityQuery> queries, EntityId begin,
-                  std::size_t count, double* out) {
-  scan_entities(ComplExScan{tables}, queries, begin, count, out);
+/// The model an entity scan runs.
+enum class ScanModel { kComplEx, kDistMult, kTransE, kRotatE };
+
+/// TransE and RotatE write distances: the caller subtracts them from
+/// gamma.
+template <std::size_t kWidth>
+[[gnu::always_inline]] inline void scan_model(
+    ScanModel model, const ScanTables& tables,
+    std::span<const EntityQuery> queries, EntityId begin, std::size_t count,
+    double* out) {
+  switch (model) {
+    case ScanModel::kComplEx:
+      return scan_entities<kWidth>(ComplExScan{tables}, queries, begin, count,
+                                   out);
+    case ScanModel::kDistMult:
+      return scan_entities<kWidth>(DistMultScan{tables}, queries, begin,
+                                   count, out);
+    case ScanModel::kTransE:
+      scan_entities<kWidth>(TransEScan<Direction::kTail>{tables}, queries,
+                            begin, count, out);
+      return scan_entities<kWidth>(TransEScan<Direction::kHead>{tables},
+                                   queries, begin, count, out);
+    case ScanModel::kRotatE:
+      scan_entities<kWidth>(RotatEScan<Direction::kTail>{tables}, queries,
+                            begin, count, out);
+      return scan_entities<kWidth>(RotatEScan<Direction::kHead>{tables},
+                                   queries, begin, count, out);
+  }
 }
 
-DYNKGE_KERNEL_CLONES
-void distmult_scan(const ScanTables& tables,
-                   std::span<const EntityQuery> queries, EntityId begin,
-                   std::size_t count, double* out) {
-  scan_entities(DistMultScan{tables}, queries, begin, count, out);
-}
-
-/// Distances: the caller subtracts them from gamma.
-DYNKGE_KERNEL_CLONES
-void transe_scan(const ScanTables& tables,
-                 std::span<const EntityQuery> queries, EntityId begin,
-                 std::size_t count, double* out) {
-  scan_entities(TransEScan<Direction::kTail>{tables}, queries, begin, count,
-                out);
-  scan_entities(TransEScan<Direction::kHead>{tables}, queries, begin, count,
-                out);
-}
-
-/// Distances: the caller subtracts them from gamma.
-DYNKGE_KERNEL_CLONES
-void rotate_scan(const ScanTables& tables,
-                 std::span<const EntityQuery> queries, EntityId begin,
-                 std::size_t count, double* out) {
-  scan_entities(RotatEScan<Direction::kTail>{tables}, queries, begin, count,
-                out);
-  scan_entities(RotatEScan<Direction::kHead>{tables}, queries, begin, count,
-                out);
-}
+// The entity scan, one version per body, each holding lanes in vectors
+// of its register width.
+#define DYNKGE_ENTITY_SCAN(attribute, width)                                 \
+  attribute void entity_scan(ScanModel model, const ScanTables& tables,      \
+                             std::span<const EntityQuery> queries,           \
+                             EntityId begin, std::size_t count,              \
+                             double* out) {                                  \
+    scan_model<width>(model, tables, queries, begin, count, out);            \
+  }
+DYNKGE_KERNEL_BODIES(DYNKGE_ENTITY_SCAN)
+#undef DYNKGE_ENTITY_SCAN
 
 }  // namespace
 
@@ -695,8 +838,8 @@ void ComplExModel::score_triples_block(std::span<const Triple> triples,
 void ComplExModel::score_entities_block(std::span<const EntityQuery> queries,
                                         EntityId begin, std::size_t count,
                                         std::span<double> out) const {
-  complex_scan({entities_, relations_, rank_}, queries, begin, count,
-               out.data());
+  entity_scan(ScanModel::kComplEx, {entities_, relations_, rank_}, queries, begin,
+              count, out.data());
 }
 
 void ComplExModel::accumulate_gradients_block(
@@ -726,8 +869,8 @@ void DistMultModel::score_triples_block(std::span<const Triple> triples,
 void DistMultModel::score_entities_block(std::span<const EntityQuery> queries,
                                          EntityId begin, std::size_t count,
                                          std::span<double> out) const {
-  distmult_scan({entities_, relations_, rank_}, queries, begin, count,
-                out.data());
+  entity_scan(ScanModel::kDistMult, {entities_, relations_, rank_}, queries, begin,
+              count, out.data());
 }
 
 void DistMultModel::accumulate_gradients_block(
@@ -758,8 +901,8 @@ void TransEModel::score_triples_block(std::span<const Triple> triples,
 void TransEModel::score_entities_block(std::span<const EntityQuery> queries,
                                        EntityId begin, std::size_t count,
                                        std::span<double> out) const {
-  transe_scan({entities_, relations_, rank_}, queries, begin, count,
-              out.data());
+  entity_scan(ScanModel::kTransE, {entities_, relations_, rank_}, queries, begin,
+              count, out.data());
   for (double& score : out.first(queries.size() * count)) {
     score = gamma_ - score;
   }
@@ -793,8 +936,8 @@ void RotatEModel::score_triples_block(std::span<const Triple> triples,
 void RotatEModel::score_entities_block(std::span<const EntityQuery> queries,
                                        EntityId begin, std::size_t count,
                                        std::span<double> out) const {
-  rotate_scan({entities_, relations_, rank_}, queries, begin, count,
-              out.data());
+  entity_scan(ScanModel::kRotatE, {entities_, relations_, rank_}, queries, begin,
+              count, out.data());
   for (double& score : out.first(queries.size() * count)) {
     score = gamma_ - score;
   }

@@ -5,6 +5,15 @@
 // body and picks one per process at load time (ifunc), so a single binary
 // runs the widest version the CPU has and the baseline elsewhere.
 //
+// DYNKGE_KERNEL_BODIES(define) is the same list for a kernel that holds
+// values in GCC vector types (the entity scan): a vector wider than the
+// body's registers lives in memory, so such a kernel is written once as a
+// template on the doubles per vector and instantiated per body.
+// define(attribute, width) is expanded once per body with the body's
+// target attribute and its doubles per register: 2 for the baseline
+// (SSE2), 4 for AVX2, 8 for AVX-512F. GCC dispatches among the versions
+// as it does among clones.
+//
 // Byte-determinism across ISAs: every operation in the kernels is a
 // single IEEE-754 add/mul/div/sqrt, and packed SSE/AVX/AVX-512 arithmetic
 // is IEEE-exact per lane — widening the vectors never changes a result
@@ -23,12 +32,25 @@
 // narrower vectors. So do ThreadSanitizer builds: TSan instruments the
 // ifunc resolver, which the loader runs before the TSan runtime is set up,
 // so a binary linking a clone would crash at start-up.
+//
+// One body only: a translation unit compiled with DYNKGE_KERNEL_BODY_AVX2
+// or DYNKGE_KERNEL_BODY_BASELINE defined builds that body alone, with no
+// dispatch, so a test binary linking those kernels checks that body on
+// any host that can run it (tests/CMakeLists.txt).
 #pragma once
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
+#if defined(DYNKGE_KERNEL_BODY_AVX2)
+#define DYNKGE_KERNEL_CLONES __attribute__((target("avx2")))
+#define DYNKGE_KERNEL_BODIES(define) define(__attribute__((target("avx2"))), 4)
+#elif !defined(DYNKGE_KERNEL_BODY_BASELINE) && defined(__x86_64__) && \
+    defined(__GNUC__) && !defined(__clang__) && !defined(__SANITIZE_THREAD__)
 #define DYNKGE_KERNEL_CLONES \
   __attribute__((target_clones("default", "avx2", "avx512f")))
+#define DYNKGE_KERNEL_BODIES(define)              \
+  define(__attribute__((target("default"))), 2)   \
+  define(__attribute__((target("avx2"))), 4)      \
+  define(__attribute__((target("avx512f"))), 8)
 #else
 #define DYNKGE_KERNEL_CLONES
+#define DYNKGE_KERNEL_BODIES(define) define(, 2)
 #endif

@@ -415,7 +415,7 @@ std::string serialize_snapshot(const TrainingSnapshot& snapshot) {
     out.pod(t.seed);
     out.str(t.model_name);
     out.pod(t.embedding_rank);
-    out.str(t.strategy_label);
+    out.str(t.strategy);
     out.pod(t.total_sim_seconds);
     out.pod(t.final_val_accuracy);
     out.pod(t.checkpoints_written);
@@ -541,7 +541,7 @@ TrainingSnapshot deserialize_snapshot(std::string_view bytes,
     t.seed = in.pod<std::uint64_t>("seed");
     t.model_name = in.str("model_name", 64);
     t.embedding_rank = in.pod<std::int32_t>("embedding_rank");
-    t.strategy_label = in.str("strategy_label", 256);
+    t.strategy = in.str("strategy", 512);
     t.total_sim_seconds = in.pod<double>("total_sim_seconds");
     t.final_val_accuracy = in.pod<double>("final_val_accuracy");
     t.checkpoints_written = in.pod<std::int32_t>("checkpoints_written");

@@ -102,7 +102,7 @@ struct TrainerSnapshot {
   std::uint64_t seed = 0;
   std::string model_name;
   std::int32_t embedding_rank = 0;
-  std::string strategy_label;    ///< StrategyConfig::label() of the run
+  std::string strategy;  ///< StrategyConfig::spec() of the run: every field
   double total_sim_seconds = 0.0;
   double final_val_accuracy = 0.0;
   std::int32_t checkpoints_written = 0;  ///< snapshots this run has written

@@ -61,7 +61,7 @@ TrainingSnapshot tiny_snapshot(std::int32_t next_epoch) {
   snap.trainer.next_epoch = next_epoch;
   snap.trainer.model_name = "distmult";
   snap.trainer.embedding_rank = 4;
-  snap.trainer.strategy_label = "full";
+  snap.trainer.strategy = "full";
   snap.rank_rng_seeds = {1};
   snap.rank_residuals = {""};
   return snap;

@@ -95,7 +95,7 @@ TrainingSnapshot random_snapshot(std::uint64_t seed) {
   snap.trainer.seed = rng.next_u64();
   snap.trainer.model_name = name;
   snap.trainer.embedding_rank = rank;
-  snap.trainer.strategy_label = "drs+1bit";
+  snap.trainer.strategy = "drs+1bit";
   snap.trainer.total_sim_seconds = rng.next_double(0.0, 1e4);
   snap.trainer.final_val_accuracy = rng.next_double(0.0, 100.0);
   snap.trainer.checkpoints_written = static_cast<std::int32_t>(
@@ -158,7 +158,7 @@ void expect_equal(const TrainingSnapshot& a, const TrainingSnapshot& b) {
   EXPECT_EQ(a.trainer.seed, b.trainer.seed);
   EXPECT_EQ(a.trainer.model_name, b.trainer.model_name);
   EXPECT_EQ(a.trainer.embedding_rank, b.trainer.embedding_rank);
-  EXPECT_EQ(a.trainer.strategy_label, b.trainer.strategy_label);
+  EXPECT_EQ(a.trainer.strategy, b.trainer.strategy);
   EXPECT_DOUBLE_EQ(a.trainer.total_sim_seconds, b.trainer.total_sim_seconds);
   EXPECT_DOUBLE_EQ(a.trainer.final_val_accuracy,
                    b.trainer.final_val_accuracy);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace dynkge::core {
 namespace {
 
@@ -71,6 +73,37 @@ TEST(StrategyConfig, LabelsMatchPaperNomenclature) {
   EXPECT_EQ(StrategyConfig::drs_1bit_rp_ss(5).label(), "DRS+1-bit+RP+SS");
   EXPECT_EQ(StrategyConfig::topk(64).label(), "TopK");
   EXPECT_EQ(StrategyConfig::drs_topk(64).label(), "DRS+TopK-arm");
+}
+
+TEST(StrategyConfig, SpecNamesEveryField) {
+  const StrategyConfig base;
+  EXPECT_EQ(base.spec(),
+            "comm=allreduce;dynamic_probe_interval=10;selection=none;"
+            "selection_residual=0;topk_k=0;dynamic_topk_arm=0;quant=none;"
+            "one_bit_scale=max;error_feedback=0;relation_partition=0;"
+            "negatives_sampled=1;negatives_used=1");
+  // One change per field: each moves the spec, and configurations that
+  // share a label do not share a spec.
+  std::vector<StrategyConfig> changed(12, base);
+  changed[0].comm = CommMode::kDynamic;
+  changed[1].dynamic_probe_interval = 3;
+  changed[2].selection = SelectionMode::kBernoulli;
+  changed[3].selection_residual = true;
+  changed[4].topk_k = 5;
+  changed[5].dynamic_topk_arm = true;
+  changed[6].quant = QuantMode::kTwoBit;
+  changed[7].one_bit_scale = OneBitScale::kMean;
+  changed[8].error_feedback = true;
+  changed[9].relation_partition = true;
+  changed[10].negatives_sampled = 8;
+  changed[11].negatives_used = 8;
+  for (const StrategyConfig& config : changed) {
+    EXPECT_NE(config.spec(), base.spec()) << config.spec();
+    EXPECT_EQ(config == base, config.spec() == base.spec());
+  }
+  EXPECT_EQ(changed[1].label(), base.label());
+  EXPECT_EQ(changed[7].label(), base.label());
+  EXPECT_EQ(changed[11].label(), base.label());
 }
 
 TEST(StrategyConfig, EnumNames) {
