@@ -169,10 +169,10 @@ core::TrainReport run_experiment(const kge::Dataset& dataset,
   core::TrainReport report = trainer.train();
   std::fprintf(stderr,
                "[bench] %-18s P=%-2d N=%-3d TT(sim)=%8.3fs MRR=%.3f "
-               "TCA=%.1f (%.1fs wall)\n",
+               "TCA=%.1f (%.1fs wall) %s\n",
                report.strategy_label.c_str(), report.num_nodes, report.epochs,
                report.total_sim_seconds, report.ranking.mrr, report.tca,
-               watch.seconds());
+               watch.seconds(), report.strategy_spec.c_str());
   return report;
 }
 

@@ -242,6 +242,7 @@ FederatedReport FederatedTrainer::run_attempt(
 
   FederatedReport report;
   report.strategy_label = config_.strategy.label();
+  report.strategy_spec = config_.strategy.spec();
   report.model_name = config_.model_name;
   report.num_clients = config_.policy.num_clients;
   report.active_clients = static_cast<int>(active.size());

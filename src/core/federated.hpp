@@ -139,7 +139,8 @@ struct FederatedConfig {
 };
 
 struct FederatedReport {
-  std::string strategy_label;
+  std::string strategy_label;  ///< StrategyConfig::label(), the display name
+  std::string strategy_spec;   ///< StrategyConfig::spec(), every field
   std::string model_name;
   int num_clients = 0;      ///< original roster size (M)
   int active_clients = 0;   ///< survivors at the end

@@ -12,6 +12,7 @@ std::string report_to_json(const TrainReport& report,
   util::JsonWriter json;
   json.begin_object();
   json.kv("strategy", report.strategy_label);
+  json.kv("strategy_spec", report.strategy_spec);
   json.kv("model", report.model_name);
   json.kv("num_nodes", report.num_nodes);
   json.kv("epochs", report.epochs);

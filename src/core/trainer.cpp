@@ -470,6 +470,7 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
                         : 0;
   TrainReport report;
   report.strategy_label = strategy.label();
+  report.strategy_spec = strategy.spec();
   report.model_name = config_.model_name;
   report.num_nodes = num_nodes;
   report.start_epoch = start_epoch;

@@ -184,7 +184,8 @@ struct EpochRecord {
 };
 
 struct TrainReport {
-  std::string strategy_label;
+  std::string strategy_label;  ///< StrategyConfig::label(), the display name
+  std::string strategy_spec;   ///< StrategyConfig::spec(), every field
   std::string model_name;
   int num_nodes = 1;
 

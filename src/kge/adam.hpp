@@ -8,7 +8,9 @@
 //
 // Determinism note: in distributed training every replica applies identical
 // updates to identical rows in identical (sorted) order, so replicas stay
-// bit-identical — an invariant the tests assert.
+// bit-identical — an invariant the tests assert. The update's bytes are
+// pinned by a test-local per-row reference (tests/adam_reference.hpp) on
+// every kernel body.
 #pragma once
 
 #include <cstdint>
@@ -31,23 +33,19 @@ class RowAdam {
   RowAdam(std::int32_t rows, std::int32_t width, AdamConfig config = {});
 
   /// Advance the global step and precompute the bias corrections. Call once
-  /// per optimizer step, before any update_row of that step.
+  /// per optimizer step, before any update of that step.
   void begin_step();
 
-  /// Apply one Adam update to `params.row(row)` with gradient `grad`.
-  void update_row(std::int32_t row, std::span<const float> grad,
-                  EmbeddingMatrix& params);
-
-  /// Blocked form (adam_block.cpp): apply one Adam update per row of
-  /// `grads`, in ascending id order — byte-identical to calling update_row
-  /// for each sorted id, but without the per-row hash lookups and with a
-  /// vectorizable inner loop (the TU drops libm errno).
+  /// Apply one Adam update per row of `grads` to the same row of `params`,
+  /// in ascending id order (adam_block.cpp). Every element's parameter
+  /// moves by float(r) for the contract's r = lr * m_hat / (sqrt(v_hat) +
+  /// epsilon) (DESIGN.md §10), whichever kernel body the CPU selects.
   void update_rows(const SparseGrad& grads, EmbeddingMatrix& params);
 
   /// update_rows after scaling every gradient row by `scale` in place
   /// (the relation-partition path divides the local gradient by the node
-  /// count before the update). Byte-identical to scaling each row, then
-  /// calling update_row on it.
+  /// count before the update). Byte-identical to scaling the rows, then
+  /// calling update_rows.
   void update_rows_scaled(SparseGrad& grads, float scale,
                           EmbeddingMatrix& params);
 
@@ -67,7 +65,7 @@ class RowAdam {
   std::int64_t step() const { return step_; }
 
   /// Snapshot accessors: the persistent state is (step, m, v). The bias
-  /// corrections are derived from step by the next begin_step().
+  /// corrections are derived from the step.
   const EmbeddingMatrix& moment1() const { return m_; }
   const EmbeddingMatrix& moment2() const { return v_; }
 
@@ -77,12 +75,24 @@ class RowAdam {
   void restore(std::int64_t step, EmbeddingMatrix m, EmbeddingMatrix v);
 
  private:
+  /// Sets step_ and the bias corrections derived from it.
+  void set_step(std::int64_t step);
+
+  /// The blocked updates' shared prologue and row loop (adam_block.cpp):
+  /// checks the step and the widths, then updates each row `next` yields,
+  /// in order. Returns the number of rows updated.
+  template <typename NextRow>
+  std::size_t update_each(const char* caller, const SparseGrad& grads,
+                          const EmbeddingMatrix& params, NextRow next);
+
   AdamConfig config_;
   std::int64_t step_ = 0;
-  double bias1_ = 1.0;  ///< 1 - beta1^t
-  double bias2_ = 1.0;  ///< 1 - beta2^t
-  EmbeddingMatrix m_;   ///< first-moment estimates
-  EmbeddingMatrix v_;   ///< second-moment estimates
+  double bias1_ = 1.0;      ///< 1 - beta1^t
+  double bias2_ = 1.0;      ///< 1 - beta2^t
+  double inv_bias1_ = 1.0;  ///< 1 / bias1_, for the estimate lane
+  double inv_bias2_ = 1.0;  ///< 1 / bias2_, for the estimate lane
+  EmbeddingMatrix m_;       ///< first-moment estimates
+  EmbeddingMatrix v_;       ///< second-moment estimates
 };
 
 }  // namespace dynkge::kge

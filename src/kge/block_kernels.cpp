@@ -64,6 +64,7 @@
 #include "kge/complex_model.hpp"
 #include "kge/kernel_dispatch.hpp"
 #include "kge/distmult_model.hpp"
+#include "kge/prefetch.hpp"
 #include "kge/rotate_model.hpp"
 #include "kge/transe_model.hpp"
 
@@ -117,16 +118,6 @@ template <typename TermOf>
     double acc = 0.0;
     for (std::int32_t i = 0; i < k; ++i) acc += term(i);
     out[j] = acc;
-  }
-}
-
-/// Asks the cache for every line of a row ahead of its use.
-[[gnu::always_inline]] inline void prefetch_row(std::span<const float> row) {
-  constexpr std::uintptr_t kLine = 64;
-  const auto end = reinterpret_cast<std::uintptr_t>(row.data() + row.size());
-  for (auto line = reinterpret_cast<std::uintptr_t>(row.data()) & ~(kLine - 1);
-       line < end; line += kLine) {
-    __builtin_prefetch(reinterpret_cast<const void*>(line));
   }
 }
 

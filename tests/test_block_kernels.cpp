@@ -2,8 +2,8 @@
 // through a block or through the one-triple KgeModel::score /
 // accumulate_gradients, and the training steps built on them
 // (forward_backward, sgd_step) must be byte-identical to a test-local
-// per-triple reference of each model, and the blocked Adam to
-// RowAdam::update_row — per kernel and per step on
+// per-triple reference of each model, and the blocked Adam to the per-row
+// reference in adam_reference.hpp — per kernel and per step on
 // adversarial inputs (h == t aliasing, partial eight-triple groups, ranks
 // off the vector width, extreme floats), and end to end through the
 // trainer against golden digests across models, quantization modes, and
@@ -25,6 +25,7 @@
 
 #include "core/train_step.hpp"
 #include "core/trainer.hpp"
+#include "adam_reference.hpp"
 #include "golden_digest.hpp"
 #include "kge/model.hpp"
 #include "kge/model_factory.hpp"
@@ -553,7 +554,7 @@ TEST(BlockKernels, AdamUpdateRowsMatchesPerRowUpdates) {
   }
   EmbeddingMatrix params_blocked = params_scalar;
 
-  kge::RowAdam scalar_opt(48, 12, config);
+  testing_util::ReferenceAdam scalar_opt(48, 12, config);
   kge::RowAdam blocked_opt(48, 12, config);
   const kge::SparseGrad grads = make_test_grads(12);
   // Two steps so the second one exercises carried moment state too.
@@ -580,7 +581,7 @@ TEST(BlockKernels, AdamUpdateRowsScaledMatchesScaleThenUpdate) {
   EmbeddingMatrix params_blocked = params_scalar;
   const float scale = 1.0f / 3.0f;
 
-  kge::RowAdam scalar_opt(48, 12, config);
+  testing_util::ReferenceAdam scalar_opt(48, 12, config);
   kge::RowAdam blocked_opt(48, 12, config);
   kge::SparseGrad grads_scalar = make_test_grads(12);
   kge::SparseGrad grads_blocked = make_test_grads(12);
@@ -620,7 +621,7 @@ TEST(BlockKernels, AdamUpdateRowsMatchesPerRowWhereBiasIsOne) {
   for (const int first : {150, 351}) {
     EmbeddingMatrix params_scalar = params;
     EmbeddingMatrix params_blocked = params;
-    kge::RowAdam scalar_opt(48, 12, config);
+    testing_util::ReferenceAdam scalar_opt(48, 12, config);
     kge::RowAdam blocked_opt(48, 12, config);
     scalar_opt.restore(first - 1, m, v);
     blocked_opt.restore(first - 1, m, v);
@@ -658,7 +659,7 @@ TEST(BlockKernels, AdamUpdateListedRowsMatchesPerRowUpdates) {
   // Gradient rows 0, 3, 17, 29, 41; listed rows 3, 17, 29 and 40, so two
   // gradient rows are skipped and one listed row has no gradient.
   const std::vector<std::int32_t> listed{3, 17, 29, 40};
-  kge::RowAdam scalar_opt(48, 12, config);
+  testing_util::ReferenceAdam scalar_opt(48, 12, config);
   kge::RowAdam listed_opt(static_cast<std::int32_t>(listed.size()), 12,
                           config);
   const kge::SparseGrad grads = make_test_grads(12);

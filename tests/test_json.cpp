@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/report_json.hpp"
 #include "kge/synthetic.hpp"
@@ -149,6 +151,39 @@ TEST(ReportJson, ContainsAllSections) {
     pos += 8;
   }
   EXPECT_EQ(occurrences, 4u);
+}
+
+TEST(ReportJson, SpecNamesRunsThatShareALabel) {
+  // Figure 3's dense and average runs are both all-gather: one label, two
+  // specs, and the report JSON carries both.
+  kge::SyntheticSpec spec;
+  spec.num_entities = 120;
+  spec.num_relations = 10;
+  spec.num_triples = 1500;
+  spec.num_latent_types = 4;
+  spec.seed = 8;
+  const kge::Dataset dataset = kge::generate_synthetic(spec);
+  std::vector<core::TrainReport> reports;
+  for (const core::SelectionMode mode :
+       {core::SelectionMode::kNone, core::SelectionMode::kAverageThreshold}) {
+    core::TrainConfig config;
+    config.embedding_rank = 6;
+    config.num_nodes = 2;
+    config.batch_size = 100;
+    config.max_epochs = 1;
+    config.compute_final_metrics = false;
+    config.strategy = core::StrategyConfig::baseline_allgather();
+    config.strategy.selection = mode;
+    reports.push_back(core::DistributedTrainer(dataset, config).train());
+    EXPECT_EQ(reports.back().strategy_spec, config.strategy.spec());
+    const std::string json = core::report_to_json(reports.back());
+    EXPECT_NE(json.find("\"strategy_spec\":\"" + config.strategy.spec() +
+                        "\""),
+              std::string::npos)
+        << json.substr(0, 400);
+  }
+  EXPECT_EQ(reports[0].strategy_label, reports[1].strategy_label);
+  EXPECT_NE(reports[0].strategy_spec, reports[1].strategy_spec);
 }
 
 TEST(ReportJson, WriteToFile) {

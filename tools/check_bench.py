@@ -256,6 +256,7 @@ GATE_SETS = {
     "obs_overhead": OBS_OVERHEAD_GATES,
     # Timing-only micro benches: emit for the artifact trail, nothing is
     # stable enough across runners to gate.
+    "micro_adam": [],
     "micro_collectives": [],
     "micro_quantize": [],
     "serve_throughput": [],
