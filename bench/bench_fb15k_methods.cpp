@@ -1,11 +1,16 @@
 // Every strategy comparison on the FB15K-like dataset, from one table of
 // runs:
+//   Figure 2  non-zero gradient rows per step vs epoch (all-gather)
 //   Figure 3  gradient-row selection thresholds: (a) TCA vs epoch and
 //             (b) sparsity for dense / average / average*0.1 / random
 //   Figure 4  2-bit quantization with and without random selection
 //   Figure 5  1-bit vs 2-bit quantization with RS over the --nodes sweep:
 //             (a) training time, (b) MRR; and the section-4.3 1-bit scale
 //             study (max / avg / negmax / posmax / negavg / posavg)
+//   Figure 6a relation partition on top of RS+1-bit: TCA vs epoch
+//   Table 4   negative sample selection with 1-bit quantization, ratios
+//             {1/1, 1/5, 1/10, 1/20, 1/30, 5/5, 10/10}, and its Figure 7
+//             convergence curves
 //   Figure 8  {allreduce, allgather, RS, RS+1-bit, RS+1-bit+RP+SS} over
 //             the --nodes sweep; its all-reduce and all-gather runs are
 //             also Table 1 and, in 8a, Figure 1a
@@ -14,18 +19,28 @@
 // shared-memory training, and Top-K against RS at equal kept bytes.
 //
 // Figures that compare the same (nodes, strategy) pair share its run:
-// bench::Runs trains each pair once. Figures 3 and 4, the scale study and
-// the feedback and Top-K ablations run on 2 nodes; Hogwild at 1, 2 and 4.
-// Every key is reported under its figure's prefix ("fig3.dense.mrr",
-// "feedback.rs_residual.mrr", "fig8.n2.rs_1bit.epochs").
+// bench::Runs trains each pair once (Figure 6a's run without partition is
+// Figure 8's 2-node RS+1-bit). Figures 2, 3, 4, 6a and Table 4, the scale
+// study and the feedback and Top-K ablations run on 2 nodes; Hogwild at
+// 1, 2 and 4. Figure 2 and Hogwild train outside the table: Figure 2 runs
+// a fixed 150 epochs at one learning rate, Hogwild another trainer. Every
+// key is reported under its figure's prefix ("fig3.dense.mrr",
+// "table4.r1_of_10.epochs", "fig8.n2.rs_1bit.epochs").
 //
 // Expected shapes (paper):
+//   Fig 2: the non-zero row count decreases over epochs as embeddings
+//          stabilize, which motivates probing all-gather later in
+//          training (strategy 1).
 //   Fig 3: the Bernoulli "random selection" curve overlaps the dense one
 //          while dropping a solid fraction of rows; the hard "average"
 //          threshold drops too much and hurts accuracy.
 //   Fig 4: adding RS to 2-bit quantization leaves convergence unchanged.
 //   Fig 5: 1-bit is faster than 2-bit at every node count with about the
 //          same MRR; `max` is the best 1-bit scale.
+//   Fig 6a: with partition the convergence curve improves (relation
+//          gradients stay local and full precision).
+//   Table 4: MRR grows with n for "1 out of n" and saturates; training
+//          time grows with n but stays far below "n out of n".
 //   Fig 8: the combined method has the lowest training time at every node
 //          count (65.2% average reduction) and the highest MRR (+17.7%
 //          average); RS alone tracks the baseline MRR; 1-bit alone dents
@@ -45,8 +60,8 @@ namespace paper = dynkge::bench::paper;
 
 namespace {
 
-/// Nodes of the fixed-size studies: Figures 3 and 4, the 1-bit scale
-/// study and the feedback and Top-K ablations.
+/// Nodes of the fixed-size studies: Figures 2, 3, 4 and 6a, Table 4, the
+/// 1-bit scale study and the feedback and Top-K ablations.
 constexpr std::int64_t kStudyNodes = 2;
 
 /// Mean of 1 - rows_sent / rows_before_selection over the epochs.
@@ -73,6 +88,46 @@ void report_run(obs::BenchReporter& reporter, const std::string& key,
   reporter.count(key + ".epochs", static_cast<std::uint64_t>(report.epochs));
   reporter.set(key + ".tca", report.tca);
   reporter.set(key + ".mrr", report.ranking.mrr);
+}
+
+void figure2(bench::Runs& runs, obs::BenchReporter& reporter) {
+  const bench::HarnessOptions& options = runs.options();
+  bench::print_banner(
+      "Figure 2: non-zero gradient rows vs epoch",
+      "the number of non-zero gradient rows shrinks as training proceeds",
+      options, runs.dataset());
+
+  core::TrainConfig config = bench::make_config(options, kStudyNodes);
+  // Fixed-length run (no early stop) so the series covers a full schedule.
+  config.lr.tolerance = config.max_epochs;
+  config.compute_final_metrics = false;
+  config.strategy =
+      core::StrategyConfig::baseline_allgather(options.baseline_negatives);
+  const auto report = bench::run_experiment(runs.dataset(), config);
+
+  util::Table table({"epoch", "nonzero entity rows/step", "val TCA"});
+  const std::size_t stride =
+      std::max<std::size_t>(1, report.epoch_log.size() / 25);
+  for (std::size_t i = 0; i < report.epoch_log.size(); i += stride) {
+    const auto& record = report.epoch_log[i];
+    table.begin_row()
+        .add(static_cast<std::int64_t>(record.epoch))
+        .add(record.nonzero_entity_rows, 1)
+        .add(record.val_accuracy, 1);
+  }
+  bench::emit(table, "Figure 2 (reproduced): non-zero gradient rows",
+              options.csv);
+
+  const double first = report.epoch_log.front().nonzero_entity_rows;
+  const double last = report.epoch_log.back().nonzero_entity_rows;
+  std::cout << "Shape check: rows/step start=" << first << " end=" << last
+            << (last < first ? "  -> decreasing (paper agrees)\n"
+                             : "  -> not decreasing\n");
+  reporter.count("fig2.epochs", static_cast<std::uint64_t>(report.epochs));
+  reporter.set("fig2.rows_per_step.first_epoch", first);
+  reporter.set("fig2.rows_per_step.last_epoch", last);
+  reporter.set("fig2.final_val_tca", report.epoch_log.back().val_accuracy);
+  reporter.flag("fig2.rows_decreasing", last < first);
 }
 
 void figure3(bench::Runs& runs, obs::BenchReporter& reporter) {
@@ -250,6 +305,93 @@ void figure5(bench::Runs& runs, obs::BenchReporter& reporter) {
                                    : " (paper picked max)\n");
   reporter.context("fig5.best_scale", best_name);
   reporter.flag("fig5.best_scale_is_max", best_name == "max");
+}
+
+void figure6a(bench::Runs& runs, obs::BenchReporter& reporter) {
+  const bench::HarnessOptions& options = runs.options();
+  bench::print_banner(
+      "Figure 6a: relation partition - convergence on FB15K-like",
+      "RS+1-bit converges better once relation gradients stay local and "
+      "full precision",
+      options, runs.dataset());
+
+  std::vector<const core::TrainReport*> reports;
+  for (const bool with_rp : {false, true}) {
+    core::StrategyConfig strategy =
+        core::StrategyConfig::rs_1bit(options.baseline_negatives);
+    strategy.relation_partition = with_rp;
+    reports.push_back(&runs.get(kStudyNodes, strategy));
+  }
+  bench::emit(bench::tca_curve({"epoch", "without partition TCA",
+                                "with partition TCA"},
+                               reports),
+              "Figure 6a (reproduced): TCA vs epoch", options.csv);
+  std::cout << "Finals: without RP TCA=" << reports[0]->tca
+            << " MRR=" << reports[0]->ranking.mrr
+            << " | with RP TCA=" << reports[1]->tca
+            << " MRR=" << reports[1]->ranking.mrr << "\n\n";
+  report_run(reporter, "fig6.fb15k.without_rp", *reports[0]);
+  report_run(reporter, "fig6.fb15k.with_rp", *reports[1]);
+}
+
+void table4(bench::Runs& runs, obs::BenchReporter& reporter) {
+  const bench::HarnessOptions& options = runs.options();
+  bench::print_banner(
+      "Table 4 / Figure 7: negative sample selection (with 1-bit quant)",
+      "for 1-out-of-n, MRR rises with n and saturates; time rises with n "
+      "but stays well below n-out-of-n",
+      options, runs.dataset());
+
+  util::Table table({"ratio", "TT(sim s)", "N", "MRR", "TCA",
+                     "paper TT(h)", "paper N", "paper MRR", "paper TCA"});
+  // The reports by ratio, in paper::kTable4's row order.
+  std::vector<const core::TrainReport*> reports;
+  for (const auto& row : paper::kTable4) {
+    core::StrategyConfig strategy = core::StrategyConfig::rs_1bit(row.sampled);
+    strategy.negatives_used = row.used;
+    const core::TrainReport& report = runs.get(kStudyNodes, strategy);
+    reports.push_back(&report);
+    const std::string key = "table4.r" + std::to_string(row.used) + "_of_" +
+                            std::to_string(row.sampled);
+    reporter.set(key + ".tt_sim_seconds", report.total_sim_seconds);
+    report_run(reporter, key, report);
+    table.begin_row()
+        .add(row.ratio)
+        .add(report.total_sim_seconds, 3)
+        .add(static_cast<std::int64_t>(report.epochs))
+        .add(report.ranking.mrr, 3)
+        .add(report.tca, 1)
+        .add(row.tt_hours, 2)
+        .add(static_cast<std::int64_t>(row.epochs))
+        .add(row.mrr, 3)
+        .add(row.tca, 1);
+  }
+  bench::emit(table,
+              "Table 4 (reproduced): sample selection with 1-bit, 2 nodes",
+              options.csv);
+
+  // Rows 0 to 6: 1 of 1, 1 of 5, 1 of 10, 1 of 20, 1 of 30, 5 of 5,
+  // 10 of 10. Figure 7a: convergence curves for representative ratios.
+  bench::emit(bench::tca_curve({"epoch", "1 of 1 TCA", "1 of 10 TCA",
+                                "10 of 10 TCA"},
+                               {reports[0], reports[2], reports[6]}),
+              "Figure 7a (reproduced): convergence per ratio", options.csv);
+
+  const double tt_1of10 = reports[2]->total_sim_seconds;
+  const double tt_10of10 = reports[6]->total_sim_seconds;
+  const double mrr_1of1 = reports[0]->ranking.mrr;
+  const double mrr_1of20 = reports[3]->ranking.mrr;
+  std::cout << "Shape checks:\n"
+            << "  TT(1 of 10) < TT(10 of 10): " << tt_1of10 << " vs "
+            << tt_10of10
+            << (tt_1of10 < tt_10of10 ? "  -> holds (paper agrees)\n"
+                                     : "  -> does not hold\n")
+            << "  MRR(1 of 20) > MRR(1 of 1): " << mrr_1of20 << " vs "
+            << mrr_1of1
+            << (mrr_1of20 > mrr_1of1 ? "  -> holds (paper agrees)\n"
+                                     : "  -> does not hold\n");
+  reporter.flag("table4.ss_time_win", tt_1of10 < tt_10of10);
+  reporter.flag("table4.mrr_rises_with_pool", mrr_1of20 > mrr_1of1);
 }
 
 void figure8(bench::Runs& runs, obs::BenchReporter& reporter) {
@@ -450,9 +592,12 @@ int main(int argc, char** argv) {
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::Runs runs(options, dataset);
 
+  figure2(runs, reporter);
   figure3(runs, reporter);
   figure4(runs, reporter);
   figure5(runs, reporter);
+  figure6a(runs, reporter);
+  table4(runs, reporter);
   figure8(runs, reporter);
   feedback_ablation(runs, reporter);
   hogwild_ablation(runs, reporter);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <stdexcept>
 
@@ -67,10 +68,26 @@ kge::SyntheticSpec spec_for(const std::string& dataset,
   std::exit(2);
 }
 
+[[noreturn]] void out_of_range(const std::string& flag,
+                               const std::string& expected,
+                               const std::string& value) {
+  throw std::invalid_argument("--" + flag + ": expected " + expected +
+                              ", got '" + value + "'");
+}
+
+/// --flag's integer value, a count the trainer needs to be at least 1.
+std::int64_t positive_int(const util::ArgParser& args, const std::string& flag,
+                          std::int64_t fallback) {
+  const std::int64_t value = args.get_int(flag, fallback);
+  if (value < 1) out_of_range(flag, "an integer >= 1", std::to_string(value));
+  return value;
+}
+
 }  // namespace
 
-// A flag value that does not parse in full ("--nodes 2x") is a usage
-// error, as an unread flag is.
+// A flag value that does not parse in full ("--nodes 2x"), or lies outside
+// the range the trainer accepts ("--nodes 0"), is a usage error, as an
+// unread flag is: it exits before any dataset is built, not mid-sweep.
 HarnessOptions parse_options(const util::ArgParser& args,
                              const std::string& dataset,
                              std::vector<std::int64_t> default_nodes) try {
@@ -80,6 +97,13 @@ HarnessOptions parse_options(const util::ArgParser& args,
   options.data_dir = args.get_string("data", "");
   options.model = args.get_string("model", "complex");
   options.nodes = args.get_int_list("nodes", default_nodes);
+  // Figures read nodes.front() and nodes.back() as the fewest and most.
+  if (options.nodes.empty() || options.nodes.front() < 1 ||
+      std::adjacent_find(options.nodes.begin(), options.nodes.end(),
+                         std::greater_equal<>()) != options.nodes.end()) {
+    out_of_range("nodes", "strictly increasing node counts >= 1",
+                 args.get_string("nodes", ""));
+  }
   options.csv = args.has_flag("csv");
   options.bench_json = args.get_string("bench-json", "");
   options.seed =
@@ -109,18 +133,25 @@ HarnessOptions parse_options(const util::ArgParser& args,
   options.rank = full ? 100 : 16;
 
   options.rank = static_cast<std::int32_t>(args.get_int("rank", options.rank));
-  options.batch =
-      static_cast<std::size_t>(args.get_int("batch", options.batch));
+  options.batch = static_cast<std::size_t>(positive_int(
+      args, "batch", static_cast<std::int64_t>(options.batch)));
   options.base_lr = args.get_double("lr", options.base_lr);
   options.tolerance =
-      static_cast<int>(args.get_int("tolerance", options.tolerance));
+      static_cast<int>(positive_int(args, "tolerance", options.tolerance));
   options.max_epochs =
-      static_cast<int>(args.get_int("max-epochs", options.max_epochs));
+      static_cast<int>(positive_int(args, "max-epochs", options.max_epochs));
   options.baseline_negatives = static_cast<int>(
-      args.get_int("negatives", options.baseline_negatives));
+      positive_int(args, "negatives", options.baseline_negatives));
   options.ss_sampled =
-      static_cast<int>(args.get_int("ss-sampled", options.ss_sampled));
-  options.ss_used = static_cast<int>(args.get_int("ss-used", options.ss_used));
+      static_cast<int>(positive_int(args, "ss-sampled", options.ss_sampled));
+  options.ss_used =
+      static_cast<int>(positive_int(args, "ss-used", options.ss_used));
+  if (options.ss_used > options.ss_sampled) {
+    out_of_range("ss-used",
+                 "an integer in 1.." + std::to_string(options.ss_sampled) +
+                     " (--ss-sampled)",
+                 std::to_string(options.ss_used));
+  }
   return options;
 } catch (const std::invalid_argument& error) {
   exit_usage(error);

@@ -12,16 +12,21 @@
 //                             mini: the DESIGN.md mini scale; full: the
 //                             paper-sized graphs — hours)
 //   --data <dir>              use a real OpenKE/TSV dataset instead
-//   --nodes 1,2,4,8           node counts to sweep (where applicable)
+//   --nodes 1,2,4,8           node counts to sweep, strictly increasing
+//                             (where applicable)
 //   --rank N                  embedding rank (complex components)
 //   --batch N                 positives per rank per step
 //   --lr X --tolerance N --max-epochs N --seed N
+//   --negatives N             the baselines' negatives per positive
+//   --ss-sampled N --ss-used M  the +SS presets keep the hardest M of N
 //   --model complex|distmult|transe
 //   --csv                     also emit CSV rows for plotting
 //   --bench-json <file>       write the machine-checkable result block
 //                             (obs::BenchReporter; gated in CI by
 //                             tools/check_bench.py)
-// Any other flag the binary does not read is a usage error (exit 2).
+// Any other flag the binary does not read, a value that does not parse,
+// and a value outside the range the trainer accepts (--nodes 0,
+// --ss-used above --ss-sampled, a count below 1) are usage errors (exit 2).
 #pragma once
 
 #include <cstdint>
@@ -69,8 +74,8 @@ void context_from(obs::BenchReporter& reporter, const HarnessOptions& options);
 
 /// Parse shared flags from `args`, the parser the binary reads its own
 /// flags from too. `dataset` fixes which stand-in the binary targets. A
-/// value that does not parse in full is a usage error, printed naming the
-/// flag, and the process exits 2.
+/// value that does not parse in full, or that the trainer would reject, is
+/// a usage error, printed naming the flag, and the process exits 2.
 HarnessOptions parse_options(const util::ArgParser& args,
                              const std::string& dataset,
                              std::vector<std::int64_t> default_nodes);

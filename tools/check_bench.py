@@ -112,33 +112,15 @@ TRAIN_GATES = [gate
                for gate in (c(f"{key}.epochs"),
                             g(f"{key}.positives_per_cpu_s", "higher", 0.90))]
 
-FIG2_GATES = [
-    c("epochs", "near", EPOCH_TOL),
-    g("rows_per_step.first_epoch"),
-    g("rows_per_step.last_epoch"),
-    g("final_val_tca"),
-    f("rows_decreasing"),
-]
-
-FIG6_GATES = [gate
-              for v in ("fb15k.without_rp", "fb15k.with_rp")
-              for gate in (c(f"{v}.epochs", "near", EPOCH_TOL),
-                           g(f"{v}.tca"), g(f"{v}.mrr"))] + [
-    g(f"fb250k.n{n}.{v}.epoch_seconds", "lower", TIMING_TOL)
-    for n in (1, 2, 4, 8, 16) for v in ("without_rp", "with_rp")
-]
-
-TABLE4_GATES = [gate
-                for r in ("r1_of_1", "r1_of_5", "r1_of_10", "r1_of_20",
-                          "r1_of_30", "r5_of_5", "r10_of_10")
-                for gate in training_run_gates(r, with_tca=True)] + [
-    f("ss_time_win"),
-    f("mrr_rises_with_pool"),
-]
-
 # bench_fb15k_methods: every FB15K-like strategy comparison, each figure's
 # keys under its prefix.
 FB15K_METHODS_GATES = [
+    # Figure 2: non-zero gradient rows over a fixed schedule.
+    c("fig2.epochs", "near", EPOCH_TOL),
+    g("fig2.rows_per_step.first_epoch"),
+    g("fig2.rows_per_step.last_epoch"),
+    g("fig2.final_val_tca"),
+    f("fig2.rows_decreasing"),
     # Figure 3: selection thresholds.
     *(gate for v in ("dense", "average", "averagex0.1", "random")
       for gate in (c(f"fig3.{v}.epochs", "near", EPOCH_TOL),
@@ -155,6 +137,16 @@ FB15K_METHODS_GATES = [
       for gate in training_run_gates(f"fig5.n{n}.{v}", with_tca=False)),
     g("fig5.scale.max.mrr"),
     f("fig5.best_scale_is_max"),
+    # Figure 6a: RS+1-bit with and without relation partition.
+    *(gate for v in ("without_rp", "with_rp")
+      for gate in (c(f"fig6.fb15k.{v}.epochs", "near", EPOCH_TOL),
+                   g(f"fig6.fb15k.{v}.tca"), g(f"fig6.fb15k.{v}.mrr"))),
+    # Table 4: sample-selection ratios with 1-bit.
+    *(gate for r in ("r1_of_1", "r1_of_5", "r1_of_10", "r1_of_20",
+                     "r1_of_30", "r5_of_5", "r10_of_10")
+      for gate in training_run_gates(f"table4.{r}")),
+    f("table4.ss_time_win"),
+    f("table4.mrr_rises_with_pool"),
     # Figure 8. The all-reduce and all-gather columns are the paper's
     # baseline runs (Table 1 here, Table 2 in fig9), so they gate TCA too.
     *(gate for n in (1, 2, 4, 8)
@@ -193,21 +185,32 @@ FB15K_METHODS_GATES = [
     f("topk_vs_rs.topk_mrr_ge_rs"),
 ]
 
-FIG9_GATES = [gate
-              for n in (1, 2, 4, 8, 16)
-              for m in ("allreduce", "allgather", "drs", "drs_1bit",
-                        "drs_1bit_rp_ss")
-              for gate in training_run_gates(
-                  f"n{n}.{m}", with_tca=m in ("allreduce", "allgather"))] + [
-    g("drs_allreduce_fraction"),
-    g("drs_1bit_allreduce_fraction"),
-    g("mrr_gain_pct"),
+# bench_fb250k_methods: every FB250K-like strategy comparison, each
+# figure's keys under its prefix.
+FB250K_METHODS_GATES = [
+    # Figure 9. Its all-reduce and all-gather columns are Table 2.
+    *(gate for n in (1, 2, 4, 8, 16)
+      for m in ("allreduce", "allgather", "drs", "drs_1bit", "drs_1bit_rp_ss")
+      for gate in training_run_gates(
+          f"fig9.n{n}.{m}", with_tca=m in ("allreduce", "allgather"))),
+    g("fig9.drs_allreduce_fraction"),
+    g("fig9.drs_1bit_allreduce_fraction"),
+    g("fig9.mrr_gain_pct"),
     # As fig8's: a floor at half the committed value (runs read 55.0-60.2).
-    g("time_reduction_pct", "higher", 0.5),
-    f("combined_saves_time"),
+    g("fig9.time_reduction_pct", "higher", 0.5),
+    f("fig9.combined_saves_time"),
     # MRR is deterministic, so the paper's MRR shape gates as exact flags.
-    f("drs_1bit_mrr_falls_with_nodes"),
-    f("rp_ss_recovers_mrr"),
+    f("fig9.drs_1bit_mrr_falls_with_nodes"),
+    f("fig9.rp_ss_recovers_mrr"),
+    # Figure 6b: RS+1-bit epoch time with and without relation partition.
+    *(g(f"fig6.fb250k.n{n}.{v}.epoch_seconds", "lower", TIMING_TOL)
+      for n in (1, 2, 4, 8, 16) for v in ("without_rp", "with_rp")),
+    # The parameter-server ablation: modeled comm seconds are
+    # deterministic, epoch seconds are timing.
+    *(gate for n in (2, 4, 8, 16)
+      for t in ("param_server", "allreduce", "allgather")
+      for gate in (g(f"ps.n{n}.{t}.comm_seconds"),
+                   g(f"ps.n{n}.{t}.epoch_seconds", "lower", TIMING_TOL))),
 ]
 
 # Pure alpha-beta arithmetic: platform-independent, gates exactly.
@@ -217,12 +220,6 @@ COST_MODEL_GATES = [gate
                     for gate in (g(f"{net}.r{r}.allreduce_ms", "exact"),
                                  g(f"{net}.r{r}.allgather_ms", "exact"),
                                  f(f"{net}.r{r}.allgather_wins"))]
-
-PS_GATES = [gate
-            for n in (2, 4, 8, 16)
-            for t in ("param_server", "allreduce", "allgather")
-            for gate in (g(f"n{n}.{t}.comm_seconds"),
-                         g(f"n{n}.{t}.epoch_seconds", "lower", TIMING_TOL))]
 
 # The sweep itself depends on the host's core count, so only the
 # pool-size-independent outputs gate.
@@ -246,12 +243,8 @@ GATE_SETS = {
     "serve": SERVE_GATES,
     "train": TRAIN_GATES,
     "fb15k_methods": FB15K_METHODS_GATES,
-    "fig2_nonzero_rows": FIG2_GATES,
-    "fig6_relation_partition": FIG6_GATES,
-    "table4_fig7_sample_selection": TABLE4_GATES,
-    "fig9_combined_fb250k": FIG9_GATES,
+    "fb250k_methods": FB250K_METHODS_GATES,
     "ablation_cost_model": COST_MODEL_GATES,
-    "ablation_parameter_server": PS_GATES,
     "host_parallelism": HOST_PARALLELISM_GATES,
     "obs_overhead": OBS_OVERHEAD_GATES,
     # Timing-only micro benches: emit for the artifact trail, nothing is
